@@ -35,8 +35,9 @@ int main() {
 
     // 2. Compile (MiniC -> assembly -> object -> linked image).
     const objfmt::Image image = cc::compile_program({source}, cc::CompilerOptions::none());
-    std::printf("compiled: %zu bytes of code, %u bytes of data, %zu symbols\n",
-                image.text.size(), image.data_total_size(), image.symbols.size());
+    std::printf("compiled: %zu bytes of code, %llu bytes of data, %zu symbols\n",
+                image.text.size(), static_cast<unsigned long long>(image.data_total_size()),
+                image.symbols.size());
 
     // 3. Load and run with attacker-style I/O.
     os::Process p(image, os::SecurityProfile::none(), /*seed=*/42);

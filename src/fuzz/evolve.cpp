@@ -168,7 +168,7 @@ TriageResult triage_divergence(const Divergence& d, std::uint64_t max_steps) {
         os::SecurityProfile p = rc.defense.profile;
         p.tracer = nullptr;
         p.profiler = &prof;
-        os::Process proc(*image, p, d.seed);
+        os::Process proc(image, p, d.seed);
         const vm::RunResult r = proc.run(max_steps);
         const profile::Symbolizer sym(proc.image(), proc.layout().text_base);
         for (const std::uint32_t pc : prof.shadow_stack()) {

@@ -51,23 +51,27 @@ void add_counters(trace::Counters& into, const trace::Counters& c) {
 /// Per-program compile memo.  Images depend only on CompilerOptions (the
 /// platform half of a Defense never reaches the compiler), so the ~10
 /// standard defenses share ~4 compiles, keyed by the same options key the
-/// machine-wide image cache uses.
+/// machine-wide image cache uses.  Every run of the program shares the
+/// memoized image instead of copying it.
 class CompileMemo {
 public:
     explicit CompileMemo(std::string source) : source_(std::move(source)) {}
 
-    const objfmt::Image& get(const cc::CompilerOptions& copts) {
+    std::shared_ptr<const objfmt::Image> get(const cc::CompilerOptions& copts) {
         const std::string key = core::compiler_options_key(copts);
         auto it = images_.find(key);
         if (it == images_.end()) {
-            it = images_.emplace(key, cc::compile_program({source_}, copts)).first;
+            it = images_
+                     .emplace(key, std::make_shared<const objfmt::Image>(
+                                       cc::compile_program({source_}, copts)))
+                     .first;
         }
         return it->second;
     }
 
 private:
     std::string source_;
-    std::map<std::string, objfmt::Image> images_;
+    std::map<std::string, std::shared_ptr<const objfmt::Image>> images_;
 };
 
 /// Architectural snapshot for the engine-A/engine-B (tier 1 vs tier 2)
@@ -106,7 +110,8 @@ void add_dispatch(FuzzReport& stats, const vm::DispatchStats& d) {
                     d.deopt_syscall + d.deopt_observer;
 }
 
-ObservedArch run_arch(const objfmt::Image& image, const os::SecurityProfile& profile,
+ObservedArch run_arch(const std::shared_ptr<const objfmt::Image>& image,
+                      const os::SecurityProfile& profile,
                       bool fast_engine, std::uint64_t seed, std::uint64_t max_steps,
                       FuzzReport* stats) {
     os::SecurityProfile p = profile;
@@ -132,7 +137,8 @@ ObservedArch run_arch(const objfmt::Image& image, const os::SecurityProfile& pro
     return a;
 }
 
-Observed run_once(const objfmt::Image& image, const os::SecurityProfile& profile,
+Observed run_once(const std::shared_ptr<const objfmt::Image>& image,
+                  const os::SecurityProfile& profile,
                   std::uint64_t seed, std::uint64_t max_steps, FuzzReport* stats,
                   trace::Tracer* tracer = nullptr) {
     os::SecurityProfile p = profile;
@@ -283,14 +289,14 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
     Observed baseline;
     for (std::size_t i = 0; i < defenses.size(); ++i) {
         const core::Defense& d = defenses[i];
-        const objfmt::Image* image = nullptr;
+        std::shared_ptr<const objfmt::Image> image;
         try {
-            image = &memo.get(d.copts);
+            image = memo.get(d.copts);
         } catch (const Error& e) {
             report(Oracle::Defense, "<compile>", d.name, e.what(), "");
             continue;
         }
-        const Observed obs = run_once(*image, d.profile, seed, max_steps, stats);
+        const Observed obs = run_once(image, d.profile, seed, max_steps, stats);
         if (i == 0) {
             baseline = obs;
         } else if (!obs.same(baseline)) {
@@ -309,9 +315,9 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
             d.name != "sanitize") {
             continue;
         }
-        const objfmt::Image* image = nullptr;
+        std::shared_ptr<const objfmt::Image> image;
         try {
-            image = &memo.get(d.copts);
+            image = memo.get(d.copts);
         } catch (const Error&) {
             continue; // already reported by oracle 1
         }
@@ -321,8 +327,8 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
         on_profile.decode_cache = true;
         os::SecurityProfile off_profile = d.profile;
         off_profile.decode_cache = false;
-        const Observed on = run_once(*image, on_profile, seed, max_steps, stats, &on_trace);
-        const Observed off = run_once(*image, off_profile, seed, max_steps, stats, &off_trace);
+        const Observed on = run_once(image, on_profile, seed, max_steps, stats, &on_trace);
+        const Observed off = run_once(image, off_profile, seed, max_steps, stats, &off_trace);
         const std::ptrdiff_t mismatch = first_trace_mismatch(on_trace, off_trace);
         if (!on.same(off) || mismatch >= 0) {
             std::string out_a = on.describe();
@@ -344,8 +350,8 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
         // loop) must agree on final registers, ip, trap (kind/ip/addr/msg)
         // and the exact step count.  Untraced: a tracer would demote both
         // runs to tier 1.
-        const ObservedArch tier2 = run_arch(*image, d.profile, true, seed, max_steps, stats);
-        const ObservedArch tier1 = run_arch(*image, d.profile, false, seed, max_steps, stats);
+        const ObservedArch tier2 = run_arch(image, d.profile, true, seed, max_steps, stats);
+        const ObservedArch tier1 = run_arch(image, d.profile, false, seed, max_steps, stats);
         if (!tier2.same(tier1)) {
             report(Oracle::Engine, d.name + "+tier2", d.name + "+tier1", tier2.describe(),
                    tier1.describe());
@@ -375,7 +381,7 @@ profile::CoverageBitmap program_coverage(const std::string& source, std::uint64_
     prof.set_sample_interval(0); // coverage only: no stack samples needed
     os::SecurityProfile p = baseline.profile;
     p.profiler = &prof;
-    os::Process proc(*image, p, seed);
+    os::Process proc(image, p, seed);
     prof.set_coverage(&bmp, proc.layout().text_base, proc.layout().text_size);
     (void)proc.run(max_steps);
     return bmp;

@@ -198,39 +198,49 @@ bool Kernel::sys_sbrk(vm::Machine& m) {
     if (layout_ == nullptr) {
         return false;
     }
-    const auto delta = static_cast<std::int32_t>(m.reg(Reg::R0));
+    // The increment is a signed 32-bit value; its magnitude is taken in
+    // unsigned arithmetic so that INT32_MIN needs no negation.
+    const std::uint32_t raw = m.reg(Reg::R0);
+    const auto delta = static_cast<std::int32_t>(raw);
     const std::uint32_t old_brk = layout_->brk;
     ++heap_stats_.sbrk_calls;
     if (delta > 0) {
-        const std::uint32_t new_brk = old_brk + static_cast<std::uint32_t>(delta);
+        const std::uint32_t new_brk = old_brk + raw;
         if (new_brk > kHeapLimit) {
             m.set_reg(Reg::R0, 0xffffffff); // ENOMEM
             return true;
         }
-        m.memory().map(old_brk, static_cast<std::uint32_t>(delta), vm::Perm::RW);
+        m.memory().map(old_brk, raw, vm::Perm::RW);
         if (m.options().sanitize_address) {
             // Materialise the shadow slice for the grown range and clear it:
             // a brk shrink/regrow cycle must not resurrect stale poison.
             const std::uint32_t lo = vm::shadow_of(old_brk);
             const std::uint32_t hi = vm::shadow_of(new_brk - 1) + 1;
             m.memory().map(lo, hi - lo, vm::Perm::RW);
-            shadow_set(m, old_brk, static_cast<std::uint32_t>(delta), /*poisoned=*/false);
+            shadow_set(m, old_brk, raw, /*poisoned=*/false);
         }
         layout_->brk = new_brk;
-        heap_stats_.grown_bytes += static_cast<std::uint32_t>(delta);
+        heap_stats_.grown_bytes += raw;
         heap_stats_.high_water = std::max(heap_stats_.high_water, new_brk - layout_->heap_base);
         if (m.tracer() != nullptr) {
             m.tracer()->record({trace::EventKind::HeapAlloc, m.steps_executed(), m.ip(),
                                 m.current_module(), true, trace::CheckOrigin::None, 0, old_brk,
-                                static_cast<std::uint32_t>(delta), {}});
+                                raw, {}});
         }
     } else if (delta < 0) {
-        layout_->brk = old_brk + static_cast<std::uint32_t>(delta);
-        heap_stats_.shrunk_bytes += static_cast<std::uint32_t>(-delta);
+        const std::uint32_t shrink = 0U - raw;
+        if (shrink > old_brk - layout_->heap_base) {
+            // The break never moves below the heap: below it lie the
+            // program's own segments, which a regrow would remap RW.
+            m.set_reg(Reg::R0, 0xffffffff);
+            return true;
+        }
+        layout_->brk = old_brk - shrink;
+        heap_stats_.shrunk_bytes += shrink;
         if (m.tracer() != nullptr) {
             m.tracer()->record({trace::EventKind::HeapFree, m.steps_executed(), m.ip(),
                                 m.current_module(), true, trace::CheckOrigin::None, 0,
-                                layout_->brk, static_cast<std::uint32_t>(-delta), {}});
+                                layout_->brk, shrink, {}});
         }
     }
     m.set_reg(Reg::R0, old_brk);

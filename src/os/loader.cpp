@@ -24,8 +24,14 @@ std::uint32_t randomized(std::uint32_t base, std::uint32_t entropy_bits, Rng& rn
     return downward ? base - shift : base + shift;
 }
 
-std::uint32_t page_round_up(std::uint32_t v) noexcept {
-    return (v + vm::kPageSize - 1) & ~(vm::kPageSize - 1);
+constexpr std::uint64_t kAddressSpaceEnd = std::uint64_t{1} << 32;
+
+/// Exclusive, page-rounded end of a segment of `size` bytes (at least one
+/// page) at `base`, computed in 64 bits so that a hostile size cannot wrap
+/// the extent back below its base.
+std::uint64_t segment_end(std::uint32_t base, std::uint32_t size) noexcept {
+    const std::uint64_t span = std::max<std::uint32_t>(size, 1);
+    return base + ((span + vm::kPageSize - 1) & ~std::uint64_t{vm::kPageSize - 1});
 }
 
 /// Map the shadow slice covering [base, base+size) read-write.  The shadow
@@ -43,19 +49,23 @@ void map_shadow_slice(vm::Memory& mem, std::uint32_t base, std::uint32_t size) {
 void assert_disjoint_layout(const ProcessLayout& layout, std::uint32_t stack_size) {
     struct Region {
         const char* name;
-        std::uint32_t lo;
-        std::uint32_t hi; // exclusive, page-rounded
+        std::uint64_t lo;
+        std::uint64_t hi; // exclusive, page-rounded
     };
     const Region regions[] = {
-        {"text", layout.text_base,
-         layout.text_base + page_round_up(std::max<std::uint32_t>(layout.text_size, 1))},
-        {"data", layout.data_base,
-         layout.data_base + page_round_up(std::max<std::uint32_t>(layout.data_size, 1))},
+        {"text", layout.text_base, segment_end(layout.text_base, layout.text_size)},
+        {"data", layout.data_base, segment_end(layout.data_base, layout.data_size)},
         // The heap is unmapped until sbrk; reserve its first page so a brk
         // landing inside another segment is rejected up front.
-        {"heap", layout.heap_base, layout.heap_base + vm::kPageSize},
+        {"heap", layout.heap_base, segment_end(layout.heap_base, vm::kPageSize)},
         {"stack", layout.stack_high - stack_size, layout.stack_high},
     };
+    for (const Region& r : regions) {
+        if (r.hi > kAddressSpaceEnd) {
+            throw Error(std::string("segment ") + r.name + " at " + std::to_string(r.lo) +
+                        " ends past 2^32");
+        }
+    }
     for (std::size_t i = 0; i < std::size(regions); ++i) {
         for (std::size_t j = i + 1; j < std::size(regions); ++j) {
             const Region& a = regions[i];
@@ -72,6 +82,11 @@ void assert_disjoint_layout(const ProcessLayout& layout, std::uint32_t stack_siz
 
 ProcessLayout load_image(vm::Machine& machine, const Image& image, const LoadOptions& opts,
                          Rng& rng, const std::string& entry_symbol) {
+    // An image is attacker-supplied data: a segment size that does not even
+    // fit the address space cannot be placed anywhere.
+    if (image.text.size() >= kAddressSpaceEnd || image.data_total_size() >= kAddressSpaceEnd) {
+        throw Error("image segment larger than the 32-bit address space");
+    }
     const std::uint32_t entropy = std::min(opts.aslr_entropy_bits, kMaxAslrEntropyBits);
     ProcessLayout layout;
     // The four segment offsets are independent draws: nothing stops two
@@ -87,7 +102,7 @@ ProcessLayout load_image(vm::Machine& machine, const Image& image, const LoadOpt
         layout.text_size = static_cast<std::uint32_t>(image.text.size());
         layout.data_base = opts.aslr ? randomized(kDefaultDataBase, entropy, rng)
                                      : kDefaultDataBase;
-        layout.data_size = image.data_total_size();
+        layout.data_size = static_cast<std::uint32_t>(image.data_total_size());
         layout.heap_base = opts.aslr ? randomized(kDefaultHeapBase, entropy, rng)
                                      : kDefaultHeapBase;
         layout.brk = layout.heap_base;
@@ -155,10 +170,10 @@ ProcessLayout load_image(vm::Machine& machine, const Image& image, const LoadOpt
         constexpr std::uint32_t kShadowHi = vm::kShadowBase + (1U << (32 - vm::kShadowShift));
         const struct {
             const char* name;
-            std::uint32_t lo, hi;
+            std::uint64_t lo, hi;
         } segs[] = {
-            {"text", layout.text_base, layout.text_base + page_round_up(std::max<std::uint32_t>(layout.text_size, 1))},
-            {"data", layout.data_base, layout.data_base + page_round_up(std::max<std::uint32_t>(layout.data_size, 1))},
+            {"text", layout.text_base, segment_end(layout.text_base, layout.text_size)},
+            {"data", layout.data_base, segment_end(layout.data_base, layout.data_size)},
             {"heap", layout.heap_base, kHeapLimit},
             {"stack", layout.stack_low, layout.stack_high},
         };

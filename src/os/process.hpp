@@ -4,6 +4,13 @@
 // attack harnesses: build an Image (assembler/linker or MiniC compiler),
 // construct a Process with the desired security profile, feed attacker
 // input, run, observe output and the final trap.
+//
+// A Process shares its Image read-only (std::shared_ptr<const Image>): the
+// harnesses birth a probe and a victim per cell from one cached compile,
+// and copying the image into each was a measurable share of birth.  The
+// guest's memory is always the Process's own — the loader copies the
+// image's bytes into demand-zero pages, so processes built from one image
+// never see each other's stores.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +77,14 @@ class Process {
 public:
     /// Load `image` with the given profile.  `seed` drives every random
     /// choice (ASLR layout, canary value, getrandom) deterministically.
+    /// The Process keeps the image alive and never mutates it.
+    Process(std::shared_ptr<const objfmt::Image> image, const SecurityProfile& profile,
+            std::uint64_t seed, const std::string& entry_symbol = "_start");
+    /// Convenience for an image built in place (tests, examples).
     Process(objfmt::Image image, const SecurityProfile& profile, std::uint64_t seed,
-            const std::string& entry_symbol = "_start");
+            const std::string& entry_symbol = "_start")
+        : Process(std::make_shared<const objfmt::Image>(std::move(image)), profile, seed,
+                  entry_symbol) {}
 
     // The kernel holds a pointer to the layout and the machine a pointer to
     // the kernel; the object is pinned in place.  (Factory functions relying
@@ -85,7 +98,7 @@ public:
     [[nodiscard]] const vm::Machine& machine() const noexcept { return machine_; }
     [[nodiscard]] Kernel& kernel() noexcept { return kernel_; }
     [[nodiscard]] const ProcessLayout& layout() const noexcept { return layout_; }
-    [[nodiscard]] const objfmt::Image& image() const noexcept { return image_; }
+    [[nodiscard]] const objfmt::Image& image() const noexcept { return *image_; }
 
     /// Absolute run-time address of a linked symbol.
     [[nodiscard]] std::uint32_t addr_of(const std::string& symbol) const;
@@ -107,7 +120,7 @@ public:
     vm::RunResult run(std::uint64_t max_steps = 10'000'000);
 
 private:
-    objfmt::Image image_;
+    std::shared_ptr<const objfmt::Image> image_;
     Rng rng_;
     vm::Machine machine_;
     Kernel kernel_;

@@ -38,7 +38,7 @@ crypto::Digest measure_module(const Image& image, const ModulePlacement& place) 
     push_word(meta, place.code_base);
     push_word(meta, static_cast<std::uint32_t>(image.text.size()));
     push_word(meta, place.data_base);
-    push_word(meta, image.data_total_size());
+    push_word(meta, static_cast<std::uint32_t>(image.data_total_size()));
     for (const std::uint32_t e : image.entry_offsets) {
         push_word(meta, e);
     }
@@ -54,8 +54,11 @@ LoadedModule load_module(vm::Machine& machine, const Image& image, const ModuleP
     out.name = name;
     out.image = image;
 
+    if (image.text.size() > 0xffffffffu || image.data_total_size() > 0xffffffffu) {
+        throw Error("module '" + name + "' is larger than the address space");
+    }
     const auto text_size = static_cast<std::uint32_t>(image.text.size());
-    const std::uint32_t data_size = image.data_total_size();
+    const auto data_size = static_cast<std::uint32_t>(image.data_total_size());
 
     auto& mem = machine.memory();
     mem.map(place.code_base, std::max<std::uint32_t>(text_size, 1), vm::Perm::RX);

@@ -158,12 +158,8 @@ FastHandler single_handler(Op op) noexcept {
 } // namespace
 
 DecodeCache::PageEntry* DecodeCache::entry_for(std::uint32_t page_index) {
-    auto& slot = pages_[page_index];
-    if (!slot) {
-        slot = std::make_unique<PageEntry>();
-    }
     mru_index_ = page_index;
-    mru_ = slot.get();
+    mru_ = &pages_[page_index];
     return mru_;
 }
 
@@ -174,7 +170,13 @@ void DecodeCache::sync_generation(PageEntry& e, std::uint64_t generation) noexce
     if (e.generation != 0) {
         ++invalidations_;
     }
-    e.slots.fill(Slot::Unknown);
+    // Reset only the index entries built at the dead generation, for the
+    // same reason as the tier-2 slots below.
+    for (const std::uint16_t off : e.built) {
+        (*e.index)[off] = 0;
+    }
+    e.built.clear();
+    e.insns.clear();
     if (e.fast) {
         // Unbuilt: fused entries die with their bytes.  Reset only the slots
         // actually built at the dead generation — a page whose own stores
@@ -188,8 +190,7 @@ void DecodeCache::sync_generation(PageEntry& e, std::uint64_t generation) noexce
     e.generation = generation;
 }
 
-const isa::Insn* DecodeCache::lookup(const Memory& mem, std::uint32_t addr,
-                                     Perm need) noexcept {
+const isa::Insn* DecodeCache::lookup(const Memory& mem, std::uint32_t addr, Perm need) {
     const std::uint32_t off = addr & (kPageSize - 1);
     if (off > kPageSize - isa::kMaxInsnLength) {
         return nullptr; // may straddle into the next page: slow path
@@ -203,29 +204,33 @@ const isa::Insn* DecodeCache::lookup(const Memory& mem, std::uint32_t addr,
     const std::uint32_t page_index = addr >> kPageShift;
     PageEntry* e = (page_index == mru_index_) ? mru_ : entry_for(page_index);
     sync_generation(*e, view.generation);
-    Slot& s = e->slots[off];
-    if (s == Slot::Unknown) {
+    if (!e->index) {
+        e->index = std::make_unique<std::array<std::uint16_t, kPageSize>>(); // zeroed: all unknown
+    }
+    std::uint16_t& slot = (*e->index)[off];
+    if (slot == 0) {
         ++decodes_;
         // The guard above keeps [off, off + kMaxInsnLength) inside the page,
         // so the decode window never crosses a permission boundary.
         const auto insn =
             isa::decode(std::span<const std::uint8_t>(view.data + off, isa::kMaxInsnLength));
         if (insn) {
-            e->insns[off] = *insn;
-            s = Slot::Valid;
+            e->insns.push_back(*insn);
+            slot = static_cast<std::uint16_t>(e->insns.size());
         } else {
-            s = Slot::SlowPath;
+            slot = kSlowSlot;
         }
+        e->built.push_back(static_cast<std::uint16_t>(off));
     }
-    if (s != Slot::Valid) {
+    if (slot == kSlowSlot) {
         return nullptr;
     }
     ++hits_;
-    return &e->insns[off];
+    return &e->insns[slot - 1];
 }
 
 DecodeCache::FastPageRef DecodeCache::fast_page(const Memory& mem, std::uint32_t addr,
-                                                Perm need) noexcept {
+                                                Perm need) {
     const PageView view = mem.page_view(addr);
     if (view.data == nullptr ||
         (static_cast<std::uint8_t>(view.perms) & static_cast<std::uint8_t>(need)) !=
@@ -242,7 +247,7 @@ DecodeCache::FastPageRef DecodeCache::fast_page(const Memory& mem, std::uint32_t
                        &e->fast_built};
 }
 
-void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) noexcept {
+void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) {
     constexpr std::uint32_t kFastLimit = kPageSize - isa::kMaxInsnLength;
     FastOp& fo = (*ref.ops)[off];
     fo = FastOp{};

@@ -12,7 +12,11 @@
 //    execution would silently falsify the attack matrix.
 //  * Every byte offset is cacheable, not just "intended" instruction
 //    starts: ROP executes the same bytes at skewed offsets (unintended
-//    gadgets), so the cache is a lazily-filled per-offset array.
+//    gadgets), so each page keeps a lazily allocated offset -> slot index
+//    (4096 x uint16_t, 8 KiB) over a dense vector of the instructions
+//    actually decoded.  A short run pays for what it decodes, not for a
+//    page's worth of `isa::Insn`; invalidation resets only the offsets
+//    built at the dead generation.
 //  * Anything irregular — offsets within kMaxInsnLength-1 of the page end
 //    (the instruction may straddle into a page with different perms or no
 //    mapping), bytes that do not decode, unmapped pages, missing R/X
@@ -27,7 +31,10 @@
 // (cmp+jcc, push/push/call, load+arith).  The fast engine
 // (vm/engine_fast.cpp) dispatches straight off this array with computed
 // goto; the same generation key guards both representations, so a fused
-// entry can never outlive a byte of the code it was fused from.
+// entry can never outlive a byte of the code it was fused from.  Unlike the
+// tier-1 stream, the FastOp array stays flat (4096 entries, indexed by page
+// offset): an index indirection on the dispatch path cost tier 2 more than
+// it saved in zeroing.
 #pragma once
 
 #include <array>
@@ -140,8 +147,9 @@ public:
     /// The decoded instruction starting at `addr`, or nullptr when the
     /// fetch must take the slow path (which then reports the precise trap).
     /// `need` is the permission set fetching requires (R, or R|X under DEP).
-    [[nodiscard]] const isa::Insn* lookup(const Memory& mem, std::uint32_t addr,
-                                          Perm need) noexcept;
+    /// The pointer is valid until the next lookup(): a later decode may
+    /// grow (and so move) the page's dense instruction vector.
+    [[nodiscard]] const isa::Insn* lookup(const Memory& mem, std::uint32_t addr, Perm need);
 
     /// Drop every cached page (the generation check makes this unnecessary
     /// for correctness; exposed for tests and memory pressure).
@@ -149,10 +157,12 @@ public:
 
     // --- tier-2 fast stream (vm/engine_fast.cpp) ---------------------------
     /// Handle to one page's fast-op array, generation-synced at creation.
-    /// `ops`/`bytes` stay valid until the page is unmapped (impossible from
-    /// inside the dispatch loop: only syscalls and the host unmap, and both
-    /// exit tier 2); a *mutation* of the page is detected by comparing the
-    /// live page generation against `generation` before every dispatch.
+    /// `ops` stays valid until the page is unmapped (impossible from inside
+    /// the dispatch loop: only syscalls and the host unmap, and both exit
+    /// tier 2); `bytes` only while the page keeps `generation` (a first
+    /// write moves a demand-zero page onto its own storage).  A *mutation*
+    /// of the page is detected by comparing the live page generation
+    /// against `generation` before every dispatch.
     struct FastPageRef {
         std::array<FastOp, kPageSize>* ops = nullptr;
         const std::uint8_t* bytes = nullptr;
@@ -168,15 +178,14 @@ public:
     /// Resolve the fast stream for the page containing `addr`.  Returns a
     /// null-ops ref when the page is unmapped or lacks `need` permissions —
     /// the engine then hands control to the slow path for one step.
-    [[nodiscard]] FastPageRef fast_page(const Memory& mem, std::uint32_t addr,
-                                        Perm need) noexcept;
+    [[nodiscard]] FastPageRef fast_page(const Memory& mem, std::uint32_t addr, Perm need);
 
     /// Build the fast op at `off` (page-relative) in a ref returned by
     /// fast_page, fusing with following instructions when a hot pattern
     /// matches.  Marks the slot FastHandler::Slow when the bytes do not
     /// decode, the offset may straddle the page end, or the opcode has no
     /// tier-2 handler (Sys, capability ops).
-    void build_fast(const FastPageRef& ref, std::uint32_t off) noexcept;
+    void build_fast(const FastPageRef& ref, std::uint32_t off);
 
     // --- statistics (tests + benches) --------------------------------------
     [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
@@ -191,16 +200,19 @@ private:
     // dispatch from the fast stream is a cache hit by construction).
     friend class FastEngine;
 
-    enum class Slot : std::uint8_t {
-        Unknown = 0, // not decoded at this generation yet
-        Valid,       // insns_[off] holds the decoded instruction
-        SlowPath,    // byte does not decode here; let the slow fetch trap
-    };
+    // Tier-1 index values: 0 = not decoded at this generation yet,
+    // kSlowSlot = the bytes do not decode here (let the slow fetch trap),
+    // otherwise 1 + the instruction's position in PageEntry::insns.
+    static constexpr std::uint16_t kSlowSlot = 0xffff;
 
     struct PageEntry {
         std::uint64_t generation = 0;
-        std::array<isa::Insn, kPageSize> insns{};
-        std::array<Slot, kPageSize> slots{};
+        // Tier-1 stream, both parts lazily filled by lookup(): the offset ->
+        // slot index is allocated on a page's first tier-1 decode, so a page
+        // that only tier 2 runs never pays for it.
+        std::unique_ptr<std::array<std::uint16_t, kPageSize>> index;
+        std::vector<isa::Insn> insns;
+        std::vector<std::uint16_t> built; // index entries to reset on invalidation
         // Tier-2 stream, lazily allocated on the first fast_page() touch so
         // fully instrumented (tier-1-only) machines never pay for it.
         std::unique_ptr<std::array<FastOp, kPageSize>> fast;
@@ -210,7 +222,8 @@ private:
     [[nodiscard]] PageEntry* entry_for(std::uint32_t page_index);
     void sync_generation(PageEntry& e, std::uint64_t generation) noexcept;
 
-    std::unordered_map<std::uint32_t, std::unique_ptr<PageEntry>> pages_;
+    // Node-based map: entries keep their address while the MRU points at one.
+    std::unordered_map<std::uint32_t, PageEntry> pages_;
     // One-entry MRU: straight-line execution stays within a page.
     std::uint32_t mru_index_ = 0xffffffff;
     PageEntry* mru_ = nullptr;

@@ -91,19 +91,36 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     // Two-entry direct-mapped micro-TLB for data pages.  Negative entries
     // are safe to cache: nothing maps/unmaps/reprotects pages while the
     // engine runs (only syscalls and the host can, and Sys exits tier 2).
+    // An entry also caches the page's byte pointers, so an access does not
+    // wait on a load through the Page: `data` for loads (the shared zero
+    // page until the page's first write) and `owned` for stores (null until
+    // then).  Only this engine's own stores can move a page off the zero
+    // page while it runs: the in-page store path refreshes its entry, and
+    // the straddling path, which writes through Memory, flushes the TLB.
     struct TlbEntry {
         std::uint32_t index = 0xffffffff; // page indices use at most 20 bits
         Memory::Page* page = nullptr;
+        const std::uint8_t* data = nullptr;
+        std::uint8_t* owned = nullptr;
     };
     TlbEntry tlb[2];
-    const auto data_page = [&](std::uint32_t addr) noexcept -> Memory::Page* {
+    const auto data_page = [&](std::uint32_t addr) noexcept -> TlbEntry& {
         const std::uint32_t idx = addr >> kPageShift;
         TlbEntry& t = tlb[idx & 1];
         if (t.index != idx) {
-            t.index = idx;
-            t.page = mem.page_at(addr);
+            Memory::Page* p = mem.page_at(addr);
+            t = TlbEntry{idx, p, p != nullptr ? p->data : nullptr,
+                         p != nullptr ? p->owned.get() : nullptr};
         }
-        return t.page;
+        return t;
+    };
+    // The page's own storage for an in-page store (materialised on first use).
+    const auto store_bytes = [&](TlbEntry& t) -> std::uint8_t* {
+        if (t.owned == nullptr) [[unlikely]] {
+            t.owned = mem.writable(*t.page);
+            t.data = t.owned;
+        }
+        return t.owned;
     };
 
     // Checked data access, replicating Machine::load32/store32 byte for
@@ -114,7 +131,8 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     const auto load_word = [&](std::uint32_t addr, std::uint32_t& out) noexcept -> AccessFault {
         const std::uint32_t off = addr & (kPageSize - 1);
         if (off <= kPageSize - 4) [[likely]] {
-            Memory::Page* p = data_page(addr);
+            const TlbEntry& t = data_page(addr);
+            const Memory::Page* p = t.page;
             if (p == nullptr) {
                 return AccessFault::Unmapped;
             }
@@ -126,7 +144,7 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
                  p->poison->test(off + 3))) {
                 return AccessFault::Poisoned;
             }
-            const std::uint8_t* d = p->data.data() + off;
+            const std::uint8_t* d = t.data + off;
             out = static_cast<std::uint32_t>(d[0]) | (static_cast<std::uint32_t>(d[1]) << 8) |
                   (static_cast<std::uint32_t>(d[2]) << 16) |
                   (static_cast<std::uint32_t>(d[3]) << 24);
@@ -139,10 +157,13 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         out = mem.read32(addr);
         return AccessFault::None;
     };
-    const auto store_word = [&](std::uint32_t addr, std::uint32_t v) noexcept -> AccessFault {
+    // Stores are not noexcept: a page's first write allocates its storage
+    // (Memory::writable), and an allocation failure stays an exception.
+    const auto store_word = [&](std::uint32_t addr, std::uint32_t v) -> AccessFault {
         const std::uint32_t off = addr & (kPageSize - 1);
         if (off <= kPageSize - 4) [[likely]] {
-            Memory::Page* p = data_page(addr);
+            TlbEntry& t = data_page(addr);
+            Memory::Page* p = t.page;
             if (p == nullptr) {
                 return AccessFault::Unmapped;
             }
@@ -154,7 +175,7 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
                  p->poison->test(off + 3))) {
                 return AccessFault::Poisoned;
             }
-            std::uint8_t* d = p->data.data() + off;
+            std::uint8_t* d = store_bytes(t) + off;
             d[0] = static_cast<std::uint8_t>(v & 0xff);
             d[1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
             d[2] = static_cast<std::uint8_t>((v >> 16) & 0xff);
@@ -167,11 +188,13 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
             return f;
         }
         mem.write32(addr, v);
+        tlb[0] = tlb[1] = TlbEntry{}; // the write may have materialised either page
         return AccessFault::None;
     };
     const auto load_byte = [&](std::uint32_t addr, std::uint8_t& out) noexcept -> AccessFault {
         const std::uint32_t off = addr & (kPageSize - 1);
-        Memory::Page* p = data_page(addr);
+        const TlbEntry& t = data_page(addr);
+        const Memory::Page* p = t.page;
         if (p == nullptr) {
             return AccessFault::Unmapped;
         }
@@ -181,12 +204,13 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         if (memcheck && p->poison && p->poison->test(off)) {
             return AccessFault::Poisoned;
         }
-        out = p->data[off];
+        out = t.data[off];
         return AccessFault::None;
     };
-    const auto store_byte = [&](std::uint32_t addr, std::uint8_t v) noexcept -> AccessFault {
+    const auto store_byte = [&](std::uint32_t addr, std::uint8_t v) -> AccessFault {
         const std::uint32_t off = addr & (kPageSize - 1);
-        Memory::Page* p = data_page(addr);
+        TlbEntry& t = data_page(addr);
+        Memory::Page* p = t.page;
         if (p == nullptr) {
             return AccessFault::Unmapped;
         }
@@ -196,7 +220,7 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         if (memcheck && p->poison && p->poison->test(off)) {
             return AccessFault::Poisoned;
         }
-        p->data[off] = v;
+        store_bytes(t)[off] = v;
         mem.touch(*p);
         return AccessFault::None;
     };

@@ -275,7 +275,7 @@ bool Machine::kernel_read32(std::uint32_t addr, std::uint32_t& out) const noexce
     return true;
 }
 
-bool Machine::kernel_write8(std::uint32_t addr, std::uint8_t v) noexcept {
+bool Machine::kernel_write8(std::uint32_t addr, std::uint8_t v) {
     if (module_containing(addr) != kNoModule) {
         if (tracer_ != nullptr) {
             tracer_->record({trace::EventKind::MemFault, steps_, ip_, module_containing(addr),
@@ -310,7 +310,7 @@ bool Machine::kernel_word_allowed(std::uint32_t addr) const noexcept {
     return mem_.is_mapped(addr) && mem_.is_mapped(addr + 3);
 }
 
-bool Machine::kernel_write32(std::uint32_t addr, std::uint32_t v) noexcept {
+bool Machine::kernel_write32(std::uint32_t addr, std::uint32_t v) {
     // All-or-nothing: validate every byte before mutating any.  The old
     // byte-at-a-time loop could fail on byte 2 with bytes 0-1 already
     // written — a torn kernel write the fault sweeps would misattribute.

@@ -226,8 +226,8 @@ public:
     // kernel-level malware.  Returns false (no trap) when PMA-denied.
     [[nodiscard]] bool kernel_read8(std::uint32_t addr, std::uint8_t& out) const noexcept;
     [[nodiscard]] bool kernel_read32(std::uint32_t addr, std::uint32_t& out) const noexcept;
-    [[nodiscard]] bool kernel_write8(std::uint32_t addr, std::uint8_t v) noexcept;
-    [[nodiscard]] bool kernel_write32(std::uint32_t addr, std::uint32_t v) noexcept;
+    [[nodiscard]] bool kernel_write8(std::uint32_t addr, std::uint8_t v);
+    [[nodiscard]] bool kernel_write32(std::uint32_t addr, std::uint32_t v);
 
     // --- statistics --------------------------------------------------------
     [[nodiscard]] std::uint64_t steps_executed() const noexcept { return steps_; }

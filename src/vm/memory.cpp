@@ -5,13 +5,38 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <utility>
 
 namespace swsec::vm {
 
 namespace {
 constexpr std::uint32_t page_index(std::uint32_t addr) noexcept { return addr >> kPageShift; }
 constexpr std::uint32_t page_offset(std::uint32_t addr) noexcept { return addr & (kPageSize - 1); }
+
+// What every mapped, never-written page reads as.  Nothing writes through
+// it: writers go through Memory::writable(), which gives the page its own
+// storage first.
+alignas(64) constexpr std::uint8_t kZeroPage[kPageSize] = {};
+
+/// Page indices [first, last] of a non-empty range; throws when the range
+/// wraps past 2^32 (a wrapped range would otherwise walk almost the whole
+/// page table from `first` round to `last`).
+std::pair<std::uint32_t, std::uint32_t> page_span(std::uint32_t addr, std::uint32_t size,
+                                                  const char* what) {
+    if (static_cast<std::uint64_t>(addr) + size > (std::uint64_t{1} << 32)) {
+        throw Error(std::string(what) + " range at " + hex32(addr) + " of " +
+                    std::to_string(size) + " bytes wraps past 2^32");
+    }
+    return {page_index(addr), page_index(addr + size - 1)};
+}
 } // namespace
+
+void Memory::materialise(Page& p) {
+    p.owned = std::make_unique<std::uint8_t[]>(kPageSize); // value-initialised: zeroed
+    p.data = p.owned.get();
+    ++materialised_;
+}
 
 Memory::Page* Memory::page_at(std::uint32_t addr) noexcept {
     const std::uint32_t idx = page_index(addr);
@@ -19,7 +44,7 @@ Memory::Page* Memory::page_at(std::uint32_t addr) noexcept {
         return cached_page_;
     }
     const auto it = pages_.find(idx);
-    Page* p = (it == pages_.end()) ? nullptr : it->second.get();
+    Page* p = (it == pages_.end()) ? nullptr : &it->second;
     cached_index_ = idx;
     cached_page_ = p;
     return p;
@@ -45,15 +70,14 @@ void Memory::map(std::uint32_t addr, std::uint32_t size, Perm perms) {
     if (size == 0) {
         return;
     }
-    const std::uint32_t first = page_index(addr);
-    const std::uint32_t last = page_index(addr + size - 1);
+    const auto [first, last] = page_span(addr, size, "map");
     for (std::uint32_t idx = first;; ++idx) {
-        auto& slot = pages_[idx];
-        if (!slot) {
-            slot = std::make_unique<Page>();
+        Page& p = pages_[idx];
+        if (p.data == nullptr) {
+            p.data = kZeroPage;
         }
-        slot->perms = perms;
-        touch(*slot);
+        p.perms = perms;
+        touch(p);
         if (idx == last) {
             break;
         }
@@ -66,15 +90,14 @@ void Memory::protect(std::uint32_t addr, std::uint32_t size, Perm perms) {
     if (size == 0) {
         return;
     }
-    const std::uint32_t first = page_index(addr);
-    const std::uint32_t last = page_index(addr + size - 1);
+    const auto [first, last] = page_span(addr, size, "protect");
     for (std::uint32_t idx = first;; ++idx) {
         const auto it = pages_.find(idx);
         if (it == pages_.end()) {
             throw Error("protect of unmapped page at " + hex32(idx << kPageShift));
         }
-        it->second->perms = perms;
-        touch(*it->second);
+        it->second.perms = perms;
+        touch(it->second);
         if (idx == last) {
             break;
         }
@@ -85,8 +108,7 @@ void Memory::unmap(std::uint32_t addr, std::uint32_t size) {
     if (size == 0) {
         return;
     }
-    const std::uint32_t first = page_index(addr);
-    const std::uint32_t last = page_index(addr + size - 1);
+    const auto [first, last] = page_span(addr, size, "unmap");
     for (std::uint32_t idx = first;; ++idx) {
         pages_.erase(idx);
         if (idx == last) {
@@ -109,7 +131,7 @@ PageView Memory::page_view(std::uint32_t addr) const noexcept {
     if (p == nullptr) {
         return PageView{};
     }
-    return PageView{p->data.data(), p->perms, p->generation};
+    return PageView{p->data, p->perms, p->generation};
 }
 
 std::uint64_t Memory::generation_of(std::uint32_t addr) const noexcept {
@@ -158,7 +180,7 @@ std::uint32_t Memory::read32(std::uint32_t addr) const noexcept {
     if (off <= kPageSize - 4) {
         // Fast path: the word lives in one page — assemble little-endian
         // from the backing array directly (a single load after optimisation).
-        const std::uint8_t* d = page_at(addr)->data.data() + off;
+        const std::uint8_t* d = page_at(addr)->data + off;
         return static_cast<std::uint32_t>(d[0]) | (static_cast<std::uint32_t>(d[1]) << 8) |
                (static_cast<std::uint32_t>(d[2]) << 16) | (static_cast<std::uint32_t>(d[3]) << 24);
     }
@@ -169,17 +191,17 @@ std::uint32_t Memory::read32(std::uint32_t addr) const noexcept {
            (static_cast<std::uint32_t>(read8(addr + 3)) << 24);
 }
 
-void Memory::write8(std::uint32_t addr, std::uint8_t v) noexcept {
+void Memory::write8(std::uint32_t addr, std::uint8_t v) {
     Page* p = page_at(addr);
-    p->data[page_offset(addr)] = v;
+    writable(*p)[page_offset(addr)] = v;
     touch(*p);
 }
 
-void Memory::write32(std::uint32_t addr, std::uint32_t v) noexcept {
+void Memory::write32(std::uint32_t addr, std::uint32_t v) {
     const std::uint32_t off = page_offset(addr);
     if (off <= kPageSize - 4) {
         Page* p = page_at(addr);
-        std::uint8_t* d = p->data.data() + off;
+        std::uint8_t* d = writable(*p) + off;
         d[0] = static_cast<std::uint8_t>(v & 0xff);
         d[1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
         d[2] = static_cast<std::uint8_t>((v >> 16) & 0xff);
@@ -230,7 +252,7 @@ std::uint32_t Memory::raw_read32(std::uint32_t addr) const {
 
 void Memory::raw_write8(std::uint32_t addr, std::uint8_t v) {
     Page& p = page_or_throw(addr);
-    p.data[page_offset(addr)] = v;
+    writable(p)[page_offset(addr)] = v;
     touch(p);
 }
 
@@ -251,7 +273,7 @@ void Memory::raw_write(std::uint32_t addr, std::span<const std::uint8_t> data) {
         const std::uint32_t off = page_offset(a);
         const std::size_t chunk =
             std::min<std::size_t>(data.size() - done, kPageSize - off);
-        std::memcpy(p.data.data() + off, data.data() + done, chunk);
+        std::memcpy(writable(p) + off, data.data() + done, chunk);
         touch(p);
         done += chunk;
     }
@@ -265,7 +287,7 @@ std::vector<std::uint8_t> Memory::raw_read(std::uint32_t addr, std::uint32_t len
         const Page& p = page_or_throw(a);
         const std::uint32_t off = page_offset(a);
         const std::uint32_t chunk = std::min(len - done, kPageSize - off);
-        std::memcpy(out.data() + done, p.data.data() + off, chunk);
+        std::memcpy(out.data() + done, p.data + off, chunk);
         done += chunk;
     }
     return out;

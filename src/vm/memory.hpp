@@ -1,10 +1,17 @@
 // Sparse paged memory with per-page permissions and a per-byte poison map.
 //
 // This models the 32-bit virtual address space of Fig. 1(c): a flat array of
-// 2^32 bytes, realised sparsely as 4 KiB pages allocated on demand by the
-// loader.  Page permissions (R/W/X) are the substrate for the DEP / W^X
-// countermeasure (Section III-C1); the poison map is the substrate for the
-// ASan-style run-time checker of Section III-C2.
+// 2^32 bytes, realised sparsely as 4 KiB pages.  Page permissions (R/W/X)
+// are the substrate for the DEP / W^X countermeasure (Section III-C1); the
+// poison map is the substrate for the ASan-style run-time checker of
+// Section III-C2.
+//
+// Pages are demand-zero, as a kernel maps anonymous memory: map() records
+// only permissions and a generation, and a mapped page's bytes alias one
+// shared, read-only zero page until the first write of any kind (checked,
+// raw, loader or tier 2) allocates and zeroes the page's own 4 KiB.  Reads
+// never branch on this; only writes check.  A process therefore pays for
+// the pages it touches, not for the 256 KiB stack it maps.
 //
 // Two access levels exist:
 //  * checked accessors (used by the Machine) honour permissions and poison
@@ -22,7 +29,6 @@
 // a von Neumann machine cannot assume code is read-only.
 #pragma once
 
-#include <array>
 #include <bitset>
 #include <cstdint>
 #include <memory>
@@ -89,7 +95,9 @@ inline constexpr std::uint32_t kShadowGranule = 1u << kShadowShift;
 
 /// Direct, read-only view of one mapped page (fast-path substrate): the
 /// backing bytes, the page's permissions and its current generation.  The
-/// pointer is invalidated by unmap; the generation changes on any mutation.
+/// pointer is invalidated by unmap and by the page's first write (which
+/// moves it off the shared zero page); both change the generation, so a
+/// pointer is valid for as long as the generation it was read with.
 struct PageView {
     const std::uint8_t* data = nullptr;
     Perm perms = Perm::None;
@@ -102,7 +110,10 @@ struct PageView {
 class Memory {
 public:
     /// Map [addr, addr+size) with the given permissions, rounding outward to
-    /// page boundaries.  Remapping an existing page just updates permissions.
+    /// page boundaries.  New pages read as zero and own no storage until
+    /// first written.  Remapping an existing page just updates permissions.
+    /// The range operations throw swsec::Error for a range that wraps past
+    /// 2^32.
     void map(std::uint32_t addr, std::uint32_t size, Perm perms);
 
     /// Change permissions of already-mapped pages (mprotect analogue).
@@ -124,11 +135,12 @@ public:
     // --- checked access (machine level) -------------------------------
     [[nodiscard]] AccessFault check(std::uint32_t addr, std::uint32_t size, Perm need,
                                     bool honour_poison) const noexcept;
-    // The read/write helpers assume check() already passed.
+    // The read/write helpers assume check() already passed.  A write may
+    // allocate the page's storage, so it can throw std::bad_alloc.
     [[nodiscard]] std::uint8_t read8(std::uint32_t addr) const noexcept;
     [[nodiscard]] std::uint32_t read32(std::uint32_t addr) const noexcept;
-    void write8(std::uint32_t addr, std::uint8_t v) noexcept;
-    void write32(std::uint32_t addr, std::uint32_t v) noexcept;
+    void write8(std::uint32_t addr, std::uint8_t v);
+    void write32(std::uint32_t addr, std::uint32_t v);
 
     // --- poison map (memcheck substrate) ------------------------------
     void poison(std::uint32_t addr, std::uint32_t size);
@@ -145,8 +157,14 @@ public:
     [[nodiscard]] std::vector<std::uint8_t> raw_read(std::uint32_t addr, std::uint32_t len) const;
 
     /// Addresses of all mapped pages in increasing order (used by the
-    /// memory-scraping attacker, which scans whatever exists).
+    /// memory-scraping attacker, which scans whatever exists), whether or
+    /// not they have been written yet.
     [[nodiscard]] std::vector<std::uint32_t> mapped_pages() const;
+
+    /// Pages given their own storage by a first write, over this memory's
+    /// lifetime (a deterministic work counter: remapping an unmapped page
+    /// and writing it again counts again).
+    [[nodiscard]] std::uint64_t pages_materialised() const noexcept { return materialised_; }
 
 private:
     // The tier-2 engine (engine_fast.cpp) walks pages directly — same
@@ -154,7 +172,10 @@ private:
     friend class FastEngine;
 
     struct Page {
-        std::array<std::uint8_t, kPageSize> data{};
+        // The page's bytes: the shared zero page until the first write, then
+        // `owned`.  Readers use it unconditionally.
+        const std::uint8_t* data = nullptr;
+        std::unique_ptr<std::uint8_t[]> owned; // null until first written
         Perm perms = Perm::None;
         std::uint64_t generation = 0;
         std::unique_ptr<std::bitset<kPageSize>> poison; // lazily allocated
@@ -165,11 +186,23 @@ private:
     Page& page_or_throw(std::uint32_t addr);
     [[nodiscard]] const Page& page_or_throw(std::uint32_t addr) const;
     void touch(Page& p) noexcept { p.generation = ++gen_counter_; }
+    /// The page's own storage for a write, allocated and zeroed on first use.
+    /// The caller bumps the generation (touch) after writing.
+    [[nodiscard]] std::uint8_t* writable(Page& p) {
+        if (p.owned == nullptr) [[unlikely]] {
+            materialise(p);
+        }
+        return p.owned.get();
+    }
+    void materialise(Page& p);
 
-    std::unordered_map<std::uint32_t, std::unique_ptr<Page>> pages_;
+    // Node-based map: a Page's address is stable until its unmap, which the
+    // lookup cache and the tier-2 engine's code-page pointer rely on.
+    std::unordered_map<std::uint32_t, Page> pages_;
     // Machine-wide monotonic mutation counter: generations are never reused,
     // even across an unmap/map cycle of the same page index.
     std::uint64_t gen_counter_ = 0;
+    std::uint64_t materialised_ = 0;
     // One-entry lookup cache: page indices are dense in practice.
     mutable std::uint32_t cached_index_ = 0xffffffff;
     mutable Page* cached_page_ = nullptr;

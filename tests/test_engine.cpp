@@ -438,6 +438,45 @@ TEST(Deopt, NxFlipInvalidatesFusedEntries) {
         << "the NX round-trip must rebuild, not reuse, fused entries";
 }
 
+// --- demand-zero pages ---------------------------------------------------------
+
+TEST(DemandZero, UntouchedPageReadsZeroUnderBothTiersAndStoreMaterialises) {
+    Encoder e;
+    e.reg_imm32(Op::MovI, Reg::R1, 0x8000);
+    e.reg_imm32(Op::MovI, Reg::R0, 0x55);
+    e.reg_imm32(Op::MovI, Reg::R2, 0x55);
+    e.reg_imm32(Op::MovI, Reg::R4, 0x1234);
+    e.reg_mem(Op::Load, Reg::R0, Reg::R1, 0x10);     // untouched page 0x8000
+    e.reg_mem(Op::Load8, Reg::R2, Reg::R1, 0x1021);  // untouched page 0x9000
+    e.reg_mem(Op::Store, Reg::R1, Reg::R4, 0x40);    // first write to 0x8000
+    e.reg_mem(Op::Load, Reg::R3, Reg::R1, 0x40);
+    e.none(Op::Halt);
+    for (const bool fast : {true, false}) {
+        SCOPED_TRACE(fast ? "tier 2" : "tier 1");
+        Runner r;
+        r.m.options().fast_engine = fast;
+        Memory& mem = r.m.memory();
+        mem.map(0x8000, 0x2000, Perm::RW);
+        mem.raw_write(kCode, e.bytes());
+        const std::uint64_t materialised = mem.pages_materialised();
+        const std::uint64_t gen8 = mem.generation_of(0x8000);
+        const std::uint64_t gen9 = mem.generation_of(0x9000);
+        const auto res = r.m.run(100);
+        EXPECT_EQ(res.trap.kind, TrapKind::Halted);
+        EXPECT_EQ(r.m.reg(Reg::R0), 0u);
+        EXPECT_EQ(r.m.reg(Reg::R2), 0u);
+        EXPECT_EQ(r.m.reg(Reg::R3), 0x1234u);
+        EXPECT_EQ(mem.pages_materialised(), materialised + 1); // 0x8000 only
+        EXPECT_GT(mem.generation_of(0x8000), gen8);
+        EXPECT_EQ(mem.generation_of(0x9000), gen9);
+        if (fast) {
+            EXPECT_GE(r.m.dispatch_stats().fast_steps, 8u) << "the loads and store ran in tier 2";
+        } else {
+            EXPECT_EQ(r.m.dispatch_stats().tier2_entries, 0u);
+        }
+    }
+}
+
 // --- dcache stats contract ---------------------------------------------------
 
 TEST(DispatchStats, Tier2CreditsDecodeCacheHits) {

@@ -4,6 +4,8 @@
 
 #include "cc/compiler.hpp"
 #include "common/error.hpp"
+#include "core/image_cache.hpp"
+#include "core/scenarios.hpp"
 #include "os/loader.hpp"
 #include "os/process.hpp"
 
@@ -143,6 +145,55 @@ TEST(Loader, EntropyAboveMaxIsClamped) {
     EXPECT_EQ(a.layout().stack_high, b.layout().stack_high);
 }
 
+TEST(Loader, WrappingDataExtentIsRejected) {
+    // A hostile image's bss can push the data segment's extent past 2^32,
+    // where 32-bit arithmetic wraps it back below its base.  Loading must
+    // fail closed with swsec::Error, never map its way through the space.
+    for (const std::uint32_t bss : {0xfffff000u, 0xf7f00000u, 0x10000000u}) {
+        SCOPED_TRACE(bss);
+        objfmt::Image img = cc::compile_program({"int main() { return 7; }"}, {});
+        img.bss_size = bss;
+        EXPECT_THROW(Process(img, SecurityProfile::none(), 1), Error);
+        SecurityProfile aslr;
+        aslr.aslr = true;
+        EXPECT_THROW(Process(img, aslr, 1), Error);
+    }
+}
+
+TEST(Loader, FreshProcessMaterialisesOnlyImagePages) {
+    // Demand-zero birth: every segment is mapped, but only the pages the
+    // loader wrote (text and initialised data) own storage.
+    const objfmt::Image img =
+        cc::compile_program({core::scenarios::fig1_server(32)}, CompilerOptions::none());
+    const Process p(img, SecurityProfile::none(), 1);
+    const vm::Memory& mem = p.machine().memory();
+    const os::ProcessLayout& l = p.layout();
+    const auto pages_covering = [](std::uint32_t base, std::size_t size) -> std::uint64_t {
+        return size == 0 ? 0 : ((base + size - 1) >> vm::kPageShift) - (base >> vm::kPageShift) + 1;
+    };
+    EXPECT_EQ(mem.mapped_pages().size(), 66u);
+    EXPECT_EQ(mem.pages_materialised(),
+              pages_covering(l.text_base, img.text.size()) +
+                  pages_covering(l.data_base, img.data.size()));
+    EXPECT_LT(mem.pages_materialised(), 10u);
+}
+
+TEST(Process, SharedImageBirthsIndependentMemory) {
+    const auto img = core::cached_compile(kTrivial, {});
+    Process a(img, SecurityProfile::none(), 1);
+    Process b(img, SecurityProfile::none(), 1);
+    EXPECT_EQ(&a.image(), img.get());
+    EXPECT_EQ(&b.image(), img.get());
+    // Same seed, same layout: a store in one guest is invisible in the other.
+    const std::uint32_t text = a.layout().text_base;
+    const std::uint32_t original = b.machine().memory().raw_read32(text);
+    a.machine().memory().raw_write32(text, ~original);
+    EXPECT_EQ(a.machine().memory().raw_read32(text), ~original);
+    EXPECT_EQ(b.machine().memory().raw_read32(text), original);
+    EXPECT_EQ(img->text[0], static_cast<std::uint8_t>(original & 0xff));
+    EXPECT_TRUE(b.run().exited(0));
+}
+
 TEST(Kernel, ChannelsAreIndependent) {
     Process p(cc::compile_program({R"(
         int main() {
@@ -222,6 +273,47 @@ TEST(Kernel, SbrkGrowsHeap) {
                                   {}),
               SecurityProfile::none(), 1);
     EXPECT_TRUE(p.run().exited(0));
+}
+
+TEST(Kernel, SbrkRefusesShrinkBelowHeapBase) {
+    // Moving the break below heap_base and growing it back used to remap
+    // the program's own text RW under DEP (and then trap segv-exec on the
+    // next fetch).  The shrink is refused and the break stays put.
+    SecurityProfile dep;
+    dep.dep = true;
+    Process p(cc::compile_program({R"(
+        int main() {
+          int a = (int)sbrk(-134217728);
+          int b = (int)sbrk(134217728);
+          if (a != -1) { return 1; }
+          if (b != -1) { return 2; }
+          char* c = sbrk(64);
+          if ((int)sbrk(-64) != (int)c + 64) { return 3; }  /* back to the base */
+          if ((int)sbrk(-1) != -1) { return 4; }
+          return 0;
+        }
+    )"},
+                                  {}),
+              dep, 1);
+    EXPECT_TRUE(p.run().exited(0)) << p.machine().trap().to_string();
+    EXPECT_EQ(p.machine().memory().perms_at(p.layout().text_base), vm::Perm::RX);
+    EXPECT_EQ(p.layout().brk, p.layout().heap_base);
+}
+
+TEST(Kernel, SbrkOfInt32MinIsRefused) {
+    // -INT32_MIN is not an int32: the magnitude must be taken unsigned.
+    Process p(cc::compile_program({R"(
+        int main() {
+          if ((int)sbrk(-2147483647 - 1) != -1) { return 1; }
+          char* a = sbrk(16);
+          a[15] = 'x';
+          return 0;
+        }
+    )"},
+                                  {}),
+              SecurityProfile::none(), 1);
+    EXPECT_TRUE(p.run().exited(0)) << p.machine().trap().to_string();
+    EXPECT_EQ(p.layout().brk, p.layout().heap_base + 16);
 }
 
 TEST(Kernel, GetRandomIsSeedDeterministic) {

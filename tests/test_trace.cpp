@@ -79,6 +79,11 @@ struct Provenance {
     bool kernel; // mode of the final trap
 };
 
+// gtest's default printer dumps the struct's bytes, pointer included, so the
+// listed names (and the ctest names discovered from them) would change with
+// every load address. The scenario name is stable.
+void PrintTo(const Provenance& p, std::ostream* os) { *os << p.scenario; }
+
 class TraceProvenance : public ::testing::TestWithParam<Provenance> {};
 
 TEST_P(TraceProvenance, FinalTrapNamesTheCheckThatFired) {

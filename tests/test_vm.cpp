@@ -81,6 +81,74 @@ TEST(Memory, UnmapAndRawFault) {
     EXPECT_THROW((void)m.raw_read8(0x1000), swsec::Error);
 }
 
+// --- Demand-zero pages ----------------------------------------------------------
+
+TEST(DemandZero, UntouchedPageReadsZeroWithoutMaterialising) {
+    Memory m;
+    m.map(0x1000, 0x2000, Perm::RW);
+    EXPECT_EQ(m.mapped_pages(), (std::vector<std::uint32_t>{0x1000, 0x2000}));
+    ASSERT_EQ(m.check(0x1ffe, 4, Perm::R, true), AccessFault::None);
+    EXPECT_EQ(m.read32(0x1ffe), 0u); // straddles both untouched pages
+    EXPECT_EQ(m.read8(0x2abc), 0u);
+    EXPECT_EQ(m.raw_read32(0x1000), 0u);
+    EXPECT_EQ(m.raw_read(0x1ff0, 0x20), std::vector<std::uint8_t>(0x20, 0));
+    EXPECT_EQ(m.page_view(0x1000).data, m.page_view(0x2000).data); // one shared zero page
+    EXPECT_EQ(m.pages_materialised(), 0u);
+    EXPECT_EQ(m.mapped_pages().size(), 2u);
+}
+
+TEST(DemandZero, WriteMaterialisesExactlyThatPage) {
+    Memory m;
+    m.map(0x1000, 0x3000, Perm::RW);
+    const std::uint64_t gen1 = m.generation_of(0x1000);
+    const std::uint64_t gen2 = m.generation_of(0x2000);
+    const std::uint64_t gen3 = m.generation_of(0x3000);
+
+    m.write32(0x2010, 0xdeadbeef); // checked-path writer
+    EXPECT_EQ(m.pages_materialised(), 1u);
+    EXPECT_GT(m.generation_of(0x2000), gen2);
+    EXPECT_EQ(m.generation_of(0x1000), gen1);
+    EXPECT_EQ(m.generation_of(0x3000), gen3);
+    EXPECT_EQ(m.read32(0x2010), 0xdeadbeefu);
+    EXPECT_EQ(m.read32(0x2014), 0u); // the rest of the page is zero
+    EXPECT_EQ(m.read32(0x1010), 0u); // neighbours still read the zero page
+    EXPECT_EQ(m.read32(0x3010), 0u);
+    EXPECT_NE(m.page_view(0x2000).data, m.page_view(0x1000).data);
+
+    m.write8(0x2011, 0x11); // already materialised: no new storage
+    EXPECT_EQ(m.pages_materialised(), 1u);
+    m.raw_write8(0x3000, 0x7f); // raw writer
+    EXPECT_EQ(m.pages_materialised(), 2u);
+    EXPECT_EQ(m.raw_read8(0x3000), 0x7f);
+    EXPECT_EQ(m.mapped_pages().size(), 3u);
+}
+
+TEST(DemandZero, UnmapThenMapReadsZeroAgain) {
+    Memory m;
+    m.map(0x1000, 0x1000, Perm::RW);
+    m.raw_write32(0x1100, 0x12345678);
+    const std::uint64_t before = m.generation_of(0x1000);
+    m.unmap(0x1000, 0x1000);
+    m.map(0x1000, 0x1000, Perm::RW);
+    EXPECT_GT(m.generation_of(0x1000), before);
+    EXPECT_EQ(m.raw_read32(0x1100), 0u);
+    EXPECT_EQ(m.pages_materialised(), 1u); // counts over the memory's lifetime
+    m.raw_write8(0x1100, 1);
+    EXPECT_EQ(m.pages_materialised(), 2u);
+}
+
+TEST(DemandZero, RangeWrappingPast4GiBIsRejected) {
+    Memory m;
+    EXPECT_THROW(m.map(0xfffff000, 0x2000, Perm::RW), swsec::Error);
+    EXPECT_TRUE(m.mapped_pages().empty());
+    m.map(0xfffff000, 0x1000, Perm::RW); // ends exactly at 2^32: fine
+    EXPECT_TRUE(m.is_mapped(0xffffffff));
+    EXPECT_THROW(m.protect(0xfffff000, 0x2000, Perm::R), swsec::Error);
+    EXPECT_THROW(m.unmap(0xfffff000, 0x2000), swsec::Error);
+    EXPECT_EQ(m.perms_at(0xfffff000), Perm::RW);
+    EXPECT_EQ(m.mapped_pages().size(), 1u);
+}
+
 // --- Machine semantics ---------------------------------------------------------
 
 struct Runner {

@@ -234,7 +234,8 @@ int cmd_asm(const Options& opt) {
 
 int cmd_disasm(const Options& opt) {
     const auto img = cc::compile_program({read_file(opt.file)}, opt.copts);
-    std::printf("; text: %zu bytes, data: %u bytes\n", img.text.size(), img.data_total_size());
+    std::printf("; text: %zu bytes, data: %llu bytes\n", img.text.size(),
+                static_cast<unsigned long long>(img.data_total_size()));
     // Annotate function starts with their symbol names.
     std::vector<std::pair<std::uint32_t, std::string>> funcs;
     for (const auto& [name, sym] : img.symbols) {
