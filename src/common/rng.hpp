@@ -35,4 +35,17 @@ private:
     std::uint64_t state_;
 };
 
+/// splitmix64-style combiner: a derived seed is a pure function of a master
+/// seed and a position in the schedule (cell, trial, round, slot) — never
+/// of wall clock or thread interleaving.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t a, std::uint64_t b) noexcept {
+    std::uint64_t x = a + 0x9E3779B97F4A7C15ULL * (b + 0x632BE59BD9B4E019ULL);
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ULL;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBULL;
+    x ^= x >> 31;
+    return x;
+}
+
 } // namespace swsec

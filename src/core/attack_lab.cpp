@@ -109,8 +109,7 @@ struct Lab {
         out.tier2_entries = d.tier2_entries;
         out.fast_steps = d.fast_steps;
         out.superinsns_retired = d.superinsns_retired;
-        out.deopts = d.deopt_page_gen + d.deopt_slow_fetch + d.deopt_trap + d.deopt_budget +
-                     d.deopt_syscall + d.deopt_observer;
+        out.deopts = d.deopts();
         const os::KernelSanitizerStats& sa = v.kernel().sanitizer_stats();
         out.asan_shadow_poisons = sa.shadow_poisons;
         out.asan_shadow_unpoisons = sa.shadow_unpoisons;

@@ -496,6 +496,7 @@ Report run_in_dir(const Spec& spec, const std::string& dir, const Options& opts)
 } // namespace
 
 Report run_campaign(const Spec& spec, const std::string& dir, const Options& opts) {
+    spec.validate();
     return run_in_dir(spec, dir, opts);
 }
 

@@ -1,5 +1,8 @@
 #include "core/campaign/spec.hpp"
 
+#include <charconv>
+#include <utility>
+
 #include "common/error.hpp"
 #include "core/attack_lab.hpp"
 #include "core/defense.hpp"
@@ -74,26 +77,21 @@ std::size_t find_key(const std::string& json, const std::string& key) {
     return pos + needle.size();
 }
 
-std::int64_t get_int(const std::string& json, const std::string& key) {
-    std::size_t p = find_key(json, key);
-    bool neg = false;
-    if (p < json.size() && json[p] == '-') {
-        neg = true;
-        ++p;
+/// The number after `key`, parsed by std::from_chars: a value that does
+/// not fit T (a negative one into an unsigned field, or one past the
+/// field's range) is rejected, never wrapped.
+template <class T>
+T get_number(const std::string& json, const std::string& key) {
+    const std::size_t p = find_key(json, key);
+    T v{};
+    const std::errc ec = std::from_chars(json.data() + p, json.data() + json.size(), v).ec;
+    if (ec == std::errc::result_out_of_range) {
+        throw Error("campaign spec: field \"" + key + "\" is out of range");
     }
-    if (p >= json.size() || json[p] < '0' || json[p] > '9') {
+    if (ec != std::errc()) {
         throw Error("campaign spec: field \"" + key + "\" is not a number");
     }
-    std::uint64_t v = 0;
-    while (p < json.size() && json[p] >= '0' && json[p] <= '9') {
-        v = v * 10 + static_cast<std::uint64_t>(json[p] - '0');
-        ++p;
-    }
-    return neg ? -static_cast<std::int64_t>(v) : static_cast<std::int64_t>(v);
-}
-
-std::uint64_t get_uint(const std::string& json, const std::string& key) {
-    return static_cast<std::uint64_t>(get_int(json, key));
+    return v;
 }
 
 std::string get_string(const std::string& json, const std::string& key) {
@@ -119,19 +117,39 @@ Spec Spec::from_json(const std::string& json) {
     if (!kind_from_name(get_string(json, "kind"), s.kind)) {
         throw Error("campaign spec: unknown kind \"" + get_string(json, "kind") + "\"");
     }
-    s.victim_seed = get_uint(json, "victim_seed");
-    s.attacker_seed = get_uint(json, "attacker_seed");
-    s.draws = static_cast<int>(get_int(json, "draws"));
-    s.fault_seed = get_uint(json, "fault_seed");
-    s.windows_per_class = static_cast<int>(get_int(json, "windows_per_class"));
-    s.seed_base = get_uint(json, "seed_base");
-    s.seeds = static_cast<int>(get_int(json, "seeds"));
-    s.evolve_execs = static_cast<int>(get_int(json, "evolve_execs"));
-    s.evolve_init = static_cast<int>(get_int(json, "evolve_init"));
-    s.sabotage.hang_cell = get_int(json, "hang_cell");
-    s.sabotage.crash_cell = get_int(json, "crash_cell");
-    s.sabotage.crash_times = static_cast<int>(get_int(json, "crash_times"));
+    s.victim_seed = get_number<std::uint64_t>(json, "victim_seed");
+    s.attacker_seed = get_number<std::uint64_t>(json, "attacker_seed");
+    s.draws = get_number<int>(json, "draws");
+    s.fault_seed = get_number<std::uint64_t>(json, "fault_seed");
+    s.windows_per_class = get_number<int>(json, "windows_per_class");
+    s.seed_base = get_number<std::uint64_t>(json, "seed_base");
+    s.seeds = get_number<int>(json, "seeds");
+    s.evolve_execs = get_number<int>(json, "evolve_execs");
+    s.evolve_init = get_number<int>(json, "evolve_init");
+    s.sabotage.hang_cell = get_number<std::int64_t>(json, "hang_cell");
+    s.sabotage.crash_cell = get_number<std::int64_t>(json, "crash_cell");
+    s.sabotage.crash_times = get_number<int>(json, "crash_times");
+    s.validate();
     return s;
+}
+
+void Spec::validate() const {
+    const std::pair<const char*, int> counts[] = {
+        {"draws", draws},
+        {"seeds", seeds},
+        {"windows_per_class", windows_per_class},
+        {"evolve_execs", evolve_execs},
+        {"evolve_init", evolve_init},
+        {"crash_times", sabotage.crash_times},
+    };
+    for (const auto& [name, value] : counts) {
+        if (value < 0) {
+            throw Error(std::string("campaign spec: ") + name + " must not be negative");
+        }
+    }
+    if (sabotage.hang_cell < -1 || sabotage.crash_cell < -1) {
+        throw Error("campaign spec: a sabotage cell is a cell index or -1 (none)");
+    }
 }
 
 std::string Spec::id() const {

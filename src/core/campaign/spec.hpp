@@ -75,8 +75,14 @@ struct Spec {
     [[nodiscard]] std::string to_json() const;
 
     /// Parse a spec serialized by to_json().  Throws swsec::Error on a
-    /// malformed document.
+    /// malformed document, a number that does not fit its field, or a spec
+    /// validate() rejects.
     [[nodiscard]] static Spec from_json(const std::string& json);
+
+    /// Throws swsec::Error unless every count (draws, seeds,
+    /// windows_per_class, evolve_execs, evolve_init, crash_times) is
+    /// non-negative and each sabotage cell is a cell index or -1.
+    void validate() const;
 
     /// Campaign id: first 16 hex chars of SHA-256(to_json()).
     [[nodiscard]] std::string id() const;

@@ -17,18 +17,6 @@ namespace {
 
 constexpr std::uint64_t kMaxSteps = 2'000'000;
 
-/// splitmix64-style combiner: every victim seed and guess stream is a pure
-/// function of (master seed, cell, trial) — never wall clock.
-std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
-    std::uint64_t x = a + 0x9E3779B97F4A7C15ULL * (b + 0x632BE59BD9B4E019ULL);
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ULL;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBULL;
-    x ^= x >> 31;
-    return x;
-}
-
 /// Fixed "%.6f" rendering: printf of a finite double in [0,1] is exact and
 /// locale-independent here, so serialized floats are byte-stable.
 std::string fmt6(double v) {

@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/image_cache.hpp"
 #include "core/parallel.hpp"
 #include "os/layout.hpp"
 #include "statecont/protocol.hpp"
@@ -504,38 +503,21 @@ profile::Registry fault_sweep_metrics(const FaultSweepReport& report) {
     reg.counter_add("statecont_violations_total", base, report.statecont.violations.size());
     // The baseline cells carry the same per-victim platform tallies the
     // matrix aggregates; fold them in under this harness's label.
+    add_victim_metrics(reg, base, report.baseline_cells);
     for (const MatrixCell& c : report.baseline_cells) {
-        const AttackOutcome& o = c.outcome;
-        reg.counter_add("victim_instructions_total", base, o.steps);
-        reg.counter_add("dcache_hits_total", base, o.dcache_hits);
-        reg.counter_add("dcache_decodes_total", base, o.dcache_decodes);
-        reg.counter_add("syscall_retries_total", base, o.syscall_retries);
-        reg.counter_add("io_faults_injected_total", base, o.io_faults_injected);
-        reg.counter_add("sbrk_calls_total", base, o.sbrk_calls);
-        reg.gauge_max("heap_high_water_bytes", base, static_cast<double>(o.heap_high_water));
-        reg.counter_add("vm_dispatch_tier2_entries_total", base, o.tier2_entries);
-        reg.counter_add("vm_dispatch_fast_steps_total", base, o.fast_steps);
-        reg.counter_add("vm_dispatch_superinsns_retired_total", base, o.superinsns_retired);
-        reg.counter_add("vm_dispatch_deopts_total", base, o.deopts);
         // Trap latency over the healthy-platform baseline: same definition
         // as the matrix harness, under this harness's label so the two
         // exports stay independently diffable.
-        if (!o.succeeded) {
+        if (!c.outcome.succeeded) {
             reg.histogram_observe("sweep_trap_latency_steps",
                                   {{"harness", "fault-sweep"},
                                    {"attack", attack_name(c.attack)}},
-                                  o.steps);
+                                  c.outcome.steps);
         }
     }
     reg.set_help("sweep_trap_latency_steps",
                  "Victim instructions retired before a defense trapped the attack "
                  "(healthy-platform baseline cells)");
-    reg.gauge_set("image_cache_images", base, static_cast<double>(image_cache_size()),
-                  profile::Volatile::Yes);
-    reg.gauge_set("image_cache_hits", base, static_cast<double>(image_cache_hits()),
-                  profile::Volatile::Yes);
-    reg.gauge_set("image_cache_evictions", base, static_cast<double>(image_cache_evictions()),
-                  profile::Volatile::Yes);
     return reg;
 }
 

@@ -116,12 +116,10 @@ std::string matrix_cells_jsonl(const std::vector<MatrixCell>& cells) {
     return out;
 }
 
-profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells) {
-    profile::Registry reg;
-    const profile::Labels base = {{"harness", "matrix"}};
+void add_victim_metrics(profile::Registry& reg, const profile::Labels& base,
+                        const std::vector<MatrixCell>& cells) {
     for (const auto& c : cells) {
         const AttackOutcome& o = c.outcome;
-        reg.counter_add(o.succeeded ? "attacks_succeeded_total" : "attacks_blocked_total", base);
         reg.counter_add("victim_instructions_total", base, o.steps);
         reg.counter_add("dcache_hits_total", base, o.dcache_hits);
         reg.counter_add("dcache_decodes_total", base, o.dcache_decodes);
@@ -134,6 +132,22 @@ profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells) {
         reg.counter_add("vm_dispatch_fast_steps_total", base, o.fast_steps);
         reg.counter_add("vm_dispatch_superinsns_retired_total", base, o.superinsns_retired);
         reg.counter_add("vm_dispatch_deopts_total", base, o.deopts);
+    }
+    reg.gauge_set("image_cache_images", base, static_cast<double>(image_cache_size()),
+                  profile::Volatile::Yes);
+    reg.gauge_set("image_cache_hits", base, static_cast<double>(image_cache_hits()),
+                  profile::Volatile::Yes);
+    reg.gauge_set("image_cache_evictions", base, static_cast<double>(image_cache_evictions()),
+                  profile::Volatile::Yes);
+}
+
+profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells) {
+    profile::Registry reg;
+    const profile::Labels base = {{"harness", "matrix"}};
+    add_victim_metrics(reg, base, cells);
+    for (const auto& c : cells) {
+        const AttackOutcome& o = c.outcome;
+        reg.counter_add(o.succeeded ? "attacks_succeeded_total" : "attacks_blocked_total", base);
         // asan.*: shadow-memory sanitizer activity (DESIGN.md §15).  All
         // zero for non-sanitize defenses, so the totals isolate the
         // sanitizer column's work.
@@ -156,12 +170,6 @@ profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells) {
     }
     reg.set_help("matrix_trap_latency_steps",
                  "Victim instructions retired before a defense trapped the attack");
-    reg.gauge_set("image_cache_images", base, static_cast<double>(image_cache_size()),
-                  profile::Volatile::Yes);
-    reg.gauge_set("image_cache_hits", base, static_cast<double>(image_cache_hits()),
-                  profile::Volatile::Yes);
-    reg.gauge_set("image_cache_evictions", base, static_cast<double>(image_cache_evictions()),
-                  profile::Volatile::Yes);
     return reg;
 }
 

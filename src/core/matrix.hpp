@@ -60,4 +60,11 @@ struct MatrixCell {
 /// the default export).
 [[nodiscard]] profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells);
 
+/// Fold the per-victim platform tallies of `cells` into `reg` under `base`
+/// (instructions, decode cache, syscall retries, injected I/O faults, sbrk,
+/// heap high water, tier-2 dispatch), plus the Volatile image-cache gauges.
+/// matrix_metrics and fault_sweep_metrics both export these series.
+void add_victim_metrics(profile::Registry& reg, const profile::Labels& base,
+                        const std::vector<MatrixCell>& cells);
+
 } // namespace swsec::core

@@ -1,5 +1,5 @@
-// Named profiling scenarios for `swsec profile`: the process-backed trace
-// scenarios re-run with the exact PC/edge profiler attached to the victim,
+// Named profiling scenarios for `swsec profile`: the attack scenarios of
+// `swsec trace` re-run with the exact PC/edge profiler attached to the victim,
 // producing hot-block tables, per-source-line heat, flamegraph-folded
 // stacks and an annotated disassembly — all symbolized through the debug
 // line table the compiler now emits (DESIGN.md §11).
@@ -32,8 +32,9 @@ struct ProfileRun {
     profile::ProfileReport report;    // symbolized profile of the victim run
 };
 
-/// Scenario names accepted by run_profile_scenario: the process-backed
-/// subset of the trace scenarios (pma/sfi build no profileable process).
+/// Scenario names accepted by run_profile_scenario, in display order: the
+/// attack scenarios `swsec trace` runs too (pma/sfi build no attack-lab
+/// process, so there is nothing to profile).
 [[nodiscard]] const std::vector<std::string>& profile_scenario_names();
 
 /// Run one named scenario with a profiler attached to the victim.  Throws

@@ -37,8 +37,9 @@ struct TraceRun {
     trace::Counters counters;  // aggregate tallies (NOT part of the stream)
 };
 
-/// Scenario names accepted by run_trace_scenario, in display order:
-/// baseline, canary, dep, shadow-stack, cfi, memcheck, pma, sfi, fault.
+/// Scenario names accepted by run_trace_scenario, in display order: the
+/// attack scenarios (profile_scenario_names()), then the two platform
+/// scenarios pma and sfi.
 [[nodiscard]] const std::vector<std::string>& trace_scenario_names();
 
 /// Run one named scenario.  Throws Error for unknown names.

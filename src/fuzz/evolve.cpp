@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/escape.hpp"
 #include "common/rng.hpp"
 #include "core/defense.hpp"
 #include "core/image_cache.hpp"
@@ -16,53 +17,6 @@
 namespace swsec::fuzz {
 
 namespace {
-
-/// splitmix64-style combiner: per-round and per-slot seeds are pure
-/// functions of the master seed and the position in the schedule — never of
-/// wall clock or thread interleaving.
-std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
-    std::uint64_t x = a + 0x9E3779B97F4A7C15ULL * (b + 0x632BE59BD9B4E019ULL);
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ULL;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBULL;
-    x ^= x >> 31;
-    return x;
-}
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                constexpr const char* hex = "0123456789abcdef";
-                out += "\\u00";
-                out.push_back(hex[(c >> 4) & 0xF]);
-                out.push_back(hex[c & 0xF]);
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
 
 /// How to re-run one side of a divergence.  Oracle config names are either
 /// a standard defense name, a defense name with an engine suffix
@@ -348,6 +302,19 @@ std::string EvolveReport::to_json() const {
     }
     s += "]}";
     return s;
+}
+
+profile::Registry evolve_metrics(const EvolveReport& report) {
+    profile::Registry reg;
+    const profile::Labels base = {{"harness", "evolve"}};
+    reg.counter_add("evolve_execs_total", base, static_cast<std::uint64_t>(report.execs));
+    reg.counter_add("evolve_rounds_total", base, static_cast<std::uint64_t>(report.rounds));
+    reg.counter_add("evolve_runs_total", base, report.runs);
+    reg.counter_add("evolve_divergences_total", base, report.divergences_total);
+    reg.counter_add("evolve_unique_crashes_total", base, report.crashes.size());
+    reg.gauge_set("evolve_corpus_size", base, static_cast<double>(report.corpus_size));
+    reg.gauge_set("coverage_edges", base, static_cast<double>(report.total_buckets));
+    return reg;
 }
 
 } // namespace swsec::fuzz

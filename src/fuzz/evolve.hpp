@@ -85,4 +85,8 @@ struct EvolveReport {
 /// only changes wall-clock time.
 [[nodiscard]] EvolveReport run_evolve(const EvolveOptions& opts);
 
+/// swsec-metrics-v1 export of an evolve report: execution, round, run,
+/// divergence and unique-crash totals, corpus size and covered buckets.
+[[nodiscard]] profile::Registry evolve_metrics(const EvolveReport& report);
+
 } // namespace swsec::fuzz

@@ -106,8 +106,7 @@ void add_dispatch(FuzzReport& stats, const vm::DispatchStats& d) {
     stats.tier2_entries += d.tier2_entries;
     stats.fast_steps += d.fast_steps;
     stats.superinsns_retired += d.superinsns_retired;
-    stats.deopts += d.deopt_page_gen + d.deopt_slow_fetch + d.deopt_trap + d.deopt_budget +
-                    d.deopt_syscall + d.deopt_observer;
+    stats.deopts += d.deopts();
 }
 
 ObservedArch run_arch(const std::shared_ptr<const objfmt::Image>& image,

@@ -1,223 +1,8 @@
 #include "fuzz/generator.hpp"
 
 #include <cstddef>
-#include <limits>
-
-#include "common/rng.hpp"
 
 namespace swsec::fuzz {
-
-namespace {
-
-constexpr std::int32_t kIntMin = std::numeric_limits<std::int32_t>::min();
-
-/// Render a value as a MiniC expression.  MiniC has no negative literals
-/// (unary minus parses as an operator) and the lexer reads digits into
-/// int64, so INT_MIN must be spelled arithmetically.
-std::string lit(std::int32_t v) {
-    if (v == kIntMin) {
-        return "(0 - 2147483647 - 1)";
-    }
-    if (v < 0) {
-        return "(0 - " + std::to_string(-static_cast<std::int64_t>(v)) + ")";
-    }
-    return std::to_string(v);
-}
-
-/// Boundary-heavy leaf pool: the wrap/overflow corners live at the extremes.
-constexpr std::int32_t kInteresting[] = {
-    0,      1,          2,       3,   5,  7,   10,   31,   32,
-    100,    255,        256,     4095, 65535, 2147483647, kIntMin,
-    -1,     -2,         -8,      -100,
-};
-
-/// A constant expression rendered twice: `folded` uses bare literals so the
-/// compiler folds it (global initialiser); `runtime` routes every leaf
-/// through the `__zero` global, forcing the identical computation through
-/// the VM's ALU at run time.
-struct ConstExpr {
-    std::string folded;
-    std::string runtime;
-};
-
-class Gen {
-public:
-    explicit Gen(std::uint64_t seed) : seed_(seed), rng_(seed * 0x9E3779B97F4A7C15ULL + 0x5757ULL) {}
-
-    GenProgram run() {
-        GenProgram p;
-        p.seed = seed_;
-        p.globals.push_back("int __zero = 0;");
-
-        // Plain globals the chunks read; their initialisers exercise folding.
-        const int n_globals = 2 + static_cast<int>(rng_.below(3));
-        for (int i = 0; i < n_globals; ++i) {
-            std::string name = "g";
-            name += std::to_string(i);
-            std::string decl = "int ";
-            decl.append(name).append(" = ").append(
-                const_expr(1 + static_cast<int>(rng_.below(2))).folded);
-            decl += ";";
-            global_names_.push_back(std::move(name));
-            p.globals.push_back(std::move(decl));
-        }
-
-        p.helpers.push_back(make_helper());
-
-        const int n_chunks = 3 + static_cast<int>(rng_.below(5));
-        for (int i = 0; i < n_chunks; ++i) {
-            p.chunks.push_back(make_chunk(i, p));
-        }
-        return p;
-    }
-
-private:
-    std::uint64_t seed_;
-    Rng rng_;
-    std::vector<std::string> global_names_;
-
-    std::int32_t leaf_value() {
-        if (rng_.below(4) == 0) {
-            return static_cast<std::int32_t>(rng_.next_u32()); // full-range
-        }
-        return kInteresting[rng_.below(sizeof(kInteresting) / sizeof(kInteresting[0]))];
-    }
-
-    // ---- constant expressions (fold-vs-runtime differential) --------------
-    ConstExpr const_expr(int depth) {
-        if (depth <= 0 || rng_.below(4) == 0) {
-            const std::string l = lit(leaf_value());
-            return {l, "(" + l + " + __zero)"};
-        }
-        if (rng_.below(5) == 0) {
-            const ConstExpr sub = const_expr(depth - 1);
-            const char* op = rng_.below(2) == 0 ? "-" : "~";
-            ConstExpr out;
-            out.folded.append("(").append(op).append(sub.folded).append(")");
-            out.runtime.append("(").append(op).append(sub.runtime).append(")");
-            return out;
-        }
-        ConstExpr a = const_expr(depth - 1);
-        ConstExpr b = const_expr(depth - 1);
-        static constexpr const char* kOps[] = {"+", "-",  "*",  "/", "%", "<<", ">>",
-                                               "&", "|",  "^",  "<", "<=", "==", "!="};
-        const char* op = kOps[rng_.below(sizeof(kOps) / sizeof(kOps[0]))];
-        if (op[0] == '/' || op[0] == '%') {
-            // Never divide by zero: force the denominator odd (keeps -1
-            // reachable, so INT_MIN / -1 stays in the generated space).
-            b.folded = "(" + b.folded + " | 1)";
-            b.runtime = "(" + b.runtime + " | 1)";
-        }
-        return {"(" + a.folded + " " + op + " " + b.folded + ")",
-                "(" + a.runtime + " " + op + " " + b.runtime + ")"};
-    }
-
-    // ---- run-time expressions over in-scope variables ---------------------
-    std::string rt_expr(int depth, const std::vector<std::string>& vars) {
-        if (depth <= 0 || rng_.below(3) == 0) {
-            if (!vars.empty() && rng_.below(2) == 0) {
-                return vars[rng_.below(static_cast<std::uint32_t>(vars.size()))];
-            }
-            return lit(leaf_value());
-        }
-        const std::string a = rt_expr(depth - 1, vars);
-        std::string b = rt_expr(depth - 1, vars);
-        static constexpr const char* kOps[] = {"+", "-", "*", "/", "%", "<<", ">>",
-                                               "&", "|", "^", "<", "=="};
-        const char* op = kOps[rng_.below(sizeof(kOps) / sizeof(kOps[0]))];
-        if (op[0] == '/' || op[0] == '%') {
-            b = "(" + b + " | 1)";
-        }
-        return "(" + a + " " + op + " " + b + ")";
-    }
-
-    std::string make_helper() {
-        const std::string k1 = std::to_string(rng_.below(31) + 1);
-        const std::string k2 = std::to_string(rng_.below(31) + 1);
-        const std::string c = lit(leaf_value());
-        return "int mix(int a, int b) {\n"
-               "  int r = a ^ (b << " + k1 + ");\n"
-               "  r = r + (a >> " + k2 + ");\n"
-               "  return r ^ " + c + ";\n"
-               "}\n";
-    }
-
-    // ---- chunks -----------------------------------------------------------
-    std::string make_chunk(int idx, GenProgram& prog) {
-        const std::string sfx = std::to_string(idx);
-        switch (rng_.below(7)) {
-        case 0: { // straight-line expression
-            return "  int t" + sfx + " = " + rt_expr(3, global_names_) + ";\n"
-                   "  print_int(t" + sfx + "); puts(\"\");\n";
-        }
-        case 1: { // bounded accumulation loop
-            const std::string n = std::to_string(2 + rng_.below(63));
-            std::vector<std::string> vars = global_names_;
-            vars.push_back("i" + sfx);
-            vars.push_back("acc" + sfx);
-            return "  int acc" + sfx + " = " + lit(leaf_value()) + ";\n"
-                   "  for (int i" + sfx + " = 0; i" + sfx + " < " + n + "; i" + sfx +
-                   " = i" + sfx + " + 1) {\n"
-                   "    acc" + sfx + " = acc" + sfx + " + " + rt_expr(2, vars) + ";\n"
-                   "  }\n"
-                   "  print_int(acc" + sfx + "); puts(\"\");\n";
-        }
-        case 2: { // stack array: fill in range, then sum (bounds/memcheck lane)
-            const std::uint32_t len = 2 + rng_.below(7);
-            const std::string n = std::to_string(len);
-            std::vector<std::string> vars = global_names_;
-            vars.push_back("i" + sfx);
-            return "  int arr" + sfx + "[" + n + "];\n"
-                   "  for (int i" + sfx + " = 0; i" + sfx + " < " + n + "; i" + sfx +
-                   " = i" + sfx + " + 1) {\n"
-                   "    arr" + sfx + "[i" + sfx + "] = " + rt_expr(1, vars) + ";\n"
-                   "  }\n"
-                   "  int s" + sfx + " = 0;\n"
-                   "  for (int i" + sfx + " = 0; i" + sfx + " < " + n + "; i" + sfx +
-                   " = i" + sfx + " + 1) {\n"
-                   "    s" + sfx + " = s" + sfx + " + arr" + sfx + "[i" + sfx + "];\n"
-                   "  }\n"
-                   "  print_int(s" + sfx + "); puts(\"\");\n";
-        }
-        case 3: { // heap round trip (allocator/memcheck lane; pointers never printed)
-            const std::uint32_t n = 8 + 4 * rng_.below(15);
-            const std::string fill = std::to_string(1 + rng_.below(120));
-            const std::string at = std::to_string(rng_.below(n));
-            return "  char* p" + sfx + " = malloc(" + std::to_string(n) + ");\n"
-                   "  if ((int)p" + sfx + " != 0) {\n"
-                   "    memset(p" + sfx + ", " + fill + ", " + std::to_string(n) + ");\n"
-                   "    print_int(p" + sfx + "[" + at + "]); puts(\"\");\n"
-                   "    free(p" + sfx + ");\n"
-                   "  }\n";
-        }
-        case 4: { // helper call
-            return "  print_int(mix(" + rt_expr(1, global_names_) + ", " +
-                   rt_expr(1, global_names_) + ")); puts(\"\");\n";
-        }
-        case 5: { // branch
-            return "  if (" + rt_expr(2, global_names_) + " < " + lit(leaf_value()) + ") {\n"
-                   "    print_int(" + lit(leaf_value()) + ");\n"
-                   "  } else {\n"
-                   "    print_int(" + lit(leaf_value()) + ");\n"
-                   "  }\n"
-                   "  puts(\"\");\n";
-        }
-        default: { // fold-vs-runtime self check (the ConstFold oracle's probe)
-            const ConstExpr ce = const_expr(2 + static_cast<int>(rng_.below(2)));
-            const std::string g = "c" + sfx;
-            prog.globals.push_back("int " + g + " = " + ce.folded + ";");
-            return "  int r" + sfx + " = " + ce.runtime + ";\n"
-                   "  if (" + g + " != r" + sfx + ") {\n"
-                   "    puts(\"" + std::string(kFoldMismatchMarker) + "\");\n"
-                   "    print_int(" + g + "); puts(\"\");\n"
-                   "    print_int(r" + sfx + "); puts(\"\");\n"
-                   "  }\n";
-        }
-        }
-    }
-};
-
-} // namespace
 
 std::string GenProgram::render() const {
     return render_subset(std::vector<bool>(chunks.size(), true));
@@ -241,7 +26,5 @@ std::string GenProgram::render_subset(const std::vector<bool>& keep) const {
     src += "  return 0;\n}\n";
     return src;
 }
-
-GenProgram generate_program(std::uint64_t seed) { return Gen(seed).run(); }
 
 } // namespace swsec::fuzz

@@ -1,4 +1,10 @@
-// Seeded MiniC program generator for the differential fuzzer.
+// Seeded MiniC programs for the differential fuzzer.
+//
+// generate_program draws a ProgramModel (fuzz/mutate.hpp) limited to the
+// seven flat chunk kinds and renders it, so the one-shot fuzzer and the
+// evolutionary stage share one renderer and one set of benignity rules.
+// The string and recursion kinds are left to the evolutionary stage: they
+// make each program 15-29% dearer to check (DESIGN.md §10).
 //
 // Every program is valid by construction and *benign*: loops are bounded,
 // array indices stay in range, denominators are forced odd (never zero),
@@ -39,6 +45,7 @@ struct GenProgram {
 };
 
 /// Deterministic: the same seed always yields the identical program.
+/// Defined beside the model renderer in fuzz/mutate.cpp.
 [[nodiscard]] GenProgram generate_program(std::uint64_t seed);
 
 /// Marker printed by a program's embedded fold-vs-runtime self check on

@@ -10,8 +10,9 @@ namespace {
 
 constexpr std::int32_t kIntMin = std::numeric_limits<std::int32_t>::min();
 
-/// Same literal spelling rules as the generator: MiniC has no negative
-/// literals, so negatives (and INT_MIN in particular) are spelled
+/// Render a value as a MiniC expression.  MiniC has no negative literals
+/// (unary minus parses as an operator) and the lexer reads digits into
+/// int64, so negatives (and INT_MIN in particular) are spelled
 /// arithmetically.
 std::string lit(std::int32_t v) {
     if (v == kIntMin) {
@@ -23,6 +24,7 @@ std::string lit(std::int32_t v) {
     return std::to_string(v);
 }
 
+/// Boundary-heavy leaf pool: the wrap/overflow corners live at the extremes.
 constexpr std::int32_t kInteresting[] = {
     0,   1,   2,   3,    5,     7,          10,      31, 32,
     100, 255, 256, 4095, 65535, 2147483647, kIntMin, -1, -2,
@@ -78,11 +80,10 @@ std::string render_rt(const Expr& e, const std::vector<std::string>& scope) {
     return "0";
 }
 
-/// Constant form, rendered twice like the generator's ConstExpr: `folded`
-/// uses bare literals (the compiler folds the global initialiser); `runtime`
-/// routes every leaf through `__zero` so the VM's ALU recomputes it.  Var
-/// leaves degrade to their `lit` payload — const expressions cannot name
-/// run-time state.
+/// Constant form, rendered twice: `folded` uses bare literals (the compiler
+/// folds the global initialiser); `runtime` routes every leaf through
+/// `__zero` so the VM's ALU recomputes it.  Var leaves degrade to their
+/// `lit` payload — const expressions cannot name run-time state.
 struct ConstText {
     std::string folded;
     std::string runtime;
@@ -153,9 +154,18 @@ Expr gen_expr(Rng& rng, int depth, bool allow_vars) {
     return e;
 }
 
-ChunkModel gen_chunk(Rng& rng) {
+// The flat statement kinds come first, so `rng.below(kFlatKinds)` draws
+// exactly them; Str and Rec stay last.
+static_assert(static_cast<int>(ChunkModel::Kind::FoldCheck) == 6 &&
+              static_cast<int>(ChunkModel::Kind::Str) == 7 &&
+              static_cast<int>(ChunkModel::Kind::Rec) == 8);
+constexpr std::uint32_t kFlatKinds = 7;
+constexpr std::uint32_t kAllKinds = 9;
+
+/// Draw one chunk whose kind is among the first `kinds` ChunkModel kinds.
+ChunkModel gen_chunk(Rng& rng, std::uint32_t kinds = kAllKinds) {
     ChunkModel c;
-    c.kind = static_cast<ChunkModel::Kind>(rng.below(9));
+    c.kind = static_cast<ChunkModel::Kind>(rng.below(kinds));
     switch (c.kind) {
     case ChunkModel::Kind::Expr:
         c.e1 = gen_expr(rng, 3, true);
@@ -449,7 +459,9 @@ GenProgram ProgramModel::render() const {
     return p;
 }
 
-ProgramModel generate_model(std::uint64_t seed) {
+namespace {
+
+ProgramModel draw_model(std::uint64_t seed, std::uint32_t kinds) {
     ProgramModel m;
     m.seed = seed;
     Rng rng(seed * 0x9E3779B97F4A7C15ULL + 0xE001ULL);
@@ -471,12 +483,11 @@ ProgramModel generate_model(std::uint64_t seed) {
 
     const int n_chunks = 3 + static_cast<int>(rng.below(5));
     for (int i = 0; i < n_chunks; ++i) {
-        m.chunks.push_back(gen_chunk(rng));
+        m.chunks.push_back(gen_chunk(rng, kinds));
     }
     return m;
 }
 
-namespace {
 int expr_depth(const Expr& e) {
     int d = 0;
     for (const Expr& k : e.kids) {
@@ -485,7 +496,12 @@ int expr_depth(const Expr& e) {
     }
     return d + 1;
 }
+
 } // namespace
+
+ProgramModel generate_model(std::uint64_t seed) { return draw_model(seed, kAllKinds); }
+
+GenProgram generate_program(std::uint64_t seed) { return draw_model(seed, kFlatKinds).render(); }
 
 ProgramModel havoc(const ProgramModel& parent, Rng& rng) {
     ProgramModel m = parent;

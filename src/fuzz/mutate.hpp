@@ -1,8 +1,7 @@
-// Structured program models for the mutational (evolutionary) fuzz stage.
+// Structured program models: the one program generator behind both fuzzers.
 //
-// The PR4 generator emits programs as rendered text, which is perfect for
-// one-shot generation but opaque to mutation: a textual havoc cannot tell a
-// loop bound from an array index, so any byte-level edit risks producing a
+// Rendered text is opaque to mutation: a textual havoc cannot tell a loop
+// bound from an array index, so any byte-level edit risks producing a
 // non-benign program — and a non-benign program breaks the Defense oracle
 // by *design* (bounds-checking configurations legitimately diverge from the
 // unprotected baseline on an out-of-bounds access).
@@ -11,13 +10,15 @@
 // operator trees whose leaves are literals or scope-relative variable
 // references, and each statement chunk is a parameter record (kind, bounds,
 // fill bytes, call target, expression trees) rendered to MiniC text on
-// demand.  Every invariant the generator enforces lives in the *renderer*
-// — denominators are forced odd, array indices are reduced modulo the
-// array length, loop trips are clamped, string bytes are forced non-zero —
-// so any model, however mutated or spliced, renders to a valid, benign,
-// deterministic program.  That is what "valid by construction" means here:
-// the mutation operators are free to be dumb because the renderer cannot
-// express an invalid program.
+// demand.  Every benignity invariant lives in the *renderer* — denominators
+// are forced odd, array indices are reduced modulo the array length, loop
+// trips are clamped, string bytes are forced non-zero — so any model,
+// however mutated or spliced, renders to a valid, benign, deterministic
+// program.  That is what "valid by construction" means here: the mutation
+// operators are free to be dumb because the renderer cannot express an
+// invalid program.  The one-shot fuzzer's generate_program
+// (fuzz/generator.hpp) renders models too, so these rules guard both
+// fuzzers.
 //
 // Mutation operators (AFL-style havoc, specialised to the model):
 //   * operator rotation within a semantics-preserving class (total ops
@@ -29,8 +30,8 @@
 //   * call-target flips between the program's helper functions,
 //   * chunk duplication / deletion / regeneration,
 // plus two-parent *splice* (chunk-list crossover).  Chunks are
-// self-contained by the same naming discipline as the generator (locals
-// suffixed by chunk index), so any chunk list renders.
+// self-contained (locals suffixed by chunk index, reads only of the
+// always-present globals and helpers), so any chunk list renders.
 #pragma once
 
 #include <cstdint>
@@ -105,9 +106,10 @@ struct ProgramModel {
     [[nodiscard]] GenProgram render() const;
 };
 
-/// Deterministic model generation; drawing distributions mirror the PR4
-/// generator (plus the Str chunk kind), so an unmutated model population
-/// is the "generator-only" baseline of the coverage experiment.
+/// Deterministic model generation over all nine chunk kinds; an unmutated
+/// model population is the "generator-only" baseline of the coverage
+/// experiment.  generate_program draws the same way, limited to the seven
+/// flat kinds.
 [[nodiscard]] ProgramModel generate_model(std::uint64_t seed);
 
 /// Havoc: 1..3 random perturbations of a copy of `parent`.  Deterministic

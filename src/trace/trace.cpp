@@ -43,13 +43,6 @@ const char* event_kind_name(EventKind k) noexcept {
     return "unknown";
 }
 
-std::string json_escape(const std::string& s) {
-    // One escaper for every JSON writer in the repo (common/escape.hpp); the
-    // metrics registry and the Prometheus exposition writer share it so the
-    // escaping rules cannot drift per call site.
-    return swsec::json_escape(s);
-}
-
 namespace {
 
 void append_hex32(std::string& out, std::uint32_t v) {

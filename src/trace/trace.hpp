@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "common/escape.hpp"
+
 namespace swsec::trace {
 
 /// Which countermeasure (or platform mechanism) a trap/event originated
@@ -151,7 +153,9 @@ private:
     Counters counters_;
 };
 
-/// Escape a string for embedding in a JSON value.
-[[nodiscard]] std::string json_escape(const std::string& s);
+/// Escape a string for embedding in a JSON value: the one escaper every
+/// JSON writer in the repo shares (common/escape.hpp), so the escaping
+/// rules cannot drift per call site.
+using swsec::json_escape;
 
 } // namespace swsec::trace

@@ -85,6 +85,12 @@ struct DispatchStats {
     std::uint64_t deopt_syscall = 0;      // Sys defers to the instrumented step
     std::uint64_t deopt_observer = 0;     // tracer/profiler/faults attached
                                           // mid-run (fast_eligible went false)
+
+    /// Sum over all deopt reasons.
+    [[nodiscard]] std::uint64_t deopts() const noexcept {
+        return deopt_page_gen + deopt_slow_fetch + deopt_trap + deopt_budget + deopt_syscall +
+               deopt_observer;
+    }
 };
 
 /// A CHERI-style capability (Section IV-A, [21]): an unforgeable pointer to

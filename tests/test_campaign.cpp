@@ -113,6 +113,72 @@ TEST(CampaignSpec, MalformedJsonThrows) {
     EXPECT_THROW((void)Spec::from_json("{\"schema\":\"other\"}"), Error);
 }
 
+/// `s.to_json()` with the value of `"key":` replaced by `value`.
+std::string with_field(const Spec& s, const std::string& key, const std::string& value) {
+    std::string json = s.to_json();
+    const std::size_t at = json.find("\"" + key + "\":") + key.size() + 3;
+    const std::size_t end = json.find_first_of(",}", at);
+    return json.replace(at, end - at, value);
+}
+
+TEST(CampaignSpec, FullRangeSeedsRoundTrip) {
+    Spec s;
+    s.victim_seed = ~0ULL;
+    s.attacker_seed = ~0ULL;
+    s.fault_seed = ~0ULL;
+    s.seed_base = ~0ULL;
+    const Spec r = Spec::from_json(s.to_json());
+    EXPECT_EQ(r.victim_seed, ~0ULL);
+    EXPECT_EQ(r.attacker_seed, ~0ULL);
+    EXPECT_EQ(r.fault_seed, ~0ULL);
+    EXPECT_EQ(r.seed_base, ~0ULL);
+    EXPECT_EQ(r.to_json(), s.to_json());
+}
+
+TEST(CampaignSpec, HostileNumbersAreRejectedNotWrapped) {
+    const Spec s;
+    // One past 2^64-1 would wrap; no field may take it.
+    EXPECT_THROW((void)Spec::from_json(with_field(s, "seed_base", "18446744073709551616")),
+                 Error);
+    EXPECT_THROW((void)Spec::from_json(with_field(s, "draws", "99999999999999999999")), Error);
+    EXPECT_THROW((void)Spec::from_json(with_field(s, "draws", "2147483648")), Error);
+    EXPECT_THROW((void)Spec::from_json(with_field(s, "victim_seed", "-1")), Error);
+    // INT64_MIN parses without signed overflow, then fails validation.
+    EXPECT_THROW((void)Spec::from_json(with_field(s, "hang_cell", "-9223372036854775808")),
+                 Error);
+    EXPECT_THROW((void)Spec::from_json(with_field(s, "crash_cell", "-2")), Error);
+    for (const char* count :
+         {"draws", "seeds", "windows_per_class", "evolve_execs", "evolve_init", "crash_times"}) {
+        EXPECT_THROW((void)Spec::from_json(with_field(s, count, "-1")), Error) << count;
+    }
+    // -1 still means "no sabotage cell".
+    EXPECT_EQ(Spec::from_json(with_field(s, "hang_cell", "-1")).sabotage.hang_cell, -1);
+}
+
+TEST(CampaignSpec, NegativeCountManifestIsRefusedOnResumeAndStatus) {
+    const std::string dir = scratch("negative_draws");
+    Spec spec;
+    spec.kind = Kind::Matrix;
+    Options opts = fast_opts();
+    opts.max_cells = 3;
+    (void)run_campaign(spec, dir, opts);
+    const std::string manifest = slurp(dir + "/manifest.json");
+    const std::size_t at = manifest.find("\"draws\":1,");
+    ASSERT_NE(at, std::string::npos);
+    std::ofstream(dir + "/manifest.json", std::ios::binary | std::ios::trunc)
+        << std::string(manifest).replace(at, 10, "\"draws\":-1,");
+    EXPECT_THROW((void)resume_campaign(dir, fast_opts()), Error);
+    EXPECT_THROW((void)campaign_status(dir), Error);
+}
+
+TEST(CampaignSpec, NegativeCountSpecIsRefusedByRunCampaign) {
+    const std::string dir = scratch("negative_seeds");
+    Spec spec = small_fuzz_spec();
+    spec.seeds = -5;
+    EXPECT_THROW((void)run_campaign(spec, dir, fast_opts()), Error);
+    EXPECT_FALSE(std::filesystem::exists(dir)); // refused before touching the disk
+}
+
 // ---- WAL ----------------------------------------------------------------
 
 TEST(CampaignWal, DoneLineRoundTrips) {

@@ -205,6 +205,20 @@ TEST(Profiler, ScenarioReportsAreDeterministic) {
     EXPECT_EQ(a.report.folded_text(), b.report.folded_text());
 }
 
+// `swsec trace` and `swsec profile` read one scenario table: every profile
+// scenario, traced, runs the same victim to the same end.
+TEST(ObservedScenarios, TraceAndProfileRunTheSamePairing) {
+    for (const std::string& name : core::profile_scenario_names()) {
+        const auto traced = core::run_trace_scenario(name);
+        const auto profiled = core::run_profile_scenario(name);
+        EXPECT_EQ(traced.outcome.verdict(), profiled.outcome.verdict()) << name;
+        EXPECT_EQ(traced.outcome.trap.kind, profiled.outcome.trap.kind) << name;
+        EXPECT_EQ(traced.outcome.trap.origin, profiled.outcome.trap.origin) << name;
+        EXPECT_EQ(traced.outcome.trap.ip, profiled.outcome.trap.ip) << name;
+        EXPECT_EQ(traced.outcome.steps, profiled.outcome.steps) << name;
+    }
+}
+
 TEST(Profiler, FoldedStacksNameCallers) {
     core::ProfileScenarioOptions opts;
     opts.sample_interval = 1; // sample every retire: short runs still fold

@@ -83,6 +83,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -115,10 +117,19 @@ using namespace swsec;
 struct Options {
     cc::CompilerOptions copts;
     os::SecurityProfile profile;
-    std::uint64_t seed = 1;
+    std::optional<std::uint64_t> seed; // --seed; each command has its own default
     std::string input;
     std::string file;
 };
+
+/// " a b c": a name list for usage and error text.
+std::string joined(const std::vector<std::string>& names) {
+    std::string out;
+    for (const auto& n : names) {
+        out += " " + n;
+    }
+    return out;
+}
 
 int usage() {
     std::fputs(
@@ -129,16 +140,21 @@ int usage() {
         "         --shadow-stack --cfi --seed N --input STR\n"
         "matrix options: --jobs N --trace-out FILE --metrics-out FILE --prom-out FILE\n"
         "fault-sweep options: --fault-seed N --windows N --jobs N --trace-out FILE\n"
-        "                     --metrics-out FILE --prom-out FILE\n"
-        "trace scenarios: baseline canary dep shadow-stack cfi memcheck pma sfi fault\n"
+        "                     --metrics-out FILE --prom-out FILE\n",
+        stderr);
+    std::fprintf(stderr, "trace scenarios:%s\n", joined(core::trace_scenario_names()).c_str());
+    std::fputs(
         "trace options: --trace-out FILE --no-decode-cache --seed N --attacker-seed N\n"
         "fuzz options: --seeds N --seed-base B --jobs N --minimize --replay FILE --out FILE\n"
         "              --coverage --coverage-out FILE --metrics-out FILE --prom-out FILE\n"
         "evolve options: --seed N --execs N --init N --batch N --jobs N --max-corpus N\n"
         "                --out FILE --json-out FILE --curve-out FILE --metrics-out FILE\n"
         "curves options: --trials N --jobs N --aslr-bits LIST --budgets LIST\n"
-        "                --canary-bits N --seed N --out FILE --metrics-out FILE\n"
-        "profile scenarios: baseline canary dep shadow-stack cfi memcheck fault\n"
+        "                --canary-bits N --seed N --out FILE --metrics-out FILE\n",
+        stderr);
+    std::fprintf(stderr, "profile scenarios:%s\n",
+                 joined(core::profile_scenario_names()).c_str());
+    std::fputs(
         "profile options: --out FILE --folded FILE --annotate --sample-interval N\n"
         "                 --seed N --attacker-seed N (+ hardening options for file.mc)\n"
         "campaign: swsec campaign run --kind matrix|fault-sweep|fuzz|fuzz-evolve --dir DIR\n"
@@ -167,6 +183,23 @@ void write_out(const std::string& path, const std::string& text) {
     write_file_atomic(path, text);
 }
 
+/// --metrics-out / --prom-out: write the registry `make` builds (only when
+/// one of them is asked for) as JSON and as Prometheus text.
+template <class MakeRegistry>
+void write_metrics(const std::string& metrics_out, const std::string& prom_out,
+                   const MakeRegistry& make) {
+    if (metrics_out.empty() && prom_out.empty()) {
+        return;
+    }
+    const profile::Registry reg = make();
+    if (!metrics_out.empty()) {
+        write_out(metrics_out, reg.to_json());
+    }
+    if (!prom_out.empty()) {
+        write_out(prom_out, reg.to_prometheus());
+    }
+}
+
 std::string read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -177,7 +210,11 @@ std::string read_file(const std::string& path) {
     return ss.str();
 }
 
-bool parse_options(int argc, char** argv, int start, Options& out) {
+/// Parse the hardening, --seed and --input flags and one positional
+/// argument.  `extra` may claim a command's own flags: it returns true when
+/// it took `arg`, advancing `i` past any value it consumed.
+bool parse_options(int argc, char** argv, int start, Options& out,
+                   const std::function<bool(const std::string& arg, int& i)>& extra = {}) {
     for (int i = start; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--canary") {
@@ -206,7 +243,7 @@ bool parse_options(int argc, char** argv, int start, Options& out) {
             out.input = argv[++i];
         } else if (!arg.empty() && arg[0] != '-' && out.file.empty()) {
             out.file = arg;
-        } else {
+        } else if (!extra || !extra(arg, i)) {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             return false;
         }
@@ -216,7 +253,7 @@ bool parse_options(int argc, char** argv, int start, Options& out) {
 
 int cmd_run(const Options& opt) {
     const auto img = cc::compile_program({read_file(opt.file)}, opt.copts);
-    os::Process p(img, opt.profile, opt.seed);
+    os::Process p(img, opt.profile, opt.seed.value_or(1));
     if (!opt.input.empty()) {
         p.feed_input(opt.input);
     }
@@ -299,75 +336,40 @@ int cmd_matrix(int argc, char** argv) {
     if (!trace_out.empty()) {
         write_out(trace_out, core::matrix_cells_jsonl(cells));
     }
-    if (!metrics_out.empty() || !prom_out.empty()) {
-        const profile::Registry reg = core::matrix_metrics(cells);
-        if (!metrics_out.empty()) {
-            write_out(metrics_out, reg.to_json());
-        }
-        if (!prom_out.empty()) {
-            write_out(prom_out, reg.to_prometheus());
-        }
-    }
+    write_metrics(metrics_out, prom_out, [&] { return core::matrix_metrics(cells); });
     return 0;
 }
 
 int cmd_profile(int argc, char** argv) {
-    std::string target;
     std::string out_path;
     std::string folded_path;
     bool annotate = false;
-    std::uint64_t sample_interval = 97;
     Options opt; // hardening options apply in file mode only
     core::ProfileScenarioOptions sopts;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--out" && i + 1 < argc) {
+    const bool parsed = parse_options(argc, argv, 2, opt, [&](const std::string& arg, int& i) {
+        const bool has_value = i + 1 < argc;
+        if (arg == "--out" && has_value) {
             out_path = argv[++i];
-        } else if (arg == "--folded" && i + 1 < argc) {
+        } else if (arg == "--folded" && has_value) {
             folded_path = argv[++i];
         } else if (arg == "--annotate") {
             annotate = true;
-        } else if (arg == "--sample-interval" && i + 1 < argc) {
-            sample_interval = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--attacker-seed" && i + 1 < argc) {
+        } else if (arg == "--sample-interval" && has_value) {
+            sopts.sample_interval = std::strtoull(argv[++i], nullptr, 0);
+        } else if (arg == "--attacker-seed" && has_value) {
             sopts.attacker_seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--canary") {
-            opt.copts.stack_canaries = true;
-        } else if (arg == "--bounds") {
-            opt.copts.bounds_checks = true;
-        } else if (arg == "--fortify") {
-            opt.copts.fortify_reads = true;
-        } else if (arg == "--memcheck") {
-            opt.copts.memcheck = true;
-            opt.profile.memcheck = true;
-        } else if (arg == "--sanitize") {
-            opt.copts.sanitize_address = true;
-            opt.profile.sanitize_address = true;
-        } else if (arg == "--dep") {
-            opt.profile.dep = true;
-        } else if (arg == "--aslr") {
-            opt.profile.aslr = true;
-        } else if (arg == "--shadow-stack") {
-            opt.profile.shadow_stack = true;
-        } else if (arg == "--cfi") {
-            opt.profile.coarse_cfi = true;
-        } else if (arg == "--seed" && i + 1 < argc) {
-            opt.seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--input" && i + 1 < argc) {
-            opt.input = argv[++i];
-        } else if (!arg.empty() && arg[0] != '-' && target.empty()) {
-            target = arg;
         } else {
-            std::fprintf(stderr, "unknown profile option '%s'\n", arg.c_str());
-            return 2;
+            return false;
         }
+        return true;
+    });
+    if (!parsed) {
+        return 2;
     }
+    const std::string& target = opt.file;
     if (target.empty()) {
-        std::fputs("profile scenarios:", stderr);
-        for (const auto& n : core::profile_scenario_names()) {
-            std::fprintf(stderr, " %s", n.c_str());
-        }
-        std::fputs("  (or a file.mc)\n", stderr);
+        std::fprintf(stderr, "profile scenarios:%s  (or a file.mc)\n",
+                     joined(core::profile_scenario_names()).c_str());
         return 2;
     }
 
@@ -377,8 +379,7 @@ int cmd_profile(int argc, char** argv) {
     const bool is_scenario =
         std::find(names.begin(), names.end(), target) != names.end();
     if (is_scenario) {
-        sopts.victim_seed = opt.seed != 1 ? opt.seed : sopts.victim_seed;
-        sopts.sample_interval = sample_interval;
+        sopts.victim_seed = opt.seed.value_or(sopts.victim_seed);
         const auto run = core::run_profile_scenario(target, sopts);
         report = run.report;
         label = run.scenario;
@@ -392,10 +393,10 @@ int cmd_profile(int argc, char** argv) {
         // hardening profile with the profiler attached.
         const auto img = cc::compile_program({read_file(target)}, opt.copts);
         profile::Profiler prof;
-        prof.set_sample_interval(sample_interval);
+        prof.set_sample_interval(sopts.sample_interval);
         os::SecurityProfile p = opt.profile;
         p.profiler = &prof;
-        os::Process proc(img, p, opt.seed);
+        os::Process proc(img, p, opt.seed.value_or(1));
         if (!opt.input.empty()) {
             proc.feed_input(opt.input);
         }
@@ -441,11 +442,7 @@ int cmd_trace(int argc, char** argv) {
         }
     }
     if (scenario.empty()) {
-        std::fputs("trace scenarios:", stderr);
-        for (const auto& n : core::trace_scenario_names()) {
-            std::fprintf(stderr, " %s", n.c_str());
-        }
-        std::fputs("\n", stderr);
+        std::fprintf(stderr, "trace scenarios:%s\n", joined(core::trace_scenario_names()).c_str());
         return 2;
     }
     const auto run = core::run_trace_scenario(scenario, opts);
@@ -506,15 +503,7 @@ int cmd_fuzz(int argc, char** argv) {
     if (!coverage_out.empty()) {
         write_out(coverage_out, report.coverage.curve_csv(opts.seed_base));
     }
-    if (!metrics_out.empty() || !prom_out.empty()) {
-        const profile::Registry reg = fuzz::fuzz_metrics(report);
-        if (!metrics_out.empty()) {
-            write_out(metrics_out, reg.to_json());
-        }
-        if (!prom_out.empty()) {
-            write_out(prom_out, reg.to_prometheus());
-        }
-    }
+    write_metrics(metrics_out, prom_out, [&] { return fuzz::fuzz_metrics(report); });
     if (!report.clean()) {
         std::fputs(fuzz::to_repro_file(report.divergences).c_str(), stderr);
     }
@@ -576,18 +565,7 @@ int cmd_evolve(int argc, char** argv) {
         }
         write_out(curve_out, csv);
     }
-    if (!metrics_out.empty()) {
-        profile::Registry reg;
-        const profile::Labels base = {{"harness", "evolve"}};
-        reg.counter_add("evolve_execs_total", base, static_cast<std::uint64_t>(report.execs));
-        reg.counter_add("evolve_rounds_total", base, static_cast<std::uint64_t>(report.rounds));
-        reg.counter_add("evolve_runs_total", base, report.runs);
-        reg.counter_add("evolve_divergences_total", base, report.divergences_total);
-        reg.counter_add("evolve_unique_crashes_total", base, report.crashes.size());
-        reg.gauge_set("evolve_corpus_size", base, static_cast<double>(report.corpus_size));
-        reg.gauge_set("coverage_edges", base, static_cast<double>(report.total_buckets));
-        write_out(metrics_out, reg.to_json());
-    }
+    write_metrics(metrics_out, "", [&] { return fuzz::evolve_metrics(report); });
     if (!report.crashes.empty()) {
         for (const fuzz::CrashRecord& c : report.crashes) {
             std::fputs(fuzz::to_repro(c.div).c_str(), stderr);
@@ -645,9 +623,7 @@ int cmd_curves(int argc, char** argv) {
     if (!out_path.empty()) {
         write_out(out_path, report.to_jsonl());
     }
-    if (!metrics_out.empty()) {
-        write_out(metrics_out, core::curve_metrics(report).to_json());
-    }
+    write_metrics(metrics_out, "", [&] { return core::curve_metrics(report); });
     return 0;
 }
 
@@ -680,15 +656,7 @@ int cmd_fault_sweep(int argc, char** argv) {
     if (!trace_out.empty()) {
         write_out(trace_out, core::matrix_cells_jsonl(report.baseline_cells));
     }
-    if (!metrics_out.empty() || !prom_out.empty()) {
-        const profile::Registry reg = core::fault_sweep_metrics(report);
-        if (!metrics_out.empty()) {
-            write_out(metrics_out, reg.to_json());
-        }
-        if (!prom_out.empty()) {
-            write_out(prom_out, reg.to_prometheus());
-        }
-    }
+    write_metrics(metrics_out, prom_out, [&] { return core::fault_sweep_metrics(report); });
     return report.fail_closed() ? 0 : 1;
 }
 
