@@ -74,12 +74,14 @@ private:
     std::map<std::string, std::shared_ptr<const objfmt::Image>> images_;
 };
 
-/// Architectural snapshot for the engine-A/engine-B (tier 1 vs tier 2)
-/// oracle.  Unlike `Observed`, this compares ip/addr/registers and the step
-/// count exactly: the two runs share one seed and one profile, so one
-/// layout — any difference is an engine bug, not ASLR.  Both runs are
-/// untraced on purpose: attaching a tracer would force both onto tier 1
-/// and make the oracle vacuous.
+/// Architectural snapshot for the engine-A/engine-B oracle (tier 2, the
+/// engine's unobserved loop with fused superinstructions, vs tier 1, its
+/// observed loop throughout).  Unlike `Observed`, this compares
+/// ip/addr/registers and the step count exactly: the two runs share one
+/// seed and one profile, so one layout — any difference is an engine bug
+/// (fusion, page-change or budget handling), not ASLR.  Both runs are
+/// untraced on purpose: attaching a tracer would force both onto the
+/// observed loop and make the oracle vacuous.
 struct ObservedArch {
     std::array<std::uint32_t, isa::kNumRegs> regs{};
     std::uint32_t ip = 0;
@@ -345,10 +347,10 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
                    std::move(out_b));
         }
 
-        // Engine A/B: tier 2 (fast engine) vs tier 1 (instrumented step
-        // loop) must agree on final registers, ip, trap (kind/ip/addr/msg)
-        // and the exact step count.  Untraced: a tracer would demote both
-        // runs to tier 1.
+        // Engine A/B: tier 2 (the unobserved loop) vs tier 1 (the observed
+        // loop throughout) must agree on final registers, ip, trap
+        // (kind/ip/addr/msg) and the exact step count.  Untraced: a tracer
+        // would put both runs on the observed loop.
         const ObservedArch tier2 = run_arch(image, d.profile, true, seed, max_steps, stats);
         const ObservedArch tier1 = run_arch(image, d.profile, false, seed, max_steps, stats);
         if (!tier2.same(tier1)) {
@@ -532,7 +534,7 @@ profile::Registry fuzz_metrics(const FuzzReport& report) {
     reg.counter_add("fuzz_divergences_total", base, report.divergences.size());
     reg.counter_add("victim_instructions_total", base, report.counters.instructions);
     reg.counter_add("dcache_hits_total", base, report.counters.dcache_hits);
-    reg.counter_add("dcache_decodes_total", base, report.counters.dcache_misses);
+    reg.counter_add("dcache_misses_total", base, report.counters.dcache_misses);
     reg.counter_add("syscalls_total", base, report.counters.syscalls);
     reg.counter_add("heap_allocs_total", base, report.counters.heap_allocs);
     reg.counter_add("heap_frees_total", base, report.counters.heap_frees);
@@ -555,6 +557,9 @@ profile::Registry fuzz_metrics(const FuzzReport& report) {
     for (const std::uint64_t rounds : report.minimizer_rounds) {
         reg.histogram_observe("fuzz_minimizer_rounds", base, rounds);
     }
+    reg.set_help("dcache_misses_total",
+                 "Traced steps whose instruction the decode cache did not serve (cache-off "
+                 "runs fetch every step)");
     reg.set_help("fuzz_seed_runs", "Differential process executions per fuzzed seed");
     reg.set_help("fuzz_minimizer_rounds",
                  "Greedy minimizer fixpoint passes per minimized divergence");

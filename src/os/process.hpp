@@ -41,10 +41,13 @@ struct SecurityProfile {
                                // image carries the compiled checks
     bool decode_cache = true;  // per-page predecode cache (perf only; the
                                // regression tests flip this off to prove
-                               // trap-for-trap equivalence)
-    bool fast_engine = true;   // tier-2 threaded-dispatch engine (perf only;
-                               // the engine-A/engine-B fuzz oracle flips
-                               // this to prove architectural equivalence)
+                               // trap-for-trap equivalence: every step is
+                               // then fetched through Machine::fetch)
+    bool fast_engine = true;   // the engine's unobserved loop with fused
+                               // superinstructions (perf only; off runs its
+                               // observed loop throughout, and the
+                               // engine-A/engine-B fuzz oracle flips it to
+                               // prove architectural equivalence)
 
     /// The platform's fault environment (non-owning; may be null).  When
     /// set, the machine's step loop and the kernel's I/O syscalls probe

@@ -3,7 +3,7 @@
 // The Profiler is attached to a vm::Machine through the same null-guarded,
 // non-owning pointer discipline as trace::Tracer and fault::FaultInjector:
 // a detached profiler costs nothing on the memory fast paths (the only hook
-// sites are Machine::step's retire/edge bookkeeping and do_call/do_ret), and
+// sites are the VM engine's observed retire, call and ret), and
 // an attached one observes the *architectural* event stream — retired
 // instructions and taken control transfers — so its counts are exact, not
 // sampled, and identical across decode-cache on/off and `--jobs N`.

@@ -47,10 +47,7 @@ bool is_jcc(Op op) noexcept {
     }
 }
 
-/// Tier-2 handler for a single (unfused) instruction; Slow for opcodes the
-/// engine defers to the instrumented step() (Sys reaches the kernel, which
-/// may attach observers or remap pages; capability ops need cap registers
-/// and the capability_mode check).
+/// Handler for a single (unfused) instruction.
 FastHandler single_handler(Op op) noexcept {
     switch (op) {
     case Op::Halt:
@@ -150,12 +147,35 @@ FastHandler single_handler(Op op) noexcept {
         return FastHandler::Leave;
     case Op::Sys:
         return FastHandler::Sys;
-    default: // CLoad / CStore / CJmp / CSetB
-        return FastHandler::Slow;
+    case Op::CLoad:
+        return FastHandler::CLoad;
+    case Op::CStore:
+        return FastHandler::CStore;
+    case Op::CJmp:
+        return FastHandler::CJmp;
+    case Op::CSetB:
+        return FastHandler::CSetB;
     }
+    return FastHandler::Slow;
 }
 
 } // namespace
+
+FastOp fast_op_from(const isa::Insn& insn, std::uint32_t addr) noexcept {
+    FastOp fo;
+    fo.h = single_handler(insn.op);
+    fo.a = static_cast<std::uint8_t>(insn.r1);
+    fo.b = static_cast<std::uint8_t>(insn.r2);
+    fo.opcode = static_cast<std::uint8_t>(insn.op);
+    fo.len = insn.length;
+    fo.imm = insn.imm;
+    fo.next = addr + insn.length;
+    if (is_jcc(insn.op) || insn.op == Op::Jmp || insn.op == Op::Call) {
+        fo.c = static_cast<std::uint8_t>(cond_of(insn.op));
+        fo.imm2 = static_cast<std::int32_t>(fo.next + static_cast<std::uint32_t>(insn.imm));
+    }
+    return fo;
+}
 
 DecodeCache::PageEntry* DecodeCache::entry_for(std::uint32_t page_index) {
     mru_index_ = page_index;
@@ -170,63 +190,17 @@ void DecodeCache::sync_generation(PageEntry& e, std::uint64_t generation) noexce
     if (e.generation != 0) {
         ++invalidations_;
     }
-    // Reset only the index entries built at the dead generation, for the
-    // same reason as the tier-2 slots below.
-    for (const std::uint16_t off : e.built) {
-        (*e.index)[off] = 0;
-    }
-    e.built.clear();
-    e.insns.clear();
-    if (e.fast) {
+    if (e.ops) {
         // Unbuilt: fused entries die with their bytes.  Reset only the slots
         // actually built at the dead generation — a page whose own stores
         // keep bumping its generation (stack shellcode) invalidates per
-        // store, and a full 64 KiB sweep each time would dominate the run.
-        for (const std::uint16_t off : e.fast_built) {
-            (*e.fast)[off] = FastOp{};
+        // store, and a full 80 KiB sweep each time would dominate the run.
+        for (const std::uint16_t off : e.built) {
+            (*e.ops)[off] = FastOp{};
         }
-        e.fast_built.clear();
+        e.built.clear();
     }
     e.generation = generation;
-}
-
-const isa::Insn* DecodeCache::lookup(const Memory& mem, std::uint32_t addr, Perm need) {
-    const std::uint32_t off = addr & (kPageSize - 1);
-    if (off > kPageSize - isa::kMaxInsnLength) {
-        return nullptr; // may straddle into the next page: slow path
-    }
-    const PageView view = mem.page_view(addr);
-    if (view.data == nullptr ||
-        (static_cast<std::uint8_t>(view.perms) & static_cast<std::uint8_t>(need)) !=
-            static_cast<std::uint8_t>(need)) {
-        return nullptr; // unmapped / permission fault: slow path traps
-    }
-    const std::uint32_t page_index = addr >> kPageShift;
-    PageEntry* e = (page_index == mru_index_) ? mru_ : entry_for(page_index);
-    sync_generation(*e, view.generation);
-    if (!e->index) {
-        e->index = std::make_unique<std::array<std::uint16_t, kPageSize>>(); // zeroed: all unknown
-    }
-    std::uint16_t& slot = (*e->index)[off];
-    if (slot == 0) {
-        ++decodes_;
-        // The guard above keeps [off, off + kMaxInsnLength) inside the page,
-        // so the decode window never crosses a permission boundary.
-        const auto insn =
-            isa::decode(std::span<const std::uint8_t>(view.data + off, isa::kMaxInsnLength));
-        if (insn) {
-            e->insns.push_back(*insn);
-            slot = static_cast<std::uint16_t>(e->insns.size());
-        } else {
-            slot = kSlowSlot;
-        }
-        e->built.push_back(static_cast<std::uint16_t>(off));
-    }
-    if (slot == kSlowSlot) {
-        return nullptr;
-    }
-    ++hits_;
-    return &e->insns[slot - 1];
 }
 
 DecodeCache::FastPageRef DecodeCache::fast_page(const Memory& mem, std::uint32_t addr,
@@ -235,16 +209,16 @@ DecodeCache::FastPageRef DecodeCache::fast_page(const Memory& mem, std::uint32_t
     if (view.data == nullptr ||
         (static_cast<std::uint8_t>(view.perms) & static_cast<std::uint8_t>(need)) !=
             static_cast<std::uint8_t>(need)) {
-        return {}; // unmapped / permission fault: tier 1 owns the trap
+        return {}; // unmapped / permission fault: the slow fetch owns the trap
     }
     const std::uint32_t page_index = addr >> kPageShift;
     PageEntry* e = (page_index == mru_index_) ? mru_ : entry_for(page_index);
     sync_generation(*e, view.generation);
-    if (!e->fast) {
-        e->fast = std::make_unique<std::array<FastOp, kPageSize>>(); // zeroed: all Unbuilt
+    if (!e->ops) {
+        e->ops = std::make_unique<std::array<FastOp, kPageSize>>(); // zeroed: all Unbuilt
     }
-    return FastPageRef{e->fast.get(), view.data, view.generation, addr & ~(kPageSize - 1),
-                       &e->fast_built};
+    return FastPageRef{e->ops.get(), view.data, view.generation, addr & ~(kPageSize - 1),
+                       &e->built};
 }
 
 void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) {
@@ -260,19 +234,10 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) {
     const auto head =
         isa::decode(std::span<const std::uint8_t>(ref.bytes + off, isa::kMaxInsnLength));
     if (!head) {
-        return; // does not decode here: tier 1 reports InvalidInstruction
+        return; // does not decode here: Machine::fetch reports InvalidInstruction
     }
     const isa::Insn& i1 = *head;
-    fo.h = single_handler(i1.op);
-    fo.nsteps = 1;
-    fo.a = static_cast<std::uint8_t>(i1.r1);
-    fo.b = static_cast<std::uint8_t>(i1.r2);
-    fo.imm = i1.imm;
-    fo.next = ref.base + off + i1.length;
-    if (is_jcc(i1.op) || i1.op == Op::Jmp || i1.op == Op::Call) {
-        fo.c = static_cast<std::uint8_t>(cond_of(i1.op));
-        fo.imm2 = static_cast<std::int32_t>(fo.next + static_cast<std::uint32_t>(i1.imm));
-    }
+    fo = fast_op_from(i1, ref.base + off);
 
     // Superinstruction fusion: peek at the following instruction(s).  All
     // components must sit in the fast-decodable region of the *same* page;
@@ -296,7 +261,6 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) {
             const std::uint32_t jnext = ref.base + off2 + d2->length;
             fo.imm2 = static_cast<std::int32_t>(jnext + static_cast<std::uint32_t>(d2->imm));
             fo.next = jnext;
-            fo.nsteps = 2;
             ++fused_built_;
         }
         break;
@@ -310,25 +274,18 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) {
             if (d3 && d3->op == Op::Call) {
                 fo.h = FastHandler::FusedPushPushCall;
                 fo.b = static_cast<std::uint8_t>(d2->r1);
-                // Component offsets (≤ kFastLimit, so 16 bits each) packed
-                // into imm: the engine needs them for trap provenance and
-                // for resuming after a mid-fusion page-generation bump.
-                fo.imm = static_cast<std::int32_t>(off2 | (off3 << 16));
                 const std::uint32_t cnext = ref.base + off3 + d3->length;
                 fo.imm2 = static_cast<std::int32_t>(cnext + static_cast<std::uint32_t>(d3->imm));
                 fo.next = cnext; // the call's return address
-                fo.nsteps = 3;
                 ++fused_built_;
             }
         } else if (d2 && d2->op == Op::Call) {
             // Single-argument call: push r; call rel (the dominant call
             // shape in compiled code — one stack argument).
             fo.h = FastHandler::FusedPushCall;
-            fo.imm = static_cast<std::int32_t>(off2); // the call's offset
             const std::uint32_t cnext = ref.base + off2 + d2->length;
             fo.imm2 = static_cast<std::int32_t>(cnext + static_cast<std::uint32_t>(d2->imm));
             fo.next = cnext; // the call's return address
-            fo.nsteps = 2;
             ++fused_built_;
         }
         break;
@@ -342,15 +299,12 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) {
             fo.d = static_cast<std::uint8_t>(d2->r2);
             fo.imm2 = d2->imm;
             fo.next = ref.base + off2 + d2->length;
-            fo.nsteps = 2;
             ++fused_built_;
         } else if (d2 && d2->op == Op::Push) {
             // Load rd, [rb+d]; push rs — argument materialisation.
             fo.h = FastHandler::FusedLoadPush;
             fo.c = static_cast<std::uint8_t>(d2->r1);
-            fo.imm2 = static_cast<std::int32_t>(ref.base + off2); // push's ip
             fo.next = ref.base + off2 + d2->length;
-            fo.nsteps = 2;
             ++fused_built_;
         }
         break;
@@ -363,9 +317,7 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) {
         if (d2 && d2->op == Op::Pop) {
             fo.h = FastHandler::FusedMovIPop;
             fo.c = static_cast<std::uint8_t>(d2->r1);
-            fo.imm2 = static_cast<std::int32_t>(ref.base + off2); // pop's ip
             fo.next = ref.base + off2 + d2->length;
-            fo.nsteps = 2;
             ++fused_built_;
         }
         break;
@@ -376,8 +328,6 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) {
         const auto d2 = decode_at(off2);
         if (d2 && d2->op == Op::Ret) {
             fo.h = FastHandler::FusedLeaveRet;
-            fo.imm = static_cast<std::int32_t>(off2); // the ret's offset
-            fo.nsteps = 2;
             ++fused_built_;
         }
         break;

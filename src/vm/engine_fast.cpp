@@ -1,25 +1,36 @@
-// Tier-2 threaded-dispatch interpreter.  See engine_fast.hpp for the
-// contract and machine.cpp (step/execute) for the reference semantics this
-// file must reproduce bit-for-bit.
+// The execution engine.  See engine_fast.hpp for the contract; the handler
+// bodies below are the only definition of each opcode's architectural
+// effect, and Machine::fetch is the only definition of fetch traps.
 //
-// Structure: one dispatch loop over the decode cache's per-page FastOp
-// stream.  Loop-head invariants, checked before *every* dispatch:
+// Structure: one dispatch loop over FastOps, instantiated twice under a
+// compile-time observe policy.  Loop-head invariants, checked before
+// *every* dispatch:
 //
 //   1. the executing page's live generation still matches the stream's
 //      (any write/protect to the page — including by the program itself —
-//      deoptimizes before the next, possibly stale, op can dispatch);
+//      is seen before the next, possibly stale, op can dispatch);
 //   2. the step budget has room (run() owns the OutOfGas trap);
 //   3. the ip points into the fast-decodable region of the current page
-//      (page switches re-resolve; page tails defer to the slow fetch).
+//      (page switches re-resolve; page tails take the slow fetch).
 //
-// Fused superinstructions retire `nsteps` architectural instructions in one
-// dispatch.  A fused op is only entered when the remaining budget covers
-// all of it (otherwise tier 1 retires the head instruction alone), and
-// push/push/call re-checks the code page generation after every component
-// store so a push that overwrites its own call deoptimizes with the ip at
-// the next unexecuted component — exactly where tier 1 would be.
+// The unobserved loop exits to Machine::run() where the observed one must
+// take over (invariant 1 broken, slow fetch, Sys, capability op, a fused
+// group that no longer fits the budget).  The observed loop handles all of
+// those in place: it probes the fault injector, checks the PMA rules,
+// reports retirements and traps to the tracer and profiler, re-resolves
+// the page after a generation bump and fetches through Machine::fetch when
+// the slot cannot serve.  It retires the head of a fused slot alone, and
+// returns after every syscall so run() re-evaluates which loop may run.
+//
+// Fused superinstructions retire two or three architectural instructions in
+// one unobserved dispatch.  A fused op is only entered when the remaining
+// budget covers all of it (otherwise the observed step retires the head
+// instruction alone), and push/push/call re-checks the code page generation
+// after every component store so a push that overwrites its own call exits
+// with the ip at the next unexecuted component.
 #include "vm/engine_fast.hpp"
 
+#include "profile/profiler.hpp"
 #include "vm/machine.hpp"
 
 #include <limits>
@@ -60,18 +71,26 @@ bool cond_holds(std::uint8_t c, bool fz, bool flt, bool fb) noexcept {
 
 } // namespace
 
+template <bool kObserved>
 FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     DispatchStats& stats = m.dispatch_;
-    ++stats.tier2_entries;
     Memory& mem = m.mem_;
     DecodeCache& dc = m.dcache_;
     const Perm fetch_need = m.opts_.enforce_nx ? (Perm::R | Perm::X) : Perm::R;
     const bool memcheck = m.opts_.memcheck;
     const bool sstack = m.opts_.hardware_shadow_stack;
     const bool cfi = m.opts_.coarse_cfi;
+    // What only the observed loop consults.  Every use sits under
+    // `if constexpr (kObserved)`, so none reaches the unobserved loop.
+    [[maybe_unused]] trace::Tracer* const tracer = m.tracer_;
+    [[maybe_unused]] profile::Profiler* const profiler = m.profiler_;
+    [[maybe_unused]] fault::FaultInjector* const faults = m.faults_;
+    [[maybe_unused]] const bool pma = !m.modules_.empty();
+    [[maybe_unused]] const bool pure_cap = m.opts_.pure_capability;
+    [[maybe_unused]] const bool cached = m.opts_.decode_cache;
 
     // Machine state cached in locals for the hot loop; every exit path
-    // flushes through SWSEC_FLUSH exactly once.
+    // flushes through SWSEC_FLUSH.
     std::uint32_t* const regs = m.regs_.data();
     std::uint32_t ip = m.ip_;
     std::uint64_t steps = m.steps_;
@@ -80,23 +99,29 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     bool flt = m.flags_.lt;
     bool fb = m.flags_.b;
 
-    DecodeCache::FastPageRef ref = dc.fast_page(mem, ip, fetch_need);
-    if (ref.ops == nullptr) {
-        // Unmapped / non-executable code page: the slow fetch owns the trap.
-        ++stats.deopt_slow_fetch;
-        return FastExit::NeedSlowStep;
+    DecodeCache::FastPageRef ref;
+    const Memory::Page* code_page = nullptr;
+    if constexpr (!kObserved) {
+        ++stats.tier2_entries;
+        ref = dc.fast_page(mem, ip, fetch_need);
+        if (ref.ops == nullptr) {
+            // Unmapped / non-executable code page: the slow fetch owns the trap.
+            ++stats.deopt_slow_fetch;
+            return FastExit::NeedSlowStep;
+        }
+        code_page = mem.page_at(ip);
     }
-    const Memory::Page* code_page = mem.page_at(ip);
 
     // Two-entry direct-mapped micro-TLB for data pages.  Negative entries
-    // are safe to cache: nothing maps/unmaps/reprotects pages while the
-    // engine runs (only syscalls and the host can, and Sys exits tier 2).
+    // are safe to cache: nothing maps/unmaps/reprotects pages while a loop
+    // runs (only syscalls and the host can, and a syscall ends the loop).
     // An entry also caches the page's byte pointers, so an access does not
     // wait on a load through the Page: `data` for loads (the shared zero
     // page until the page's first write) and `owned` for stores (null until
-    // then).  Only this engine's own stores can move a page off the zero
-    // page while it runs: the in-page store path refreshes its entry, and
-    // the straddling path, which writes through Memory, flushes the TLB.
+    // then).  Only this engine's own stores and the fault injector's bit
+    // flips can move a page off the zero page while it runs: the in-page
+    // store path refreshes its entry, and the straddling path (which writes
+    // through Memory) and an injected fault flush the TLB.
     struct TlbEntry {
         std::uint32_t index = 0xffffffff; // page indices use at most 20 bits
         Memory::Page* page = nullptr;
@@ -123,11 +148,10 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         return t.owned;
     };
 
-    // Checked data access, replicating Machine::load32/store32 byte for
-    // byte: fault priority unmapped > permission > poison, little-endian
-    // words, generation touch on every write.  (PMA checks are vacuous
-    // here: fast_eligible() guarantees no protected modules.)  Accesses
-    // that straddle a page boundary take Memory's slow path.
+    // Checked data access: fault priority unmapped > permission > poison,
+    // little-endian words, generation touch on every write.  Accesses that
+    // straddle a page boundary take Memory's slow path.  (The PMA rules,
+    // which rank above all three, are checked by SWSEC_ACCESS.)
     const auto load_word = [&](std::uint32_t addr, std::uint32_t& out) noexcept -> AccessFault {
         const std::uint32_t off = addr & (kPageSize - 1);
         if (off <= kPageSize - 4) [[likely]] {
@@ -225,8 +249,9 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         return AccessFault::None;
     };
 
-// Write locals back to the machine and credit counters.  Used exactly once
-// per exit path.
+// Write locals back to the machine.  The unobserved loop also credits its
+// counters, so it flushes exactly once per exit; the observed loop flushes
+// before every call that reads machine state.
 #define SWSEC_FLUSH()                                                                              \
     do {                                                                                           \
         m.ip_ = ip;                                                                                \
@@ -234,125 +259,257 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         m.flags_.z = fz;                                                                           \
         m.flags_.lt = flt;                                                                         \
         m.flags_.b = fb;                                                                           \
-        stats.fast_steps += steps - steps0;                                                        \
-        dc.hits_ += steps - steps0;                                                                \
+        if constexpr (!kObserved) {                                                                \
+            stats.fast_steps += steps - steps0;                                                    \
+            dc.hits_ += steps - steps0;                                                            \
+        }                                                                                          \
     } while (0)
 
-// Trap with tier-1-identical provenance.  `retire` counts the trapping
-// instruction too (step() increments steps_ even when execute() traps);
-// `trap_ip` is the address of the faulting instruction (for fused ops: the
-// faulting component).
+// Trap with the provenance of the faulting instruction.  `retire` counts
+// the trapping instruction too (it consumes its step), the trap event
+// carries the step it was raised in, and `trap_ip` is the address of the
+// faulting instruction (for fused ops: the faulting component).
 #define SWSEC_TRAP_EXIT(retire, trap_ip, ...)                                                      \
     do {                                                                                           \
         steps += (retire);                                                                         \
         ip = (trap_ip);                                                                            \
         SWSEC_FLUSH();                                                                             \
+        m.steps_ = steps - 1;                                                                      \
         m.set_trap(__VA_ARGS__);                                                                   \
-        ++stats.deopt_trap;                                                                        \
+        m.steps_ = steps;                                                                          \
+        if constexpr (!kObserved) {                                                                \
+            ++stats.deopt_trap;                                                                    \
+        }                                                                                          \
         return FastExit::Trapped;                                                                  \
     } while (0)
 
-#define SWSEC_LOAD32(addr_expr, out_var, retire, at_ip)                                            \
+// One checked data access through `access` (load_word, store_word, ...):
+// PMA rules first (observed loop only: the unobserved one never runs with
+// protected modules), then the page fault priority.
+#define SWSEC_ACCESS(access, write, addr_expr, v, retire, at_ip)                                   \
     do {                                                                                           \
         const std::uint32_t a_ = (addr_expr);                                                      \
-        const AccessFault f_ = load_word(a_, out_var);                                             \
+        if constexpr (kObserved) {                                                                 \
+            if (pma && !m.pma_allows_data(a_, write)) [[unlikely]] {                               \
+                SWSEC_TRAP_EXIT(retire, at_ip, TrapKind::PmaViolation, a_,                         \
+                                (write) ? "write of protected module memory"                       \
+                                        : "read of protected module memory");                      \
+            }                                                                                      \
+        }                                                                                          \
+        const AccessFault f_ = access(a_, v);                                                      \
         if (f_ != AccessFault::None) [[unlikely]] {                                                \
             if (f_ == AccessFault::Poisoned) {                                                     \
                 SWSEC_TRAP_EXIT(retire, at_ip, TrapKind::PoisonedAccess, a_,                       \
-                                "read of poisoned memory");                                        \
+                                (write) ? "write of poisoned memory" : "read of poisoned memory"); \
             }                                                                                      \
-            SWSEC_TRAP_EXIT(retire, at_ip, TrapKind::SegvRead, a_);                                \
+            SWSEC_TRAP_EXIT(retire, at_ip, (write) ? TrapKind::SegvWrite : TrapKind::SegvRead,     \
+                            a_);                                                                   \
         }                                                                                          \
     } while (0)
-
-#define SWSEC_STORE32(addr_expr, v_expr, retire, at_ip)                                            \
-    do {                                                                                           \
-        const std::uint32_t a_ = (addr_expr);                                                      \
-        const AccessFault f_ = store_word(a_, (v_expr));                                           \
-        if (f_ != AccessFault::None) [[unlikely]] {                                                \
-            if (f_ == AccessFault::Poisoned) {                                                     \
-                SWSEC_TRAP_EXIT(retire, at_ip, TrapKind::PoisonedAccess, a_,                       \
-                                "write of poisoned memory");                                       \
-            }                                                                                      \
-            SWSEC_TRAP_EXIT(retire, at_ip, TrapKind::SegvWrite, a_);                               \
-        }                                                                                          \
-    } while (0)
-
-#define SWSEC_LOAD8(addr_expr, out_var, retire, at_ip)                                             \
-    do {                                                                                           \
-        const std::uint32_t a_ = (addr_expr);                                                      \
-        const AccessFault f_ = load_byte(a_, out_var);                                             \
-        if (f_ != AccessFault::None) [[unlikely]] {                                                \
-            if (f_ == AccessFault::Poisoned) {                                                     \
-                SWSEC_TRAP_EXIT(retire, at_ip, TrapKind::PoisonedAccess, a_,                       \
-                                "read of poisoned memory");                                        \
-            }                                                                                      \
-            SWSEC_TRAP_EXIT(retire, at_ip, TrapKind::SegvRead, a_);                                \
-        }                                                                                          \
-    } while (0)
-
-#define SWSEC_STORE8(addr_expr, v_expr, retire, at_ip)                                             \
-    do {                                                                                           \
-        const std::uint32_t a_ = (addr_expr);                                                      \
-        const AccessFault f_ = store_byte(a_, (v_expr));                                           \
-        if (f_ != AccessFault::None) [[unlikely]] {                                                \
-            if (f_ == AccessFault::Poisoned) {                                                     \
-                SWSEC_TRAP_EXIT(retire, at_ip, TrapKind::PoisonedAccess, a_,                       \
-                                "write of poisoned memory");                                       \
-            }                                                                                      \
-            SWSEC_TRAP_EXIT(retire, at_ip, TrapKind::SegvWrite, a_);                               \
-        }                                                                                          \
-    } while (0)
+#define SWSEC_LOAD32(addr, out, retire, at_ip) SWSEC_ACCESS(load_word, false, addr, out, retire, at_ip)
+#define SWSEC_STORE32(addr, v, retire, at_ip) SWSEC_ACCESS(store_word, true, addr, v, retire, at_ip)
+#define SWSEC_LOAD8(addr, out, retire, at_ip) SWSEC_ACCESS(load_byte, false, addr, out, retire, at_ip)
+#define SWSEC_STORE8(addr, v, retire, at_ip) SWSEC_ACCESS(store_byte, true, addr, v, retire, at_ip)
 
 #define SWSEC_IMM_U static_cast<std::uint32_t>(op->imm)
 
-// Retire one instruction and fall through to the next op.
-#define SWSEC_NEXT()                                                                               \
+// --- Component effects.  Single and fused handlers are both written in
+// these, so each opcode's effect is defined once.
+
+#define SWSEC_CMP(x_expr, y_expr)                                                                  \
     do {                                                                                           \
-        ip = op->next;                                                                             \
-        ++steps;                                                                                   \
-        goto loop_head;                                                                            \
+        const std::uint32_t x_ = (x_expr);                                                         \
+        const std::uint32_t y_ = (y_expr);                                                         \
+        fz = (x_ == y_);                                                                           \
+        flt = (static_cast<std::int32_t>(x_) < static_cast<std::int32_t>(y_));                     \
+        fb = (x_ < y_);                                                                            \
     } while (0)
 
-#define SWSEC_BRANCH(target)                                                                       \
+#define SWSEC_LOAD(dst, addr_expr, retire, at_ip)                                                  \
     do {                                                                                           \
-        ip = (target);                                                                             \
-        ++steps;                                                                                   \
-        goto loop_head;                                                                            \
+        std::uint32_t v_ = 0;                                                                      \
+        SWSEC_LOAD32(addr_expr, v_, retire, at_ip);                                                \
+        (dst) = v_;                                                                                \
     } while (0)
 
+// The value is read before sp moves: `push sp` stores the old sp.
+#define SWSEC_PUSH(v_expr, retire, at_ip)                                                          \
+    do {                                                                                           \
+        const std::uint32_t nsp_ = regs[8] - 4;                                                    \
+        SWSEC_STORE32(nsp_, v_expr, retire, at_ip);                                                \
+        regs[8] = nsp_;                                                                            \
+    } while (0)
+
+// sp moves before the destination is written: `pop sp` loads the value.
+#define SWSEC_POP(dst, retire, at_ip)                                                              \
+    do {                                                                                           \
+        std::uint32_t p_ = 0;                                                                      \
+        SWSEC_LOAD32(regs[8], p_, retire, at_ip);                                                  \
+        regs[8] += 4;                                                                              \
+        (dst) = p_;                                                                                \
+    } while (0)
+
+// sp = bp happens even if the pop then faults.
+#define SWSEC_LEAVE(retire, at_ip)                                                                 \
+    do {                                                                                           \
+        regs[8] = regs[9];                                                                         \
+        SWSEC_POP(regs[9], retire, at_ip);                                                         \
+    } while (0)
+
+#define SWSEC_CALL(target, ret_addr, retire, at_ip)                                                \
+    do {                                                                                           \
+        SWSEC_PUSH(ret_addr, retire, at_ip);                                                       \
+        if (sstack) {                                                                              \
+            m.shadow_stack_.push_back(ret_addr);                                                   \
+        }                                                                                          \
+        if constexpr (kObserved) {                                                                 \
+            if (profiler != nullptr) {                                                             \
+                profiler->on_call(target);                                                         \
+            }                                                                                      \
+        }                                                                                          \
+    } while (0)
+
+// The pop completes before the shadow-stack verdict.
+#define SWSEC_RET(target, retire, at_ip)                                                           \
+    do {                                                                                           \
+        SWSEC_POP(target, retire, at_ip);                                                          \
+        if (sstack) {                                                                              \
+            if (m.shadow_stack_.empty() || m.shadow_stack_.back() != (target)) [[unlikely]] {      \
+                SWSEC_TRAP_EXIT(retire, at_ip, TrapKind::ShadowStackViolation, target,             \
+                                "return address does not match shadow stack");                     \
+            }                                                                                      \
+            m.shadow_stack_.pop_back();                                                            \
+        }                                                                                          \
+        if constexpr (kObserved) {                                                                 \
+            if (profiler != nullptr) {                                                             \
+                profiler->on_ret();                                                                \
+            }                                                                                      \
+        }                                                                                          \
+    } while (0)
+
+#define SWSEC_CHECK_INDIRECT(target)                                                               \
+    do {                                                                                           \
+        if (cfi && !m.cfi_targets_.contains(target)) [[unlikely]] {                                \
+            SWSEC_TRAP_EXIT(1, ip, TrapKind::CfiViolation, target,                                 \
+                            "indirect branch to non-approved target");                             \
+        }                                                                                          \
+    } while (0)
+
+// Pure-capability mode: a plain memory operation would let code fabricate
+// pointers from integers.
+#define SWSEC_PLAIN_MEMORY_OP()                                                                    \
+    do {                                                                                           \
+        if constexpr (kObserved) {                                                                 \
+            if (pure_cap) [[unlikely]] {                                                           \
+                SWSEC_TRAP_EXIT(1, ip, TrapKind::CapViolation, ip,                                 \
+                                "plain memory operation in pure-cap mode");                        \
+            }                                                                                      \
+        }                                                                                          \
+    } while (0)
+
+// Capability ops run observed only (the unobserved loop hands them over as
+// a slow step), and only on the capability machine.
+#define SWSEC_CAPABILITY_OP()                                                                      \
+    do {                                                                                           \
+        if constexpr (!kObserved) {                                                                \
+            goto H_Slow;                                                                           \
+        }                                                                                          \
+        if (!m.opts_.capability_mode) {                                                            \
+            SWSEC_TRAP_EXIT(1, ip, TrapKind::InvalidInstruction, ip,                               \
+                            "capability opcode on base machine");                                  \
+        }                                                                                          \
+    } while (0)
+
+// The capability register (imm8 bits 4-6) and offset register (bits 0-3)
+// of a capability op.  Four bits can name a register the machine lacks.
+#define SWSEC_CAP_OPERANDS(cap, off_reg)                                                           \
+    Capability& cap = m.caps_[static_cast<std::size_t>((op->imm >> 4) & 0x7)];                     \
+    const std::uint32_t off_reg = SWSEC_IMM_U & 0xf;                                               \
+    if (off_reg >= isa::kNumRegs) [[unlikely]] {                                                   \
+        SWSEC_TRAP_EXIT(1, ip, TrapKind::InvalidInstruction, ip,                                   \
+                        "capability operand names no register");                                   \
+    }
+
+// --- Retirement.  The observed loop reports every retired instruction to
+// the tracer (numbered with the step it retires in) and the profiler
+// (`edge` marks control transfers, both outcomes of a jcc included).
+#define SWSEC_OBSERVE_RETIRE(pc, to, edge)                                                         \
+    do {                                                                                           \
+        if constexpr (kObserved) {                                                                 \
+            if (tracer != nullptr) {                                                               \
+                tracer->record({trace::EventKind::InsnRetired, steps, pc, m.current_module_,       \
+                                false, trace::CheckOrigin::None, op->opcode, 0, 0, {}});           \
+            }                                                                                      \
+            if (profiler != nullptr) {                                                             \
+                profiler->on_retire(pc);                                                           \
+                if (edge) {                                                                        \
+                    profiler->on_edge(pc, to);                                                     \
+                }                                                                                  \
+            }                                                                                      \
+        }                                                                                          \
+    } while (0)
+
+#define SWSEC_RETIRE(to_expr, edge, resume)                                                        \
+    do {                                                                                           \
+        const std::uint32_t to_ = (to_expr);                                                       \
+        SWSEC_OBSERVE_RETIRE(ip, to_, edge);                                                       \
+        ip = to_;                                                                                  \
+        ++steps;                                                                                   \
+        goto resume;                                                                               \
+    } while (0)
+
+// The head instruction's successor.  A fused slot's `next` follows the
+// whole group, and only the unobserved loop executes the whole group.
+#define SWSEC_HEAD_NEXT (kObserved ? ip + op->len : op->next)
+#define SWSEC_NEXT() SWSEC_RETIRE(SWSEC_HEAD_NEXT, false, loop_head)
+#define SWSEC_BRANCH(target) SWSEC_RETIRE(target, true, loop_head)
 // Variants for handlers that stored to memory: re-validate the executing
 // page's generation before the next dispatch (self-modifying code).
-#define SWSEC_NEXT_W()                                                                             \
+#define SWSEC_NEXT_W() SWSEC_RETIRE(SWSEC_HEAD_NEXT, false, store_check)
+#define SWSEC_BRANCH_W(target) SWSEC_RETIRE(target, true, store_check)
+
+// A fused slot.  The observed loop runs its head alone.  The unobserved
+// loop runs the whole group, but only when it fits the remaining budget:
+// otherwise the observed step retires the head alone, so the watchdog
+// fires at exactly the same architectural instruction either way.
+// (loop_head guarantees steps < end, so `end - steps` is ≥ 1.)
+#define SWSEC_FUSED(name, head, n)                                                                 \
+    SWSEC_CASE(name)                                                                               \
+    if constexpr (kObserved) {                                                                     \
+        goto H_##head;                                                                             \
+    }                                                                                              \
+    if (end - steps < (n)) [[unlikely]] {                                                          \
+        SWSEC_FLUSH();                                                                             \
+        ++stats.deopt_budget;                                                                      \
+        return FastExit::NeedSlowStep;                                                             \
+    }
+
+#define SWSEC_FUSED_RETIRE(n, to, resume)                                                          \
     do {                                                                                           \
-        ip = op->next;                                                                             \
-        ++steps;                                                                                   \
-        goto store_check;                                                                          \
+        ip = (to);                                                                                 \
+        steps += (n);                                                                              \
+        ++stats.superinsns_retired;                                                                \
+        goto resume;                                                                               \
     } while (0)
 
-#define SWSEC_BRANCH_W(target)                                                                     \
+// After a component store: if it overwrote the executing page, the rest of
+// the group may be stale, so exit with `done` components retired and the
+// ip at the next one.
+#define SWSEC_FUSED_PAGE_CHECK(done, next_ip)                                                      \
     do {                                                                                           \
-        ip = (target);                                                                             \
-        ++steps;                                                                                   \
-        goto store_check;                                                                          \
-    } while (0)
-
-// A fused op only dispatches when the whole sequence fits the remaining
-// budget; otherwise tier 1 retires the head instruction alone, so the
-// watchdog fires at exactly the same architectural instruction as under
-// tier 1.  (loop_head guarantees steps < end, so `end - steps` is ≥ 1.)
-#define SWSEC_FUSED_BUDGET(n)                                                                      \
-    do {                                                                                           \
-        if (end - steps < (n)) [[unlikely]] {                                                      \
+        if (code_page->generation != ref.generation) [[unlikely]] {                                \
+            ip = (next_ip);                                                                        \
+            steps += (done);                                                                       \
             SWSEC_FLUSH();                                                                         \
-            ++stats.deopt_budget;                                                                  \
-            return FastExit::NeedSlowStep;                                                         \
+            ++stats.deopt_page_gen;                                                                \
+            return FastExit::PageChange;                                                           \
         }                                                                                          \
     } while (0)
 
     constexpr std::uint32_t kFastLimit = kPageSize - isa::kMaxInsnLength;
     const FastOp* op;
-    std::uint32_t off;
+    std::uint32_t off = 0;
+    [[maybe_unused]] FastOp fetched; // the observed loop's op when no slot serves
 
 #if SWSEC_THREADED_DISPATCH
     static const void* const kLabels[] = {
@@ -362,47 +519,118 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     };
 #define SWSEC_CASE(name) H_##name:
 #else
-#define SWSEC_CASE(name) case FastHandler::name:
+#define SWSEC_CASE(name)                                                                           \
+    case FastHandler::name:                                                                        \
+        H_##name:
 #endif
 
-    // Invariant 1: the fast stream is only valid at its build generation.
-    // Only stores can mutate memory while the engine runs (syscalls, hosts
-    // and fault injectors are all tier-1-only), so the executing page's
-    // generation is re-validated only after store-class handlers land here;
-    // all other handlers re-enter at loop_head.  Entry and page switches
-    // are safe to fall through: fast_page() just synced the generation.
+    // Invariant 1: the stream is only valid at its build generation.  Only
+    // stores can mutate memory while the unobserved loop runs (syscalls,
+    // hosts and fault injectors all end it), so it re-validates the
+    // executing page only after store-class handlers land here; entry and
+    // page switches are safe to fall through: fast_page() just synced the
+    // generation.  The observed loop re-validates before every fetch.
 store_check:
-    if (code_page->generation != ref.generation) [[unlikely]] {
-        SWSEC_FLUSH();
-        ++stats.deopt_page_gen;
-        return FastExit::PageChange;
+    if constexpr (!kObserved) {
+        if (code_page->generation != ref.generation) [[unlikely]] {
+            SWSEC_FLUSH();
+            ++stats.deopt_page_gen;
+            return FastExit::PageChange;
+        }
     }
 loop_head:
     // Invariant 2: run() owns the watchdog trap.
     if (steps >= end) [[unlikely]] {
         SWSEC_FLUSH();
-        ++stats.deopt_budget;
+        if constexpr (!kObserved) {
+            ++stats.deopt_budget;
+        }
         return FastExit::Budget;
     }
-    // Invariant 3: ip inside the current page's fast-decodable region.
-    off = ip - ref.base;
-    if (off > kFastLimit) [[unlikely]] {
-        if ((ip & ~(kPageSize - 1)) == ref.base) {
-            // Page tail: the slow fetch owns straddling instructions.
+    if constexpr (kObserved) {
+        if (faults != nullptr) {
             SWSEC_FLUSH();
-            ++stats.deopt_slow_fetch;
-            return FastExit::NeedSlowStep;
+            m.apply_step_fault(faults->on_instruction(steps));
+            if (m.trap_.is_set()) {
+                return FastExit::Trapped; // the power cut wins: nothing executes
+            }
+            tlb[0] = tlb[1] = TlbEntry{}; // a bit flip may have materialised a page
         }
-        ref = dc.fast_page(mem, ip, fetch_need);
-        if (ref.ops == nullptr) {
+        if (pma && !m.pma_allows_fetch(ip)) [[unlikely]] {
             SWSEC_FLUSH();
-            ++stats.deopt_slow_fetch;
-            return FastExit::NeedSlowStep;
+            m.set_trap(TrapKind::PmaViolation, ip, "illegal entry into protected module");
+            return FastExit::Trapped;
         }
-        code_page = mem.page_at(ip);
-        goto loop_head; // generation freshly synced: no spin
+        op = nullptr;
+        if (cached) {
+            if (ref.ops == nullptr || ip - ref.base >= kPageSize ||
+                code_page->generation != ref.generation) {
+                ref = dc.fast_page(mem, ip, fetch_need);
+                code_page = mem.page_at(ip);
+            }
+            off = ip - ref.base;
+            if (ref.ops != nullptr && off <= kFastLimit) {
+                op = &(*ref.ops)[off];
+                if (op->h == FastHandler::Unbuilt) {
+                    dc.build_fast(ref, off);
+                }
+                if (op->h == FastHandler::Slow) {
+                    op = nullptr;
+                } else {
+                    ++dc.hits_;
+                }
+            }
+        }
+        if (tracer != nullptr) {
+            // Counters only — the event stream must not depend on the cache.
+            tracer->count_dcache(op != nullptr);
+        }
+        if (op == nullptr) {
+            SWSEC_FLUSH();
+            isa::Insn insn;
+            if (!m.fetch(insn)) {
+                return FastExit::Trapped;
+            }
+            fetched = fast_op_from(insn, ip);
+            op = &fetched;
+        }
+        if (pma) {
+            // The executing module is where the IP points now; the data
+            // accesses of this instruction are judged against it.
+            const int prev = m.current_module_;
+            m.current_module_ = m.module_containing(ip);
+            if (tracer != nullptr && m.current_module_ != prev) {
+                if (prev != kNoModule) {
+                    tracer->record({trace::EventKind::PmaExit, steps, ip, prev, false,
+                                    trace::CheckOrigin::Pma, 0, 0, 0, {}});
+                }
+                if (m.current_module_ != kNoModule) {
+                    tracer->record({trace::EventKind::PmaEnter, steps, ip, m.current_module_,
+                                    false, trace::CheckOrigin::Pma, 0, 0, 0, {}});
+                }
+            }
+        }
+    } else {
+        // Invariant 3: ip inside the current page's fast-decodable region.
+        off = ip - ref.base;
+        if (off > kFastLimit) [[unlikely]] {
+            if ((ip & ~(kPageSize - 1)) == ref.base) {
+                // Page tail: the slow fetch owns straddling instructions.
+                SWSEC_FLUSH();
+                ++stats.deopt_slow_fetch;
+                return FastExit::NeedSlowStep;
+            }
+            ref = dc.fast_page(mem, ip, fetch_need);
+            if (ref.ops == nullptr) {
+                SWSEC_FLUSH();
+                ++stats.deopt_slow_fetch;
+                return FastExit::NeedSlowStep;
+            }
+            code_page = mem.page_at(ip);
+            goto loop_head; // generation freshly synced: no spin
+        }
+        op = &(*ref.ops)[off];
     }
-    op = &(*ref.ops)[off];
 dispatch_op:
 #if SWSEC_THREADED_DISPATCH
     goto* kLabels[static_cast<std::size_t>(op->h)];
@@ -420,8 +648,20 @@ dispatch_op:
             return FastExit::NeedSlowStep;
         }
         SWSEC_CASE(Sys) {
-            // The kernel may attach observers, remap pages, or exit: one
-            // fully instrumented step, then run() re-evaluates eligibility.
+            if constexpr (kObserved) {
+                // The kernel reads and writes the machine, seeing the ip
+                // past the sys.  It may attach observers, remap pages or
+                // exit, so run() re-evaluates which loop runs next.
+                const std::uint32_t pc = ip;
+                ip = SWSEC_HEAD_NEXT;
+                SWSEC_FLUSH();
+                m.do_sys(static_cast<std::uint8_t>(op->imm));
+                if (!m.trap_.is_set()) {
+                    SWSEC_OBSERVE_RETIRE(pc, ip, false);
+                }
+                ++m.steps_;
+                return m.trap_.is_set() ? FastExit::Trapped : FastExit::Syscall;
+            }
             SWSEC_FLUSH();
             ++stats.deopt_syscall;
             return FastExit::NeedSlowStep;
@@ -429,23 +669,18 @@ dispatch_op:
         SWSEC_CASE(Halt) { SWSEC_TRAP_EXIT(1, ip, TrapKind::Halted); }
         SWSEC_CASE(Nop) { SWSEC_NEXT(); }
         SWSEC_CASE(Push) {
-            const std::uint32_t v = regs[op->a];
-            const std::uint32_t nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, v, 1, ip);
-            regs[8] = nsp;
+            SWSEC_PLAIN_MEMORY_OP();
+            SWSEC_PUSH(regs[op->a], 1, ip);
             SWSEC_NEXT_W();
         }
         SWSEC_CASE(PushI) {
-            const std::uint32_t nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, SWSEC_IMM_U, 1, ip);
-            regs[8] = nsp;
+            SWSEC_PLAIN_MEMORY_OP();
+            SWSEC_PUSH(SWSEC_IMM_U, 1, ip);
             SWSEC_NEXT_W();
         }
         SWSEC_CASE(Pop) {
-            std::uint32_t v = 0;
-            SWSEC_LOAD32(regs[8], v, 1, ip);
-            regs[8] += 4; // before the register write: POP sp loads the value
-            regs[op->a] = v;
+            SWSEC_PLAIN_MEMORY_OP();
+            SWSEC_POP(regs[op->a], 1, ip);
             SWSEC_NEXT();
         }
         SWSEC_CASE(MovI) {
@@ -457,22 +692,25 @@ dispatch_op:
             SWSEC_NEXT();
         }
         SWSEC_CASE(Load) {
-            std::uint32_t v = 0;
-            SWSEC_LOAD32(regs[op->b] + SWSEC_IMM_U, v, 1, ip);
-            regs[op->a] = v;
+            SWSEC_PLAIN_MEMORY_OP();
+            SWSEC_LOAD(regs[op->a], regs[op->b] + SWSEC_IMM_U, 1, ip);
             SWSEC_NEXT();
         }
         SWSEC_CASE(Load8) {
+            SWSEC_PLAIN_MEMORY_OP();
             std::uint8_t v = 0;
             SWSEC_LOAD8(regs[op->b] + SWSEC_IMM_U, v, 1, ip);
             regs[op->a] = v;
             SWSEC_NEXT();
         }
         SWSEC_CASE(Store) {
+            // STORE [a+disp], b : a is the base register.
+            SWSEC_PLAIN_MEMORY_OP();
             SWSEC_STORE32(regs[op->a] + SWSEC_IMM_U, regs[op->b], 1, ip);
             SWSEC_NEXT_W();
         }
         SWSEC_CASE(Store8) {
+            SWSEC_PLAIN_MEMORY_OP();
             SWSEC_STORE8(regs[op->a] + SWSEC_IMM_U, static_cast<std::uint8_t>(regs[op->b] & 0xff),
                          1, ip);
             SWSEC_NEXT_W();
@@ -586,18 +824,11 @@ dispatch_op:
             SWSEC_NEXT();
         }
         SWSEC_CASE(Cmp) {
-            const std::uint32_t x = regs[op->a];
-            const std::uint32_t y = regs[op->b];
-            fz = (x == y);
-            flt = (static_cast<std::int32_t>(x) < static_cast<std::int32_t>(y));
-            fb = (x < y);
+            SWSEC_CMP(regs[op->a], regs[op->b]);
             SWSEC_NEXT();
         }
         SWSEC_CASE(CmpI) {
-            const std::uint32_t x = regs[op->a];
-            fz = (x == SWSEC_IMM_U);
-            flt = (static_cast<std::int32_t>(x) < op->imm);
-            fb = (x < SWSEC_IMM_U);
+            SWSEC_CMP(regs[op->a], SWSEC_IMM_U);
             SWSEC_NEXT();
         }
         SWSEC_CASE(Test) {
@@ -610,216 +841,141 @@ dispatch_op:
                                                         : op->next);
         }
         SWSEC_CASE(Call) {
-            const std::uint32_t nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, op->next, 1, ip);
-            regs[8] = nsp;
-            if (sstack) {
-                m.shadow_stack_.push_back(op->next);
-            }
+            SWSEC_PLAIN_MEMORY_OP();
+            SWSEC_CALL(static_cast<std::uint32_t>(op->imm2), op->next, 1, ip);
             SWSEC_BRANCH_W(static_cast<std::uint32_t>(op->imm2));
         }
         SWSEC_CASE(CallR) {
+            SWSEC_PLAIN_MEMORY_OP();
             const std::uint32_t target = regs[op->a];
-            if (cfi && !m.cfi_targets_.contains(target)) [[unlikely]] {
-                SWSEC_TRAP_EXIT(1, ip, TrapKind::CfiViolation, target,
-                                "indirect branch to non-approved target");
-            }
-            const std::uint32_t nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, op->next, 1, ip);
-            regs[8] = nsp;
-            if (sstack) {
-                m.shadow_stack_.push_back(op->next);
-            }
+            SWSEC_CHECK_INDIRECT(target);
+            SWSEC_CALL(target, op->next, 1, ip);
             SWSEC_BRANCH_W(target);
         }
         SWSEC_CASE(JmpR) {
+            SWSEC_PLAIN_MEMORY_OP();
             const std::uint32_t target = regs[op->a];
-            if (cfi && !m.cfi_targets_.contains(target)) [[unlikely]] {
-                SWSEC_TRAP_EXIT(1, ip, TrapKind::CfiViolation, target,
-                                "indirect branch to non-approved target");
-            }
+            SWSEC_CHECK_INDIRECT(target);
             SWSEC_BRANCH(target);
         }
         SWSEC_CASE(Ret) {
+            SWSEC_PLAIN_MEMORY_OP();
             std::uint32_t target = 0;
-            SWSEC_LOAD32(regs[8], target, 1, ip);
-            regs[8] += 4; // pop completes before the shadow-stack verdict
-            if (sstack) {
-                if (m.shadow_stack_.empty() || m.shadow_stack_.back() != target) [[unlikely]] {
-                    SWSEC_TRAP_EXIT(1, ip, TrapKind::ShadowStackViolation, target,
-                                    "return address does not match shadow stack");
-                }
-                m.shadow_stack_.pop_back();
-            }
+            SWSEC_RET(target, 1, ip);
             SWSEC_BRANCH(target);
         }
         SWSEC_CASE(Leave) {
-            regs[8] = regs[9]; // sp = bp happens even if the pop then faults
-            std::uint32_t old_bp = 0;
-            SWSEC_LOAD32(regs[8], old_bp, 1, ip);
-            regs[8] += 4;
-            regs[9] = old_bp;
+            SWSEC_PLAIN_MEMORY_OP();
+            SWSEC_LEAVE(1, ip);
             SWSEC_NEXT();
         }
-        SWSEC_CASE(FusedCmpJcc) {
-            SWSEC_FUSED_BUDGET(2);
-            const std::uint32_t x = regs[op->a];
-            const std::uint32_t y = regs[op->b];
-            fz = (x == y);
-            flt = (static_cast<std::int32_t>(x) < static_cast<std::int32_t>(y));
-            fb = (x < y);
-            ip = cond_holds(op->c, fz, flt, fb) ? static_cast<std::uint32_t>(op->imm2) : op->next;
-            steps += 2;
-            ++stats.superinsns_retired;
-            goto loop_head;
+        SWSEC_CASE(CLoad) {
+            SWSEC_CAPABILITY_OP();
+            SWSEC_CAP_OPERANDS(cap, off_reg);
+            const std::uint32_t off = regs[off_reg];
+            if (!cap.covers(off, 4) || !has_perm(cap.perms, Perm::R)) {
+                SWSEC_TRAP_EXIT(1, ip, TrapKind::CapViolation, cap.base + off,
+                                "cload outside capability");
+            }
+            SWSEC_LOAD(regs[op->a], cap.base + off, 1, ip);
+            SWSEC_NEXT();
         }
-        SWSEC_CASE(FusedCmpIJcc) {
-            SWSEC_FUSED_BUDGET(2);
-            const std::uint32_t x = regs[op->a];
-            fz = (x == SWSEC_IMM_U);
-            flt = (static_cast<std::int32_t>(x) < op->imm);
-            fb = (x < SWSEC_IMM_U);
-            ip = cond_holds(op->c, fz, flt, fb) ? static_cast<std::uint32_t>(op->imm2) : op->next;
-            steps += 2;
-            ++stats.superinsns_retired;
-            goto loop_head;
+        SWSEC_CASE(CStore) {
+            SWSEC_CAPABILITY_OP();
+            SWSEC_CAP_OPERANDS(cap, off_reg);
+            const std::uint32_t off = regs[off_reg];
+            if (!cap.covers(off, 4) || !has_perm(cap.perms, Perm::W)) {
+                SWSEC_TRAP_EXIT(1, ip, TrapKind::CapViolation, cap.base + off,
+                                "cstore outside capability");
+            }
+            SWSEC_STORE32(cap.base + off, regs[op->a], 1, ip);
+            SWSEC_NEXT_W();
         }
-        SWSEC_CASE(FusedPushPushCall) {
-            SWSEC_FUSED_BUDGET(3);
-            // Three architectural instructions; each store may fault (trap
-            // ip = that component) or overwrite the code page (deopt with
-            // ip = the next unexecuted component — tier 1 resumes there).
-            const std::uint32_t push2_ip = ref.base + (static_cast<std::uint32_t>(op->imm) & 0xffffu);
-            const std::uint32_t call_ip = ref.base + (static_cast<std::uint32_t>(op->imm) >> 16);
-            std::uint32_t nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, regs[op->a], 1, ip);
-            regs[8] = nsp;
-            if (code_page->generation != ref.generation) [[unlikely]] {
-                ip = push2_ip;
-                ++steps;
-                SWSEC_FLUSH();
-                ++stats.deopt_page_gen;
-                return FastExit::PageChange;
+        SWSEC_CASE(CJmp) {
+            SWSEC_CAPABILITY_OP();
+            const Capability& target = m.caps_[static_cast<std::size_t>(op->imm & 0x7)];
+            if (!target.tag || !has_perm(target.perms, Perm::X)) {
+                SWSEC_TRAP_EXIT(1, ip, TrapKind::CapViolation, target.base,
+                                "cjmp through non-executable capability");
             }
-            nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, regs[op->b], 2, push2_ip);
-            regs[8] = nsp;
-            if (code_page->generation != ref.generation) [[unlikely]] {
-                ip = call_ip;
-                steps += 2;
-                SWSEC_FLUSH();
-                ++stats.deopt_page_gen;
-                return FastExit::PageChange;
-            }
-            nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, op->next, 3, call_ip);
-            regs[8] = nsp;
-            if (sstack) {
-                m.shadow_stack_.push_back(op->next);
-            }
-            ip = static_cast<std::uint32_t>(op->imm2);
-            steps += 3;
-            ++stats.superinsns_retired;
-            goto store_check; // the return-address push re-validates too
+            SWSEC_BRANCH(target.base);
         }
-        SWSEC_CASE(FusedPushCall) {
-            SWSEC_FUSED_BUDGET(2);
-            const std::uint32_t call_ip = ref.base + (SWSEC_IMM_U & 0xffffu);
-            std::uint32_t nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, regs[op->a], 1, ip);
-            regs[8] = nsp;
-            if (code_page->generation != ref.generation) [[unlikely]] {
-                // The push overwrote the executing page: the call bytes may
-                // be stale, so resume at the call under tier 1.
-                ip = call_ip;
-                ++steps;
-                SWSEC_FLUSH();
-                ++stats.deopt_page_gen;
-                return FastExit::PageChange;
+        SWSEC_CASE(CSetB) {
+            // Monotonic shrink: [base + rM, base + rM + rlen) must nest
+            // inside the existing range; growing a capability is impossible.
+            SWSEC_CAPABILITY_OP();
+            SWSEC_CAP_OPERANDS(cap, off_reg);
+            const std::uint32_t delta = regs[off_reg];
+            const std::uint32_t new_len = regs[op->a];
+            if (!cap.tag || delta > cap.length || cap.length - delta < new_len) {
+                SWSEC_TRAP_EXIT(1, ip, TrapKind::CapViolation, cap.base + delta,
+                                "csetb attempted to grow a capability");
             }
-            nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, op->next, 2, call_ip);
-            regs[8] = nsp;
-            if (sstack) {
-                m.shadow_stack_.push_back(op->next);
-            }
-            ip = static_cast<std::uint32_t>(op->imm2);
-            steps += 2;
-            ++stats.superinsns_retired;
-            goto store_check;
+            cap.base += delta;
+            cap.length = new_len;
+            SWSEC_NEXT();
         }
-        SWSEC_CASE(FusedLoadAdd) {
-            SWSEC_FUSED_BUDGET(2);
-            std::uint32_t v = 0;
-            SWSEC_LOAD32(regs[op->b] + SWSEC_IMM_U, v, 1, ip);
-            regs[op->a] = v;
+        SWSEC_FUSED(FusedCmpJcc, Cmp, 2) {
+            SWSEC_CMP(regs[op->a], regs[op->b]);
+            SWSEC_FUSED_RETIRE(2,
+                               cond_holds(op->c, fz, flt, fb) ? static_cast<std::uint32_t>(op->imm2)
+                                                              : op->next,
+                               loop_head);
+        }
+        SWSEC_FUSED(FusedCmpIJcc, CmpI, 2) {
+            SWSEC_CMP(regs[op->a], SWSEC_IMM_U);
+            SWSEC_FUSED_RETIRE(2,
+                               cond_holds(op->c, fz, flt, fb) ? static_cast<std::uint32_t>(op->imm2)
+                                                              : op->next,
+                               loop_head);
+        }
+        SWSEC_FUSED(FusedPushPushCall, Push, 3) {
+            // Each store may fault (trap ip = that component) or overwrite
+            // the code page (exit with ip = the next unexecuted component).
+            // Both pushes encode in `len` bytes.
+            const std::uint32_t push2_ip = ip + op->len;
+            const std::uint32_t call_ip = push2_ip + op->len;
+            SWSEC_PUSH(regs[op->a], 1, ip);
+            SWSEC_FUSED_PAGE_CHECK(1, push2_ip);
+            SWSEC_PUSH(regs[op->b], 2, push2_ip);
+            SWSEC_FUSED_PAGE_CHECK(2, call_ip);
+            SWSEC_CALL(static_cast<std::uint32_t>(op->imm2), op->next, 3, call_ip);
+            SWSEC_FUSED_RETIRE(3, static_cast<std::uint32_t>(op->imm2), store_check);
+        }
+        SWSEC_FUSED(FusedPushCall, Push, 2) {
+            const std::uint32_t call_ip = ip + op->len;
+            SWSEC_PUSH(regs[op->a], 1, ip);
+            SWSEC_FUSED_PAGE_CHECK(1, call_ip);
+            SWSEC_CALL(static_cast<std::uint32_t>(op->imm2), op->next, 2, call_ip);
+            SWSEC_FUSED_RETIRE(2, static_cast<std::uint32_t>(op->imm2), store_check);
+        }
+        SWSEC_FUSED(FusedLoadAdd, Load, 2) {
+            SWSEC_LOAD(regs[op->a], regs[op->b] + SWSEC_IMM_U, 1, ip);
             regs[op->c] += regs[op->d]; // reads regs *after* the load wrote a
-            ip = op->next;
-            steps += 2;
-            ++stats.superinsns_retired;
-            goto loop_head;
+            SWSEC_FUSED_RETIRE(2, op->next, loop_head);
         }
-        SWSEC_CASE(FusedLoadAddI) {
-            SWSEC_FUSED_BUDGET(2);
-            std::uint32_t v = 0;
-            SWSEC_LOAD32(regs[op->b] + SWSEC_IMM_U, v, 1, ip);
-            regs[op->a] = v;
+        SWSEC_FUSED(FusedLoadAddI, Load, 2) {
+            SWSEC_LOAD(regs[op->a], regs[op->b] + SWSEC_IMM_U, 1, ip);
             regs[op->c] += static_cast<std::uint32_t>(op->imm2);
-            ip = op->next;
-            steps += 2;
-            ++stats.superinsns_retired;
-            goto loop_head;
+            SWSEC_FUSED_RETIRE(2, op->next, loop_head);
         }
-        SWSEC_CASE(FusedLoadPush) {
-            SWSEC_FUSED_BUDGET(2);
-            std::uint32_t v = 0;
-            SWSEC_LOAD32(regs[op->b] + SWSEC_IMM_U, v, 1, ip);
-            regs[op->a] = v;
-            // Push reads its source *after* the load wrote op->a (they are
-            // usually the same register) and before the sp update.
-            const std::uint32_t pv = regs[op->c];
-            const std::uint32_t nsp = regs[8] - 4;
-            SWSEC_STORE32(nsp, pv, 2, static_cast<std::uint32_t>(op->imm2));
-            regs[8] = nsp;
-            ip = op->next;
-            steps += 2;
-            ++stats.superinsns_retired;
-            goto store_check;
+        SWSEC_FUSED(FusedLoadPush, Load, 2) {
+            // The push reads its source *after* the load wrote a (usually
+            // the same register).
+            SWSEC_LOAD(regs[op->a], regs[op->b] + SWSEC_IMM_U, 1, ip);
+            SWSEC_PUSH(regs[op->c], 2, ip + op->len);
+            SWSEC_FUSED_RETIRE(2, op->next, store_check);
         }
-        SWSEC_CASE(FusedMovIPop) {
-            SWSEC_FUSED_BUDGET(2);
-            regs[op->a] = SWSEC_IMM_U; // before the pop: MovI sp, i; pop r
-            std::uint32_t v = 0;
-            SWSEC_LOAD32(regs[8], v, 2, static_cast<std::uint32_t>(op->imm2));
-            regs[8] += 4;
-            regs[op->c] = v; // after the sp bump: pop into sp overwrites
-            ip = op->next;
-            steps += 2;
-            ++stats.superinsns_retired;
-            goto loop_head;
+        SWSEC_FUSED(FusedMovIPop, MovI, 2) {
+            regs[op->a] = SWSEC_IMM_U; // before the pop: movi sp, i; pop r
+            SWSEC_POP(regs[op->c], 2, ip + op->len);
+            SWSEC_FUSED_RETIRE(2, op->next, loop_head);
         }
-        SWSEC_CASE(FusedLeaveRet) {
-            SWSEC_FUSED_BUDGET(2);
-            regs[8] = regs[9]; // sp = bp happens even if the pop then faults
-            std::uint32_t old_bp = 0;
-            SWSEC_LOAD32(regs[8], old_bp, 1, ip);
-            regs[8] += 4;
-            regs[9] = old_bp;
-            const std::uint32_t ret_ip = ref.base + (SWSEC_IMM_U & 0xffffu);
+        SWSEC_FUSED(FusedLeaveRet, Leave, 2) {
+            SWSEC_LEAVE(1, ip);
             std::uint32_t target = 0;
-            SWSEC_LOAD32(regs[8], target, 2, ret_ip);
-            regs[8] += 4; // pop completes before the shadow-stack verdict
-            if (sstack) {
-                if (m.shadow_stack_.empty() || m.shadow_stack_.back() != target) [[unlikely]] {
-                    SWSEC_TRAP_EXIT(2, ret_ip, TrapKind::ShadowStackViolation, target,
-                                    "return address does not match shadow stack");
-                }
-                m.shadow_stack_.pop_back();
-            }
-            ip = target;
-            steps += 2;
-            ++stats.superinsns_retired;
-            goto loop_head;
+            SWSEC_RET(target, 2, ip + op->len);
+            SWSEC_FUSED_RETIRE(2, target, loop_head);
         }
 #if !SWSEC_THREADED_DISPATCH
     default: // FastHandler::Count is never stored
@@ -836,17 +992,37 @@ dispatch_op:
 
 #undef SWSEC_FLUSH
 #undef SWSEC_TRAP_EXIT
+#undef SWSEC_ACCESS
 #undef SWSEC_LOAD32
 #undef SWSEC_STORE32
 #undef SWSEC_LOAD8
 #undef SWSEC_STORE8
 #undef SWSEC_IMM_U
+#undef SWSEC_CMP
+#undef SWSEC_LOAD
+#undef SWSEC_PUSH
+#undef SWSEC_POP
+#undef SWSEC_LEAVE
+#undef SWSEC_CALL
+#undef SWSEC_RET
+#undef SWSEC_CHECK_INDIRECT
+#undef SWSEC_PLAIN_MEMORY_OP
+#undef SWSEC_CAPABILITY_OP
+#undef SWSEC_CAP_OPERANDS
+#undef SWSEC_OBSERVE_RETIRE
+#undef SWSEC_RETIRE
+#undef SWSEC_HEAD_NEXT
 #undef SWSEC_NEXT
 #undef SWSEC_BRANCH
 #undef SWSEC_NEXT_W
 #undef SWSEC_BRANCH_W
-#undef SWSEC_FUSED_BUDGET
+#undef SWSEC_FUSED
+#undef SWSEC_FUSED_RETIRE
+#undef SWSEC_FUSED_PAGE_CHECK
 #undef SWSEC_CASE
 }
+
+template FastExit FastEngine::run<false>(Machine& m, std::uint64_t end);
+template FastExit FastEngine::run<true>(Machine& m, std::uint64_t end);
 
 } // namespace swsec::vm

@@ -65,24 +65,26 @@ struct MachineOptions {
                                       // (integers can never act as pointers)
     bool decode_cache = true;         // per-page predecode cache (perf only:
                                       // trap-for-trap identical when off)
-    bool fast_engine = true;          // tier-2 threaded-dispatch engine
-                                      // (perf only: architecturally identical
-                                      // to the step() loop; auto-disabled
-                                      // while any observer is attached)
+    bool fast_engine = true;          // the unobserved engine loop with fused
+                                      // superinstructions (perf only: off runs
+                                      // the observed loop throughout, the
+                                      // engine-A/B oracle's second side;
+                                      // never used while an observer is
+                                      // attached)
 };
 
-/// Tier-2 dispatch statistics (exported as vm.dispatch.* metrics).  The
-/// deopt_* counters name why the fast engine handed control back to the
-/// instrumented loop; their sum over a run explains every tier transition.
+/// Dispatch statistics of the unobserved loop, "tier 2" (exported as
+/// vm.dispatch.* metrics).  The deopt_* counters name why it handed control
+/// back to Machine::run(); their sum over a run explains every transition.
 struct DispatchStats {
-    std::uint64_t tier2_entries = 0;      // times run() entered the fast engine
-    std::uint64_t fast_steps = 0;         // instructions retired by tier 2
+    std::uint64_t tier2_entries = 0;      // times run() entered the unobserved loop
+    std::uint64_t fast_steps = 0;         // instructions retired by it
     std::uint64_t superinsns_retired = 0; // fused dispatches (≥2 insns each)
     std::uint64_t deopt_page_gen = 0;     // executing page's generation bumped
     std::uint64_t deopt_slow_fetch = 0;   // page tail / no decode / cap op
-    std::uint64_t deopt_trap = 0;         // trap raised inside tier 2
+    std::uint64_t deopt_trap = 0;         // trap raised inside the loop
     std::uint64_t deopt_budget = 0;       // watchdog slice end reached
-    std::uint64_t deopt_syscall = 0;      // Sys defers to the instrumented step
+    std::uint64_t deopt_syscall = 0;      // Sys runs as an observed step
     std::uint64_t deopt_observer = 0;     // tracer/profiler/faults attached
                                           // mid-run (fast_eligible went false)
 
@@ -169,8 +171,8 @@ public:
     [[nodiscard]] const Capability& capability(int index) const;
 
     // --- execution ---------------------------------------------------------
-    /// Execute one instruction.  On a fault the trap record is set and the
-    /// machine stops making progress.
+    /// Execute one instruction through the observed loop.  On a fault the
+    /// trap record is set and the machine stops making progress.
     void step();
 
     /// Run until trap or until `max_steps` further instructions executed.
@@ -209,20 +211,17 @@ public:
     void set_fault_injector(fault::FaultInjector* inj) noexcept { faults_ = inj; }
 
     /// Attach an exact PC/edge profiler (profile::Profiler).  Non-owning;
-    /// pass nullptr to detach.  Hook sites are step() retirement and
-    /// do_call/do_ret only — the memory fast paths (check/read32/write32)
-    /// carry no profiler branches, so a detached profiler is free there.
+    /// pass nullptr to detach.  Hook sites are the observed loop's
+    /// retirement, call and ret only — the memory paths carry no profiler
+    /// branches, so a detached profiler is free there.
     void set_profiler(profile::Profiler* p) noexcept { profiler_ = p; }
     [[nodiscard]] profile::Profiler* profiler() const noexcept { return profiler_; }
 
-    // --- machine-level data access (used by executing instructions and by
-    //     the kernel substrate when copying syscall buffers) ---------------
+    // --- machine-level byte access (the kernel substrate's buffer copies) --
     // These honour page permissions, poison (when memcheck) and the PMA
     // rules relative to the *currently executing* module, and set the trap
     // on failure (returning false).
-    [[nodiscard]] bool load32(std::uint32_t addr, std::uint32_t& out);
     [[nodiscard]] bool load8(std::uint32_t addr, std::uint8_t& out);
-    [[nodiscard]] bool store32(std::uint32_t addr, std::uint32_t v);
     [[nodiscard]] bool store8(std::uint32_t addr, std::uint8_t v);
 
     // --- kernel-privilege access (machine-code attacker in the OS) --------
@@ -242,13 +241,12 @@ public:
     /// Decode-cache counters (tests assert invalidation behaviour; benches
     /// report hit rates).
     [[nodiscard]] const DecodeCache& decode_cache() const noexcept { return dcache_; }
-    /// Tier-2 dispatch counters (vm.dispatch.* metrics).
+    /// Unobserved-loop dispatch counters (vm.dispatch.* metrics).
     [[nodiscard]] const DispatchStats& dispatch_stats() const noexcept { return dispatch_; }
 
 private:
-    // Tier 2 executes with direct access to the register file, flags, trap
-    // plumbing and security state; its contract is byte-identical
-    // architectural effects (engine_fast.hpp).
+    // The engine executes every instruction, with direct access to the
+    // register file, flags, trap plumbing and security state.
     friend class FastEngine;
     struct Flags {
         bool z = false;  // equal
@@ -256,19 +254,12 @@ private:
         bool b = false;  // unsigned below
     };
 
-    /// Slow-path fetch: per-byte checked reads + decode.  The single source
-    /// of truth for fetch trap kinds; the decode cache only serves
-    /// instructions this path would fetch identically.
+    /// Slow-path fetch: per-byte checked reads + decode.  The byte-level
+    /// reference decoder and single source of truth for fetch trap kinds;
+    /// the decode cache only serves instructions this path would fetch
+    /// identically.
     [[nodiscard]] bool fetch(isa::Insn& out);
-    void execute(const isa::Insn& insn);
-    [[nodiscard]] bool push32(std::uint32_t v);
-    [[nodiscard]] bool pop32(std::uint32_t& out);
-    void branch_to(std::uint32_t target) noexcept { ip_ = target; }
-    [[nodiscard]] bool check_indirect_target(std::uint32_t target);
     void apply_step_fault(const fault::StepFault& f);
-    void execute_capability(const isa::Insn& insn, std::uint32_t next);
-    void do_call(std::uint32_t target, std::uint32_t return_addr);
-    void do_ret();
     void do_sys(std::uint8_t number);
 
     /// Provenance implied by a trap kind alone (None when ambiguous).
@@ -283,9 +274,9 @@ private:
     /// module; also reports whether this is a legal entry-point transition.
     [[nodiscard]] bool pma_allows_fetch(std::uint32_t addr) const noexcept;
 
-    /// Tier-2 eligibility, re-evaluated on every run() iteration: the fast
-    /// engine is only entered when nothing observable distinguishes it from
-    /// the fully instrumented step() loop.
+    /// Whether run() may use the unobserved loop, re-evaluated on every
+    /// run() iteration: only when nothing observable distinguishes it from
+    /// the observed one.
     [[nodiscard]] bool fast_eligible() const noexcept {
         return opts_.fast_engine && opts_.decode_cache && !opts_.pure_capability &&
                tracer_ == nullptr && profiler_ == nullptr && faults_ == nullptr &&

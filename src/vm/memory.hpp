@@ -167,8 +167,8 @@ public:
     [[nodiscard]] std::uint64_t pages_materialised() const noexcept { return materialised_; }
 
 private:
-    // The tier-2 engine (engine_fast.cpp) walks pages directly — same
-    // checks as the public accessors, without the per-call page lookup.
+    // The engine (engine_fast.cpp) walks pages directly — same checks as
+    // the public accessors, without the per-call page lookup.
     friend class FastEngine;
 
     struct Page {
@@ -197,7 +197,7 @@ private:
     void materialise(Page& p);
 
     // Node-based map: a Page's address is stable until its unmap, which the
-    // lookup cache and the tier-2 engine's code-page pointer rely on.
+    // lookup cache and the engine's code-page pointer rely on.
     std::unordered_map<std::uint32_t, Page> pages_;
     // Machine-wide monotonic mutation counter: generations are never reused,
     // even across an unmap/map cycle of the same page index.

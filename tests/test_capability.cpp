@@ -88,6 +88,22 @@ TEST(Capability, WritePermissionIsChecked) {
     EXPECT_TRUE(rw.ok()) << rw.trap.to_string();
 }
 
+TEST(Capability, OffsetRegisterBeyondTheRegisterFileTraps) {
+    // The offset-register field is four bits wide but the machine has ten
+    // registers: naming r10-r15 is an invalid instruction, not a read of
+    // whatever follows the register file.
+    using swsec::isa::Op;
+    using swsec::isa::Reg;
+    for (const Op op : {Op::CLoad, Op::CStore, Op::CSetB}) {
+        swsec::isa::Encoder e;
+        e.reg_imm8(op, Reg::R0, 0x0f); // cap 0, offset "register" 15
+        e.none(Op::Halt);
+        const auto r = run_with_capability(e.take(), kData, swsec::vm::Perm::RW);
+        EXPECT_EQ(r.trap.kind, TrapKind::InvalidInstruction) << r.trap.to_string();
+        EXPECT_EQ(r.trap.detail, "capability operand names no register");
+    }
+}
+
 TEST(Capability, UntaggedCapabilityIsDead) {
     // A capability with a cleared tag grants nothing, whatever its fields.
     swsec::isa::Encoder e;

@@ -32,28 +32,50 @@ TEST(DecodeCache, HitMissAndGenerationInvalidation) {
     mem.protect(0x1000, 0x1000, Perm::RX);
 
     DecodeCache dc;
-    const auto* i1 = dc.lookup(mem, 0x1000, Perm::R);
-    ASSERT_NE(i1, nullptr);
-    EXPECT_EQ(i1->op, Op::MovI);
-    EXPECT_EQ(i1->imm, 111);
+    const DecodeCache::FastPageRef r1 = dc.fast_page(mem, 0x1000, Perm::R);
+    ASSERT_NE(r1.ops, nullptr);
+    EXPECT_EQ((*r1.ops)[0].h, FastHandler::Unbuilt);
+    dc.build_fast(r1, 0);
+    const FastOp& f1 = (*r1.ops)[0];
+    EXPECT_EQ(f1.h, FastHandler::MovI);
+    EXPECT_EQ(f1.opcode, static_cast<std::uint8_t>(Op::MovI));
+    EXPECT_EQ(f1.imm, 111);
     EXPECT_EQ(dc.decodes(), 1u);
 
-    // Second lookup at the same address is a pure hit: no new decode.
-    const auto* i2 = dc.lookup(mem, 0x1000, Perm::R);
-    EXPECT_EQ(i2, i1);
+    // Resolving the page again at the same generation finds the slot still
+    // built: a dispatch from it is a pure hit, no new decode.
+    const DecodeCache::FastPageRef r2 = dc.fast_page(mem, 0x1000, Perm::R);
+    EXPECT_EQ(r2.ops, r1.ops);
+    EXPECT_EQ((*r2.ops)[0].h, FastHandler::MovI);
     EXPECT_EQ(dc.decodes(), 1u);
-    EXPECT_GE(dc.hits(), 1u);
 
-    // Any write to the page bumps its generation; the next lookup must
-    // re-decode the new bytes, and count one invalidation.
+    // Any write to the page bumps its generation; the next resolve must
+    // reset the slot, count one invalidation, and rebuild the new bytes.
     mem.protect(0x1000, 0x1000, Perm::RW);
     mem.raw_write8(0x1002, 222); // low byte of MovI's imm32
     mem.protect(0x1000, 0x1000, Perm::RX);
-    const auto* i3 = dc.lookup(mem, 0x1000, Perm::R);
-    ASSERT_NE(i3, nullptr);
-    EXPECT_EQ(i3->imm, 222);
+    const DecodeCache::FastPageRef r3 = dc.fast_page(mem, 0x1000, Perm::R);
+    ASSERT_NE(r3.ops, nullptr);
+    EXPECT_EQ((*r3.ops)[0].h, FastHandler::Unbuilt);
     EXPECT_EQ(dc.invalidations(), 1u);
+    dc.build_fast(r3, 0);
+    EXPECT_EQ((*r3.ops)[0].imm, 222);
     EXPECT_EQ(dc.decodes(), 2u);
+
+    // Hits are credited per instruction dispatched from a built slot: a
+    // machine executing the MovI twice decodes it once and hits twice.
+    Machine m;
+    m.memory().map(0x1000, 0x1000, Perm::RX);
+    m.memory().protect(0x1000, 0x1000, Perm::RW);
+    m.memory().raw_write(0x1000, e.bytes());
+    m.memory().protect(0x1000, 0x1000, Perm::RX);
+    for (int pass = 0; pass < 2; ++pass) {
+        m.set_ip(0x1000);
+        m.step();
+    }
+    EXPECT_EQ(m.reg(Reg::R0), 111u);
+    EXPECT_EQ(m.decode_cache().decodes(), 1u);
+    EXPECT_GE(m.decode_cache().hits(), 1u);
 }
 
 TEST(DecodeCache, PermissionMismatchFallsToSlowPath) {
@@ -65,11 +87,14 @@ TEST(DecodeCache, PermissionMismatchFallsToSlowPath) {
 
     DecodeCache dc;
     // Asking for R|X on an RW page must refuse (the slow path owns the trap).
-    EXPECT_EQ(dc.lookup(mem, 0x1000, Perm::R | Perm::X), nullptr);
+    EXPECT_EQ(dc.fast_page(mem, 0x1000, Perm::R | Perm::X).ops, nullptr);
     // Plain R is satisfied.
-    EXPECT_NE(dc.lookup(mem, 0x1000, Perm::R), nullptr);
+    const DecodeCache::FastPageRef ref = dc.fast_page(mem, 0x1000, Perm::R);
+    ASSERT_NE(ref.ops, nullptr);
+    dc.build_fast(ref, 0);
+    EXPECT_EQ((*ref.ops)[0].h, FastHandler::Halt);
     // Unmapped address: refuse.
-    EXPECT_EQ(dc.lookup(mem, 0x5000, Perm::R), nullptr);
+    EXPECT_EQ(dc.fast_page(mem, 0x5000, Perm::R).ops, nullptr);
 }
 
 TEST(DecodeCache, PageTailAlwaysSlowPath) {
@@ -82,12 +107,21 @@ TEST(DecodeCache, PageTailAlwaysSlowPath) {
     mem.protect(0x1000, 0x2000, Perm::RX);
 
     DecodeCache dc;
+    const DecodeCache::FastPageRef ref = dc.fast_page(mem, 0x1000, Perm::R);
+    ASSERT_NE(ref.ops, nullptr);
     // The last kMaxInsnLength-1 bytes of a page may straddle into the next
-    // page, so the cache refuses them unconditionally.
-    EXPECT_EQ(dc.lookup(mem, 0x1fff, Perm::R), nullptr);
-    EXPECT_EQ(dc.lookup(mem, 0x2000 - swsec::isa::kMaxInsnLength + 1, Perm::R), nullptr);
+    // page, so the cache refuses them unconditionally (without decoding).
+    constexpr std::uint32_t kLimit = kPageSize - swsec::isa::kMaxInsnLength;
+    dc.build_fast(ref, kPageSize - 1);
+    EXPECT_EQ((*ref.ops)[kPageSize - 1].h, FastHandler::Slow);
+    dc.build_fast(ref, kLimit + 1);
+    EXPECT_EQ((*ref.ops)[kLimit + 1].h, FastHandler::Slow);
+    EXPECT_EQ(dc.decodes(), 0u);
     // One byte earlier is cacheable.
-    EXPECT_NE(dc.lookup(mem, 0x2000 - swsec::isa::kMaxInsnLength, Perm::R), nullptr);
+    dc.build_fast(ref, kLimit);
+    EXPECT_NE((*ref.ops)[kLimit].h, FastHandler::Slow);
+    dc.build_fast(ref, kLimit - 1);
+    EXPECT_EQ((*ref.ops)[kLimit - 1].h, FastHandler::Nop);
 }
 
 // --- Machine-level self-modifying code ---------------------------------------

@@ -1,18 +1,26 @@
 // Tiered-execution-engine tests (DESIGN.md §13).
 //
-// The tier-2 fast engine's contract is byte-identical architectural
-// behaviour to the fully instrumented step() loop: same registers, step
-// counts and traps for every program, with deoptimization at page
-// generation bumps, budget boundaries (including *inside* a fused
-// superinstruction), observer attach, and NX/PMA transitions.  These tests
-// pin the deopt points one by one; the fuzzer's engine-A/engine-B oracle
-// covers the same contract over generated programs.
+// Both loops run the same handler bodies, so what these tests police is how
+// the unobserved loop ("tier 2") strings them together: its contract is
+// byte-identical architectural behaviour to the observed loop ("tier 1"),
+// with deoptimization at page generation bumps, budget boundaries
+// (including *inside* a fused superinstruction), observer attach, and
+// NX/PMA transitions, and the observed loop runs a fused slot's head
+// alone.  These tests pin the deopt points and the fused shapes one by
+// one; the fuzzer's engine-A/engine-B oracle covers the same contract over
+// generated programs.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "isa/encoder.hpp"
 #include "profile/profiler.hpp"
 #include "trace/trace.hpp"
+#include "vm/decode_cache.hpp"
 #include "vm/machine.hpp"
 #include "vm/memory.hpp"
 
@@ -42,9 +50,9 @@ struct Runner {
     }
 };
 
-/// Mixed straight-line + branch + call/ret workload exercising the fused
-/// patterns (cmp+jcc, push+call, leave+ret, movi+pop, load+push): a loop
-/// summing values through a one-argument function call.
+/// Mixed straight-line + branch + call/ret workload exercising five fused
+/// families (cmpi+jcc, push+call, leave+ret, movi+pop, load+push): a loop
+/// summing values through a one-argument function call.  r3 ends at 30.
 Encoder mixed_program() {
     Encoder e;
     // main: r2 = counter, r3 = accumulator
@@ -75,8 +83,55 @@ Encoder mixed_program() {
     return e;
 }
 
-/// Run the same encoder under tier 2 (fast engine) and tier 1 (disabled)
-/// and require identical architectural results.
+/// The other four fused families (cmp+jcc, push+push+call, load+add,
+/// load+addi): a loop calling a two-argument function and accumulating a
+/// counter kept in memory.  r3 ends at 40.
+Encoder fused_program() {
+    Encoder e;
+    // main: r2 = counter, r3 = accumulator, r4 = &word, word = 3
+    e.reg_imm32(Op::MovI, Reg::R2, 4);
+    e.reg_imm32(Op::MovI, Reg::R3, 0);
+    e.reg_imm32(Op::MovI, Reg::R4, 0xf800);
+    e.reg_imm32(Op::MovI, Reg::R5, 3);
+    e.reg_mem(Op::Store, Reg::R4, Reg::R5, 0);
+    const auto loop = e.size();
+    e.reg(Op::Push, Reg::R2); // push; push; call add2        -> FusedPushPushCall
+    e.reg(Op::Push, Reg::R5);
+    const auto call = e.rel32(Op::Call, 0);
+    e.reg_imm32(Op::AddI, Reg::Sp, 8);
+    e.reg_mem(Op::Load, Reg::R1, Reg::R4, 0); // load; add     -> FusedLoadAdd
+    e.reg_reg(Op::Add, Reg::R3, Reg::R1);
+    e.reg_mem(Op::Load, Reg::R6, Reg::R4, 0); // load; addi    -> FusedLoadAddI
+    e.reg_imm32(Op::AddI, Reg::R6, 1);
+    e.reg_mem(Op::Store, Reg::R4, Reg::R6, 0);
+    e.reg_imm32(Op::SubI, Reg::R2, 1);
+    e.reg_imm32(Op::MovI, Reg::R7, 0);
+    e.reg_reg(Op::Cmp, Reg::R2, Reg::R7); // cmp; jg           -> FusedCmpJcc
+    const auto jg = e.rel32(Op::Jg, 0);
+    e.none(Op::Halt);
+    // add2(a, b): r3 += a + b, classic frame
+    const auto fn = e.size();
+    e.reg(Op::Push, Reg::Bp);
+    e.reg_reg(Op::MovR, Reg::Bp, Reg::Sp);
+    e.reg_mem(Op::Load, Reg::R0, Reg::Bp, 8);
+    e.reg_mem(Op::Load, Reg::R1, Reg::Bp, 12); // load; add    -> FusedLoadAdd
+    e.reg_reg(Op::Add, Reg::R0, Reg::R1);
+    e.reg_reg(Op::Add, Reg::R3, Reg::R0);
+    e.none(Op::Leave);
+    e.none(Op::Ret);
+    e.patch_rel32(call, fn);
+    e.patch_rel32(jg, loop);
+    return e;
+}
+
+/// Both workloads with the value each leaves in r3.
+std::vector<std::pair<Encoder, std::uint32_t>> workloads() {
+    return {{mixed_program(), 30}, {fused_program(), 40}};
+}
+
+/// Run the same encoder under the unobserved loop (fast engine) and the
+/// observed loop throughout (disabled) and require identical architectural
+/// results.
 void expect_ab_identical(const Encoder& e, std::uint64_t max_steps = 10000) {
     MachineOptions fast;
     MachineOptions slow;
@@ -100,15 +155,19 @@ void expect_ab_identical(const Encoder& e, std::uint64_t max_steps = 10000) {
 // --- tier selection ----------------------------------------------------------
 
 TEST(TierSelection, DefaultMachineRunsTier2) {
-    Runner r;
-    const auto res = r.run(mixed_program());
-    EXPECT_EQ(res.trap.kind, TrapKind::Halted);
-    EXPECT_EQ(r.m.reg(Reg::R3), 2u * (5 + 4 + 3 + 2 + 1));
-    const DispatchStats& d = r.m.dispatch_stats();
-    EXPECT_GT(d.tier2_entries, 0u);
-    EXPECT_GT(d.fast_steps, 0u);
-    EXPECT_GT(d.superinsns_retired, 0u) << "the workload contains every fused pattern";
-    EXPECT_GT(r.m.decode_cache().fused_built(), 0u);
+    // Between them the two workloads contain every fused family
+    // (FusedShapes.TheTwoWorkloadsBuildAllNineFamilies).
+    for (const auto& [program, r3] : workloads()) {
+        Runner r;
+        const auto res = r.run(program);
+        EXPECT_EQ(res.trap.kind, TrapKind::Halted);
+        EXPECT_EQ(r.m.reg(Reg::R3), r3);
+        const DispatchStats& d = r.m.dispatch_stats();
+        EXPECT_GT(d.tier2_entries, 0u);
+        EXPECT_GT(d.fast_steps, 0u);
+        EXPECT_GT(d.superinsns_retired, 0u);
+        EXPECT_GT(r.m.decode_cache().fused_built(), 0u);
+    }
 }
 
 TEST(TierSelection, ObserversAndOptionsForceTier1) {
@@ -178,6 +237,96 @@ TEST(TierSelection, ProtectedModulesForceTier1) {
 
 TEST(EngineAB, MixedWorkloadIdentical) { expect_ab_identical(mixed_program()); }
 
+TEST(EngineAB, FusedShapesWorkloadIdentical) {
+    expect_ab_identical(fused_program());
+    // Every budget that ends inside a fused group, too.
+    for (std::uint64_t budget = 1; budget <= 40; ++budget) {
+        SCOPED_TRACE("budget=" + std::to_string(budget));
+        expect_ab_identical(fused_program(), budget);
+    }
+}
+
+// --- fused shapes --------------------------------------------------------------
+
+const std::set<FastHandler> kFusedFamilies = {
+    FastHandler::FusedCmpJcc,       FastHandler::FusedCmpIJcc,  FastHandler::FusedPushPushCall,
+    FastHandler::FusedPushCall,     FastHandler::FusedLoadAdd,  FastHandler::FusedLoadAddI,
+    FastHandler::FusedLoadPush,     FastHandler::FusedMovIPop,  FastHandler::FusedLeaveRet};
+
+/// The fused families build_fast emits when walking `e`'s instructions in
+/// order from the start of a page.
+std::set<FastHandler> fused_families(const Encoder& e) {
+    Memory mem;
+    mem.map(kCode, 0x1000, Perm::RX);
+    mem.protect(kCode, 0x1000, Perm::RW);
+    mem.raw_write(kCode, e.bytes());
+    mem.protect(kCode, 0x1000, Perm::RX);
+    DecodeCache dc;
+    const DecodeCache::FastPageRef ref = dc.fast_page(mem, kCode, Perm::R);
+    std::set<FastHandler> out;
+    for (std::uint32_t off = 0; off < e.size();) {
+        dc.build_fast(ref, off);
+        const FastOp& op = (*ref.ops)[off];
+        EXPECT_NE(op.h, FastHandler::Slow) << "offset " << off;
+        if (kFusedFamilies.contains(op.h)) {
+            out.insert(op.h);
+        }
+        off += op.len;
+    }
+    return out;
+}
+
+TEST(FusedShapes, TheTwoWorkloadsBuildAllNineFamilies) {
+    std::set<FastHandler> all = fused_families(mixed_program());
+    const std::set<FastHandler> second = fused_families(fused_program());
+    all.insert(second.begin(), second.end());
+    EXPECT_EQ(all, kFusedFamilies);
+    EXPECT_EQ(second, (std::set<FastHandler>{
+                          FastHandler::FusedCmpJcc, FastHandler::FusedPushPushCall,
+                          FastHandler::FusedPushCall, FastHandler::FusedLoadAdd,
+                          FastHandler::FusedLoadAddI, FastHandler::FusedLeaveRet}));
+}
+
+TEST(FusedShapes, TracerSeesOneInsnEventPerRetiredStep) {
+    // The observed loop executes only the head of a fused slot, so a traced
+    // run reports every architectural instruction once, in step order.
+    for (const auto& [program, r3] : workloads()) {
+        Runner r;
+        swsec::trace::Tracer tracer;
+        r.m.set_tracer(&tracer);
+        const auto res = r.run(program);
+        ASSERT_EQ(res.trap.kind, TrapKind::Halted);
+        EXPECT_EQ(r.m.reg(Reg::R3), r3);
+        std::uint64_t expected_step = 0;
+        for (const auto& ev : tracer.events()) {
+            if (ev.kind == swsec::trace::EventKind::InsnRetired) {
+                EXPECT_EQ(ev.step, expected_step++);
+            }
+        }
+        // Every step retired an instruction except the trapping halt.
+        EXPECT_EQ(expected_step, res.steps - 1);
+        EXPECT_EQ(tracer.counters().instructions, res.steps - 1);
+        EXPECT_GT(r.m.decode_cache().fused_built(), 0u) << "the traced run built fused slots";
+    }
+}
+
+TEST(FusedShapes, TracesIdenticalWithDecodeCacheOnAndOff) {
+    for (const Encoder& program : {mixed_program(), fused_program()}) {
+        std::string jsonl[2];
+        for (const bool cache : {true, false}) {
+            MachineOptions opts;
+            opts.decode_cache = cache;
+            Runner r(opts);
+            swsec::trace::Tracer tracer;
+            r.m.set_tracer(&tracer);
+            EXPECT_EQ(r.run(program).trap.kind, TrapKind::Halted);
+            jsonl[cache ? 0 : 1] = tracer.to_jsonl();
+        }
+        EXPECT_FALSE(jsonl[0].empty());
+        EXPECT_EQ(jsonl[0], jsonl[1]);
+    }
+}
+
 TEST(EngineAB, TrapProvenanceIdentical) {
     // A faulting store through a fused-adjacent sequence: trap ip/addr/msg
     // must match tier 1 exactly.
@@ -245,7 +394,7 @@ TEST(EngineAB, ShadowStackAndCfiReplicatedInTier2) {
 // --- deopt: budget boundaries ------------------------------------------------
 
 TEST(Deopt, WatchdogExpiryInsideFusedSuperinstruction) {
-    // cmp+jcc fuses to one nsteps=2 dispatch.  With a budget that dies
+    // cmp+jcc fuses to one two-step dispatch.  With a budget that dies
     // between the cmp and the jcc, tier 2 must hand the head instruction to
     // tier 1 alone so the watchdog fires at exactly the same instruction —
     // and report the jcc's address as where the budget died.

@@ -149,6 +149,24 @@ TEST(FuzzDriver, SerialAndParallelReportsAreIdentical) {
     EXPECT_TRUE(a.clean()) << a.summary();
 }
 
+// The traced runs' slow-path fetch tally is a miss count, not
+// DecodeCache::decodes() (which the matrix exports as dcache_decodes_total):
+// it is exported under its own name, with its source pinned.
+TEST(FuzzDriver, MetricsExportTracedCacheMissesUnderTheirOwnName) {
+    fuzz::FuzzOptions opts;
+    opts.seed_base = 1;
+    opts.seeds = 3;
+    const fuzz::FuzzReport report = fuzz::run_fuzz(opts);
+    const profile::Registry reg = fuzz::fuzz_metrics(report);
+    const profile::Labels base = {{"harness", "fuzz"}};
+    EXPECT_GT(report.counters.dcache_misses, 0u) << "the cache-off traced runs miss every step";
+    EXPECT_EQ(reg.counter("dcache_misses_total", base), report.counters.dcache_misses);
+    EXPECT_EQ(reg.counter("dcache_hits_total", base), report.counters.dcache_hits);
+    const std::string prom = reg.to_prometheus();
+    EXPECT_NE(prom.find("# HELP dcache_misses_total "), std::string::npos);
+    EXPECT_EQ(prom.find("dcache_decodes_total"), std::string::npos);
+}
+
 // ---- satellite 1: compile-time folding == machine semantics -------------
 
 TEST(FoldSemantics, EveryOperatorMatchesTheMachine) {

@@ -6,6 +6,11 @@
 // faults).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "core/matrix.hpp"
 #include "core/trace_scenarios.hpp"
 #include "trace/trace.hpp"
@@ -171,9 +176,20 @@ TEST(TraceProvenanceDetail, FaultScenarioRecordsInjectionBeforeTrap) {
 
 // The decode cache is a pure performance device: with it off the trace must
 // not change by a single byte.  (Cache hit tallies live in Counters, which
-// are deliberately outside the event stream.)
+// are deliberately outside the event stream.)  Both streams must also equal
+// a committed golden: with cache on and off running the same handler
+// bodies, only a golden catches a change that moves both sides at once,
+// such as a trap event numbered one step late.  A golden changes only with
+// an intended change of the event stream: `swsec trace <scenario>
+// --trace-out tests/golden/trace/<scenario>.jsonl`.
 TEST(TraceEquivalence, DecodeCacheOnOffTracesAreByteIdentical) {
-    for (const char* scenario : {"baseline", "canary", "dep", "memcheck", "fault"}) {
+    for (const std::string& scenario : core::trace_scenario_names()) {
+        const std::filesystem::path golden =
+            std::filesystem::path(SWSEC_TRACE_GOLDEN_DIR) / (scenario + ".jsonl");
+        std::ifstream in(golden, std::ios::binary);
+        ASSERT_TRUE(in) << "missing golden " << golden;
+        std::ostringstream expected;
+        expected << in.rdbuf();
         TraceScenarioOptions on;
         TraceScenarioOptions off;
         off.decode_cache = false;
@@ -181,6 +197,7 @@ TEST(TraceEquivalence, DecodeCacheOnOffTracesAreByteIdentical) {
         const auto b = run_trace_scenario(scenario, off);
         EXPECT_EQ(a.events_jsonl, b.events_jsonl) << scenario;
         EXPECT_EQ(a.counters.instructions, b.counters.instructions) << scenario;
+        EXPECT_EQ(a.events_jsonl, expected.str()) << scenario << " differs from " << golden;
     }
 }
 

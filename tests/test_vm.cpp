@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "isa/encoder.hpp"
@@ -171,6 +172,26 @@ struct Runner {
     }
 };
 
+/// The three ways a machine executes a program: the default (the unobserved
+/// loop, decode cache on), the observed loop throughout (fast_engine off),
+/// and the observed loop fetching every instruction through Machine::fetch
+/// (decode cache off).  Both loops share one set of handler bodies, so the
+/// A/B and cache on/off oracles compare a handler with itself; these
+/// absolute expectations, asserted under each configuration, are what
+/// catch a wrong opcode.
+struct EngineConfig {
+    const char* name;
+    MachineOptions opts;
+};
+
+std::vector<EngineConfig> engine_configs(MachineOptions base = {}) {
+    MachineOptions observed = base;
+    observed.fast_engine = false;
+    MachineOptions uncached = base;
+    uncached.decode_cache = false;
+    return {{"default", base}, {"fast_engine=false", observed}, {"decode_cache=false", uncached}};
+}
+
 TEST(Machine, ArithmeticAndFlags) {
     Encoder e;
     e.reg_imm32(Op::MovI, Reg::R0, 10);
@@ -178,10 +199,13 @@ TEST(Machine, ArithmeticAndFlags) {
     e.reg_reg(Op::Sub, Reg::R0, Reg::R1); // 7
     e.reg_imm32(Op::MulI, Reg::R0, 6);    // 42
     e.none(Op::Halt);
-    Runner r;
-    const auto res = r.run(e);
-    EXPECT_EQ(res.trap.kind, TrapKind::Halted);
-    EXPECT_EQ(r.m.reg(Reg::R0), 42u);
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        const auto res = r.run(e);
+        EXPECT_EQ(res.trap.kind, TrapKind::Halted);
+        EXPECT_EQ(r.m.reg(Reg::R0), 42u);
+    }
 }
 
 TEST(Machine, SignedDivisionAndRemainder) {
@@ -190,9 +214,12 @@ TEST(Machine, SignedDivisionAndRemainder) {
     e.reg_imm32(Op::MovI, Reg::R1, 5);
     e.reg_reg(Op::Rems, Reg::R0, Reg::R1); // -17 % 5 = -2
     e.none(Op::Halt);
-    Runner r;
-    (void)r.run(e);
-    EXPECT_EQ(static_cast<std::int32_t>(r.m.reg(Reg::R0)), -2);
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        (void)r.run(e);
+        EXPECT_EQ(static_cast<std::int32_t>(r.m.reg(Reg::R0)), -2);
+    }
 }
 
 TEST(Machine, DivideByZeroTraps) {
@@ -200,8 +227,11 @@ TEST(Machine, DivideByZeroTraps) {
     e.reg_imm32(Op::MovI, Reg::R0, 1);
     e.reg_imm32(Op::MovI, Reg::R1, 0);
     e.reg_reg(Op::Divs, Reg::R0, Reg::R1);
-    Runner r;
-    EXPECT_EQ(r.run(e).trap.kind, TrapKind::DivByZero);
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        EXPECT_EQ(r.run(e).trap.kind, TrapKind::DivByZero);
+    }
 }
 
 TEST(Machine, ConditionalBranches) {
@@ -216,9 +246,12 @@ TEST(Machine, ConditionalBranches) {
     e.reg_imm32(Op::MovI, Reg::R0, 1);
     e.none(Op::Halt);
     e.patch_rel32(jl, target);
-    Runner r;
-    (void)r.run(e);
-    EXPECT_EQ(r.m.reg(Reg::R0), 1u);
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        (void)r.run(e);
+        EXPECT_EQ(r.m.reg(Reg::R0), 1u);
+    }
 }
 
 TEST(Machine, UnsignedVsSignedComparison) {
@@ -233,9 +266,12 @@ TEST(Machine, UnsignedVsSignedComparison) {
     e.reg_imm32(Op::MovI, Reg::R0, 7);
     e.none(Op::Halt);
     e.patch_rel32(jb, wrong);
-    Runner r;
-    (void)r.run(e);
-    EXPECT_EQ(r.m.reg(Reg::R0), 42u);
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        (void)r.run(e);
+        EXPECT_EQ(r.m.reg(Reg::R0), 42u);
+    }
 }
 
 TEST(Machine, CallRetAndLeave) {
@@ -249,11 +285,14 @@ TEST(Machine, CallRetAndLeave) {
     e.none(Op::Leave);
     e.none(Op::Ret);
     e.patch_rel32(call, fn);
-    Runner r;
-    const auto res = r.run(e);
-    EXPECT_EQ(res.trap.kind, TrapKind::Halted);
-    EXPECT_EQ(r.m.reg(Reg::R0), 99u);
-    EXPECT_EQ(r.m.sp(), 0xff00u); // balanced
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        const auto res = r.run(e);
+        EXPECT_EQ(res.trap.kind, TrapKind::Halted);
+        EXPECT_EQ(r.m.reg(Reg::R0), 99u);
+        EXPECT_EQ(r.m.sp(), 0xff00u); // balanced
+    }
 }
 
 TEST(Machine, LoadStoreByteAndWord) {
@@ -263,10 +302,13 @@ TEST(Machine, LoadStoreByteAndWord) {
     e.reg_mem(Op::Store, Reg::R1, Reg::R0, 0); // [r1+0] = r0
     e.reg_mem(Op::Load8, Reg::R2, Reg::R1, 1); // r2 = byte at 0x8001 = 0x33
     e.none(Op::Halt);
-    Runner r;
-    (void)r.run(e);
-    EXPECT_EQ(r.m.reg(Reg::R2), 0x33u);
-    EXPECT_EQ(r.m.memory().raw_read32(0x8000), 0x11223344u);
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        (void)r.run(e);
+        EXPECT_EQ(r.m.reg(Reg::R2), 0x33u);
+        EXPECT_EQ(r.m.memory().raw_read32(0x8000), 0x11223344u);
+    }
 }
 
 TEST(Machine, DepBlocksFetchFromData) {
@@ -275,10 +317,13 @@ TEST(Machine, DepBlocksFetchFromData) {
     e.reg(Op::JmpR, Reg::R0); // jump into non-executable data
     MachineOptions opts;
     opts.enforce_nx = true;
-    Runner r(opts);
-    r.m.memory().raw_write8(0x8000, 0x90);
-    const auto res = r.run(e);
-    EXPECT_EQ(res.trap.kind, TrapKind::SegvExec);
+    for (const EngineConfig& c : engine_configs(opts)) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        r.m.memory().raw_write8(0x8000, 0x90);
+        const auto res = r.run(e);
+        EXPECT_EQ(res.trap.kind, TrapKind::SegvExec);
+    }
 }
 
 TEST(Machine, WithoutDepDataExecutes) {
@@ -288,12 +333,15 @@ TEST(Machine, WithoutDepDataExecutes) {
     Encoder data;
     data.reg_imm32(Op::MovI, Reg::R0, 7);
     data.none(Op::Halt);
-    Runner r;
-    r.m.memory().protect(0x8000, 0x1000, Perm::RWX);
-    r.m.memory().raw_write(0x8000, data.bytes());
-    const auto res = r.run(code);
-    EXPECT_EQ(res.trap.kind, TrapKind::Halted);
-    EXPECT_EQ(r.m.reg(Reg::R0), 7u);
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        r.m.memory().protect(0x8000, 0x1000, Perm::RWX);
+        r.m.memory().raw_write(0x8000, data.bytes());
+        const auto res = r.run(code);
+        EXPECT_EQ(res.trap.kind, TrapKind::Halted);
+        EXPECT_EQ(r.m.reg(Reg::R0), 7u);
+    }
 }
 
 TEST(Machine, ShadowStackCatchesReturnHijack) {
@@ -312,12 +360,18 @@ TEST(Machine, ShadowStackCatchesReturnHijack) {
     e.patch_rel32(call, fn);
     MachineOptions opts;
     opts.hardware_shadow_stack = true;
-    Runner r(opts);
-    EXPECT_EQ(r.run(e).trap.kind, TrapKind::ShadowStackViolation);
+    for (const EngineConfig& c : engine_configs(opts)) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        EXPECT_EQ(r.run(e).trap.kind, TrapKind::ShadowStackViolation);
+    }
     // Without the shadow stack the hijack sails through to the target.
-    Runner r2;
-    EXPECT_EQ(r2.run(e).trap.kind, TrapKind::Halted);
-    EXPECT_EQ(r2.m.reg(Reg::R0), 2u);
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r2(c.opts);
+        EXPECT_EQ(r2.run(e).trap.kind, TrapKind::Halted);
+        EXPECT_EQ(r2.m.reg(Reg::R0), 2u);
+    }
 }
 
 TEST(Machine, CoarseCfiChecksIndirectTargets) {
@@ -327,31 +381,37 @@ TEST(Machine, CoarseCfiChecksIndirectTargets) {
     e.none(Op::Halt);
     MachineOptions opts;
     opts.coarse_cfi = true;
-    Runner r(opts);
-    r.m.set_cfi_targets({0x1000}); // 0x1040 not approved
-    EXPECT_EQ(r.run(e).trap.kind, TrapKind::CfiViolation);
+    for (const EngineConfig& c : engine_configs(opts)) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        r.m.set_cfi_targets({0x1000}); // 0x1040 not approved
+        EXPECT_EQ(r.run(e).trap.kind, TrapKind::CfiViolation);
 
-    Runner r2(opts);
-    r2.m.set_cfi_targets({0x1000, 0x1040});
-    r2.m.memory().protect(0x1000, 0x1000, Perm::RW);
-    r2.m.memory().raw_write8(0x1040, 0x00); // halt at the target
-    r2.m.memory().protect(0x1000, 0x1000, Perm::RX);
-    EXPECT_EQ(r2.run(e).trap.kind, TrapKind::Halted);
+        Runner r2(c.opts);
+        r2.m.set_cfi_targets({0x1000, 0x1040});
+        r2.m.memory().protect(0x1000, 0x1000, Perm::RW);
+        r2.m.memory().raw_write8(0x1040, 0x00); // halt at the target
+        r2.m.memory().protect(0x1000, 0x1000, Perm::RX);
+        EXPECT_EQ(r2.run(e).trap.kind, TrapKind::Halted);
+    }
 }
 
 TEST(Machine, OutOfGas) {
     Encoder e;
     const auto j = e.rel32(Op::Jmp, 0);
     e.patch_rel32(j, 0); // jmp self
-    Runner r;
-    const auto res = r.run(e, 100);
-    EXPECT_EQ(res.trap.kind, TrapKind::OutOfGas);
-    EXPECT_EQ(res.steps, 100u);
-    // Trap provenance names where the budget died: the watchdog reports the
-    // address of the first instruction it refused to run, not addr 0.
-    EXPECT_EQ(res.trap.addr, 0x1000u);
-    EXPECT_NE(res.trap.detail.find("ip="), std::string::npos)
-        << "watchdog message should carry the ip: " << res.trap.detail;
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        const auto res = r.run(e, 100);
+        EXPECT_EQ(res.trap.kind, TrapKind::OutOfGas);
+        EXPECT_EQ(res.steps, 100u);
+        // Trap provenance names where the budget died: the watchdog reports
+        // the address of the first instruction it refused to run, not addr 0.
+        EXPECT_EQ(res.trap.addr, 0x1000u);
+        EXPECT_NE(res.trap.detail.find("ip="), std::string::npos)
+            << "watchdog message should carry the ip: " << res.trap.detail;
+    }
 }
 
 TEST(Machine, OutOfGasReportsCurrentIpMidProgram) {
@@ -361,12 +421,15 @@ TEST(Machine, OutOfGasReportsCurrentIpMidProgram) {
     e.none(Op::Nop);
     e.none(Op::Nop);
     e.none(Op::Nop);
-    Runner r;
-    const auto res = r.run(e, 2);
-    EXPECT_EQ(res.trap.kind, TrapKind::OutOfGas);
-    EXPECT_EQ(res.steps, 2u);
-    EXPECT_EQ(res.trap.addr, 0x1002u) << "watchdog should name the next unexecuted instruction";
-    EXPECT_EQ(res.trap.ip, 0x1002u);
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        const auto res = r.run(e, 2);
+        EXPECT_EQ(res.trap.kind, TrapKind::OutOfGas);
+        EXPECT_EQ(res.steps, 2u);
+        EXPECT_EQ(res.trap.addr, 0x1002u) << "watchdog should name the next unexecuted instruction";
+        EXPECT_EQ(res.trap.ip, 0x1002u);
+    }
 }
 
 // The budget contract: run(N) retires exactly N instructions for this call —
@@ -376,16 +439,19 @@ TEST(Machine, RunBudgetIsPerCall) {
     Encoder e;
     const auto j = e.rel32(Op::Jmp, 0);
     e.patch_rel32(j, 0); // jmp self
-    Runner r;
-    EXPECT_EQ(r.run(e, 5).trap.kind, TrapKind::OutOfGas);
-    EXPECT_EQ(r.m.steps_executed(), 5u);
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        EXPECT_EQ(r.run(e, 5).trap.kind, TrapKind::OutOfGas);
+        EXPECT_EQ(r.m.steps_executed(), 5u);
 
-    // A resumed run gets a fresh budget of 5, not "5 minus what's already
-    // on the odometer" (which would be zero and trap instantly).
-    r.m.clear_trap();
-    const auto res = r.m.run(5);
-    EXPECT_EQ(res.trap.kind, TrapKind::OutOfGas);
-    EXPECT_EQ(r.m.steps_executed(), 10u) << "second call must retire 5 more";
+        // A resumed run gets a fresh budget of 5, not "5 minus what's already
+        // on the odometer" (which would be zero and trap instantly).
+        r.m.clear_trap();
+        const auto res = r.m.run(5);
+        EXPECT_EQ(res.trap.kind, TrapKind::OutOfGas);
+        EXPECT_EQ(r.m.steps_executed(), 10u) << "second call must retire 5 more";
+    }
 }
 
 TEST(Machine, RunBudgetSaturatesNearUint64Max) {
@@ -393,27 +459,36 @@ TEST(Machine, RunBudgetSaturatesNearUint64Max) {
     // wrap around to a tiny one.
     Encoder e;
     e.none(Op::Halt);
-    Runner r;
-    (void)r.run(e, 10); // halts after 1 step; odometer now nonzero
-    r.m.clear_trap();
-    r.m.set_ip(0x1000);
-    const auto res = r.m.run(std::numeric_limits<std::uint64_t>::max());
-    EXPECT_EQ(res.trap.kind, TrapKind::Halted) << "saturated budget still runs";
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        (void)r.run(e, 10); // halts after 1 step; odometer now nonzero
+        r.m.clear_trap();
+        r.m.set_ip(0x1000);
+        const auto res = r.m.run(std::numeric_limits<std::uint64_t>::max());
+        EXPECT_EQ(res.trap.kind, TrapKind::Halted) << "saturated budget still runs";
+    }
 }
 
 TEST(Machine, InvalidOpcodeTraps) {
     Encoder e;
     const std::uint8_t junk[] = {0x04};
     e.raw(junk);
-    Runner r;
-    EXPECT_EQ(r.run(e).trap.kind, TrapKind::InvalidInstruction);
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        EXPECT_EQ(r.run(e).trap.kind, TrapKind::InvalidInstruction);
+    }
 }
 
 TEST(Machine, UnhandledSyscallTraps) {
     Encoder e;
     e.imm8(Op::Sys, 99);
-    Runner r; // no syscall handler attached
-    EXPECT_EQ(r.run(e).trap.kind, TrapKind::BadSyscall);
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts); // no syscall handler attached
+        EXPECT_EQ(r.run(e).trap.kind, TrapKind::BadSyscall);
+    }
 }
 
 // --- PMA rules at machine level ---------------------------------------------
