@@ -1,7 +1,9 @@
 #include "assembler/assembler.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -21,12 +23,18 @@ using objfmt::RelocKind;
 using objfmt::SectionKind;
 using objfmt::Symbol;
 
+// Number literals span the int32 and uint32 ranges, so both "-1" and
+// "0xFFFFFFFF" denote the all-ones word.
+constexpr std::int64_t kMinLiteral = -(std::int64_t{1} << 31);
+constexpr std::int64_t kMaxLiteral = (std::int64_t{1} << 32) - 1;
+
 // ---------------------------------------------------------------------------
 // Operand model
 // ---------------------------------------------------------------------------
 
+// Names are views into the source text, which outlives the assembler run.
 struct SymRef {
-    std::string name;
+    std::string_view name;
     std::int32_t addend = 0;
 };
 
@@ -40,11 +48,10 @@ struct Operand {
 };
 
 // ---------------------------------------------------------------------------
-// Lexical helpers
+// Lexical helpers: every line is scanned as views into the source text
 // ---------------------------------------------------------------------------
 
-std::string strip_comment(const std::string& line) {
-    std::string out;
+std::string_view strip_comment(std::string_view line) {
     bool in_str = false;
     for (std::size_t i = 0; i < line.size(); ++i) {
         const char c = line[i];
@@ -52,23 +59,31 @@ std::string strip_comment(const std::string& line) {
             in_str = !in_str;
         }
         if (!in_str && (c == ';' || c == '#')) {
-            break;
+            return line.substr(0, i);
         }
-        out.push_back(c);
     }
-    return out;
+    return line;
 }
 
-std::string trim(const std::string& s) {
-    std::size_t a = 0;
-    std::size_t b = s.size();
-    while (a < b && std::isspace(static_cast<unsigned char>(s[a])) != 0) {
-        ++a;
+bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+
+std::string_view trim(std::string_view s) {
+    while (!s.empty() && is_space(s.front())) {
+        s.remove_prefix(1);
     }
-    while (b > a && std::isspace(static_cast<unsigned char>(s[b - 1])) != 0) {
-        --b;
+    while (!s.empty() && is_space(s.back())) {
+        s.remove_suffix(1);
     }
-    return s.substr(a, b - a);
+    return s;
+}
+
+/// Split "name rest" at the first blank: {name, trimmed rest}.
+std::pair<std::string_view, std::string_view> split_head(std::string_view line) {
+    const std::size_t sp = line.find_first_of(" \t");
+    if (sp == std::string_view::npos) {
+        return {line, {}};
+    }
+    return {line.substr(0, sp), trim(line.substr(sp))};
 }
 
 bool is_ident_start(char c) {
@@ -78,7 +93,22 @@ bool is_ident_char(char c) {
     return is_ident_start(c) || std::isdigit(static_cast<unsigned char>(c)) != 0;
 }
 
-std::optional<std::int64_t> parse_number(const std::string& tok) {
+int digit_value(char c, int base) {
+    const char d = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (d >= '0' && d <= '9') {
+        return d - '0';
+    }
+    if (base == 16 && d >= 'a' && d <= 'f') {
+        return d - 'a' + 10;
+    }
+    return -1;
+}
+
+/// A decimal or 0x-hex literal with optional sign; nullopt when `tok` is not
+/// one.  A literal outside [kMinLiteral, kMaxLiteral] is a ParseError: each
+/// digit is range-checked before it is accumulated, so no literal can
+/// overflow or silently wrap into a different word.
+std::optional<std::int64_t> parse_number(std::string_view tok, int line) {
     if (tok.empty()) {
         return std::nullopt;
     }
@@ -91,37 +121,36 @@ std::optional<std::int64_t> parse_number(const std::string& tok) {
     if (i >= tok.size()) {
         return std::nullopt;
     }
-    std::int64_t value = 0;
+    int base = 10;
     if (tok.size() - i > 2 && tok[i] == '0' && (tok[i + 1] == 'x' || tok[i + 1] == 'X')) {
-        for (std::size_t j = i + 2; j < tok.size(); ++j) {
-            const char c = static_cast<char>(std::tolower(static_cast<unsigned char>(tok[j])));
-            int digit = 0;
-            if (c >= '0' && c <= '9') {
-                digit = c - '0';
-            } else if (c >= 'a' && c <= 'f') {
-                digit = c - 'a' + 10;
-            } else {
-                return std::nullopt;
-            }
-            value = value * 16 + digit;
+        base = 16;
+        i += 2;
+    }
+    std::int64_t value = 0;
+    bool out_of_range = false;
+    for (; i < tok.size(); ++i) {
+        const int digit = digit_value(tok[i], base);
+        if (digit < 0) {
+            return std::nullopt;
         }
-    } else {
-        for (std::size_t j = i; j < tok.size(); ++j) {
-            if (std::isdigit(static_cast<unsigned char>(tok[j])) == 0) {
-                return std::nullopt;
-            }
-            value = value * 10 + (tok[j] - '0');
+        if (value > (kMaxLiteral - digit) / base) {
+            out_of_range = true; // keep scanning: a non-digit still means "not a number"
+        } else if (!out_of_range) {
+            value = value * base + digit;
         }
+    }
+    if (out_of_range || (neg && -value < kMinLiteral)) {
+        throw ParseError("number out of range '" + std::string(tok) + "'", line);
     }
     return neg ? -value : value;
 }
 
-// Split "a, b, c" respecting quotes and brackets.
-std::vector<std::string> split_operands(const std::string& s) {
-    std::vector<std::string> out;
-    std::string cur;
+/// Calls `fn(token)` for each trimmed token of "a, b, c", respecting quotes
+/// and brackets.  An empty last token is dropped, as for a trailing comma.
+template <typename Fn> void for_each_operand(std::string_view s, Fn&& fn) {
     bool in_str = false;
     int depth = 0;
+    std::size_t start = 0;
     for (std::size_t i = 0; i < s.size(); ++i) {
         const char c = s[i];
         if (c == '"' && (i == 0 || s[i - 1] != '\\')) {
@@ -133,25 +162,22 @@ std::vector<std::string> split_operands(const std::string& s) {
             } else if (c == ']') {
                 --depth;
             } else if (c == ',' && depth == 0) {
-                out.push_back(trim(cur));
-                cur.clear();
-                continue;
+                fn(trim(s.substr(start, i - start)));
+                start = i + 1;
             }
         }
-        cur.push_back(c);
     }
-    const std::string last = trim(cur);
+    const std::string_view last = trim(s.substr(std::min(start, s.size())));
     if (!last.empty()) {
-        out.push_back(last);
+        fn(last);
     }
-    return out;
 }
 
-std::string unescape_string(const std::string& tok, int line) {
+/// Appends the bytes of the string literal `tok` (quotes included) to `out`.
+void unescape_string(std::string_view tok, int line, std::string& out) {
     if (tok.size() < 2 || tok.front() != '"' || tok.back() != '"') {
-        throw ParseError("expected string literal, got '" + tok + "'", line);
+        throw ParseError("expected string literal, got '" + std::string(tok) + "'", line);
     }
-    std::string out;
     for (std::size_t i = 1; i + 1 < tok.size(); ++i) {
         char c = tok[i];
         if (c == '\\' && i + 2 < tok.size()) {
@@ -179,7 +205,99 @@ std::string unescape_string(const std::string& tok, int line) {
         }
         out.push_back(c);
     }
-    return out;
+}
+
+// ---------------------------------------------------------------------------
+// The mnemonic table
+// ---------------------------------------------------------------------------
+
+// Operand shape of a mnemonic; each shape has one emitter and one set of
+// diagnostics in Assembler::emit_insn.
+enum class Form : std::uint8_t {
+    None,      // halt nop ret leave (operands are ignored)
+    RegOnly,   // pop not neg callr jmpr
+    Push,      // push reg | imm32 | sym
+    PushImm,   // pushi imm32
+    Alu,       // reg, reg | imm32 | sym  (op = register form, alt = immediate form)
+    RegImm32,  // movi addi ... cmpi (explicit immediate forms, as disassembled)
+    Shift,     // reg, reg | imm8  (op = register form, alt = immediate form)
+    RegImm8,   // shli shri sari, and the capability ops cload cstore csetb
+    RegReg,    // divs rems test
+    Load,      // reg, [base+disp]
+    Store,     // [base+disp], reg
+    Branch,    // label | raw rel32
+    JmpOrCall, // as Branch, or one register (alt = the register form)
+    Sys,       // sys imm8
+    CJmp,      // cjmp imm8
+};
+
+struct Mnemonic {
+    Form form;
+    Op op;
+    Op alt = Op::Nop;
+};
+
+const Mnemonic* find_mnemonic(std::string_view mn) {
+    static const std::unordered_map<std::string_view, Mnemonic> table = {
+        {"halt", {Form::None, Op::Halt}},
+        {"nop", {Form::None, Op::Nop}},
+        {"ret", {Form::None, Op::Ret}},
+        {"leave", {Form::None, Op::Leave}},
+        {"pop", {Form::RegOnly, Op::Pop}},
+        {"not", {Form::RegOnly, Op::Not}},
+        {"neg", {Form::RegOnly, Op::Neg}},
+        {"callr", {Form::RegOnly, Op::CallR}},
+        {"jmpr", {Form::RegOnly, Op::JmpR}},
+        {"push", {Form::Push, Op::Push, Op::PushI}},
+        {"pushi", {Form::PushImm, Op::PushI}},
+        {"mov", {Form::Alu, Op::MovR, Op::MovI}},
+        {"add", {Form::Alu, Op::Add, Op::AddI}},
+        {"sub", {Form::Alu, Op::Sub, Op::SubI}},
+        {"mul", {Form::Alu, Op::Mul, Op::MulI}},
+        {"and", {Form::Alu, Op::And, Op::AndI}},
+        {"or", {Form::Alu, Op::Or, Op::OrI}},
+        {"xor", {Form::Alu, Op::Xor, Op::XorI}},
+        {"cmp", {Form::Alu, Op::Cmp, Op::CmpI}},
+        {"movi", {Form::RegImm32, Op::MovI}},
+        {"addi", {Form::RegImm32, Op::AddI}},
+        {"subi", {Form::RegImm32, Op::SubI}},
+        {"muli", {Form::RegImm32, Op::MulI}},
+        {"andi", {Form::RegImm32, Op::AndI}},
+        {"ori", {Form::RegImm32, Op::OrI}},
+        {"xori", {Form::RegImm32, Op::XorI}},
+        {"cmpi", {Form::RegImm32, Op::CmpI}},
+        {"shl", {Form::Shift, Op::Shl, Op::ShlI}},
+        {"shr", {Form::Shift, Op::Shr, Op::ShrI}},
+        {"sar", {Form::Shift, Op::Sar, Op::SarI}},
+        {"shli", {Form::RegImm8, Op::ShlI}},
+        {"shri", {Form::RegImm8, Op::ShrI}},
+        {"sari", {Form::RegImm8, Op::SarI}},
+        {"cload", {Form::RegImm8, Op::CLoad}},
+        {"cstore", {Form::RegImm8, Op::CStore}},
+        {"csetb", {Form::RegImm8, Op::CSetB}},
+        {"divs", {Form::RegReg, Op::Divs}},
+        {"rems", {Form::RegReg, Op::Rems}},
+        {"test", {Form::RegReg, Op::Test}},
+        {"load", {Form::Load, Op::Load}},
+        {"load8", {Form::Load, Op::Load8}},
+        {"lea", {Form::Load, Op::Lea}},
+        {"store", {Form::Store, Op::Store}},
+        {"store8", {Form::Store, Op::Store8}},
+        {"jmp", {Form::JmpOrCall, Op::Jmp, Op::JmpR}},
+        {"call", {Form::JmpOrCall, Op::Call, Op::CallR}},
+        {"jz", {Form::Branch, Op::Jz}},
+        {"jnz", {Form::Branch, Op::Jnz}},
+        {"jl", {Form::Branch, Op::Jl}},
+        {"jge", {Form::Branch, Op::Jge}},
+        {"jg", {Form::Branch, Op::Jg}},
+        {"jle", {Form::Branch, Op::Jle}},
+        {"jb", {Form::Branch, Op::Jb}},
+        {"jae", {Form::Branch, Op::Jae}},
+        {"sys", {Form::Sys, Op::Sys}},
+        {"cjmp", {Form::CJmp, Op::CJmp}},
+    };
+    const auto it = table.find(mn);
+    return it == table.end() ? nullptr : &it->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -193,65 +311,69 @@ public:
         obj_.source_file = obj_.name;
     }
 
-    ObjectFile run(const std::string& source) {
+    ObjectFile run(std::string_view source) {
         std::size_t pos = 0;
         int line_no = 0;
         while (pos <= source.size()) {
-            const std::size_t nl = source.find('\n', pos);
-            const std::string raw =
-                source.substr(pos, nl == std::string::npos ? std::string::npos : nl - pos);
-            pos = (nl == std::string::npos) ? source.size() + 1 : nl + 1;
+            std::size_t end = source.find('\n', pos);
+            if (end == std::string_view::npos) {
+                end = source.size();
+            }
             ++line_no;
-            process_line(trim(strip_comment(raw)), line_no);
+            process_line(trim(strip_comment(source.substr(pos, end - pos))), line_no);
+            pos = end + 1;
         }
         finalize();
         return std::move(obj_);
     }
 
 private:
+    struct Label {
+        SectionKind section = SectionKind::Text;
+        std::uint32_t offset = 0;
+        bool is_global = false;
+        bool is_func = false;
+        bool is_entry = false;
+    };
+
     ObjectFile obj_;
     isa::Encoder text_;
     std::vector<std::uint8_t> data_;
     SectionKind section_ = SectionKind::Text;
     // Current `.line` value (0 = none seen: fall back to the assembly line).
     std::uint32_t cur_line_ = 0;
-    std::unordered_map<std::string, std::pair<SectionKind, std::uint32_t>> labels_;
+    std::unordered_map<std::string, Label> labels_;
     std::vector<std::string> globals_;
     std::vector<std::string> funcs_;
     std::vector<std::string> entries_;
+    // Per-line buffers, reused so that a line allocates nothing.
+    std::string mnemonic_;
+    std::string string_bytes_;
+    std::vector<Operand> ops_;
 
     [[nodiscard]] std::uint32_t here() const noexcept {
         return section_ == SectionKind::Text ? text_.size()
                                              : static_cast<std::uint32_t>(data_.size());
     }
 
-    void define_label(const std::string& name, int line) {
-        if (labels_.contains(name)) {
-            throw ParseError("duplicate label '" + name + "'", line);
+    void define_label(std::string_view name, int line) {
+        if (!labels_.try_emplace(std::string(name), Label{section_, here()}).second) {
+            throw ParseError("duplicate label '" + std::string(name) + "'", line);
         }
-        labels_[name] = {section_, here()};
     }
 
-    void process_line(const std::string& line, int line_no) {
-        if (line.empty()) {
-            return;
-        }
-        std::string rest = line;
+    void process_line(std::string_view rest, int line_no) {
         // Labels (possibly several on one line).
-        while (true) {
-            std::size_t i = 0;
-            if (i < rest.size() && is_ident_start(rest[i])) {
-                std::size_t j = i;
-                while (j < rest.size() && is_ident_char(rest[j])) {
-                    ++j;
-                }
-                if (j < rest.size() && rest[j] == ':') {
-                    define_label(rest.substr(i, j - i), line_no);
-                    rest = trim(rest.substr(j + 1));
-                    continue;
-                }
+        while (!rest.empty() && is_ident_start(rest[0])) {
+            std::size_t j = 0;
+            while (j < rest.size() && is_ident_char(rest[j])) {
+                ++j;
             }
-            break;
+            if (j == rest.size() || rest[j] != ':') {
+                break;
+            }
+            define_label(rest.substr(0, j), line_no);
+            rest = trim(rest.substr(j + 1));
         }
         if (rest.empty()) {
             return;
@@ -263,86 +385,89 @@ private:
         }
     }
 
-    void directive(const std::string& line, int line_no) {
-        std::size_t sp = line.find_first_of(" \t");
-        const std::string name = (sp == std::string::npos) ? line : line.substr(0, sp);
-        const std::string args = (sp == std::string::npos) ? "" : trim(line.substr(sp));
-        if (name == ".text") {
+    void directive(std::string_view line, int line_no) {
+        const auto [name, args] = split_head(line);
+        if (name == ".line") {
+            const auto v = parse_number(args, line_no);
+            if (!v || *v <= 0) {
+                throw ParseError("bad .line operand", line_no);
+            }
+            cur_line_ = static_cast<std::uint32_t>(*v);
+        } else if (name == ".text") {
             section_ = SectionKind::Text;
         } else if (name == ".data") {
             section_ = SectionKind::Data;
         } else if (name == ".global") {
-            globals_.push_back(args);
+            globals_.emplace_back(args);
         } else if (name == ".func") {
-            funcs_.push_back(args);
+            funcs_.emplace_back(args);
         } else if (name == ".entry") {
-            entries_.push_back(args);
+            entries_.emplace_back(args);
         } else if (name == ".word") {
-            for (const auto& tok : split_operands(args)) {
-                emit_word_expr(tok, line_no);
-            }
+            for_each_operand(args, [&](std::string_view tok) { emit_word_expr(tok, line_no); });
         } else if (name == ".byte") {
-            for (const auto& tok : split_operands(args)) {
-                const auto v = parse_number(tok);
+            for_each_operand(args, [&](std::string_view tok) {
+                const auto v = parse_number(tok, line_no);
                 if (!v) {
-                    throw ParseError("bad .byte operand '" + tok + "'", line_no);
+                    throw ParseError("bad .byte operand '" + std::string(tok) + "'", line_no);
                 }
                 emit_byte(static_cast<std::uint8_t>(*v & 0xff));
-            }
+            });
         } else if (name == ".ascii" || name == ".asciz") {
-            const std::string s = unescape_string(args, line_no);
-            for (const char c : s) {
+            string_bytes_.clear();
+            unescape_string(args, line_no, string_bytes_);
+            for (const char c : string_bytes_) {
                 emit_byte(static_cast<std::uint8_t>(c));
             }
             if (name == ".asciz") {
                 emit_byte(0);
             }
         } else if (name == ".space") {
-            const auto v = parse_number(args);
+            const auto v = parse_number(args, line_no);
             if (!v || *v < 0) {
                 throw ParseError("bad .space operand", line_no);
             }
-            for (std::int64_t i = 0; i < *v; ++i) {
-                emit_byte(0);
-            }
+            emit_zeros(*v, line_no);
         } else if (name == ".redzone") {
             // Sanitizer redzone: reserve zero-filled data bytes and record
             // the range so the loader can poison it in shadow memory.
-            const auto v = parse_number(args);
+            const auto v = parse_number(args, line_no);
             if (!v || *v <= 0) {
                 throw ParseError("bad .redzone operand", line_no);
             }
             if (section_ != SectionKind::Data) {
                 throw ParseError(".redzone is only valid in the data section", line_no);
             }
-            obj_.redzones.push_back({here(), static_cast<std::uint32_t>(*v)});
-            for (std::int64_t i = 0; i < *v; ++i) {
-                emit_byte(0);
-            }
+            const std::uint32_t at = here();
+            emit_zeros(*v, line_no);
+            obj_.redzones.push_back({at, static_cast<std::uint32_t>(*v)});
         } else if (name == ".align") {
-            const auto v = parse_number(args);
+            const auto v = parse_number(args, line_no);
             if (!v || *v <= 0) {
                 throw ParseError("bad .align operand", line_no);
+            }
+            if (*v > kMaxAlign) {
+                throw ParseError(".align operand exceeds " + std::to_string(kMaxAlign), line_no);
             }
             while (here() % static_cast<std::uint32_t>(*v) != 0) {
                 emit_byte(section_ == SectionKind::Text ? 0x90 : 0x00); // NOP-pad text
             }
-        } else if (name == ".line") {
-            const auto v = parse_number(args);
-            if (!v || *v <= 0) {
-                throw ParseError("bad .line operand", line_no);
-            }
-            cur_line_ = static_cast<std::uint32_t>(*v);
         } else if (name == ".file") {
-            obj_.source_file = unescape_string(args, line_no);
+            obj_.source_file.clear();
+            unescape_string(args, line_no, obj_.source_file);
         } else if (name == ".bss") {
-            const auto v = parse_number(args);
+            const auto v = parse_number(args, line_no);
             if (!v || *v < 0) {
                 throw ParseError("bad .bss operand", line_no);
             }
+            if (obj_.bss_size + *v > kMaxSectionBytes) {
+                throw ParseError("bss would exceed " + std::to_string(kMaxSectionBytes) +
+                                     " bytes",
+                                 line_no);
+            }
             obj_.bss_size += static_cast<std::uint32_t>(*v);
         } else {
-            throw ParseError("unknown directive '" + name + "'", line_no);
+            throw ParseError("unknown directive '" + std::string(name) + "'", line_no);
         }
     }
 
@@ -355,8 +480,24 @@ private:
         }
     }
 
-    void emit_word_expr(const std::string& tok, int line_no) {
-        if (const auto v = parse_number(tok)) {
+    /// `n` zero bytes, refused when they would grow the section past the cap.
+    void emit_zeros(std::int64_t n, int line_no) {
+        if (here() + n > kMaxSectionBytes) {
+            throw ParseError("section would exceed " + std::to_string(kMaxSectionBytes) +
+                                 " bytes",
+                             line_no);
+        }
+        if (section_ == SectionKind::Data) {
+            data_.resize(data_.size() + static_cast<std::size_t>(n));
+            return;
+        }
+        for (std::int64_t i = 0; i < n; ++i) {
+            emit_byte(0);
+        }
+    }
+
+    void emit_word_expr(std::string_view tok, int line_no) {
+        if (const auto v = parse_number(tok, line_no)) {
             const auto u = static_cast<std::uint32_t>(*v);
             emit_byte(static_cast<std::uint8_t>(u & 0xff));
             emit_byte(static_cast<std::uint8_t>((u >> 8) & 0xff));
@@ -365,54 +506,55 @@ private:
             return;
         }
         const SymRef ref = parse_symref(tok, line_no);
-        obj_.relocs.push_back(Reloc{section_, here(), ref.name, RelocKind::Abs32, ref.addend});
+        obj_.relocs.push_back(
+            Reloc{section_, here(), std::string(ref.name), RelocKind::Abs32, ref.addend});
         for (int i = 0; i < 4; ++i) {
             emit_byte(0);
         }
     }
 
-    static SymRef parse_symref(const std::string& tok, int line_no) {
+    static SymRef parse_symref(std::string_view tok, int line_no) {
         // name, name+N or name-N
-        std::size_t i = 0;
-        if (i >= tok.size() || !is_ident_start(tok[i])) {
-            throw ParseError("expected symbol, got '" + tok + "'", line_no);
+        if (tok.empty() || !is_ident_start(tok[0])) {
+            throw ParseError("expected symbol, got '" + std::string(tok) + "'", line_no);
         }
-        std::size_t j = i;
+        std::size_t j = 0;
         while (j < tok.size() && is_ident_char(tok[j])) {
             ++j;
         }
         SymRef ref;
-        ref.name = tok.substr(i, j - i);
-        const std::string rest = trim(tok.substr(j));
+        ref.name = tok.substr(0, j);
+        const std::string_view rest = trim(tok.substr(j));
         if (!rest.empty()) {
-            const auto v = parse_number(rest);
+            const auto v = parse_number(rest, line_no);
             if (!v) {
-                throw ParseError("bad symbol addend '" + rest + "'", line_no);
+                throw ParseError("bad symbol addend '" + std::string(rest) + "'", line_no);
             }
             ref.addend = static_cast<std::int32_t>(*v);
         }
         return ref;
     }
 
-    Operand parse_operand(const std::string& tok, int line_no) {
+    static Operand parse_operand(std::string_view tok, int line_no) {
         Operand op;
         if (!tok.empty() && tok.front() == '[') {
             if (tok.back() != ']') {
-                throw ParseError("unterminated memory operand '" + tok + "'", line_no);
+                throw ParseError("unterminated memory operand '" + std::string(tok) + "'",
+                                 line_no);
             }
-            const std::string inner = trim(tok.substr(1, tok.size() - 2));
-            std::size_t split = inner.find_first_of("+-");
-            std::string reg_part = trim(split == std::string::npos ? inner : inner.substr(0, split));
+            const std::string_view inner = trim(tok.substr(1, tok.size() - 2));
+            const std::size_t split = inner.find_first_of("+-");
+            const std::string_view reg_part = trim(inner.substr(0, split));
             const auto base = isa::parse_reg(reg_part);
             if (!base) {
-                throw ParseError("bad base register '" + reg_part + "'", line_no);
+                throw ParseError("bad base register '" + std::string(reg_part) + "'", line_no);
             }
             op.kind = Operand::Kind::Mem;
             op.base = *base;
-            if (split != std::string::npos) {
-                const auto v = parse_number(trim(inner.substr(split)));
+            if (split != std::string_view::npos) {
+                const auto v = parse_number(trim(inner.substr(split)), line_no);
                 if (!v) {
-                    throw ParseError("bad displacement in '" + tok + "'", line_no);
+                    throw ParseError("bad displacement in '" + std::string(tok) + "'", line_no);
                 }
                 op.disp = static_cast<std::int32_t>(*v);
             }
@@ -423,7 +565,7 @@ private:
             op.reg = *r;
             return op;
         }
-        if (const auto v = parse_number(tok)) {
+        if (const auto v = parse_number(tok, line_no)) {
             op.kind = Operand::Kind::Imm;
             op.imm = static_cast<std::int32_t>(*v);
             return op;
@@ -434,10 +576,11 @@ private:
     }
 
     void add_text_reloc(std::uint32_t field_offset, const SymRef& ref, RelocKind kind) {
-        obj_.relocs.push_back(Reloc{SectionKind::Text, field_offset, ref.name, kind, ref.addend});
+        obj_.relocs.push_back(
+            Reloc{SectionKind::Text, field_offset, std::string(ref.name), kind, ref.addend});
     }
 
-    void instruction(const std::string& line, int line_no) {
+    void instruction(std::string_view line, int line_no) {
         if (section_ != SectionKind::Text) {
             throw ParseError("instruction outside .text", line_no);
         }
@@ -448,288 +591,194 @@ private:
         if (obj_.lines.empty() || obj_.lines.back().line != src_line) {
             obj_.lines.push_back(objfmt::LineEntry{text_.size(), src_line});
         }
-        std::size_t sp = line.find_first_of(" \t");
-        std::string mn = (sp == std::string::npos) ? line : line.substr(0, sp);
-        for (auto& c : mn) {
+        const auto [mn, args] = split_head(line);
+        mnemonic_.assign(mn);
+        for (auto& c : mnemonic_) {
             c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
         }
-        const std::string args = (sp == std::string::npos) ? "" : trim(line.substr(sp));
-        std::vector<Operand> ops;
-        std::vector<std::string> toks = split_operands(args);
-        ops.reserve(toks.size());
-        for (const auto& t : toks) {
-            ops.push_back(parse_operand(t, line_no));
+        // Every operand is parsed before the mnemonic is judged, so a bad
+        // operand is reported ahead of an unknown mnemonic or a wrong count.
+        ops_.clear();
+        for_each_operand(args,
+                         [&](std::string_view tok) { ops_.push_back(parse_operand(tok, line_no)); });
+        const Mnemonic* m = find_mnemonic(mnemonic_);
+        if (m == nullptr) {
+            throw ParseError("unknown mnemonic '" + mnemonic_ + "'", line_no);
         }
-        emit_insn(mn, ops, toks, line_no);
+        emit_insn(*m, line_no);
     }
 
-    void expect_ops(const std::vector<Operand>& ops, std::size_t n, const std::string& mn,
-                    int line_no) {
-        if (ops.size() != n) {
-            throw ParseError("'" + mn + "' expects " + std::to_string(n) + " operand(s)", line_no);
+    void expect_ops(std::size_t n, int line_no) const {
+        if (ops_.size() != n) {
+            throw ParseError("'" + mnemonic_ + "' expects " + std::to_string(n) + " operand(s)",
+                             line_no);
+        }
+    }
+
+    /// The shape check of the common two-operand forms.
+    void expect_kinds(Operand::Kind a, Operand::Kind b, const char* shape, int line_no) const {
+        expect_ops(2, line_no);
+        if (ops_[0].kind != a || ops_[1].kind != b) {
+            throw ParseError("'" + mnemonic_ + "' expects" + shape, line_no);
         }
     }
 
     // Emit an ALU-style instruction with reg/imm/sym overloading.
-    void alu(Op rr, Op ri, const std::vector<Operand>& ops, const std::string& mn, int line_no) {
-        expect_ops(ops, 2, mn, line_no);
-        if (ops[0].kind != Operand::Kind::Reg) {
-            throw ParseError("'" + mn + "' first operand must be a register", line_no);
+    void alu(Op rr, Op ri, int line_no) {
+        expect_ops(2, line_no);
+        if (ops_[0].kind != Operand::Kind::Reg) {
+            throw ParseError("'" + mnemonic_ + "' first operand must be a register", line_no);
         }
-        switch (ops[1].kind) {
+        switch (ops_[1].kind) {
         case Operand::Kind::Reg:
-            text_.reg_reg(rr, ops[0].reg, ops[1].reg);
+            text_.reg_reg(rr, ops_[0].reg, ops_[1].reg);
             break;
         case Operand::Kind::Imm:
-            text_.reg_imm32(ri, ops[0].reg, ops[1].imm);
+            text_.reg_imm32(ri, ops_[0].reg, ops_[1].imm);
             break;
         case Operand::Kind::Sym: {
-            const std::uint32_t at = text_.reg_imm32(ri, ops[0].reg, 0);
-            add_text_reloc(at + 2, ops[1].sym, RelocKind::Abs32);
+            const std::uint32_t at = text_.reg_imm32(ri, ops_[0].reg, 0);
+            add_text_reloc(at + 2, ops_[1].sym, RelocKind::Abs32);
             break;
         }
         default:
-            throw ParseError("'" + mn + "' cannot take a memory operand", line_no);
+            throw ParseError("'" + mnemonic_ + "' cannot take a memory operand", line_no);
         }
     }
 
-    void shift(Op rr, Op ri, const std::vector<Operand>& ops, const std::string& mn, int line_no) {
-        expect_ops(ops, 2, mn, line_no);
-        if (ops[0].kind != Operand::Kind::Reg) {
-            throw ParseError("'" + mn + "' first operand must be a register", line_no);
+    void shift(Op rr, Op ri, int line_no) {
+        expect_ops(2, line_no);
+        if (ops_[0].kind != Operand::Kind::Reg) {
+            throw ParseError("'" + mnemonic_ + "' first operand must be a register", line_no);
         }
-        if (ops[1].kind == Operand::Kind::Reg) {
-            text_.reg_reg(rr, ops[0].reg, ops[1].reg);
-        } else if (ops[1].kind == Operand::Kind::Imm) {
-            text_.reg_imm8(ri, ops[0].reg, static_cast<std::uint8_t>(ops[1].imm & 0xff));
+        if (ops_[1].kind == Operand::Kind::Reg) {
+            text_.reg_reg(rr, ops_[0].reg, ops_[1].reg);
+        } else if (ops_[1].kind == Operand::Kind::Imm) {
+            text_.reg_imm8(ri, ops_[0].reg, static_cast<std::uint8_t>(ops_[1].imm & 0xff));
         } else {
             throw ParseError("bad shift operand", line_no);
         }
     }
 
-    void branch(Op op, const std::vector<Operand>& ops, const std::string& mn, int line_no) {
-        expect_ops(ops, 1, mn, line_no);
-        if (ops[0].kind == Operand::Kind::Sym) {
+    void branch(Op op, int line_no) {
+        expect_ops(1, line_no);
+        if (ops_[0].kind == Operand::Kind::Sym) {
             const std::uint32_t at = text_.rel32(op, 0);
-            add_text_reloc(at + 1, ops[0].sym, RelocKind::Rel32);
-        } else if (ops[0].kind == Operand::Kind::Imm) {
-            text_.rel32(op, ops[0].imm); // raw relative displacement
+            add_text_reloc(at + 1, ops_[0].sym, RelocKind::Rel32);
+        } else if (ops_[0].kind == Operand::Kind::Imm) {
+            text_.rel32(op, ops_[0].imm); // raw relative displacement
         } else {
-            throw ParseError("'" + mn + "' expects a label", line_no);
+            throw ParseError("'" + mnemonic_ + "' expects a label", line_no);
         }
     }
 
-    void emit_insn(const std::string& mn, const std::vector<Operand>& ops,
-                   const std::vector<std::string>& toks, int line_no) {
-        (void)toks;
-        if (mn == "halt") {
-            text_.none(Op::Halt);
-        } else if (mn == "nop") {
-            text_.none(Op::Nop);
-        } else if (mn == "ret") {
-            text_.none(Op::Ret);
-        } else if (mn == "leave") {
-            text_.none(Op::Leave);
-        } else if (mn == "push") {
-            expect_ops(ops, 1, mn, line_no);
-            if (ops[0].kind == Operand::Kind::Reg) {
-                text_.reg(Op::Push, ops[0].reg);
-            } else if (ops[0].kind == Operand::Kind::Imm) {
-                text_.imm32(Op::PushI, ops[0].imm);
-            } else if (ops[0].kind == Operand::Kind::Sym) {
-                const std::uint32_t at = text_.imm32(Op::PushI, 0);
-                add_text_reloc(at + 1, ops[0].sym, RelocKind::Abs32);
+    /// One operand of kind `k`, else `mn + message`.
+    const Operand& single(Operand::Kind k, const char* message, int line_no) const {
+        expect_ops(1, line_no);
+        if (ops_[0].kind != k) {
+            throw ParseError(mnemonic_ + message, line_no);
+        }
+        return ops_[0];
+    }
+
+    void emit_insn(const Mnemonic& m, int line_no) {
+        using Kind = Operand::Kind;
+        switch (m.form) {
+        case Form::None:
+            text_.none(m.op);
+            break;
+        case Form::RegOnly:
+            text_.reg(m.op, single(Kind::Reg, " expects a register", line_no).reg);
+            break;
+        case Form::Push:
+            expect_ops(1, line_no);
+            if (ops_[0].kind == Kind::Reg) {
+                text_.reg(m.op, ops_[0].reg);
+            } else if (ops_[0].kind == Kind::Imm) {
+                text_.imm32(m.alt, ops_[0].imm);
+            } else if (ops_[0].kind == Kind::Sym) {
+                const std::uint32_t at = text_.imm32(m.alt, 0);
+                add_text_reloc(at + 1, ops_[0].sym, RelocKind::Abs32);
             } else {
                 throw ParseError("bad push operand", line_no);
             }
-        } else if (mn == "pop") {
-            expect_ops(ops, 1, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Reg) {
-                throw ParseError("pop expects a register", line_no);
-            }
-            text_.reg(Op::Pop, ops[0].reg);
-        } else if (mn == "not" || mn == "neg") {
-            expect_ops(ops, 1, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Reg) {
-                throw ParseError(mn + " expects a register", line_no);
-            }
-            text_.reg(mn == "not" ? Op::Not : Op::Neg, ops[0].reg);
-        } else if (mn == "movi" || mn == "addi" || mn == "subi" || mn == "muli" ||
-                   mn == "andi" || mn == "ori" || mn == "xori" || mn == "cmpi") {
-            // Explicit immediate forms (as the disassembler prints them).
-            expect_ops(ops, 2, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Reg || ops[1].kind != Operand::Kind::Imm) {
-                throw ParseError("'" + mn + "' expects: reg, imm32", line_no);
-            }
-            const Op op = (mn == "movi")   ? Op::MovI
-                          : (mn == "addi") ? Op::AddI
-                          : (mn == "subi") ? Op::SubI
-                          : (mn == "muli") ? Op::MulI
-                          : (mn == "andi") ? Op::AndI
-                          : (mn == "ori")  ? Op::OrI
-                          : (mn == "xori") ? Op::XorI
-                                           : Op::CmpI;
-            text_.reg_imm32(op, ops[0].reg, ops[1].imm);
-        } else if (mn == "shli" || mn == "shri" || mn == "sari") {
-            expect_ops(ops, 2, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Reg || ops[1].kind != Operand::Kind::Imm) {
-                throw ParseError("'" + mn + "' expects: reg, imm8", line_no);
-            }
-            const Op op = (mn == "shli") ? Op::ShlI : (mn == "shri") ? Op::ShrI : Op::SarI;
-            text_.reg_imm8(op, ops[0].reg, static_cast<std::uint8_t>(ops[1].imm & 0xff));
-        } else if (mn == "pushi") {
-            expect_ops(ops, 1, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Imm) {
-                throw ParseError("pushi expects an immediate", line_no);
-            }
-            text_.imm32(Op::PushI, ops[0].imm);
-        } else if (mn == "callr") {
-            expect_ops(ops, 1, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Reg) {
-                throw ParseError("callr expects a register", line_no);
-            }
-            text_.reg(Op::CallR, ops[0].reg);
-        } else if (mn == "jmpr") {
-            expect_ops(ops, 1, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Reg) {
-                throw ParseError("jmpr expects a register", line_no);
-            }
-            text_.reg(Op::JmpR, ops[0].reg);
-        } else if (mn == "mov") {
-            alu(Op::MovR, Op::MovI, ops, mn, line_no);
-        } else if (mn == "add") {
-            alu(Op::Add, Op::AddI, ops, mn, line_no);
-        } else if (mn == "sub") {
-            alu(Op::Sub, Op::SubI, ops, mn, line_no);
-        } else if (mn == "mul") {
-            alu(Op::Mul, Op::MulI, ops, mn, line_no);
-        } else if (mn == "and") {
-            alu(Op::And, Op::AndI, ops, mn, line_no);
-        } else if (mn == "or") {
-            alu(Op::Or, Op::OrI, ops, mn, line_no);
-        } else if (mn == "xor") {
-            alu(Op::Xor, Op::XorI, ops, mn, line_no);
-        } else if (mn == "cmp") {
-            alu(Op::Cmp, Op::CmpI, ops, mn, line_no);
-        } else if (mn == "divs" || mn == "rems" || mn == "test") {
-            expect_ops(ops, 2, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Reg || ops[1].kind != Operand::Kind::Reg) {
-                throw ParseError("'" + mn + "' expects two registers", line_no);
-            }
-            const Op op = (mn == "divs") ? Op::Divs : (mn == "rems") ? Op::Rems : Op::Test;
-            text_.reg_reg(op, ops[0].reg, ops[1].reg);
-        } else if (mn == "shl") {
-            shift(Op::Shl, Op::ShlI, ops, mn, line_no);
-        } else if (mn == "shr") {
-            shift(Op::Shr, Op::ShrI, ops, mn, line_no);
-        } else if (mn == "sar") {
-            shift(Op::Sar, Op::SarI, ops, mn, line_no);
-        } else if (mn == "load" || mn == "load8" || mn == "lea") {
-            expect_ops(ops, 2, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Reg || ops[1].kind != Operand::Kind::Mem) {
-                throw ParseError("'" + mn + "' expects: reg, [base+disp]", line_no);
-            }
-            const Op op = (mn == "load") ? Op::Load : (mn == "load8") ? Op::Load8 : Op::Lea;
-            text_.reg_mem(op, ops[0].reg, ops[1].base, ops[1].disp);
-        } else if (mn == "store" || mn == "store8") {
-            expect_ops(ops, 2, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Mem || ops[1].kind != Operand::Kind::Reg) {
-                throw ParseError("'" + mn + "' expects: [base+disp], reg", line_no);
-            }
+            break;
+        case Form::PushImm:
+            text_.imm32(m.op, single(Kind::Imm, " expects an immediate", line_no).imm);
+            break;
+        case Form::Alu:
+            alu(m.op, m.alt, line_no);
+            break;
+        case Form::RegImm32:
+            expect_kinds(Kind::Reg, Kind::Imm, ": reg, imm32", line_no);
+            text_.reg_imm32(m.op, ops_[0].reg, ops_[1].imm);
+            break;
+        case Form::Shift:
+            shift(m.op, m.alt, line_no);
+            break;
+        case Form::RegImm8:
+            expect_kinds(Kind::Reg, Kind::Imm, ": reg, imm8", line_no);
+            text_.reg_imm8(m.op, ops_[0].reg, static_cast<std::uint8_t>(ops_[1].imm & 0xff));
+            break;
+        case Form::RegReg:
+            expect_kinds(Kind::Reg, Kind::Reg, " two registers", line_no);
+            text_.reg_reg(m.op, ops_[0].reg, ops_[1].reg);
+            break;
+        case Form::Load:
+            expect_kinds(Kind::Reg, Kind::Mem, ": reg, [base+disp]", line_no);
+            text_.reg_mem(m.op, ops_[0].reg, ops_[1].base, ops_[1].disp);
+            break;
+        case Form::Store:
+            expect_kinds(Kind::Mem, Kind::Reg, ": [base+disp], reg", line_no);
             // Encoding packs (base << 4 | src).
-            text_.reg_mem(mn == "store" ? Op::Store : Op::Store8, ops[0].base, ops[1].reg,
-                          ops[0].disp);
-        } else if (mn == "jmp") {
-            if (ops.size() == 1 && ops[0].kind == Operand::Kind::Reg) {
-                text_.reg(Op::JmpR, ops[0].reg);
+            text_.reg_mem(m.op, ops_[0].base, ops_[1].reg, ops_[0].disp);
+            break;
+        case Form::JmpOrCall:
+            if (ops_.size() == 1 && ops_[0].kind == Kind::Reg) {
+                text_.reg(m.alt, ops_[0].reg);
             } else {
-                branch(Op::Jmp, ops, mn, line_no);
+                branch(m.op, line_no);
             }
-        } else if (mn == "call") {
-            if (ops.size() == 1 && ops[0].kind == Operand::Kind::Reg) {
-                text_.reg(Op::CallR, ops[0].reg);
-            } else {
-                branch(Op::Call, ops, mn, line_no);
-            }
-        } else if (mn == "jz") {
-            branch(Op::Jz, ops, mn, line_no);
-        } else if (mn == "jnz") {
-            branch(Op::Jnz, ops, mn, line_no);
-        } else if (mn == "jl") {
-            branch(Op::Jl, ops, mn, line_no);
-        } else if (mn == "jge") {
-            branch(Op::Jge, ops, mn, line_no);
-        } else if (mn == "jg") {
-            branch(Op::Jg, ops, mn, line_no);
-        } else if (mn == "jle") {
-            branch(Op::Jle, ops, mn, line_no);
-        } else if (mn == "jb") {
-            branch(Op::Jb, ops, mn, line_no);
-        } else if (mn == "jae") {
-            branch(Op::Jae, ops, mn, line_no);
-        } else if (mn == "sys") {
-            expect_ops(ops, 1, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Imm) {
-                throw ParseError("sys expects an immediate", line_no);
-            }
-            text_.imm8(Op::Sys, static_cast<std::uint8_t>(ops[0].imm & 0xff));
-        } else if (mn == "cload" || mn == "cstore" || mn == "csetb") {
-            // capability ops: "<mn> rd, imm8" with imm8 = (cap<<4)|off_reg
-            expect_ops(ops, 2, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Reg || ops[1].kind != Operand::Kind::Imm) {
-                throw ParseError("'" + mn + "' expects: reg, imm8", line_no);
-            }
-            const Op op = (mn == "cload") ? Op::CLoad : (mn == "cstore") ? Op::CStore : Op::CSetB;
-            text_.reg_imm8(op, ops[0].reg, static_cast<std::uint8_t>(ops[1].imm & 0xff));
-        } else if (mn == "cjmp") {
-            expect_ops(ops, 1, mn, line_no);
-            if (ops[0].kind != Operand::Kind::Imm) {
-                throw ParseError("cjmp expects a capability index", line_no);
-            }
-            text_.imm8(Op::CJmp, static_cast<std::uint8_t>(ops[0].imm & 0xff));
-        } else {
-            throw ParseError("unknown mnemonic '" + mn + "'", line_no);
+            break;
+        case Form::Branch:
+            branch(m.op, line_no);
+            break;
+        case Form::Sys: {
+            const std::int32_t imm = single(Kind::Imm, " expects an immediate", line_no).imm;
+            text_.imm8(m.op, static_cast<std::uint8_t>(imm & 0xff));
+            break;
+        }
+        case Form::CJmp: {
+            const std::int32_t imm =
+                single(Kind::Imm, " expects a capability index", line_no).imm;
+            text_.imm8(m.op, static_cast<std::uint8_t>(imm & 0xff));
+            break;
+        }
         }
     }
 
     void finalize() {
         obj_.text = text_.take();
         obj_.data = std::move(data_);
-        for (const auto& [name, loc] : labels_) {
-            Symbol s;
-            s.name = name;
-            s.section = loc.first;
-            s.offset = loc.second;
-            for (const auto& g : globals_) {
-                if (g == name) {
-                    s.is_global = true;
-                }
-            }
-            for (const auto& f : funcs_) {
-                if (f == name) {
-                    s.is_func = true;
-                }
-            }
-            for (const auto& e : entries_) {
-                if (e == name) {
-                    s.is_entry = true;
-                    s.is_func = true;
-                }
-            }
-            obj_.symbols.push_back(std::move(s));
-        }
-        // Validate that .global/.func/.entry names exist.
-        auto check = [&](const std::vector<std::string>& names, const char* what) {
+        // Validate that .global/.func/.entry names exist, and flag them.
+        auto mark = [&](const std::vector<std::string>& names, const char* what, auto flag) {
             for (const auto& n : names) {
-                if (!labels_.contains(n)) {
+                const auto it = labels_.find(n);
+                if (it == labels_.end()) {
                     throw Error(std::string(what) + " of undefined symbol '" + n + "' in unit " +
                                 obj_.name);
                 }
+                flag(it->second);
             }
         };
-        check(globals_, ".global");
-        check(funcs_, ".func");
-        check(entries_, ".entry");
+        mark(globals_, ".global", [](Label& l) { l.is_global = true; });
+        mark(funcs_, ".func", [](Label& l) { l.is_func = true; });
+        mark(entries_, ".entry", [](Label& l) { l.is_entry = l.is_func = true; });
+        obj_.symbols.reserve(labels_.size());
+        for (const auto& [name, l] : labels_) {
+            obj_.symbols.push_back(
+                Symbol{name, l.section, l.offset, l.is_global, l.is_func, l.is_entry});
+        }
     }
 };
 

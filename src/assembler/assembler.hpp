@@ -25,13 +25,33 @@
 //   call  get_request        ; Rel32 relocation
 //   jz    done
 //   sys   2                  ; SYS write
+//
+// The assembler also reads hand-written and generated input, so hostile
+// numbers are refused with a ParseError rather than trusted:
+//
+//   * a number literal lies in -2^31 .. 2^32-1 (an int32 or a uint32 word);
+//   * `.align n` needs 1 <= n <= kMaxAlign;
+//   * `.space`, `.redzone` and `.bss` never grow a section, or bss, past
+//     kMaxSectionBytes.
+//
+// Each line is scanned in place and mnemonics dispatch through one table,
+// so assembling a line allocates nothing beyond what it adds to the object
+// (symbols, relocations, line-table entries).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "assembler/object.hpp"
 
 namespace swsec::assembler {
+
+/// Largest alignment `.align` accepts (one guest page).
+inline constexpr std::int64_t kMaxAlign = 4096;
+
+/// Cap on one object's text or data section, and on its bss, in bytes.  The
+/// largest in-tree section is SFI's 64 KiB data reserve.
+inline constexpr std::int64_t kMaxSectionBytes = std::int64_t{16} << 20;
 
 /// Assemble one translation unit.  Throws swsec::ParseError (with line
 /// numbers) on malformed input.

@@ -1,5 +1,9 @@
 #include "cc/compiler.hpp"
 
+#include <memory>
+#include <mutex>
+#include <unordered_map>
+
 #include "assembler/assembler.hpp"
 #include "assembler/linker.hpp"
 #include "cc/codegen.hpp"
@@ -7,6 +11,69 @@
 #include "cc/runtime.hpp"
 
 namespace swsec::cc {
+
+// Drift guard: compiler_options_key() enumerates CompilerOptions by hand, so
+// a field added to the struct without a matching key component would
+// silently alias memoized runtimes and cached images across defense
+// configurations — a wrong-code-reuse bug a differential fuzzer would
+// misattribute to the compiler.  Fail the build instead: adding a field
+// changes the size, and whoever does it must extend compiler_options_key()
+// (and this constant) in the same change.
+static_assert(sizeof(CompilerOptions) == 7,
+              "cc::CompilerOptions changed: update compiler_options_key() in "
+              "cc/compiler.cpp to include the new field, then bump this guard");
+
+std::string compiler_options_key(const CompilerOptions& o) {
+    std::string k;
+    k += o.stack_canaries ? 'c' : '-';
+    k += o.bounds_checks ? 'b' : '-';
+    k += o.fortify_reads ? 'f' : '-';
+    k += o.memcheck ? 'm' : '-';
+    k += o.sanitize_address ? 'a' : '-';
+    k += o.emit_comments ? 'e' : '-';
+    k += static_cast<char>('0' + static_cast<int>(o.pma_mode));
+    return k;
+}
+
+namespace {
+
+/// The runtime's objects by name: "crt0", and "libc/" + options key.
+struct RuntimeMemo {
+    std::mutex mutex;
+    std::unordered_map<std::string, std::shared_ptr<const objfmt::ObjectFile>> objects;
+};
+
+RuntimeMemo& runtime_memo() {
+    static RuntimeMemo m;
+    return m;
+}
+
+/// The object memoized under `key`, built by `build()` on a miss.  The build
+/// runs outside the lock: a racing duplicate is deterministic, so either
+/// result is correct and the first insert wins.  A build that throws leaves
+/// no entry.
+template <typename Build>
+std::shared_ptr<const objfmt::ObjectFile> runtime_object(const std::string& key, Build&& build) {
+    RuntimeMemo& m = runtime_memo();
+    {
+        const std::lock_guard<std::mutex> lock(m.mutex);
+        const auto it = m.objects.find(key);
+        if (it != m.objects.end()) {
+            return it->second;
+        }
+    }
+    auto obj = std::make_shared<const objfmt::ObjectFile>(build());
+    const std::lock_guard<std::mutex> lock(m.mutex);
+    return m.objects.try_emplace(key, std::move(obj)).first->second;
+}
+
+} // namespace
+
+void clear_runtime_memo() {
+    RuntimeMemo& m = runtime_memo();
+    const std::lock_guard<std::mutex> lock(m.mutex);
+    m.objects.clear();
+}
 
 std::string compile_to_asm(const std::string& source, const CompilerOptions& opts,
                            const std::string& unit_name, const ExternEnv& externs) {
@@ -34,11 +101,15 @@ objfmt::Image compile_program_with_objects(const std::vector<std::string>& minic
         env[name] = type;
     }
     std::vector<objfmt::ObjectFile> objects;
-    objects.push_back(assembler::assemble(runtime_crt0_asm(), "crt0"));
+    objects.reserve(2 + minic_units.size() + extra_objects.size());
+    objects.push_back(
+        *runtime_object("crt0", [] { return assembler::assemble(runtime_crt0_asm(), "crt0"); }));
     // The runtime library is compiled with the same hardening profile as the
     // program (a real distro ships a canary-protected libc alongside
     // canary-protected applications).
-    objects.push_back(compile(runtime_libc_minic(), opts, "libc"));
+    objects.push_back(*runtime_object("libc/" + compiler_options_key(opts), [&] {
+        return compile(runtime_libc_minic(), opts, "libc");
+    }));
     for (std::size_t i = 0; i < minic_units.size(); ++i) {
         objects.push_back(compile(minic_units[i], opts, "u" + std::to_string(i), env));
     }

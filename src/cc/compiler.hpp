@@ -28,6 +28,13 @@
 //                      testing-mode analogue.  Requires
 //                      SecurityProfile::sanitize_address so the loader
 //                      maps the shadow region.
+//
+// compile_program links every program against the runtime (crt0 and the
+// MiniC libc, cc/runtime.hpp).  The runtime does not depend on the program,
+// so its objects are built once and memoized: crt0 once, libc once per
+// compiler_options_key.  The memo is thread-safe, keeps only successful
+// builds, and is emptied by clear_runtime_memo() (core::clear_image_cache()
+// calls it, so a cleared cache is a cold start).
 #pragma once
 
 #include <cstdint>
@@ -72,6 +79,12 @@ struct CompilerOptions {
     }
 };
 
+/// A short string in which every CompilerOptions field participates, so two
+/// option sets that could produce different code never share a key.  The
+/// runtime memo, core's image cache and the fuzzer's per-program memo all
+/// key on it.
+[[nodiscard]] std::string compiler_options_key(const CompilerOptions& o);
+
 /// Compile one MiniC unit to assembly text (inspectable; Fig. 1(b) views
 /// come from disassembling the final image, but this is the direct output).
 [[nodiscard]] std::string compile_to_asm(const std::string& source, const CompilerOptions& opts,
@@ -98,5 +111,9 @@ compile_program_with_objects(const std::vector<std::string>& minic_units,
                              const CompilerOptions& opts,
                              const std::vector<objfmt::ObjectFile>& extra_objects,
                              const ExternEnv& extra_externs = {});
+
+/// Drop the memoized runtime objects, so the next compile_program builds
+/// them again.
+void clear_runtime_memo();
 
 } // namespace swsec::cc

@@ -98,21 +98,26 @@ std::vector<Token> lex(const std::string& src) {
             continue;
         }
         if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
+            // Literals up to 0xFFFFFFFF wrap into int32 (0xFFFFFFFF is -1);
+            // anything larger is refused before it can overflow.
+            constexpr std::int64_t kMaxLiteral = 0xFFFFFFFF;
             std::size_t j = i;
-            std::int64_t value = 0;
+            int base = 10;
             if (c == '0' && j + 1 < src.size() && (src[j + 1] == 'x' || src[j + 1] == 'X')) {
+                base = 16;
                 j += 2;
-                while (j < src.size() &&
-                       std::isxdigit(static_cast<unsigned char>(src[j])) != 0) {
-                    const char d = static_cast<char>(std::tolower(static_cast<unsigned char>(src[j])));
-                    value = value * 16 + (d <= '9' ? d - '0' : d - 'a' + 10);
-                    ++j;
+            }
+            std::int64_t value = 0;
+            while (j < src.size() &&
+                   (base == 16 ? std::isxdigit(static_cast<unsigned char>(src[j]))
+                               : std::isdigit(static_cast<unsigned char>(src[j]))) != 0) {
+                const char d = static_cast<char>(std::tolower(static_cast<unsigned char>(src[j])));
+                const int digit = d <= '9' ? d - '0' : d - 'a' + 10;
+                if (value > (kMaxLiteral - digit) / base) {
+                    throw ParseError("integer literal out of range", line);
                 }
-            } else {
-                while (j < src.size() && std::isdigit(static_cast<unsigned char>(src[j])) != 0) {
-                    value = value * 10 + (src[j] - '0');
-                    ++j;
-                }
+                value = value * base + digit;
+                ++j;
             }
             push(Tok::Number, {}, static_cast<std::int32_t>(value));
             i = j;

@@ -1,5 +1,8 @@
 #include "cc/parser.hpp"
 
+#include <cstdint>
+#include <limits>
+
 #include "cc/lexer.hpp"
 #include "common/error.hpp"
 
@@ -68,6 +71,16 @@ private:
         return base;
     }
 
+    /// base[n], refused when the array would exceed INT32_MAX bytes (a
+    /// Type's size is an int).
+    static TypePtr array_type(const TypePtr& base, const Token& n) {
+        const std::int64_t bytes = std::int64_t{base->size()} * n.value;
+        if (bytes > std::numeric_limits<std::int32_t>::max()) {
+            throw ParseError("array of " + std::to_string(bytes) + " bytes is too large", n.line);
+        }
+        return Type::array_of(base, n.value);
+    }
+
     /// Parse a declarator after the base type:
     ///   name            -> base
     ///   name[N]         -> base[N]
@@ -96,7 +109,7 @@ private:
             if (n.value <= 0) {
                 throw ParseError("array length must be positive", n.line);
             }
-            return {name, Type::array_of(base, n.value)};
+            return {name, array_type(base, n)};
         }
         if (allow_func_param && at(Tok::LParen)) {
             // Fig. 4 style: "int get_pin()" as a parameter — a function type
@@ -494,7 +507,7 @@ private:
                 if (accept(Tok::LBracket)) {
                     const Token& n = expect(Tok::Number, "array length");
                     expect(Tok::RBracket, "']'");
-                    t = Type::array_of(t, n.value);
+                    t = array_type(t, n);
                 }
                 e->cast_type = t; // sema folds to a constant
             } else {

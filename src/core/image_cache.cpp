@@ -6,28 +6,6 @@
 
 namespace swsec::core {
 
-// Drift guard: options_key() below enumerates CompilerOptions by hand, so a
-// field added to the struct without a matching key component would silently
-// alias cached images across defense configurations — a wrong-code-reuse
-// bug a differential fuzzer would misattribute to the compiler.  Fail the
-// build instead: adding a field changes the size, and whoever does it must
-// extend options_key() (and this constant) in the same change.
-static_assert(sizeof(cc::CompilerOptions) == 7,
-              "cc::CompilerOptions changed: update compiler_options_key() in "
-              "core/image_cache.cpp to include the new field, then bump this guard");
-
-std::string compiler_options_key(const cc::CompilerOptions& o) {
-    std::string k;
-    k += o.stack_canaries ? 'c' : '-';
-    k += o.bounds_checks ? 'b' : '-';
-    k += o.fortify_reads ? 'f' : '-';
-    k += o.memcheck ? 'm' : '-';
-    k += o.sanitize_address ? 'a' : '-';
-    k += o.emit_comments ? 'e' : '-';
-    k += static_cast<char>('0' + static_cast<int>(o.pma_mode));
-    return k;
-}
-
 namespace {
 
 struct Cache {
@@ -63,7 +41,7 @@ Cache& cache() {
 
 std::shared_ptr<const objfmt::Image> cached_compile(const std::string& source,
                                                     const cc::CompilerOptions& opts) {
-    const std::string key = compiler_options_key(opts) + '\x1f' + source;
+    const std::string key = cc::compiler_options_key(opts) + '\x1f' + source;
     Cache& c = cache();
     {
         const std::lock_guard<std::mutex> lock(c.mutex);
@@ -91,6 +69,7 @@ std::shared_ptr<const objfmt::Image> cached_compile(const std::string& source,
 }
 
 void clear_image_cache() {
+    cc::clear_runtime_memo();
     Cache& c = cache();
     const std::lock_guard<std::mutex> lock(c.mutex);
     c.lru.clear();

@@ -1,11 +1,11 @@
 // Memoized scenario compilation — the other half of the harness hot path.
 //
-// Profiling the sweep engines showed that MiniC compilation + assembly of
-// the victim scenario dominates a matrix cell (~1.2 ms against a victim run
-// of a few hundred instructions), and the harnesses recompile the *same*
-// (source, options) pair for every cell and every fault window.  Scenario
-// sources and CompilerOptions are pure values and compilation is
-// deterministic, so the compiled Image can be memoized machine-wide.
+// A scenario compile costs ~0.1 ms even with the runtime memoized by
+// cc::compile_program (cc/compiler.hpp), against a victim run of a few
+// hundred instructions, and the harnesses recompile the *same* (source,
+// options) pair for every cell and every fault window.  Scenario sources
+// and CompilerOptions are pure values and compilation is deterministic, so
+// the compiled Image can be memoized machine-wide.
 //
 // The cache is thread-safe (one mutex around the map; compilation happens
 // outside the lock, and a racing duplicate compile is deterministic so
@@ -28,20 +28,16 @@
 
 namespace swsec::core {
 
-/// The options half of the cache key: a short string in which every
-/// CompilerOptions field participates, so two option sets that could
-/// produce different code never share a cache entry.  Exposed so tests can
-/// assert the no-collision property and other layers (the fuzzer's
-/// per-program compile memo) can key on compiler output identity.
-[[nodiscard]] std::string compiler_options_key(const cc::CompilerOptions& o);
-
-/// compile_program({source}, opts), memoized on (source, opts) with LRU
-/// eviction beyond the configured capacity.
+/// compile_program({source}, opts), memoized on (source,
+/// cc::compiler_options_key(opts)) with LRU eviction beyond the configured
+/// capacity.
 [[nodiscard]] std::shared_ptr<const objfmt::Image>
 cached_compile(const std::string& source, const cc::CompilerOptions& opts);
 
-/// Drop every cached image (tests; bounds memory in long campaigns).  Also
-/// resets the hit and eviction tallies.
+/// Drop every cached image and the compiler's memoized runtime objects
+/// (cc::clear_runtime_memo), so the next compile is a cold start (tests; the
+/// benchmark's set-up; bounds memory in long campaigns).  Also resets the
+/// hit and eviction tallies.
 void clear_image_cache();
 
 /// Cap the number of cached images (least-recently-used entries are evicted

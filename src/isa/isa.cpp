@@ -130,7 +130,7 @@ std::string reg_name(Reg r) {
     }
 }
 
-std::optional<Reg> parse_reg(const std::string& name) {
+std::optional<Reg> parse_reg(std::string_view name) {
     if (name == "sp") {
         return Reg::Sp;
     }

@@ -18,6 +18,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 namespace swsec::isa {
 
@@ -51,7 +52,7 @@ inline constexpr std::uint32_t kMaxInsnLength = 8;
 [[nodiscard]] std::string reg_name(Reg r);
 
 /// Parse "r3" / "sp" / "bp"; returns nullopt for anything else.
-[[nodiscard]] std::optional<Reg> parse_reg(const std::string& name);
+[[nodiscard]] std::optional<Reg> parse_reg(std::string_view name);
 
 /// Opcode byte values.  RET / CALL / LEAVE / NOP deliberately reuse the x86
 /// values (0xc3 / 0xe8 / 0xc9 / 0x90) so that the Fig. 1 flavour — and the

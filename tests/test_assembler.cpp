@@ -122,6 +122,54 @@ TEST(Assembler, Errors) {
     EXPECT_THROW((void)assemble(".text\n load r0, [r9]"), ParseError); // no r9
 }
 
+// Hostile numbers are refused with a ParseError: no UB, no crash, no wrap,
+// no multi-GB allocation.
+TEST(Assembler, NumberLiteralsOutOfRangeAreErrors) {
+    EXPECT_THROW((void)assemble(".text\n mov r0, 99999999999999999999"), ParseError);
+    EXPECT_THROW((void)assemble(".text\n mov r0, 0x99999999999999999999"), ParseError);
+    EXPECT_THROW((void)assemble(".text\n mov r0, 4294967297"), ParseError); // not "mov r0, 1"
+    EXPECT_THROW((void)assemble(".text\n mov r0, -2147483649"), ParseError);
+    EXPECT_THROW((void)assemble(".data\n .word 0x100000000"), ParseError);
+    EXPECT_THROW((void)assemble(".text\n load r0, [bp+4294967296]"), ParseError);
+    EXPECT_THROW((void)assemble(".data\nx: .word x+4294967296"), ParseError);
+    try {
+        (void)assemble(".text\n nop\n mov r0, 4294967297");
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+        EXPECT_EQ(e.line(), 3);
+    }
+    // Both ends of the range still assemble, to the same word as before.
+    const auto obj = assemble(".data\n .word 0xFFFFFFFF, -2147483648, 4294967295, -1");
+    EXPECT_EQ(obj.data, (std::vector<std::uint8_t>{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0x80, 0xff,
+                                                   0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}));
+    // A token that is not a number is still a symbol, however long.
+    EXPECT_EQ(assemble(".text\n mov r0, x99999999999999999999\nx99999999999999999999: ret")
+                  .relocs.size(),
+              1u);
+}
+
+TEST(Assembler, AlignOutOfRangeIsAnError) {
+    EXPECT_THROW((void)assemble(".text\n .align 4294967296"), ParseError); // was SIGFPE
+    EXPECT_THROW((void)assemble(".text\n .align 8192"), ParseError);
+    EXPECT_THROW((void)assemble(".text\n .align 0"), ParseError);
+    EXPECT_EQ(assemble(".data\n .byte 1\n .align 4096").data.size(), 4096u);
+}
+
+TEST(Assembler, SectionGrowthIsCapped) {
+    const auto cap = static_cast<std::size_t>(assembler::kMaxSectionBytes);
+    EXPECT_THROW((void)assemble(".data\n .space 3000000000"), ParseError);
+    EXPECT_THROW((void)assemble(".text\n .space 3000000000"), ParseError);
+    EXPECT_THROW((void)assemble(".data\n .redzone 3000000000"), ParseError);
+    EXPECT_THROW((void)assemble(".bss 3000000000"), ParseError);
+    // Two .bss lines must not wrap bss_size.
+    EXPECT_THROW((void)assemble(".bss 4294967295\n.bss 2"), ParseError);
+    EXPECT_THROW((void)assemble(".bss 16777216\n.bss 1"), ParseError);
+    EXPECT_EQ(assemble(".bss 16777216").bss_size, cap);
+    // The cap counts what the section already holds.
+    EXPECT_EQ(assemble(".data\n .space 16777216").data.size(), cap);
+    EXPECT_THROW((void)assemble(".data\n .byte 1\n .space 16777216"), ParseError);
+}
+
 TEST(Linker, ResolvesCrossUnitSymbols) {
     const auto a = assemble(R"(
         .text

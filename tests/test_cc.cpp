@@ -294,6 +294,31 @@ TEST(MiniCErrors, ErrorsCarryLineNumbers) {
     }
 }
 
+/// The line of the ParseError that compiling `src` raises, or -1.
+int parse_error_line(const std::string& src) {
+    try {
+        (void)cc::compile_program({src}, {});
+    } catch (const ParseError& e) {
+        return e.line();
+    }
+    return -1;
+}
+
+TEST(MiniCErrors, OversizedLiteralsAndArraysAreErrors) {
+    // 4294967297 used to truncate to a 1-byte array; 1073741825 ints used to
+    // wrap Type::size() to 4 bytes.
+    EXPECT_EQ(parse_error_line("int x;\nchar g[4294967297];\nint main() { return 0; }"), 2);
+    EXPECT_EQ(parse_error_line("int x;\nint g[1073741825];\nint main() { return 0; }"), 2);
+    EXPECT_EQ(parse_error_line("int main() {\n  return 99999999999999999999;\n}"), 2);
+    EXPECT_EQ(parse_error_line("int main() {\n  return sizeof(int[1073741825]);\n}"), 2);
+    // A 2 GB global fits the type system but not an image section.
+    EXPECT_THROW((void)cc::compile_program({"char g[2000000000]; int main() { return 0; }"}, {}),
+                 ParseError);
+    // Literals up to 0xFFFFFFFF keep their int32 wrap.
+    EXPECT_EQ(run_main("int main() { return 0xFFFFFFFF == -1; }"), 1);
+    EXPECT_EQ(run_main("int main() { return 4294967295 + 2; }"), 1);
+}
+
 // --- hardening transformations --------------------------------------------------
 
 TEST(MiniCHardening, BoundsChecksCatchBadIndex) {

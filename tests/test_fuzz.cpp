@@ -281,25 +281,29 @@ TEST(ImageCacheKey, DistinctOptionSetsNeverCollide) {
         for (const int bounds : {0, 1}) {
             for (const int fortify : {0, 1}) {
                 for (const int memcheck : {0, 1}) {
-                    for (const int comments : {0, 1}) {
-                        for (const cc::PmaMode pma :
-                             {cc::PmaMode::Off, cc::PmaMode::InsecureModule,
-                              cc::PmaMode::SecureModule}) {
-                            cc::CompilerOptions o;
-                            o.stack_canaries = canaries != 0;
-                            o.bounds_checks = bounds != 0;
-                            o.fortify_reads = fortify != 0;
-                            o.memcheck = memcheck != 0;
-                            o.emit_comments = comments != 0;
-                            o.pma_mode = pma;
-                            keys.insert(core::compiler_options_key(o));
-                            ++combos;
+                    for (const int sanitize : {0, 1}) {
+                        for (const int comments : {0, 1}) {
+                            for (const cc::PmaMode pma :
+                                 {cc::PmaMode::Off, cc::PmaMode::InsecureModule,
+                                  cc::PmaMode::SecureModule}) {
+                                cc::CompilerOptions o;
+                                o.stack_canaries = canaries != 0;
+                                o.bounds_checks = bounds != 0;
+                                o.fortify_reads = fortify != 0;
+                                o.memcheck = memcheck != 0;
+                                o.sanitize_address = sanitize != 0;
+                                o.emit_comments = comments != 0;
+                                o.pma_mode = pma;
+                                keys.insert(cc::compiler_options_key(o));
+                                ++combos;
+                            }
                         }
                     }
                 }
             }
         }
     }
+    EXPECT_EQ(combos, 192);
     EXPECT_EQ(static_cast<int>(keys.size()), combos);
 }
 
