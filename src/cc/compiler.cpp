@@ -3,6 +3,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "assembler/assembler.hpp"
 #include "assembler/linker.hpp"
@@ -67,6 +68,10 @@ std::shared_ptr<const objfmt::ObjectFile> runtime_object(const std::string& key,
     return m.objects.try_emplace(key, std::move(obj)).first->second;
 }
 
+/// The link name of a program's i-th MiniC unit: static symbols are mangled
+/// with it.
+std::string program_unit_name(std::size_t i) { return "u" + std::to_string(i); }
+
 } // namespace
 
 void clear_runtime_memo() {
@@ -89,19 +94,36 @@ objfmt::ObjectFile compile(const std::string& source, const CompilerOptions& opt
 
 objfmt::Image compile_program(const std::vector<std::string>& minic_units,
                               const CompilerOptions& opts) {
-    return compile_program_with_objects(minic_units, opts, {});
+    return build_program(parse_program(minic_units), opts);
 }
 
 objfmt::Image compile_program_with_objects(const std::vector<std::string>& minic_units,
                                            const CompilerOptions& opts,
                                            const std::vector<objfmt::ObjectFile>& extra_objects,
                                            const ExternEnv& extra_externs) {
+    return build_program(parse_program(minic_units, extra_externs), opts, extra_objects);
+}
+
+ParsedProgram parse_program(const std::vector<std::string>& minic_units,
+                            const ExternEnv& extra_externs) {
     ExternEnv env = runtime_externs();
     for (const auto& [name, type] : extra_externs) {
         env[name] = type;
     }
+    ParsedProgram out;
+    out.units.reserve(minic_units.size());
+    for (std::size_t i = 0; i < minic_units.size(); ++i) {
+        Program prog = parse(minic_units[i]);
+        analyze(prog, env, program_unit_name(i));
+        out.units.push_back(std::move(prog));
+    }
+    return out;
+}
+
+objfmt::Image build_program(const ParsedProgram& program, const CompilerOptions& opts,
+                            const std::vector<objfmt::ObjectFile>& extra_objects) {
     std::vector<objfmt::ObjectFile> objects;
-    objects.reserve(2 + minic_units.size() + extra_objects.size());
+    objects.reserve(2 + program.units.size() + extra_objects.size());
     objects.push_back(
         *runtime_object("crt0", [] { return assembler::assemble(runtime_crt0_asm(), "crt0"); }));
     // The runtime library is compiled with the same hardening profile as the
@@ -110,8 +132,9 @@ objfmt::Image compile_program_with_objects(const std::vector<std::string>& minic
     objects.push_back(*runtime_object("libc/" + compiler_options_key(opts), [&] {
         return compile(runtime_libc_minic(), opts, "libc");
     }));
-    for (std::size_t i = 0; i < minic_units.size(); ++i) {
-        objects.push_back(compile(minic_units[i], opts, "u" + std::to_string(i), env));
+    for (std::size_t i = 0; i < program.units.size(); ++i) {
+        const std::string name = program_unit_name(i);
+        objects.push_back(assembler::assemble(generate(program.units[i], opts, name), name));
     }
     for (const auto& obj : extra_objects) {
         objects.push_back(obj);

@@ -98,7 +98,7 @@ struct CompilerOptions {
 
 /// Compile a whole program: the given MiniC units plus the swsec runtime
 /// (crt0/_start, syscall wrappers, small libc), linked into an Image ready
-/// for os::load_image.
+/// for os::load_image.  This is parse_program followed by build_program.
 [[nodiscard]] objfmt::Image compile_program(const std::vector<std::string>& minic_units,
                                             const CompilerOptions& opts);
 
@@ -111,6 +111,25 @@ compile_program_with_objects(const std::vector<std::string>& minic_units,
                              const CompilerOptions& opts,
                              const std::vector<objfmt::ObjectFile>& extra_objects,
                              const ExternEnv& extra_externs = {});
+
+/// The front half of compile_program, which no option affects: each MiniC
+/// unit parsed and analysed under its link name ("u0", "u1", ...).  Code
+/// generation only reads the analysed trees, so one ParsedProgram can be
+/// built under any number of option sets.
+struct ParsedProgram {
+    std::vector<Program> units;
+};
+
+/// Throws swsec::Error (ParseError for MiniC errors) as compile_program does.
+[[nodiscard]] ParsedProgram parse_program(const std::vector<std::string>& minic_units,
+                                          const ExternEnv& extra_externs = {});
+
+/// The per-options back half of compile_program: code generation, assembly,
+/// the memoized runtime objects and the link, with `extra_objects` linked
+/// after the units.
+[[nodiscard]] objfmt::Image build_program(const ParsedProgram& program,
+                                          const CompilerOptions& opts,
+                                          const std::vector<objfmt::ObjectFile>& extra_objects = {});
 
 /// Drop the memoized runtime objects, so the next compile_program builds
 /// them again.

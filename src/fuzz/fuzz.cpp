@@ -1,8 +1,10 @@
 #include "fuzz/fuzz.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
-#include <cstdlib>
+#include <charconv>
+#include <exception>
 #include <map>
 #include <memory>
 #include <utility>
@@ -48,29 +50,41 @@ void add_counters(trace::Counters& into, const trace::Counters& c) {
     into.dcache_misses += c.dcache_misses;
 }
 
-/// Per-program compile memo.  Images depend only on CompilerOptions (the
-/// platform half of a Defense never reaches the compiler), so the 11
-/// standard defenses share 5 compiles, keyed by cc::compiler_options_key as
-/// the machine-wide image cache and the compiler's runtime memo are.  Every
-/// run of the program shares the memoized image instead of copying it.
+/// Per-program compile memo.  The source is parsed and analysed once, and
+/// images depend only on CompilerOptions (the platform half of a Defense
+/// never reaches the compiler), so the 11 standard defenses share one AST
+/// and 5 back-half builds, keyed by cc::compiler_options_key as the
+/// machine-wide image cache and the compiler's runtime memo are.  A parse or
+/// sema error is rethrown by every get(), so each defense still reports it.
+/// Every run of the program shares the memoized image instead of copying it.
 class CompileMemo {
 public:
-    explicit CompileMemo(std::string source) : source_(std::move(source)) {}
+    explicit CompileMemo(const std::string& source) {
+        try {
+            program_ = cc::parse_program({source});
+        } catch (const Error&) {
+            parse_error_ = std::current_exception();
+        }
+    }
 
     std::shared_ptr<const objfmt::Image> get(const cc::CompilerOptions& copts) {
+        if (parse_error_) {
+            std::rethrow_exception(parse_error_);
+        }
         const std::string key = cc::compiler_options_key(copts);
         auto it = images_.find(key);
         if (it == images_.end()) {
             it = images_
                      .emplace(key, std::make_shared<const objfmt::Image>(
-                                       cc::compile_program({source_}, copts)))
+                                       cc::build_program(program_, copts)))
                      .first;
         }
         return it->second;
     }
 
 private:
-    std::string source_;
+    cc::ParsedProgram program_;
+    std::exception_ptr parse_error_;
     std::map<std::string, std::shared_ptr<const objfmt::Image>> images_;
 };
 
@@ -166,25 +180,28 @@ Observed run_once(const std::shared_ptr<const objfmt::Image>& image,
 }
 
 /// Event-for-event trace equality (the byte-identical-JSONL oracle without
-/// the string building).  On mismatch returns the first differing index,
-/// else -1.
+/// the string building), read in place from both rings.  On mismatch
+/// returns the first differing index, else -1.
 std::ptrdiff_t first_trace_mismatch(const trace::Tracer& x, const trace::Tracer& y) {
-    const auto xe = x.events();
-    const auto ye = y.events();
-    const std::size_t n = xe.size() < ye.size() ? xe.size() : ye.size();
+    const std::size_t n = std::min(x.size(), y.size());
     for (std::size_t i = 0; i < n; ++i) {
-        const trace::TraceEvent& a = xe[i];
-        const trace::TraceEvent& b = ye[i];
+        const trace::TraceEvent& a = x.event(i);
+        const trace::TraceEvent& b = y.event(i);
         if (a.kind != b.kind || a.step != b.step || a.pc != b.pc || a.module != b.module ||
             a.kernel != b.kernel || a.origin != b.origin || a.code != b.code || a.a != b.a ||
             a.b != b.b || a.detail != b.detail) {
             return static_cast<std::ptrdiff_t>(i);
         }
     }
-    if (xe.size() != ye.size() || x.total_recorded() != y.total_recorded()) {
+    if (x.size() != y.size() || x.total_recorded() != y.total_recorded()) {
         return static_cast<std::ptrdiff_t>(n);
     }
     return -1;
+}
+
+/// The JSON of a ring's event `i`, or "<missing>" past its end.
+std::string event_json(const trace::Tracer& t, std::size_t i) {
+    return i < t.size() ? t.event(i).to_json() : "<missing>";
 }
 
 std::size_t count_occurrences(const std::string& haystack, const std::string& needle) {
@@ -336,12 +353,9 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
             std::string out_b = off.describe();
             if (mismatch >= 0) {
                 const auto idx = static_cast<std::size_t>(mismatch);
-                const auto on_events = on_trace.events();
-                const auto off_events = off_trace.events();
-                out_a += "[trace #" + std::to_string(idx) + "] " +
-                         (idx < on_events.size() ? on_events[idx].to_json() : "<missing>") + "\n";
-                out_b += "[trace #" + std::to_string(idx) + "] " +
-                         (idx < off_events.size() ? off_events[idx].to_json() : "<missing>") + "\n";
+                out_a += "[trace #" + std::to_string(idx) + "] " + event_json(on_trace, idx) + "\n";
+                out_b +=
+                    "[trace #" + std::to_string(idx) + "] " + event_json(off_trace, idx) + "\n";
             }
             report(Oracle::Engine, d.name + "+dcache", d.name + "-dcache", std::move(out_a),
                    std::move(out_b));
@@ -701,7 +715,12 @@ Divergence parse_record(const std::vector<std::string>& lines, std::size_t& i) {
         throw Error("malformed repro record: truncated");
     }
     Divergence d;
-    d.seed = std::strtoull(field(lines[i + 1], "seed").c_str(), nullptr, 10);
+    const std::string seed = field(lines[i + 1], "seed");
+    const char* const end = seed.data() + seed.size();
+    const auto [ptr, ec] = std::from_chars(seed.data(), end, d.seed);
+    if (ec != std::errc{} || ptr != end) {
+        throw Error("malformed repro record: seed '" + seed + "' is not a 64-bit unsigned number");
+    }
     const std::string oracle = field(lines[i + 2], "oracle");
     if (!oracle_from_name(oracle, d.oracle)) {
         throw Error("malformed repro record: unknown oracle '" + oracle + "'");

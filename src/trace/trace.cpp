@@ -99,7 +99,7 @@ std::string Counters::summary() const {
 }
 
 Tracer::Tracer(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
-    ring_.resize(capacity_);
+    ring_.reserve(capacity_);
 }
 
 void Tracer::record(TraceEvent e) {
@@ -116,8 +116,15 @@ void Tracer::record(TraceEvent e) {
     case EventKind::HeapFree: ++counters_.heap_frees; break;
     case EventKind::ModuleLoaded: break;
     }
+    // Writes go round the ring in order from slot 0, so the write position
+    // is at most one past the constructed slots.
+    if (head_ == ring_.size()) [[unlikely]] {
+        ring_.emplace_back(); // first write of this slot
+    }
     ring_[head_] = std::move(e);
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_) {
+        head_ = 0;
+    }
     if (size_ < capacity_) {
         ++size_;
     }
@@ -127,18 +134,16 @@ void Tracer::record(TraceEvent e) {
 std::vector<TraceEvent> Tracer::events() const {
     std::vector<TraceEvent> out;
     out.reserve(size_);
-    const std::size_t start = (head_ + capacity_ - size_) % capacity_;
     for (std::size_t i = 0; i < size_; ++i) {
-        out.push_back(ring_[(start + i) % capacity_]);
+        out.push_back(event(i));
     }
     return out;
 }
 
 std::string Tracer::to_jsonl() const {
     std::string out;
-    const std::size_t start = (head_ + capacity_ - size_) % capacity_;
     for (std::size_t i = 0; i < size_; ++i) {
-        out += ring_[(start + i) % capacity_].to_json();
+        out += event(i).to_json();
         out += '\n';
     }
     return out;

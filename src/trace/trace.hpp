@@ -113,7 +113,9 @@ struct Counters {
 
 /// Fixed-capacity ring buffer of TraceEvents plus Counters.  When the
 /// buffer is full the oldest event is dropped (and counted) — a long run
-/// keeps its tail, which is where the trap provenance lives.
+/// keeps its tail, which is where the trap provenance lives.  The capacity
+/// is allocated once, and a slot is constructed the first time it is
+/// written, so a short run pays only for the events it records.
 class Tracer {
 public:
     static constexpr std::size_t kDefaultCapacity = 65536;
@@ -134,6 +136,13 @@ public:
     [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
     /// Events in emission order (oldest first).
     [[nodiscard]] std::vector<TraceEvent> events() const;
+    /// Number of events held, and the i-th oldest (i < size()) read in
+    /// place: event(i) == events()[i].
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] const TraceEvent& event(std::size_t i) const noexcept {
+        const std::size_t slot = head_ + capacity_ - size_ + i; // < 2 * capacity_
+        return ring_[slot < capacity_ ? slot : slot - capacity_];
+    }
     [[nodiscard]] std::uint64_t total_recorded() const noexcept { return total_; }
     [[nodiscard]] std::uint64_t dropped() const noexcept {
         return total_ - static_cast<std::uint64_t>(size_);
@@ -142,10 +151,12 @@ public:
     /// The whole buffer as JSONL (one event per line, oldest first).
     [[nodiscard]] std::string to_jsonl() const;
 
+    /// Forget every event and counter.  The slots already constructed are
+    /// kept and overwritten by later records.
     void clear() noexcept;
 
 private:
-    std::vector<TraceEvent> ring_;
+    std::vector<TraceEvent> ring_; // constructed slots; capacity_ reserved
     std::size_t capacity_;
     std::size_t head_ = 0; // next write position
     std::size_t size_ = 0;

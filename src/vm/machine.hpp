@@ -254,10 +254,10 @@ private:
         bool b = false;  // unsigned below
     };
 
-    /// Slow-path fetch: per-byte checked reads + decode.  The byte-level
-    /// reference decoder and single source of truth for fetch trap kinds;
-    /// the decode cache only serves instructions this path would fetch
-    /// identically.
+    /// Slow-path fetch: a page-wise checked copy of the instruction window
+    /// (one permission test per page it touches) + decode.  The reference
+    /// decoder and single source of truth for fetch trap kinds; the decode
+    /// cache only serves instructions this path would fetch identically.
     [[nodiscard]] bool fetch(isa::Insn& out);
     void apply_step_fault(const fault::StepFault& f);
     void do_sys(std::uint8_t number);

@@ -1,9 +1,11 @@
 // Differential fuzzing subsystem tests: generator determinism, oracle
 // cleanliness, minimizer idempotence, repro round-trips, serial-vs-parallel
 // report identity, the satellite bugfix regressions (constant folding,
-// malloc overflow, image-cache key drift), and corpus replay.
+// malloc overflow, image-cache key drift), corpus replay, and the committed
+// fuzz report, metrics and coverage curve.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -65,6 +67,27 @@ TEST(FuzzGenerator, GeneratedProgramsAreCleanUnderAllOracles) {
     }
 }
 
+// The source is parsed once per program, but a parse or sema error still
+// yields one <compile> divergence per standard defense, with the
+// compiler's own message.
+TEST(FuzzOracles, CompileErrorIsReportedOncePerDefense) {
+    const std::string source = "int main() { return undefined_fn(); }";
+    const auto divs = fuzz::check_program(source, 7, 20'000'000);
+    const auto& defenses = core::standard_defenses();
+    ASSERT_EQ(defenses.size(), 11u);
+    ASSERT_EQ(divs.size(), defenses.size());
+    for (std::size_t i = 0; i < divs.size(); ++i) {
+        SCOPED_TRACE(defenses[i].name);
+        EXPECT_EQ(divs[i].seed, 7u);
+        EXPECT_EQ(divs[i].oracle, fuzz::Oracle::Defense);
+        EXPECT_EQ(divs[i].config_a, "<compile>");
+        EXPECT_EQ(divs[i].config_b, defenses[i].name);
+        EXPECT_EQ(divs[i].output_a, "line 1: use of undeclared identifier 'undefined_fn'");
+        EXPECT_EQ(divs[i].output_b, "");
+        EXPECT_EQ(divs[i].source, source);
+    }
+}
+
 // ---- minimizer ----------------------------------------------------------
 
 TEST(FuzzMinimizer, GreedyAndIdempotent) {
@@ -101,6 +124,8 @@ TEST(FuzzRepro, RoundTripsEscapedText) {
     d.output_b = "back\\slash\rcarriage\n";
     d.source = "int main() {\n  return 0;\n}\n";
     EXPECT_EQ(fuzz::parse_repro(fuzz::to_repro(d)), d);
+    d.seed = 18446744073709551615ULL; // the largest seed survives the trip
+    EXPECT_EQ(fuzz::parse_repro(fuzz::to_repro(d)), d);
 }
 
 TEST(FuzzRepro, FileRoundTripSkipsCommentsAndBlanks) {
@@ -127,6 +152,16 @@ TEST(FuzzRepro, MalformedRecordThrows) {
     EXPECT_THROW((void)fuzz::parse_repro_file("repro-v1\nseed 1\noracle bogus\nconfig-a x\n"
                                               "config-b y\noutput-a \noutput-b \nsource \nend\n"),
                  Error);
+    // The seed field must be a whole 64-bit unsigned decimal.  A negative, a
+    // trailing suffix, an empty field, an overflow, a leading space or a
+    // sign would otherwise replay some other seed, or be read leniently.
+    for (const char* seed : {"-5", "12abc", "", "99999999999999999999999", " 12", "+7"}) {
+        SCOPED_TRACE(seed);
+        EXPECT_THROW((void)fuzz::parse_repro(std::string("repro-v1\nseed ") + seed +
+                                             "\noracle defense\nconfig-a x\nconfig-b y\n"
+                                             "output-a \noutput-b \nsource \nend\n"),
+                     Error);
+    }
 }
 
 // ---- the campaign driver ------------------------------------------------
@@ -374,6 +409,41 @@ TEST(FuzzCorpus, EveryCommittedRecordReplaysClean) {
         EXPECT_GT(stats.runs, 0U);
     }
     EXPECT_GE(records, 5U);
+}
+
+// ---- committed fuzz artifacts ---------------------------------------------
+
+// The three artifacts of `swsec fuzz --coverage --seeds 200` pinned byte for
+// byte against tests/golden/fuzz/.  The oracles above compare two runs of
+// one build, so a change that shifts both sides of every comparison (a
+// program, a counter, a coverage edge) would go unseen without them.  After
+// an intended change of what the fuzzer generates or counts, regenerate them
+// with
+//   SWSEC_FUZZ_GOLDEN_OUT=<dir> ./build/tests/test_fuzz --gtest_filter='FuzzGolden.*'
+// and review the diff.
+TEST(FuzzGolden, ReportMetricsAndCoverageMatchCommitted) {
+    fuzz::FuzzOptions opts;
+    opts.seed_base = 1;
+    opts.seeds = 200;
+    opts.jobs = 2; // the report is byte-identical for any jobs value
+    opts.coverage = true;
+    const fuzz::FuzzReport report = fuzz::run_fuzz(opts);
+    const std::vector<std::pair<std::string, std::string>> artifacts = {
+        {"summary.txt", report.summary()},
+        {"metrics.json", fuzz::fuzz_metrics(report).to_json()},
+        {"coverage.csv", report.coverage.curve_csv(opts.seed_base)},
+    };
+    if (const char* out = std::getenv("SWSEC_FUZZ_GOLDEN_OUT")) {
+        for (const auto& [name, text] : artifacts) {
+            std::ofstream(std::filesystem::path(out) / name, std::ios::binary) << text;
+        }
+        GTEST_SKIP() << "wrote " << artifacts.size() << " fuzz goldens to " << out;
+    }
+    const std::filesystem::path dir = SWSEC_FUZZ_GOLDEN_DIR;
+    for (const auto& [name, text] : artifacts) {
+        ASSERT_TRUE(std::filesystem::exists(dir / name)) << "missing " << dir / name;
+        EXPECT_EQ(text, read_file(dir / name)) << name;
+    }
 }
 
 } // namespace

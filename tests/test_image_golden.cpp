@@ -10,7 +10,10 @@
 // Each entry is checked three ways: cold (after core::clear_image_cache(),
 // which also empties the compiler's runtime memo), warm, and from 8 threads
 // that start from a cleared memo — so the memo must be invisible in the
-// output however it is filled.
+// output however it is filled.  The generated-program entries are checked a
+// fourth way, built from one parsed and analysed AST per source as the
+// fuzzer builds them, so sharing an AST across option sets must be
+// invisible too.
 //
 // After an intended change of the generated code, regenerate the file with
 //   SWSEC_IMAGE_GOLDEN_OUT=<path> ./build/tests/test_image_golden
@@ -22,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -304,6 +308,30 @@ std::vector<Entry> golden_entries() {
     return entries;
 }
 
+/// The generated-program entries built the way the fuzzer's CompileMemo
+/// builds them: each source parsed and analysed once, then built under every
+/// standard option set from that one AST, in the order the standard defenses
+/// first use the sets.  Code generation must leave the AST as it found it,
+/// or a later key would hash differently from a fresh compile.
+std::vector<std::string> shared_ast_lines() {
+    std::vector<std::string> lines;
+    const auto add_source = [&](const std::string& name, const std::string& source) {
+        const cc::ParsedProgram program = cc::parse_program({source});
+        for (const auto& o : standard_option_sets()) {
+            lines.push_back(name + " " + cc::compiler_options_key(o) + " " +
+                            image_digest(cc::build_program(program, o)));
+        }
+    };
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        add_source("fuzz_program" + std::to_string(seed), fuzz::generate_program(seed).render());
+    }
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        add_source("fuzz_model" + std::to_string(seed),
+                   fuzz::generate_model(seed).render().render());
+    }
+    return lines;
+}
+
 std::vector<std::string> read_golden() {
     const std::filesystem::path path =
         std::filesystem::path(SWSEC_IMAGE_GOLDEN_DIR) / "images.txt";
@@ -370,6 +398,26 @@ TEST(ImageGolden, EveryImageMatchesColdWarmAndThreaded) {
         w.join();
     }
     expect_golden(threaded, golden, "threaded");
+
+    // The same hashes from one AST per generated source: each line must equal
+    // the golden line of its source and options key.
+    std::map<std::string, std::string> by_entry; // "<source> <key>" -> line
+    for (const auto& line : golden) {
+        by_entry[line.substr(0, line.rfind(' '))] = line;
+    }
+    const std::vector<std::string> shared = shared_ast_lines();
+    ASSERT_EQ(shared.size(), 50 * standard_option_sets().size());
+    int reported = 0;
+    for (const auto& line : shared) {
+        const auto it = by_entry.find(line.substr(0, line.rfind(' ')));
+        if (it == by_entry.end() || it->second != line) {
+            ADD_FAILURE() << "shared AST: got '" << line << "', golden '"
+                          << (it == by_entry.end() ? "<none>" : it->second) << "'";
+            if (++reported == 5) {
+                break;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -50,9 +50,24 @@ TEST(Tracer, CountersTallyPerEventKind) {
 
 TEST(Tracer, RingDropsOldestWhenFull) {
     trace::Tracer t(4); // tiny ring
-    for (std::uint64_t i = 0; i < 10; ++i) {
-        t.record({trace::EventKind::InsnRetired, i, 0, -1, false,
-                  trace::CheckOrigin::None, 0, 0, 0, {}});
+    const auto record = [&t](std::uint64_t step) {
+        t.record({trace::EventKind::InsnRetired, step, 0, -1, false,
+                  trace::CheckOrigin::None, 0, 0, 0, "step " + std::to_string(step)});
+    };
+    // event(i) reads the ring in place, oldest first, as events() copies it.
+    const auto expect_in_place_reads_match_copy = [&t] {
+        const auto evs = t.events();
+        ASSERT_EQ(t.size(), evs.size());
+        for (std::size_t i = 0; i < evs.size(); ++i) {
+            EXPECT_EQ(t.event(i).to_json(), evs[i].to_json()) << "event " << i;
+        }
+    };
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        record(i);
+    }
+    expect_in_place_reads_match_copy(); // before the ring wraps
+    for (std::uint64_t i = 3; i < 10; ++i) {
+        record(i);
     }
     EXPECT_EQ(t.total_recorded(), 10u);
     EXPECT_EQ(t.dropped(), 6u);
@@ -63,6 +78,18 @@ TEST(Tracer, RingDropsOldestWhenFull) {
     EXPECT_EQ(evs.back().step, 9u);
     // Counters are not subject to the ring: all 10 counted.
     EXPECT_EQ(t.counters().instructions, 10u);
+    expect_in_place_reads_match_copy(); // after it wrapped
+
+    // clear() keeps the constructed slots; fewer records than before must
+    // still read back only themselves.
+    t.clear();
+    record(100);
+    record(101);
+    EXPECT_EQ(t.size(), 2u);
+    EXPECT_EQ(t.dropped(), 0u);
+    EXPECT_EQ(t.event(0).step, 100u);
+    EXPECT_EQ(t.event(1).step, 101u);
+    expect_in_place_reads_match_copy();
 }
 
 TEST(Tracer, JsonlEscapesAndFixedKeyOrder) {

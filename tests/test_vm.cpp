@@ -481,6 +481,85 @@ TEST(Machine, InvalidOpcodeTraps) {
     }
 }
 
+// Machine::fetch owns every fetch trap, and it reads the instruction window
+// a page at a time.  Each case jumps to `target` and pins the trap's kind,
+// ip, addr and detail at a page edge: a window cut short by an unmapped or
+// non-executable page, a one-byte instruction that fits before one, and a
+// window that wraps past 2^32 into page 0.
+TEST(Machine, FetchAtPageBoundariesTrapsExactly) {
+    const std::vector<std::uint8_t> movi_head = {static_cast<std::uint8_t>(Op::MovI), 0};
+    struct Case {
+        const char* name;
+        bool nx;
+        std::uint32_t target;
+        std::vector<std::uint8_t> bytes; // written at target
+        std::uint32_t extra_page;        // mapped with extra_perms, 0 = none
+        Perm extra_perms;
+        TrapKind kind;
+        std::uint32_t ip;
+        std::uint32_t addr;
+        const char* detail;
+    };
+    const std::vector<Case> cases = {
+        {"straddles into an unmapped page", false, 0x1ffe, movi_head, 0, Perm::None,
+         TrapKind::SegvExec, 0x1ffe, 0x2000, "instruction crosses fetch-protected boundary"},
+        {"straddles into a non-X page under DEP", true, 0x1ffe, movi_head, 0x2000, Perm::RW,
+         TrapKind::SegvExec, 0x1ffe, 0x2000, "instruction crosses fetch-protected boundary"},
+        {"one byte on the page's last byte", false, 0x1fff,
+         {static_cast<std::uint8_t>(Op::Halt)}, 0, Perm::None, TrapKind::Halted, 0x1fff, 0, ""},
+        {"undecodable opcode", false, 0x1800, {0x04}, 0, Perm::None,
+         TrapKind::InvalidInstruction, 0x1800, 0x1800, "byte 0x04"},
+        {"unmapped ip", false, 0x5000, {}, 0, Perm::None, TrapKind::SegvExec, 0x5000, 0x5000,
+         "fetch fault"},
+        {"non-X page under DEP", true, 0x8000, {static_cast<std::uint8_t>(Op::Nop)}, 0,
+         Perm::None, TrapKind::SegvExec, 0x8000, 0x8000, "fetch from non-executable memory (DEP)"},
+        {"tail wraps to an unmapped page 0", false, 0xfffffffe, movi_head, 0xfffff000, Perm::RX,
+         TrapKind::SegvExec, 0xfffffffe, 0, "instruction crosses fetch-protected boundary"},
+    };
+    for (const Case& k : cases) {
+        SCOPED_TRACE(k.name);
+        Encoder e;
+        e.reg_imm32(Op::MovI, Reg::R0, static_cast<std::int32_t>(k.target));
+        e.reg(Op::JmpR, Reg::R0);
+        MachineOptions opts;
+        opts.enforce_nx = k.nx;
+        for (const EngineConfig& c : engine_configs(opts)) {
+            SCOPED_TRACE(c.name);
+            Runner r(c.opts);
+            if (k.extra_page != 0) {
+                r.m.memory().map(k.extra_page, 0x1000, k.extra_perms);
+            }
+            if (!k.bytes.empty()) {
+                r.m.memory().raw_write(k.target, k.bytes);
+            }
+            const auto res = r.run(e);
+            EXPECT_EQ(res.trap.kind, k.kind);
+            EXPECT_EQ(res.trap.ip, k.ip);
+            EXPECT_EQ(res.trap.addr, k.addr);
+            EXPECT_EQ(res.trap.detail, k.detail);
+        }
+    }
+    // A window that wraps into a mapped page 0 decodes across 2^32, and the
+    // machine runs on from the wrapped ip.
+    const std::vector<std::uint8_t> wrapped_movi = {static_cast<std::uint8_t>(Op::MovI), 0, 7};
+    for (const EngineConfig& c : engine_configs()) {
+        SCOPED_TRACE(c.name);
+        Runner r(c.opts);
+        r.m.memory().map(0xfffff000, 0x1000, Perm::RX);
+        r.m.memory().map(0, 0x1000, Perm::RX);
+        // movi r0, 7: the immediate's upper three bytes are page 0's zeros.
+        r.m.memory().raw_write(0xfffffffd, wrapped_movi);
+        r.m.memory().raw_write8(3, static_cast<std::uint8_t>(Op::Halt));
+        Encoder e;
+        e.reg_imm32(Op::MovI, Reg::R0, static_cast<std::int32_t>(0xfffffffd));
+        e.reg(Op::JmpR, Reg::R0);
+        const auto res = r.run(e);
+        EXPECT_EQ(res.trap.kind, TrapKind::Halted);
+        EXPECT_EQ(res.trap.ip, 3u);
+        EXPECT_EQ(r.m.reg(Reg::R0), 7u);
+    }
+}
+
 TEST(Machine, UnhandledSyscallTraps) {
     Encoder e;
     e.imm8(Op::Sys, 99);

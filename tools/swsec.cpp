@@ -79,15 +79,21 @@
 //   --seed N                                   deterministic randomness
 //   --input STR                                bytes fed to fd 0
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "attacks/gadgets.hpp"
@@ -210,6 +216,41 @@ std::string read_file(const std::string& path) {
     return ss.str();
 }
 
+/// A numeric flag whose value is not a number of the flag's type: main
+/// prints it with the usage text and exits 2.
+class BadNumber : public std::runtime_error {
+public:
+    using std::runtime_error::runtime_error;
+};
+
+/// Parse `flag`'s value `text` into `out`.  The whole of `text` must be one
+/// integer in strtol's base-0 syntax (decimal, 0x hex or 0 octal) that fits
+/// T; otherwise this throws BadNumber.  A value that fits T but lies outside
+/// the field's domain (a negative count, say) is stored, and the command's
+/// own validation decides what it means.
+template <class T>
+void parse_number(const std::string& flag, const char* text, T& out) {
+    static_assert(std::is_integral_v<T>);
+    const std::string s = text;
+    char* end = nullptr;
+    errno = 0;
+    bool ok = !s.empty() && std::isspace(static_cast<unsigned char>(s[0])) == 0;
+    if constexpr (std::is_signed_v<T>) {
+        const long long v = std::strtoll(s.c_str(), &end, 0);
+        ok = ok && v >= std::numeric_limits<T>::min() && v <= std::numeric_limits<T>::max();
+        out = static_cast<T>(v);
+    } else {
+        const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
+        ok = ok && s[0] != '-' && v <= std::numeric_limits<T>::max();
+        out = static_cast<T>(v);
+    }
+    if (!ok || errno != 0 || *end != '\0') {
+        throw BadNumber(flag + ": '" + s + "' is not a number from " +
+                        std::to_string(std::numeric_limits<T>::min()) + " to " +
+                        std::to_string(std::numeric_limits<T>::max()));
+    }
+}
+
 /// Parse the hardening, --seed and --input flags and one positional
 /// argument.  `extra` may claim a command's own flags: it returns true when
 /// it took `arg`, advancing `i` past any value it consumed.
@@ -238,7 +279,7 @@ bool parse_options(int argc, char** argv, int start, Options& out,
         } else if (arg == "--cfi") {
             out.profile.coarse_cfi = true;
         } else if (arg == "--seed" && i + 1 < argc) {
-            out.seed = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], out.seed.emplace());
         } else if (arg == "--input" && i + 1 < argc) {
             out.input = argv[++i];
         } else if (!arg.empty() && arg[0] != '-' && out.file.empty()) {
@@ -319,7 +360,7 @@ int cmd_matrix(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], jobs);
         } else if (arg == "--trace-out" && i + 1 < argc) {
             trace_out = argv[++i];
         } else if (arg == "--metrics-out" && i + 1 < argc) {
@@ -355,9 +396,9 @@ int cmd_profile(int argc, char** argv) {
         } else if (arg == "--annotate") {
             annotate = true;
         } else if (arg == "--sample-interval" && has_value) {
-            sopts.sample_interval = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], sopts.sample_interval);
         } else if (arg == "--attacker-seed" && has_value) {
-            sopts.attacker_seed = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], sopts.attacker_seed);
         } else {
             return false;
         }
@@ -431,9 +472,9 @@ int cmd_trace(int argc, char** argv) {
         } else if (arg == "--trace-out" && i + 1 < argc) {
             trace_out = argv[++i];
         } else if (arg == "--seed" && i + 1 < argc) {
-            opts.victim_seed = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], opts.victim_seed);
         } else if (arg == "--attacker-seed" && i + 1 < argc) {
-            opts.attacker_seed = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], opts.attacker_seed);
         } else if (!arg.empty() && arg[0] != '-' && scenario.empty()) {
             scenario = arg;
         } else {
@@ -464,11 +505,11 @@ int cmd_fuzz(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--seeds" && i + 1 < argc) {
-            opts.seeds = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.seeds);
         } else if (arg == "--seed-base" && i + 1 < argc) {
-            opts.seed_base = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], opts.seed_base);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.jobs);
         } else if (arg == "--minimize") {
             opts.minimize = true;
         } else if (arg == "--coverage") {
@@ -519,17 +560,17 @@ int cmd_evolve(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--seed" && i + 1 < argc) {
-            opts.seed = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], opts.seed);
         } else if (arg == "--execs" && i + 1 < argc) {
-            opts.execs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.execs);
         } else if (arg == "--init" && i + 1 < argc) {
-            opts.init_programs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.init_programs);
         } else if (arg == "--batch" && i + 1 < argc) {
-            opts.batch = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.batch);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.jobs);
         } else if (arg == "--max-corpus" && i + 1 < argc) {
-            opts.max_corpus = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], opts.max_corpus);
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
         } else if (arg == "--json-out" && i + 1 < argc) {
@@ -574,14 +615,15 @@ int cmd_evolve(int argc, char** argv) {
     return report.crashes.empty() ? 0 : 1;
 }
 
-/// "a,b,c" -> {a,b,c}; accepts any strtoul-parsable element.
-std::vector<std::uint32_t> parse_u32_list(const std::string& s) {
+/// "a,b,c" -> {a,b,c}; each non-empty element is a number, as parse_number
+/// reads one.
+std::vector<std::uint32_t> parse_u32_list(const std::string& flag, const std::string& s) {
     std::vector<std::uint32_t> out;
     std::string cur;
     for (const char c : s + ",") {
         if (c == ',') {
             if (!cur.empty()) {
-                out.push_back(static_cast<std::uint32_t>(std::strtoul(cur.c_str(), nullptr, 0)));
+                parse_number(flag, cur.c_str(), out.emplace_back());
                 cur.clear();
             }
         } else {
@@ -598,17 +640,17 @@ int cmd_curves(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--trials" && i + 1 < argc) {
-            opts.trials = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], opts.trials);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.jobs);
         } else if (arg == "--seed" && i + 1 < argc) {
-            opts.seed = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], opts.seed);
         } else if (arg == "--aslr-bits" && i + 1 < argc) {
-            opts.aslr_bits = parse_u32_list(argv[++i]);
+            opts.aslr_bits = parse_u32_list(arg, argv[++i]);
         } else if (arg == "--budgets" && i + 1 < argc) {
-            opts.canary_budgets = parse_u32_list(argv[++i]);
+            opts.canary_budgets = parse_u32_list(arg, argv[++i]);
         } else if (arg == "--canary-bits" && i + 1 < argc) {
-            opts.canary_bits = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.canary_bits);
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
         } else if (arg == "--metrics-out" && i + 1 < argc) {
@@ -635,11 +677,11 @@ int cmd_fault_sweep(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--fault-seed" && i + 1 < argc) {
-            opts.fault_seed = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], opts.fault_seed);
         } else if (arg == "--windows" && i + 1 < argc) {
-            opts.windows_per_class = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.windows_per_class);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.jobs);
         } else if (arg == "--trace-out" && i + 1 < argc) {
             trace_out = argv[++i];
         } else if (arg == "--metrics-out" && i + 1 < argc) {
@@ -680,43 +722,43 @@ int cmd_campaign(int argc, char** argv) {
         } else if (arg == "--dir" && i + 1 < argc) {
             dir = argv[++i];
         } else if (arg == "--draws" && i + 1 < argc) {
-            spec.draws = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], spec.draws);
         } else if (arg == "--seeds" && i + 1 < argc) {
-            spec.seeds = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], spec.seeds);
         } else if (arg == "--seed-base" && i + 1 < argc) {
-            spec.seed_base = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], spec.seed_base);
         } else if (arg == "--windows" && i + 1 < argc) {
-            spec.windows_per_class = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], spec.windows_per_class);
         } else if (arg == "--evolve-execs" && i + 1 < argc) {
-            spec.evolve_execs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], spec.evolve_execs);
         } else if (arg == "--evolve-init" && i + 1 < argc) {
-            spec.evolve_init = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], spec.evolve_init);
         } else if (arg == "--victim-seed" && i + 1 < argc) {
-            spec.victim_seed = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], spec.victim_seed);
         } else if (arg == "--attacker-seed" && i + 1 < argc) {
-            spec.attacker_seed = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], spec.attacker_seed);
         } else if (arg == "--fault-seed" && i + 1 < argc) {
-            spec.fault_seed = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], spec.fault_seed);
         } else if (arg == "--hang-cell" && i + 1 < argc) {
-            spec.sabotage.hang_cell = std::strtoll(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], spec.sabotage.hang_cell);
         } else if (arg == "--crash-cell" && i + 1 < argc) {
-            spec.sabotage.crash_cell = std::strtoll(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], spec.sabotage.crash_cell);
         } else if (arg == "--crash-times" && i + 1 < argc) {
-            spec.sabotage.crash_times = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], spec.sabotage.crash_times);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.jobs);
         } else if (arg == "--cell-timeout-ms" && i + 1 < argc) {
-            opts.cell_timeout_ms = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], opts.cell_timeout_ms);
         } else if (arg == "--retries" && i + 1 < argc) {
-            opts.max_attempts = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.max_attempts);
         } else if (arg == "--backoff-ms" && i + 1 < argc) {
-            opts.retry_backoff_ms = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], opts.retry_backoff_ms);
         } else if (arg == "--fsync-every" && i + 1 < argc) {
-            opts.fsync_every = static_cast<int>(std::strtol(argv[++i], nullptr, 0));
+            parse_number(arg, argv[++i], opts.fsync_every);
         } else if (arg == "--max-cells" && i + 1 < argc) {
-            opts.max_cells = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], opts.max_cells);
         } else if (arg == "--heartbeat-ms" && i + 1 < argc) {
-            opts.heartbeat_ms = std::strtoull(argv[++i], nullptr, 0);
+            parse_number(arg, argv[++i], opts.heartbeat_ms);
         } else if (arg == "--metrics-out" && i + 1 < argc) {
             metrics_out = argv[++i];
         } else if (arg == "--prom-out" && i + 1 < argc) {
@@ -866,6 +908,9 @@ int main(int argc, char** argv) {
         if (cmd == "gadgets") {
             return cmd_gadgets(opt);
         }
+        return usage();
+    } catch (const BadNumber& e) {
+        std::fprintf(stderr, "swsec: %s\n", e.what());
         return usage();
     } catch (const Error& e) {
         std::fprintf(stderr, "swsec: %s\n", e.what());
