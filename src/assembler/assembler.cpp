@@ -1,14 +1,15 @@
 #include "assembler/assembler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "assembler/builder.hpp"
 #include "common/error.hpp"
-#include "isa/encoder.hpp"
 #include "isa/isa.hpp"
 
 namespace swsec::assembler {
@@ -16,36 +17,14 @@ namespace swsec::assembler {
 namespace {
 
 using isa::Op;
-using isa::Reg;
 using objfmt::ObjectFile;
-using objfmt::Reloc;
-using objfmt::RelocKind;
 using objfmt::SectionKind;
-using objfmt::Symbol;
+using Kind = AsmOperand::Kind;
 
 // Number literals span the int32 and uint32 ranges, so both "-1" and
 // "0xFFFFFFFF" denote the all-ones word.
 constexpr std::int64_t kMinLiteral = -(std::int64_t{1} << 31);
 constexpr std::int64_t kMaxLiteral = (std::int64_t{1} << 32) - 1;
-
-// ---------------------------------------------------------------------------
-// Operand model
-// ---------------------------------------------------------------------------
-
-// Names are views into the source text, which outlives the assembler run.
-struct SymRef {
-    std::string_view name;
-    std::int32_t addend = 0;
-};
-
-struct Operand {
-    enum class Kind { Reg, Imm, Sym, Mem } kind = Kind::Imm;
-    Reg reg = Reg::R0;       // Kind::Reg
-    std::int32_t imm = 0;    // Kind::Imm
-    SymRef sym;              // Kind::Sym
-    Reg base = Reg::R0;      // Kind::Mem
-    std::int32_t disp = 0;   // Kind::Mem
-};
 
 // ---------------------------------------------------------------------------
 // Lexical helpers: every line is scanned as views into the source text
@@ -211,8 +190,8 @@ void unescape_string(std::string_view tok, int line, std::string& out) {
 // The mnemonic table
 // ---------------------------------------------------------------------------
 
-// Operand shape of a mnemonic; each shape has one emitter and one set of
-// diagnostics in Assembler::emit_insn.
+// Operand shape of a mnemonic; each shape has one set of diagnostics and one
+// choice of opcode in Assembler::emit_insn.
 enum class Form : std::uint8_t {
     None,      // halt nop ret leave (operands are ignored)
     RegOnly,   // pop not neg callr jmpr
@@ -237,8 +216,10 @@ struct Mnemonic {
     Op alt = Op::Nop;
 };
 
-const Mnemonic* find_mnemonic(std::string_view mn) {
-    static const std::unordered_map<std::string_view, Mnemonic> table = {
+using MnemonicTable = std::unordered_map<std::string_view, Mnemonic>;
+
+const MnemonicTable& mnemonic_table() {
+    static const MnemonicTable table = {
         {"halt", {Form::None, Op::Halt}},
         {"nop", {Form::None, Op::Nop}},
         {"ret", {Form::None, Op::Ret}},
@@ -296,70 +277,108 @@ const Mnemonic* find_mnemonic(std::string_view mn) {
         {"sys", {Form::Sys, Op::Sys}},
         {"cjmp", {Form::CJmp, Op::CJmp}},
     };
+    return table;
+}
+
+const Mnemonic* find_mnemonic(std::string_view mn) {
+    const MnemonicTable& table = mnemonic_table();
     const auto it = table.find(mn);
     return it == table.end() ? nullptr : &it->second;
 }
 
+/// The mnemonic an opcode is written with, the inverse of the table: the
+/// overloaded name where the operand shape picks the encoding ("mov r0, 5"
+/// is MovI, "call r0" CallR), else the opcode's own.
+const char* written_mnemonic(Op op) {
+    static const std::array<std::string_view, 256> names = [] {
+        std::array<std::string_view, 256> t{};
+        for (const auto& [name, m] : mnemonic_table()) {
+            const bool overloaded = m.form == Form::Push || m.form == Form::Alu ||
+                                    m.form == Form::Shift || m.form == Form::JmpOrCall;
+            if (overloaded) {
+                t[static_cast<std::uint8_t>(m.alt)] = name;
+            }
+            auto& own = t[static_cast<std::uint8_t>(m.op)];
+            if (own.empty() || overloaded) {
+                own = name;
+            }
+        }
+        return t;
+    }();
+    const std::string_view name = names[static_cast<std::uint8_t>(op)];
+    SWSEC_ASSERT(!name.empty(), "instruction list: not an opcode");
+    return name.data();
+}
+
 // ---------------------------------------------------------------------------
-// The assembler proper
+// The parser: each line becomes statements for the object builder
 // ---------------------------------------------------------------------------
 
+// Every statement is handed to the builder as soon as its line is parsed, so
+// a builder diagnostic (duplicate label, section cap) and a parser one are
+// raised in line order, exactly as from one pass over the text.  Names are
+// StrRefs into the source text, which serves as the string table.
 class Assembler {
 public:
-    explicit Assembler(std::string unit_name) {
-        obj_.name = std::move(unit_name);
-        obj_.source_file = obj_.name;
-    }
+    Assembler(std::string_view source, const std::string& unit_name)
+        : source_(source), b_(unit_name) {}
 
-    ObjectFile run(std::string_view source) {
+    ObjectFile run() {
         std::size_t pos = 0;
         int line_no = 0;
-        while (pos <= source.size()) {
-            std::size_t end = source.find('\n', pos);
+        while (pos <= source_.size()) {
+            std::size_t end = source_.find('\n', pos);
             if (end == std::string_view::npos) {
-                end = source.size();
+                end = source_.size();
             }
             ++line_no;
-            process_line(trim(strip_comment(source.substr(pos, end - pos))), line_no);
+            process_line(trim(strip_comment(source_.substr(pos, end - pos))), line_no);
             pos = end + 1;
         }
-        finalize();
-        return std::move(obj_);
+        return b_.finish();
     }
 
 private:
-    struct Label {
-        SectionKind section = SectionKind::Text;
-        std::uint32_t offset = 0;
-        bool is_global = false;
-        bool is_func = false;
-        bool is_entry = false;
-    };
-
-    ObjectFile obj_;
-    isa::Encoder text_;
-    std::vector<std::uint8_t> data_;
-    SectionKind section_ = SectionKind::Text;
-    // Current `.line` value (0 = none seen: fall back to the assembly line).
-    std::uint32_t cur_line_ = 0;
-    std::unordered_map<std::string, Label> labels_;
-    std::vector<std::string> globals_;
-    std::vector<std::string> funcs_;
-    std::vector<std::string> entries_;
+    std::string_view source_;
+    ObjectBuilder b_;
     // Per-line buffers, reused so that a line allocates nothing.
     std::string mnemonic_;
     std::string string_bytes_;
-    std::vector<Operand> ops_;
+    std::vector<AsmOperand> ops_;
 
-    [[nodiscard]] std::uint32_t here() const noexcept {
-        return section_ == SectionKind::Text ? text_.size()
-                                             : static_cast<std::uint32_t>(data_.size());
+    /// `s`, a view into the source (or empty), as a string-table reference.
+    [[nodiscard]] StrRef ref(std::string_view s) const noexcept {
+        if (s.empty()) {
+            return {};
+        }
+        return StrRef{static_cast<std::uint32_t>(s.data() - source_.data()),
+                      static_cast<std::uint32_t>(s.size())};
     }
 
-    void define_label(std::string_view name, int line) {
-        if (!labels_.try_emplace(std::string(name), Label{section_, here()}).second) {
-            throw ParseError("duplicate label '" + std::string(name) + "'", line);
-        }
+    static AsmStmt stmt(AsmStmt::Kind kind, int line_no) {
+        AsmStmt st;
+        st.kind = kind;
+        st.line = static_cast<std::uint32_t>(line_no);
+        return st;
+    }
+
+    void add_named(AsmStmt::Kind kind, std::string_view name, int line_no) {
+        AsmStmt st = stmt(kind, line_no);
+        st.str = ref(name);
+        b_.add(st, source_);
+    }
+
+    void add_value(AsmStmt::Kind kind, std::int64_t value, int line_no) {
+        AsmStmt st = stmt(kind, line_no);
+        st.value = value;
+        b_.add(st, source_);
+    }
+
+    /// A statement whose bytes are string_bytes_ (unescaped literals).
+    void add_bytes(AsmStmt::Kind kind, int line_no) {
+        AsmStmt st = stmt(kind, line_no);
+        st.str = StrRef{0, static_cast<std::uint32_t>(string_bytes_.size())};
+        b_.add(st, string_bytes_);
     }
 
     void process_line(std::string_view rest, int line_no) {
@@ -372,7 +391,7 @@ private:
             if (j == rest.size() || rest[j] != ':') {
                 break;
             }
-            define_label(rest.substr(0, j), line_no);
+            add_named(AsmStmt::Kind::Label, rest.substr(0, j), line_no);
             rest = trim(rest.substr(j + 1));
         }
         if (rest.empty()) {
@@ -385,136 +404,69 @@ private:
         }
     }
 
+    /// A directive's one number operand; `what` names it in the error.
+    static std::int64_t number_operand(std::string_view args, const char* what, int line_no) {
+        const auto v = parse_number(args, line_no);
+        if (!v) {
+            throw ParseError(std::string("bad ") + what + " operand", line_no);
+        }
+        return *v;
+    }
+
     void directive(std::string_view line, int line_no) {
+        using SK = AsmStmt::Kind;
         const auto [name, args] = split_head(line);
         if (name == ".line") {
-            const auto v = parse_number(args, line_no);
-            if (!v || *v <= 0) {
-                throw ParseError("bad .line operand", line_no);
-            }
-            cur_line_ = static_cast<std::uint32_t>(*v);
+            add_value(SK::Line, number_operand(args, ".line", line_no), line_no);
         } else if (name == ".text") {
-            section_ = SectionKind::Text;
+            b_.add(stmt(SK::Text, line_no), source_);
         } else if (name == ".data") {
-            section_ = SectionKind::Data;
+            b_.add(stmt(SK::Data, line_no), source_);
         } else if (name == ".global") {
-            globals_.emplace_back(args);
+            add_named(SK::Global, args, line_no);
         } else if (name == ".func") {
-            funcs_.emplace_back(args);
+            add_named(SK::Func, args, line_no);
         } else if (name == ".entry") {
-            entries_.emplace_back(args);
+            add_named(SK::Entry, args, line_no);
         } else if (name == ".word") {
-            for_each_operand(args, [&](std::string_view tok) { emit_word_expr(tok, line_no); });
+            for_each_operand(args, [&](std::string_view tok) {
+                AsmStmt st = stmt(SK::Word, line_no);
+                if (const auto v = parse_number(tok, line_no)) {
+                    st.ops[0].kind = Kind::Imm;
+                    st.ops[0].value = static_cast<std::int32_t>(*v);
+                } else {
+                    st.ops[0] = parse_symref(tok, line_no);
+                }
+                b_.add(st, source_);
+            });
         } else if (name == ".byte") {
             for_each_operand(args, [&](std::string_view tok) {
                 const auto v = parse_number(tok, line_no);
                 if (!v) {
                     throw ParseError("bad .byte operand '" + std::string(tok) + "'", line_no);
                 }
-                emit_byte(static_cast<std::uint8_t>(*v & 0xff));
+                add_value(SK::Byte, *v, line_no);
             });
-        } else if (name == ".ascii" || name == ".asciz") {
+        } else if (name == ".ascii" || name == ".asciz" || name == ".file") {
             string_bytes_.clear();
             unescape_string(args, line_no, string_bytes_);
-            for (const char c : string_bytes_) {
-                emit_byte(static_cast<std::uint8_t>(c));
-            }
-            if (name == ".asciz") {
-                emit_byte(0);
-            }
+            add_bytes(name == ".ascii" ? SK::Ascii : name == ".asciz" ? SK::Asciz : SK::File,
+                      line_no);
         } else if (name == ".space") {
-            const auto v = parse_number(args, line_no);
-            if (!v || *v < 0) {
-                throw ParseError("bad .space operand", line_no);
-            }
-            emit_zeros(*v, line_no);
+            add_value(SK::Space, number_operand(args, ".space", line_no), line_no);
         } else if (name == ".redzone") {
-            // Sanitizer redzone: reserve zero-filled data bytes and record
-            // the range so the loader can poison it in shadow memory.
-            const auto v = parse_number(args, line_no);
-            if (!v || *v <= 0) {
-                throw ParseError("bad .redzone operand", line_no);
-            }
-            if (section_ != SectionKind::Data) {
-                throw ParseError(".redzone is only valid in the data section", line_no);
-            }
-            const std::uint32_t at = here();
-            emit_zeros(*v, line_no);
-            obj_.redzones.push_back({at, static_cast<std::uint32_t>(*v)});
+            add_value(SK::Redzone, number_operand(args, ".redzone", line_no), line_no);
         } else if (name == ".align") {
-            const auto v = parse_number(args, line_no);
-            if (!v || *v <= 0) {
-                throw ParseError("bad .align operand", line_no);
-            }
-            if (*v > kMaxAlign) {
-                throw ParseError(".align operand exceeds " + std::to_string(kMaxAlign), line_no);
-            }
-            while (here() % static_cast<std::uint32_t>(*v) != 0) {
-                emit_byte(section_ == SectionKind::Text ? 0x90 : 0x00); // NOP-pad text
-            }
-        } else if (name == ".file") {
-            obj_.source_file.clear();
-            unescape_string(args, line_no, obj_.source_file);
+            add_value(SK::Align, number_operand(args, ".align", line_no), line_no);
         } else if (name == ".bss") {
-            const auto v = parse_number(args, line_no);
-            if (!v || *v < 0) {
-                throw ParseError("bad .bss operand", line_no);
-            }
-            if (obj_.bss_size + *v > kMaxSectionBytes) {
-                throw ParseError("bss would exceed " + std::to_string(kMaxSectionBytes) +
-                                     " bytes",
-                                 line_no);
-            }
-            obj_.bss_size += static_cast<std::uint32_t>(*v);
+            add_value(SK::Bss, number_operand(args, ".bss", line_no), line_no);
         } else {
             throw ParseError("unknown directive '" + std::string(name) + "'", line_no);
         }
     }
 
-    void emit_byte(std::uint8_t b) {
-        if (section_ == SectionKind::Text) {
-            const std::uint8_t one[] = {b};
-            text_.raw(one);
-        } else {
-            data_.push_back(b);
-        }
-    }
-
-    /// `n` zero bytes, refused when they would grow the section past the cap.
-    void emit_zeros(std::int64_t n, int line_no) {
-        if (here() + n > kMaxSectionBytes) {
-            throw ParseError("section would exceed " + std::to_string(kMaxSectionBytes) +
-                                 " bytes",
-                             line_no);
-        }
-        if (section_ == SectionKind::Data) {
-            data_.resize(data_.size() + static_cast<std::size_t>(n));
-            return;
-        }
-        for (std::int64_t i = 0; i < n; ++i) {
-            emit_byte(0);
-        }
-    }
-
-    void emit_word_expr(std::string_view tok, int line_no) {
-        if (const auto v = parse_number(tok, line_no)) {
-            const auto u = static_cast<std::uint32_t>(*v);
-            emit_byte(static_cast<std::uint8_t>(u & 0xff));
-            emit_byte(static_cast<std::uint8_t>((u >> 8) & 0xff));
-            emit_byte(static_cast<std::uint8_t>((u >> 16) & 0xff));
-            emit_byte(static_cast<std::uint8_t>((u >> 24) & 0xff));
-            return;
-        }
-        const SymRef ref = parse_symref(tok, line_no);
-        obj_.relocs.push_back(
-            Reloc{section_, here(), std::string(ref.name), RelocKind::Abs32, ref.addend});
-        for (int i = 0; i < 4; ++i) {
-            emit_byte(0);
-        }
-    }
-
-    static SymRef parse_symref(std::string_view tok, int line_no) {
-        // name, name+N or name-N
+    /// name, name+N or name-N
+    AsmOperand parse_symref(std::string_view tok, int line_no) const {
         if (tok.empty() || !is_ident_start(tok[0])) {
             throw ParseError("expected symbol, got '" + std::string(tok) + "'", line_no);
         }
@@ -522,21 +474,22 @@ private:
         while (j < tok.size() && is_ident_char(tok[j])) {
             ++j;
         }
-        SymRef ref;
-        ref.name = tok.substr(0, j);
+        AsmOperand op;
+        op.kind = Kind::Sym;
+        op.sym = ref(tok.substr(0, j));
         const std::string_view rest = trim(tok.substr(j));
         if (!rest.empty()) {
             const auto v = parse_number(rest, line_no);
             if (!v) {
                 throw ParseError("bad symbol addend '" + std::string(rest) + "'", line_no);
             }
-            ref.addend = static_cast<std::int32_t>(*v);
+            op.value = static_cast<std::int32_t>(*v);
         }
-        return ref;
+        return op;
     }
 
-    static Operand parse_operand(std::string_view tok, int line_no) {
-        Operand op;
+    AsmOperand parse_operand(std::string_view tok, int line_no) const {
+        AsmOperand op;
         if (!tok.empty() && tok.front() == '[') {
             if (tok.back() != ']') {
                 throw ParseError("unterminated memory operand '" + std::string(tok) + "'",
@@ -549,47 +502,33 @@ private:
             if (!base) {
                 throw ParseError("bad base register '" + std::string(reg_part) + "'", line_no);
             }
-            op.kind = Operand::Kind::Mem;
-            op.base = *base;
+            op.kind = Kind::Mem;
+            op.reg = *base;
             if (split != std::string_view::npos) {
                 const auto v = parse_number(trim(inner.substr(split)), line_no);
                 if (!v) {
                     throw ParseError("bad displacement in '" + std::string(tok) + "'", line_no);
                 }
-                op.disp = static_cast<std::int32_t>(*v);
+                op.value = static_cast<std::int32_t>(*v);
             }
             return op;
         }
         if (const auto r = isa::parse_reg(tok)) {
-            op.kind = Operand::Kind::Reg;
+            op.kind = Kind::Reg;
             op.reg = *r;
             return op;
         }
         if (const auto v = parse_number(tok, line_no)) {
-            op.kind = Operand::Kind::Imm;
-            op.imm = static_cast<std::int32_t>(*v);
+            op.kind = Kind::Imm;
+            op.value = static_cast<std::int32_t>(*v);
             return op;
         }
-        op.kind = Operand::Kind::Sym;
-        op.sym = parse_symref(tok, line_no);
-        return op;
-    }
-
-    void add_text_reloc(std::uint32_t field_offset, const SymRef& ref, RelocKind kind) {
-        obj_.relocs.push_back(
-            Reloc{SectionKind::Text, field_offset, std::string(ref.name), kind, ref.addend});
+        return parse_symref(tok, line_no);
     }
 
     void instruction(std::string_view line, int line_no) {
-        if (section_ != SectionKind::Text) {
+        if (b_.section() != SectionKind::Text) {
             throw ParseError("instruction outside .text", line_no);
-        }
-        // Line table: MiniC line if a `.line` is active, else the assembly
-        // source line — so every instruction symbolizes to function:line.
-        const std::uint32_t src_line = cur_line_ != 0 ? cur_line_
-                                                      : static_cast<std::uint32_t>(line_no);
-        if (obj_.lines.empty() || obj_.lines.back().line != src_line) {
-            obj_.lines.push_back(objfmt::LineEntry{text_.size(), src_line});
         }
         const auto [mn, args] = split_head(line);
         mnemonic_.assign(mn);
@@ -605,7 +544,13 @@ private:
         if (m == nullptr) {
             throw ParseError("unknown mnemonic '" + mnemonic_ + "'", line_no);
         }
-        emit_insn(*m, line_no);
+        AsmStmt st = stmt(AsmStmt::Kind::Insn, line_no);
+        st.op = emit_op(*m, line_no);
+        if (m->form != Form::None) { // a none-form's operands are ignored
+            st.nops = static_cast<std::uint8_t>(ops_.size());
+            std::copy(ops_.begin(), ops_.end(), st.ops);
+        }
+        b_.add(st, source_);
     }
 
     void expect_ops(std::size_t n, int line_no) const {
@@ -616,177 +561,251 @@ private:
     }
 
     /// The shape check of the common two-operand forms.
-    void expect_kinds(Operand::Kind a, Operand::Kind b, const char* shape, int line_no) const {
+    void expect_kinds(Kind a, Kind b, const char* shape, int line_no) const {
         expect_ops(2, line_no);
         if (ops_[0].kind != a || ops_[1].kind != b) {
             throw ParseError("'" + mnemonic_ + "' expects" + shape, line_no);
         }
     }
 
-    // Emit an ALU-style instruction with reg/imm/sym overloading.
-    void alu(Op rr, Op ri, int line_no) {
-        expect_ops(2, line_no);
-        if (ops_[0].kind != Operand::Kind::Reg) {
-            throw ParseError("'" + mnemonic_ + "' first operand must be a register", line_no);
-        }
-        switch (ops_[1].kind) {
-        case Operand::Kind::Reg:
-            text_.reg_reg(rr, ops_[0].reg, ops_[1].reg);
-            break;
-        case Operand::Kind::Imm:
-            text_.reg_imm32(ri, ops_[0].reg, ops_[1].imm);
-            break;
-        case Operand::Kind::Sym: {
-            const std::uint32_t at = text_.reg_imm32(ri, ops_[0].reg, 0);
-            add_text_reloc(at + 2, ops_[1].sym, RelocKind::Abs32);
-            break;
-        }
-        default:
-            throw ParseError("'" + mnemonic_ + "' cannot take a memory operand", line_no);
-        }
-    }
-
-    void shift(Op rr, Op ri, int line_no) {
-        expect_ops(2, line_no);
-        if (ops_[0].kind != Operand::Kind::Reg) {
-            throw ParseError("'" + mnemonic_ + "' first operand must be a register", line_no);
-        }
-        if (ops_[1].kind == Operand::Kind::Reg) {
-            text_.reg_reg(rr, ops_[0].reg, ops_[1].reg);
-        } else if (ops_[1].kind == Operand::Kind::Imm) {
-            text_.reg_imm8(ri, ops_[0].reg, static_cast<std::uint8_t>(ops_[1].imm & 0xff));
-        } else {
-            throw ParseError("bad shift operand", line_no);
-        }
-    }
-
-    void branch(Op op, int line_no) {
-        expect_ops(1, line_no);
-        if (ops_[0].kind == Operand::Kind::Sym) {
-            const std::uint32_t at = text_.rel32(op, 0);
-            add_text_reloc(at + 1, ops_[0].sym, RelocKind::Rel32);
-        } else if (ops_[0].kind == Operand::Kind::Imm) {
-            text_.rel32(op, ops_[0].imm); // raw relative displacement
-        } else {
-            throw ParseError("'" + mnemonic_ + "' expects a label", line_no);
-        }
-    }
-
     /// One operand of kind `k`, else `mn + message`.
-    const Operand& single(Operand::Kind k, const char* message, int line_no) const {
+    void single(Kind k, const char* message, int line_no) const {
         expect_ops(1, line_no);
         if (ops_[0].kind != k) {
             throw ParseError(mnemonic_ + message, line_no);
         }
-        return ops_[0];
     }
 
-    void emit_insn(const Mnemonic& m, int line_no) {
-        using Kind = Operand::Kind;
+    /// Two operands, the first a register.
+    void reg_first(int line_no) const {
+        expect_ops(2, line_no);
+        if (ops_[0].kind != Kind::Reg) {
+            throw ParseError("'" + mnemonic_ + "' first operand must be a register", line_no);
+        }
+    }
+
+    Op branch(Op op, int line_no) const {
+        expect_ops(1, line_no);
+        if (ops_[0].kind != Kind::Sym && ops_[0].kind != Kind::Imm) {
+            throw ParseError("'" + mnemonic_ + "' expects a label", line_no);
+        }
+        return op; // a number is a raw relative displacement
+    }
+
+    /// Check the operands' shape against the mnemonic's form and pick the
+    /// encoding it selects.
+    Op emit_op(const Mnemonic& m, int line_no) const {
         switch (m.form) {
         case Form::None:
-            text_.none(m.op);
-            break;
+            return m.op;
         case Form::RegOnly:
-            text_.reg(m.op, single(Kind::Reg, " expects a register", line_no).reg);
-            break;
+            single(Kind::Reg, " expects a register", line_no);
+            return m.op;
         case Form::Push:
             expect_ops(1, line_no);
-            if (ops_[0].kind == Kind::Reg) {
-                text_.reg(m.op, ops_[0].reg);
-            } else if (ops_[0].kind == Kind::Imm) {
-                text_.imm32(m.alt, ops_[0].imm);
-            } else if (ops_[0].kind == Kind::Sym) {
-                const std::uint32_t at = text_.imm32(m.alt, 0);
-                add_text_reloc(at + 1, ops_[0].sym, RelocKind::Abs32);
-            } else {
+            if (ops_[0].kind == Kind::Mem) {
                 throw ParseError("bad push operand", line_no);
             }
-            break;
+            return ops_[0].kind == Kind::Reg ? m.op : m.alt;
         case Form::PushImm:
-            text_.imm32(m.op, single(Kind::Imm, " expects an immediate", line_no).imm);
-            break;
+            single(Kind::Imm, " expects an immediate", line_no);
+            return m.op;
         case Form::Alu:
-            alu(m.op, m.alt, line_no);
-            break;
+            reg_first(line_no);
+            if (ops_[1].kind == Kind::Mem) {
+                throw ParseError("'" + mnemonic_ + "' cannot take a memory operand", line_no);
+            }
+            return ops_[1].kind == Kind::Reg ? m.op : m.alt;
         case Form::RegImm32:
             expect_kinds(Kind::Reg, Kind::Imm, ": reg, imm32", line_no);
-            text_.reg_imm32(m.op, ops_[0].reg, ops_[1].imm);
-            break;
+            return m.op;
         case Form::Shift:
-            shift(m.op, m.alt, line_no);
-            break;
+            reg_first(line_no);
+            if (ops_[1].kind != Kind::Reg && ops_[1].kind != Kind::Imm) {
+                throw ParseError("bad shift operand", line_no);
+            }
+            return ops_[1].kind == Kind::Reg ? m.op : m.alt;
         case Form::RegImm8:
             expect_kinds(Kind::Reg, Kind::Imm, ": reg, imm8", line_no);
-            text_.reg_imm8(m.op, ops_[0].reg, static_cast<std::uint8_t>(ops_[1].imm & 0xff));
-            break;
+            return m.op;
         case Form::RegReg:
             expect_kinds(Kind::Reg, Kind::Reg, " two registers", line_no);
-            text_.reg_reg(m.op, ops_[0].reg, ops_[1].reg);
-            break;
+            return m.op;
         case Form::Load:
             expect_kinds(Kind::Reg, Kind::Mem, ": reg, [base+disp]", line_no);
-            text_.reg_mem(m.op, ops_[0].reg, ops_[1].base, ops_[1].disp);
-            break;
+            return m.op;
         case Form::Store:
             expect_kinds(Kind::Mem, Kind::Reg, ": [base+disp], reg", line_no);
-            // Encoding packs (base << 4 | src).
-            text_.reg_mem(m.op, ops_[0].base, ops_[1].reg, ops_[0].disp);
-            break;
+            return m.op;
         case Form::JmpOrCall:
             if (ops_.size() == 1 && ops_[0].kind == Kind::Reg) {
-                text_.reg(m.alt, ops_[0].reg);
-            } else {
-                branch(m.op, line_no);
+                return m.alt;
             }
-            break;
+            return branch(m.op, line_no);
         case Form::Branch:
-            branch(m.op, line_no);
-            break;
-        case Form::Sys: {
-            const std::int32_t imm = single(Kind::Imm, " expects an immediate", line_no).imm;
-            text_.imm8(m.op, static_cast<std::uint8_t>(imm & 0xff));
-            break;
+            return branch(m.op, line_no);
+        case Form::Sys:
+            single(Kind::Imm, " expects an immediate", line_no);
+            return m.op;
+        case Form::CJmp:
+            single(Kind::Imm, " expects a capability index", line_no);
+            return m.op;
         }
-        case Form::CJmp: {
-            const std::int32_t imm =
-                single(Kind::Imm, " expects a capability index", line_no).imm;
-            text_.imm8(m.op, static_cast<std::uint8_t>(imm & 0xff));
-            break;
-        }
-        }
-    }
-
-    void finalize() {
-        obj_.text = text_.take();
-        obj_.data = std::move(data_);
-        // Validate that .global/.func/.entry names exist, and flag them.
-        auto mark = [&](const std::vector<std::string>& names, const char* what, auto flag) {
-            for (const auto& n : names) {
-                const auto it = labels_.find(n);
-                if (it == labels_.end()) {
-                    throw Error(std::string(what) + " of undefined symbol '" + n + "' in unit " +
-                                obj_.name);
-                }
-                flag(it->second);
-            }
-        };
-        mark(globals_, ".global", [](Label& l) { l.is_global = true; });
-        mark(funcs_, ".func", [](Label& l) { l.is_func = true; });
-        mark(entries_, ".entry", [](Label& l) { l.is_entry = l.is_func = true; });
-        obj_.symbols.reserve(labels_.size());
-        for (const auto& [name, l] : labels_) {
-            obj_.symbols.push_back(
-                Symbol{name, l.section, l.offset, l.is_global, l.is_func, l.is_entry});
-        }
+        return m.op;
     }
 };
 
 } // namespace
 
 objfmt::ObjectFile assemble(const std::string& source, const std::string& unit_name) {
-    Assembler as(unit_name);
-    return as.run(source);
+    return Assembler(source, unit_name).run();
+}
+
+// ---------------------------------------------------------------------------
+// Rendering: a statement list back to text
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// unescape_string, inverted.
+void append_escaped(std::string& out, std::string_view s) {
+    for (const char c : s) {
+        switch (c) {
+        case '\n':
+            out += "\\n";
+            break;
+        case '\t':
+            out += "\\t";
+            break;
+        case '\0':
+            out += "\\0";
+            break;
+        case '"':
+            out += "\\\"";
+            break;
+        case '\\':
+            out += "\\\\";
+            break;
+        default:
+            out.push_back(c);
+        }
+    }
+}
+
+void append_operand(std::string& out, const AsmList& list, const AsmOperand& o) {
+    switch (o.kind) {
+    case Kind::Reg:
+        out += isa::reg_name(o.reg);
+        break;
+    case Kind::Imm:
+        out += std::to_string(o.value);
+        break;
+    case Kind::Sym:
+        out += list.str(o.sym);
+        if (o.value > 0) {
+            out += '+';
+        }
+        if (o.value != 0) {
+            out += std::to_string(o.value);
+        }
+        break;
+    case Kind::Mem:
+        out += '[';
+        out += isa::reg_name(o.reg);
+        if (o.value >= 0) {
+            out += '+';
+        }
+        out += std::to_string(o.value);
+        out += ']';
+        break;
+    }
+}
+
+void append_directive(std::string& out, const char* name, std::int64_t value) {
+    out += name;
+    out += std::to_string(value);
+}
+
+} // namespace
+
+std::string render(const AsmList& list) {
+    using SK = AsmStmt::Kind;
+    std::string out;
+    out.reserve(list.stmts.size() * 16 + list.strtab.size());
+    for (std::size_t i = 0; i < list.stmts.size(); ++i) {
+        const AsmStmt& s = list.stmts[i];
+        switch (s.kind) {
+        case SK::Insn:
+            out += "  ";
+            out += written_mnemonic(s.op);
+            for (std::size_t k = 0; k < s.nops; ++k) {
+                out += k == 0 ? " " : ", ";
+                append_operand(out, list, s.ops[k]);
+            }
+            break;
+        case SK::Label:
+            out += list.str(s.str);
+            out += ':';
+            break;
+        case SK::Text:
+            out += ".text";
+            break;
+        case SK::Data:
+            out += ".data";
+            break;
+        case SK::Global:
+            out += ".global ";
+            out += list.str(s.str);
+            break;
+        case SK::Func:
+            out += ".func ";
+            out += list.str(s.str);
+            break;
+        case SK::Entry:
+            out += ".entry ";
+            out += list.str(s.str);
+            break;
+        case SK::Line:
+            append_directive(out, "  .line ", s.value);
+            break;
+        case SK::File:
+        case SK::Ascii:
+        case SK::Asciz:
+            out += s.kind == SK::File ? ".file \"" : s.kind == SK::Ascii ? ".ascii \"" : ".asciz \"";
+            append_escaped(out, list.str(s.str));
+            out += '"';
+            break;
+        case SK::Word:
+            out += ".word ";
+            append_operand(out, list, s.ops[0]);
+            break;
+        case SK::Byte:
+            append_directive(out, ".byte ", s.value);
+            break;
+        case SK::Space:
+            append_directive(out, ".space ", s.value);
+            break;
+        case SK::Redzone:
+            append_directive(out, ".redzone ", s.value);
+            break;
+        case SK::Align:
+            append_directive(out, ".align ", s.value);
+            break;
+        case SK::Bss:
+            append_directive(out, ".bss ", s.value);
+            break;
+        case SK::Comment:
+            out += "  ; ";
+            out += list.str(s.str);
+            break;
+        case SK::Blank:
+            break;
+        }
+        const bool joined = s.kind == SK::Label && i + 1 < list.stmts.size() &&
+                            list.stmts[i + 1].line == s.line;
+        out += joined ? ' ' : '\n';
+    }
+    return out;
 }
 
 } // namespace swsec::assembler

@@ -1,4 +1,4 @@
-// Two-pass assembler for swsec assembly.
+// Text assembler for swsec assembly.
 //
 // Syntax (one statement per line; ';' or '#' start a comment):
 //
@@ -34,9 +34,11 @@
 //   * `.space`, `.redzone` and `.bss` never grow a section, or bss, past
 //     kMaxSectionBytes.
 //
-// Each line is scanned in place and mnemonics dispatch through one table,
-// so assembling a line allocates nothing beyond what it adds to the object
-// (symbols, relocations, line-table entries).
+// Each line is scanned in place and mnemonics dispatch through one table.
+// A line becomes the typed statements of assembler/asm_list.hpp, which go
+// straight to the object builder that also encodes the compiler's
+// instruction lists: there is one encoder, and the parser adds only the
+// checks of the text itself (literals, operand shapes, mnemonics).
 #pragma once
 
 #include <cstdint>

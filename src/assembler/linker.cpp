@@ -14,6 +14,15 @@ using objfmt::RelocKind;
 using objfmt::SectionKind;
 
 objfmt::Image link(std::span<const ObjectFile> objects) {
+    std::vector<const ObjectFile*> ptrs;
+    ptrs.reserve(objects.size());
+    for (const ObjectFile& obj : objects) {
+        ptrs.push_back(&obj);
+    }
+    return link(ptrs);
+}
+
+objfmt::Image link(std::span<const ObjectFile* const> objects) {
     Image img;
 
     // Per-object placement bias within the merged sections.
@@ -25,16 +34,25 @@ objfmt::Image link(std::span<const ObjectFile> objects) {
     std::vector<Bias> biases;
     biases.reserve(objects.size());
 
+    std::size_t text_total = 0;
+    std::size_t data_total = 0;
+    for (const ObjectFile* obj : objects) {
+        text_total += obj->text.size() + 3; // + the word-alignment padding
+        data_total += obj->data.size() + 3;
+    }
+    img.text.reserve(text_total);
+    img.data.reserve(data_total);
+
     std::uint32_t bss_cursor = 0;
-    for (const auto& obj : objects) {
+    for (const ObjectFile* obj : objects) {
         Bias b;
         b.text = static_cast<std::uint32_t>(img.text.size());
         b.data = static_cast<std::uint32_t>(img.data.size());
         b.bss = bss_cursor;
         biases.push_back(b);
-        img.text.insert(img.text.end(), obj.text.begin(), obj.text.end());
-        img.data.insert(img.data.end(), obj.data.begin(), obj.data.end());
-        bss_cursor += obj.bss_size;
+        img.text.insert(img.text.end(), obj->text.begin(), obj->text.end());
+        img.data.insert(img.data.end(), obj->data.begin(), obj->data.end());
+        bss_cursor += obj->bss_size;
         // Word-align the next unit's sections so mid-image symbols stay aligned.
         while (img.text.size() % 4 != 0) {
             img.text.push_back(0x90); // NOP padding
@@ -49,7 +67,7 @@ objfmt::Image link(std::span<const ObjectFile> objects) {
 
     // Define symbols.
     for (std::size_t i = 0; i < objects.size(); ++i) {
-        for (const auto& sym : objects[i].symbols) {
+        for (const auto& sym : objects[i]->symbols) {
             ImageSymbol is;
             is.section = sym.section;
             is.offset = sym.offset + (sym.section == SectionKind::Text ? biases[i].text
@@ -58,7 +76,7 @@ objfmt::Image link(std::span<const ObjectFile> objects) {
             is.is_entry = sym.is_entry;
             const auto [it, inserted] = img.symbols.emplace(sym.name, is);
             if (!inserted) {
-                throw Error("duplicate symbol '" + sym.name + "' (unit " + objects[i].name + ")");
+                throw Error("duplicate symbol '" + sym.name + "' (unit " + objects[i]->name + ")");
             }
             if (sym.is_func && sym.section == SectionKind::Text) {
                 img.func_offsets.push_back(is.offset);
@@ -74,11 +92,11 @@ objfmt::Image link(std::span<const ObjectFile> objects) {
     // sorted; the inter-unit NOP padding inherits the previous unit's last
     // entry, which is harmless (padding only executes as a stray gadget).
     for (std::size_t i = 0; i < objects.size(); ++i) {
-        if (objects[i].lines.empty()) {
+        if (objects[i]->lines.empty()) {
             continue;
         }
-        const std::string& file = objects[i].source_file.empty() ? objects[i].name
-                                                                 : objects[i].source_file;
+        const std::string& file = objects[i]->source_file.empty() ? objects[i]->name
+                                                                 : objects[i]->source_file;
         std::uint16_t file_id = 0;
         const auto found = std::find(img.line_files.begin(), img.line_files.end(), file);
         if (found == img.line_files.end()) {
@@ -87,7 +105,7 @@ objfmt::Image link(std::span<const ObjectFile> objects) {
         } else {
             file_id = static_cast<std::uint16_t>(found - img.line_files.begin());
         }
-        for (const auto& le : objects[i].lines) {
+        for (const auto& le : objects[i]->lines) {
             img.line_table.push_back(
                 objfmt::ImageLineEntry{le.offset + biases[i].text, le.line, file_id});
         }
@@ -95,18 +113,18 @@ objfmt::Image link(std::span<const ObjectFile> objects) {
 
     // Merge sanitizer redzones (data-section offsets, biased per unit).
     for (std::size_t i = 0; i < objects.size(); ++i) {
-        for (const auto& rz : objects[i].redzones) {
+        for (const auto& rz : objects[i]->redzones) {
             img.redzones.push_back({rz.offset + biases[i].data, rz.size});
         }
     }
 
     // Resolve relocations.
     for (std::size_t i = 0; i < objects.size(); ++i) {
-        for (const auto& rel : objects[i].relocs) {
+        for (const auto& rel : objects[i]->relocs) {
             const auto it = img.symbols.find(rel.symbol);
             if (it == img.symbols.end()) {
                 throw Error("undefined symbol '" + rel.symbol + "' referenced from unit " +
-                            objects[i].name);
+                            objects[i]->name);
             }
             ImageReloc ir;
             ir.section = rel.section;

@@ -12,7 +12,11 @@
 
 namespace swsec::assembler {
 
-/// Link objects in order.  Throws swsec::Error on duplicate or undefined symbols.
+/// Link objects in order, reading them in place.  Throws swsec::Error on
+/// duplicate or undefined symbols.
+[[nodiscard]] objfmt::Image link(std::span<const objfmt::ObjectFile* const> objects);
+
+/// As above, for objects held by value.
 [[nodiscard]] objfmt::Image link(std::span<const objfmt::ObjectFile> objects);
 
 } // namespace swsec::assembler

@@ -1,7 +1,7 @@
 #include "cc/codegen.hpp"
 
-#include <functional>
 #include <limits>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -104,6 +104,13 @@ std::int32_t fold_constant_expr(const Expr& e) {
 
 namespace {
 
+using assembler::AsmList;
+using assembler::AsmOperand;
+using assembler::AsmStmt;
+using assembler::StrRef;
+using isa::Op;
+using Kind = AsmStmt::Kind;
+
 int round4(int n) { return (n + 3) & ~3; }
 
 constexpr int kRedZone = 16; // bytes of poison around each stack array
@@ -117,30 +124,66 @@ constexpr int kRedZone = 16; // bytes of poison around each stack array
 constexpr std::uint32_t kAsanShadowBase = 0x20000000u; // == vm::kShadowBase
 constexpr int kAsanShadowShift = 2;                    // == vm::kShadowShift
 
+// Operands, in the order the assembly text writes them.
+constexpr AsmOperand reg(isa::Reg r) { return {AsmOperand::Kind::Reg, r, 0, {}}; }
+constexpr AsmOperand imm(std::int32_t v) { return {AsmOperand::Kind::Imm, isa::Reg::R0, v, {}}; }
+constexpr AsmOperand mem(AsmOperand base, std::int32_t disp) {
+    return {AsmOperand::Kind::Mem, base.reg, disp, {}};
+}
+constexpr AsmOperand sym(StrRef name) { return {AsmOperand::Kind::Sym, isa::Reg::R0, 0, name}; }
+
+constexpr AsmOperand R0 = reg(isa::Reg::R0);
+constexpr AsmOperand R1 = reg(isa::Reg::R1);
+constexpr AsmOperand R2 = reg(isa::Reg::R2);
+constexpr AsmOperand R3 = reg(isa::Reg::R3);
+constexpr AsmOperand R4 = reg(isa::Reg::R4);
+constexpr AsmOperand R5 = reg(isa::Reg::R5);
+constexpr AsmOperand R6 = reg(isa::Reg::R6);
+constexpr AsmOperand R7 = reg(isa::Reg::R7);
+constexpr AsmOperand SP = reg(isa::Reg::Sp);
+constexpr AsmOperand BP = reg(isa::Reg::Bp);
+
+// Code generation appends typed statements to two lists, text and data, the
+// way harec's gen pushes QBE instructions; names and string bytes go to one
+// string table.  Every statement carries the line it has in the rendered
+// text (the text lines, then the data lines), so an error raised while
+// building the object, and the line table's fallback before a function's
+// first `.line`, read as they would from the assembly text.
 class CodeGen {
 public:
     CodeGen(const Program& prog, const CompilerOptions& opts, std::string unit)
         : prog_(prog), opts_(opts), unit_(std::move(unit)) {}
 
-    std::string run() {
+    AsmList run() {
         emit_globals();
-        text("");
-        text(".text");
-        text(".file \"" + unit_ + ".mc\"");
+        blank();
+        text_stmt(Kind::Text);
+        text_stmt(Kind::File).str = put(unit_, ".mc");
         for (const auto& fn : prog_.funcs) {
             if (fn.body) {
                 gen_func(fn);
             }
         }
-        return text_ + data_;
+        AsmList list;
+        list.strtab = std::move(strtab_);
+        list.stmts = std::move(text_);
+        list.stmts.reserve(list.stmts.size() + data_.size());
+        for (AsmStmt& st : data_) {
+            st.line += text_lines_;
+            list.stmts.push_back(st);
+        }
+        return list;
     }
 
 private:
     const Program& prog_;
     CompilerOptions opts_;
     std::string unit_;
-    std::string text_;
-    std::string data_;
+    std::string strtab_;
+    std::vector<AsmStmt> text_;
+    std::vector<AsmStmt> data_;
+    std::uint32_t text_lines_ = 0;
+    std::uint32_t data_lines_ = 0;
     int label_counter_ = 0;
     int str_counter_ = 0;
 
@@ -148,109 +191,128 @@ private:
     const FuncDef* fn_ = nullptr;
     std::vector<int> slot_offsets_; // bp-relative offset per local slot
     int frame_size_ = 0;
-    std::string epilogue_label_;
-    std::vector<std::string> break_labels_;
-    std::vector<std::string> continue_labels_;
+    StrRef epilogue_label_;
+    std::vector<StrRef> break_labels_;
+    std::vector<StrRef> continue_labels_;
 
     int cur_line_ = 0; // last `.line` emitted (debug line table)
 
     // ---- emission helpers --------------------------------------------------
-    void text(const std::string& line) { text_ += line + "\n"; }
+    void put_part(std::string_view s) { strtab_ += s; }
+    void put_part(int v) { strtab_ += std::to_string(v); }
+
+    /// The concatenation of `parts` (strings and ints) as a new string-table
+    /// entry.
+    template <typename... Parts> StrRef put(const Parts&... parts) {
+        const auto off = static_cast<std::uint32_t>(strtab_.size());
+        (put_part(parts), ...);
+        return StrRef{off, static_cast<std::uint32_t>(strtab_.size() - off)};
+    }
+
+    /// A statement on a new line of the text section.
+    AsmStmt& text_stmt(Kind kind) {
+        AsmStmt& st = text_.emplace_back();
+        st.kind = kind;
+        st.line = ++text_lines_;
+        return st;
+    }
+    void blank() { text_stmt(Kind::Blank); }
+    void label(StrRef name) { text_stmt(Kind::Label).str = name; }
+    void directive(Kind kind, StrRef name) { text_stmt(kind).str = name; }
 
     /// Emit a `.line` directive so the assembler attributes the following
     /// instructions to MiniC source line `line` (run-length: only on change).
     void set_line(int line) {
         if (line > 0 && line != cur_line_) {
-            text_ += "  .line " + std::to_string(line) + "\n";
+            text_stmt(Kind::Line).value = line;
             cur_line_ = line;
         }
     }
-    void data(const std::string& line) { data_ += line + "\n"; }
-    void ins(const std::string& line) { text_ += "  " + line + "\n"; }
-    void comment(const std::string& c) {
+
+    /// An instruction with its operands as written.
+    void ins(Op op) { text_stmt(Kind::Insn).op = op; }
+    void ins(Op op, AsmOperand a) {
+        AsmStmt& st = text_stmt(Kind::Insn);
+        st.op = op;
+        st.nops = 1;
+        st.ops[0] = a;
+    }
+    void ins(Op op, AsmOperand a, AsmOperand b) {
+        AsmStmt& st = text_stmt(Kind::Insn);
+        st.op = op;
+        st.nops = 2;
+        st.ops[0] = a;
+        st.ops[1] = b;
+    }
+
+    template <typename... Parts> void comment(const Parts&... parts) {
         if (opts_.emit_comments) {
-            text_ += "  ; " + c + "\n";
+            text_stmt(Kind::Comment).str = put(parts...);
         }
     }
-    std::string fresh_label(const std::string& hint) {
-        return ".L$" + unit_ + "$" + hint + "$" + std::to_string(label_counter_++);
+
+    /// A statement of the data section: on a new line, or on the line of
+    /// the label just emitted ("name: .word 5").
+    AsmStmt& data_stmt(Kind kind, bool after_label = false) {
+        AsmStmt& st = data_.emplace_back();
+        st.kind = kind;
+        st.line = after_label ? data_lines_ : ++data_lines_;
+        return st;
+    }
+    /// "name: <kind>" in the data section.
+    AsmStmt& data_labelled(StrRef name, Kind kind) {
+        data_stmt(Kind::Label).str = name;
+        return data_stmt(kind, true);
     }
 
-    /// "[bp+8]" / "[bp-20]" — the assembler expects the sign to replace '+'.
-    static std::string bp_mem(int off) {
-        return off >= 0 ? "[bp+" + std::to_string(off) + "]" : "[bp" + std::to_string(off) + "]";
+    StrRef fresh_label(std::string_view hint, std::string_view hint_tail = {}) {
+        return put(".L$", unit_, "$", hint, hint_tail, "$", label_counter_++);
     }
 
-    static std::string escape(const std::string& s) {
-        std::string out;
-        for (const char c : s) {
-            switch (c) {
-            case '\n':
-                out += "\\n";
-                break;
-            case '\t':
-                out += "\\t";
-                break;
-            case '\0':
-                out += "\\0";
-                break;
-            case '"':
-                out += "\\\"";
-                break;
-            case '\\':
-                out += "\\\\";
-                break;
-            default:
-                out.push_back(c);
-            }
-        }
-        return out;
-    }
-
-    std::string intern_string(const std::string& s) {
-        const std::string label = "Lstr$" + unit_ + "$" + std::to_string(str_counter_++);
-        data(label + ": .asciz \"" + escape(s) + "\"");
-        data(".align 4");
+    StrRef intern_string(const std::string& s) {
+        const StrRef label = put("Lstr$", unit_, "$", str_counter_++);
+        data_labelled(label, Kind::Asciz).str = put(s);
+        data_stmt(Kind::Align).value = 4;
         return label;
     }
 
     // ---- globals -----------------------------------------------------------
     void emit_globals() {
-        data_ += ".data\n";
+        data_stmt(Kind::Data);
         for (const auto& g : prog_.globals) {
-            const std::string label = g.is_static ? static_label(g.name, unit_) : g.name;
+            const StrRef label = g.is_static ? put(static_label(g.name, unit_)) : put(g.name);
             if (!g.is_static) {
-                data(".global " + label);
+                data_stmt(Kind::Global).str = label;
             }
-            data(".align 4");
+            data_stmt(Kind::Align).value = 4;
             if (opts_.sanitize_address) {
                 // Redzone *before* every global: together with the trailing
                 // zone after the last one, every global is bracketed, so a
                 // linear overflow out of one global lands in poison before
                 // it reaches its neighbour.
-                data(".redzone " + std::to_string(kRedZone));
+                data_stmt(Kind::Redzone).value = kRedZone;
             }
             if (g.type->is_array()) {
                 if (g.has_init_str) {
-                    data(label + ": .asciz \"" + escape(g.init_str) + "\"");
+                    data_labelled(label, Kind::Asciz).str = put(g.init_str);
                     const int pad = g.type->size() - static_cast<int>(g.init_str.size()) - 1;
                     if (pad > 0) {
-                        data(".space " + std::to_string(pad));
+                        data_stmt(Kind::Space).value = pad;
                     }
                 } else {
-                    data(label + ": .space " + std::to_string(g.type->size()));
+                    data_labelled(label, Kind::Space).value = g.type->size();
                 }
             } else if (g.type->is_char()) {
                 const std::int32_t v = g.init ? fold_constant_expr(*g.init) : 0;
-                data(label + ": .byte " + std::to_string(v & 0xff));
+                data_labelled(label, Kind::Byte).value = v & 0xff;
             } else {
                 const std::int32_t v = g.init ? fold_constant_expr(*g.init) : 0;
-                data(label + ": .word " + std::to_string(v));
+                data_labelled(label, Kind::Word).ops[0] = imm(v);
             }
         }
         if (opts_.sanitize_address && !prog_.globals.empty()) {
-            data(".align 4");
-            data(".redzone " + std::to_string(kRedZone));
+            data_stmt(Kind::Align).value = 4;
+            data_stmt(Kind::Redzone).value = kRedZone;
         }
     }
 
@@ -287,24 +349,24 @@ private:
     /// (indexing, dereference, assignment-through-lvalue, ++/--): direct
     /// bp-relative scalar and named-global accesses are compile-time safe
     /// and stay uninstrumented, which is most of the sanitizer's low tax.
-    void emit_asan_check(const std::string& addr_reg) {
+    void emit_asan_check(AsmOperand addr_reg) {
         if (!opts_.sanitize_address) {
             return;
         }
-        const std::string ok = fresh_label("asan_ok");
-        comment("asan: shadow check " + addr_reg);
-        ins("mov r6, " + addr_reg);
-        ins("shr r6, " + std::to_string(kAsanShadowShift)); // logical: addr is unsigned
-        ins("add r6, " + std::to_string(kAsanShadowBase));
-        ins("load8 r6, [r6+0]");
-        ins("cmp r6, 0");
-        ins("jz " + ok);
-        if (addr_reg != "r1") {
-            ins("mov r1, " + addr_reg); // faulting address for the trap record
+        const StrRef ok = fresh_label("asan_ok");
+        comment("asan: shadow check ", isa::reg_name(addr_reg.reg));
+        ins(Op::MovR, R6, addr_reg);
+        ins(Op::ShrI, R6, imm(kAsanShadowShift)); // logical: addr is unsigned
+        ins(Op::AddI, R6, imm(static_cast<std::int32_t>(kAsanShadowBase)));
+        ins(Op::Load8, R6, mem(R6, 0));
+        ins(Op::CmpI, R6, imm(0));
+        ins(Op::Jz, sym(ok));
+        if (addr_reg.reg != R1.reg) {
+            ins(Op::MovR, R1, addr_reg); // faulting address for the trap record
         }
-        ins("mov r0, 5"); // AbortReason::Asan
-        ins("sys 5");
-        text(ok + ":");
+        ins(Op::MovI, R0, imm(5)); // AbortReason::Asan
+        ins(Op::Sys, imm(5));
+        label(ok);
     }
 
     // ---- protected-module support (Section IV-B) -----------------------------
@@ -312,14 +374,14 @@ private:
     /// Link-time label of the function body that direct calls target.  In
     /// SecureModule mode exported functions get an internal implementation
     /// label; the exported name becomes the entry stub.
-    [[nodiscard]] std::string impl_label(const FuncDef& fn) const {
+    [[nodiscard]] StrRef impl_label(const FuncDef& fn) {
         if (fn.is_static) {
-            return static_label(fn.name, unit_);
+            return put(static_label(fn.name, unit_));
         }
         if (opts_.pma_mode == PmaMode::SecureModule) {
-            return fn.name + "$impl$" + unit_;
+            return put(fn.name, "$impl$", unit_);
         }
-        return fn.name;
+        return put(fn.name);
     }
 
     /// Emit the secure entry stub for an exported module function: save the
@@ -329,74 +391,75 @@ private:
     /// leak through the register file.
     void gen_entry_stub(const FuncDef& fn) {
         const int n = static_cast<int>(fn.params.size());
-        text("");
-        comment("PMA entry stub for " + fn.name + " (secure compilation)");
-        text(".global " + fn.name);
-        text(".func " + fn.name);
-        text(".entry " + fn.name);
-        text(fn.name + ":");
-        ins("mov r5, sp"); // outside stack pointer
-        ins("mov r7, __pma_out_sp");
-        ins("store [r7+0], r5");
-        ins("mov r7, __pma_priv_sp");
-        ins("load sp, [r7+0]"); // switch to the private stack
-        ins("push r5");         // remember the outside sp across the call
+        blank();
+        comment("PMA entry stub for ", fn.name, " (secure compilation)");
+        const StrRef name = put(fn.name);
+        directive(Kind::Global, name);
+        directive(Kind::Func, name);
+        directive(Kind::Entry, name);
+        label(name);
+        ins(Op::MovR, R5, SP); // outside stack pointer
+        ins(Op::MovI, R7, sym(put("__pma_out_sp")));
+        ins(Op::Store, mem(R7, 0), R5);
+        ins(Op::MovI, R7, sym(put("__pma_priv_sp")));
+        ins(Op::Load, SP, mem(R7, 0)); // switch to the private stack
+        ins(Op::Push, R5);             // remember the outside sp across the call
         for (int i = n - 1; i >= 0; --i) {
-            ins("load r4, [r5+" + std::to_string(4 + 4 * i) + "]");
-            ins("push r4");
+            ins(Op::Load, R4, mem(R5, 4 + 4 * i));
+            ins(Op::Push, R4);
         }
-        ins("call " + impl_label(fn));
+        ins(Op::Call, sym(impl_label(fn)));
         if (n > 0) {
-            ins("add sp, " + std::to_string(4 * n));
+            ins(Op::AddI, SP, imm(4 * n));
         }
-        ins("pop r5");
-        ins("mov r7, __pma_priv_sp");
-        ins("store [r7+0], sp"); // persist the private stack pointer
-        ins("mov sp, r5");       // back on the outside stack
+        ins(Op::Pop, R5);
+        ins(Op::MovI, R7, sym(put("__pma_priv_sp")));
+        ins(Op::Store, mem(R7, 0), SP); // persist the private stack pointer
+        ins(Op::MovR, SP, R5);          // back on the outside stack
         comment("scrub scratch registers before leaving the module");
         for (int r = 1; r <= 7; ++r) {
-            ins("mov r" + std::to_string(r) + ", 0");
+            ins(Op::MovI, reg(static_cast<isa::Reg>(r)), imm(0));
         }
-        ins("ret");
+        ins(Op::Ret);
     }
 
     // ---- functions ---------------------------------------------------------
     void gen_func(const FuncDef& fn) {
         fn_ = &fn;
         layout_frame(fn);
-        epilogue_label_ = fresh_label("epi$" + fn.name);
+        epilogue_label_ = fresh_label("epi$", fn.name);
 
-        const std::string label = impl_label(fn);
-        text("");
-        comment(fn.ret->to_string() + " " + fn.name + "(...)");
+        const StrRef name = impl_label(fn);
+        blank();
+        comment(fn.ret->to_string(), " ", fn.name, "(...)");
         if (!fn.is_static && opts_.pma_mode != PmaMode::SecureModule) {
-            text(".global " + label);
+            directive(Kind::Global, name);
         }
         if (!fn.is_static && opts_.pma_mode == PmaMode::InsecureModule) {
             // Naive module compilation: the function start itself is the
             // entry point (this is what the Fig. 4 attack exploits).
-            text(".entry " + label);
+            directive(Kind::Entry, name);
         }
-        text(".func " + label);
-        text(label + ":");
+        directive(Kind::Func, name);
+        label(name);
         set_line(fn.line);
-        ins("push bp");
-        ins("mov bp, sp");
+        ins(Op::Push, BP);
+        ins(Op::MovR, BP, SP);
         if (frame_size_ > 0) {
-            ins("sub sp, " + std::to_string(frame_size_));
+            ins(Op::SubI, SP, imm(frame_size_));
         }
         if (opts_.stack_canaries) {
             comment("StackGuard: place canary between locals and saved bp/ret");
-            ins("mov r0, __stack_chk_guard");
-            ins("load r0, [r0+0]");
-            ins("store [bp-4], r0");
+            ins(Op::MovI, R0, sym(put("__stack_chk_guard")));
+            ins(Op::Load, R0, mem(R0, 0));
+            ins(Op::Store, mem(BP, -4), R0);
         }
         const bool zoned_frames = opts_.memcheck || opts_.sanitize_address;
         if (zoned_frames && frame_size_ > 0) {
             comment("redzones: clear stale poison, then poison array red zones");
-            ins("lea r0, [bp-" + std::to_string(frame_size_) + "]");
-            ins("mov r1, " + std::to_string(frame_size_));
-            ins("sys 7"); // unpoison
+            ins(Op::Lea, R0, mem(BP, -frame_size_));
+            ins(Op::MovI, R1, imm(frame_size_));
+            ins(Op::Sys, imm(7)); // unpoison
             for (std::size_t i = 0; i < fn.local_slots.size(); ++i) {
                 const TypePtr& t = fn.local_slots[i];
                 if (!t->is_array()) {
@@ -404,12 +467,12 @@ private:
                 }
                 const int off = slot_offsets_[i];
                 const int size = round4(t->size());
-                ins("lea r0, " + bp_mem(off + size));
-                ins("mov r1, " + std::to_string(kRedZone));
-                ins("sys 6"); // poison above
-                ins("lea r0, " + bp_mem(off - kRedZone));
-                ins("mov r1, " + std::to_string(kRedZone));
-                ins("sys 6"); // poison below
+                ins(Op::Lea, R0, mem(BP, off + size));
+                ins(Op::MovI, R1, imm(kRedZone));
+                ins(Op::Sys, imm(6)); // poison above
+                ins(Op::Lea, R0, mem(BP, off - kRedZone));
+                ins(Op::MovI, R1, imm(kRedZone));
+                ins(Op::Sys, imm(6)); // poison below
             }
         }
         if (opts_.sanitize_address && !opts_.memcheck) {
@@ -420,45 +483,45 @@ private:
             // poison map, which is why this is gated off under memcheck —
             // there the machine's leave/ret would trap on its own frame).
             comment("asan: poison the caller's frame linkage (ret-addr zone)");
-            ins("lea r0, [bp+0]");
-            ins("mov r1, 8");
-            ins("sys 6");
+            ins(Op::Lea, R0, mem(BP, 0));
+            ins(Op::MovI, R1, imm(8));
+            ins(Op::Sys, imm(6));
         }
 
         gen_stmt(*fn.body);
 
-        text(epilogue_label_ + ":");
+        label(epilogue_label_);
         if ((zoned_frames && frame_size_ > 0) || (opts_.sanitize_address && !opts_.memcheck)) {
             comment("redzones: unpoison the frame before it is deallocated");
-            ins("mov r3, r0"); // preserve the return value
+            ins(Op::MovR, R3, R0); // preserve the return value
             if (zoned_frames && frame_size_ > 0) {
-                ins("lea r0, [bp-" + std::to_string(frame_size_) + "]");
-                ins("mov r1, " + std::to_string(frame_size_));
-                ins("sys 7");
+                ins(Op::Lea, R0, mem(BP, -frame_size_));
+                ins(Op::MovI, R1, imm(frame_size_));
+                ins(Op::Sys, imm(7));
             }
             if (opts_.sanitize_address && !opts_.memcheck) {
                 // Clear the ret-addr zone: the slot is about to be legally
                 // consumed by leave/ret, and the caller may reuse it.
-                ins("lea r0, [bp+0]");
-                ins("mov r1, 8");
-                ins("sys 7");
+                ins(Op::Lea, R0, mem(BP, 0));
+                ins(Op::MovI, R1, imm(8));
+                ins(Op::Sys, imm(7));
             }
-            ins("mov r0, r3");
+            ins(Op::MovR, R0, R3);
         }
         if (opts_.stack_canaries) {
             comment("StackGuard: verify canary before using the saved return address");
-            const std::string ok = fresh_label("canary_ok");
-            ins("mov r1, __stack_chk_guard");
-            ins("load r1, [r1+0]");
-            ins("load r2, [bp-4]");
-            ins("cmp r1, r2");
-            ins("jz " + ok);
-            ins("mov r0, 1"); // AbortReason::Canary
-            ins("sys 5");     // abort: smashing detected
-            text(ok + ":");
+            const StrRef ok = fresh_label("canary_ok");
+            ins(Op::MovI, R1, sym(put("__stack_chk_guard")));
+            ins(Op::Load, R1, mem(R1, 0));
+            ins(Op::Load, R2, mem(BP, -4));
+            ins(Op::Cmp, R1, R2);
+            ins(Op::Jz, sym(ok));
+            ins(Op::MovI, R0, imm(1)); // AbortReason::Canary
+            ins(Op::Sys, imm(5));      // abort: smashing detected
+            label(ok);
         }
-        ins("leave");
-        ins("ret");
+        ins(Op::Leave);
+        ins(Op::Ret);
         if (!fn.is_static && opts_.pma_mode == PmaMode::SecureModule) {
             gen_entry_stub(fn);
         }
@@ -478,77 +541,77 @@ private:
             gen_decl(s.decl);
             break;
         case Stmt::Kind::If: {
-            const std::string els = fresh_label("else");
-            const std::string end = fresh_label("endif");
+            const StrRef els = fresh_label("else");
+            const StrRef end = fresh_label("endif");
             eval(*s.expr);
-            ins("cmp r0, 0");
-            ins("jz " + els);
+            ins(Op::CmpI, R0, imm(0));
+            ins(Op::Jz, sym(els));
             gen_stmt(*s.then_branch);
             if (s.else_branch) {
-                ins("jmp " + end);
-                text(els + ":");
+                ins(Op::Jmp, sym(end));
+                label(els);
                 gen_stmt(*s.else_branch);
-                text(end + ":");
+                label(end);
             } else {
-                text(els + ":");
+                label(els);
             }
             break;
         }
         case Stmt::Kind::While: {
-            const std::string head = fresh_label("while");
-            const std::string end = fresh_label("endwhile");
-            text(head + ":");
+            const StrRef head = fresh_label("while");
+            const StrRef end = fresh_label("endwhile");
+            label(head);
             eval(*s.expr);
-            ins("cmp r0, 0");
-            ins("jz " + end);
+            ins(Op::CmpI, R0, imm(0));
+            ins(Op::Jz, sym(end));
             break_labels_.push_back(end);
             continue_labels_.push_back(head);
             gen_stmt(*s.then_branch);
             break_labels_.pop_back();
             continue_labels_.pop_back();
-            ins("jmp " + head);
-            text(end + ":");
+            ins(Op::Jmp, sym(head));
+            label(end);
             break;
         }
         case Stmt::Kind::For: {
-            const std::string head = fresh_label("for");
-            const std::string step = fresh_label("forstep");
-            const std::string end = fresh_label("endfor");
+            const StrRef head = fresh_label("for");
+            const StrRef step = fresh_label("forstep");
+            const StrRef end = fresh_label("endfor");
             if (s.init_stmt) {
                 gen_stmt(*s.init_stmt);
             }
-            text(head + ":");
+            label(head);
             if (s.expr) {
                 eval(*s.expr);
-                ins("cmp r0, 0");
-                ins("jz " + end);
+                ins(Op::CmpI, R0, imm(0));
+                ins(Op::Jz, sym(end));
             }
             break_labels_.push_back(end);
             continue_labels_.push_back(step);
             gen_stmt(*s.then_branch);
             break_labels_.pop_back();
             continue_labels_.pop_back();
-            text(step + ":");
+            label(step);
             if (s.step_expr) {
                 eval(*s.step_expr);
             }
-            ins("jmp " + head);
-            text(end + ":");
+            ins(Op::Jmp, sym(head));
+            label(end);
             break;
         }
         case Stmt::Kind::Return:
             if (s.expr) {
                 eval(*s.expr);
             }
-            ins("jmp " + epilogue_label_);
+            ins(Op::Jmp, sym(epilogue_label_));
             break;
         case Stmt::Kind::Break:
             SWSEC_ASSERT(!break_labels_.empty(), "break outside loop");
-            ins("jmp " + break_labels_.back());
+            ins(Op::Jmp, sym(break_labels_.back()));
             break;
         case Stmt::Kind::Continue:
             SWSEC_ASSERT(!continue_labels_.empty(), "continue outside loop");
-            ins("jmp " + continue_labels_.back());
+            ins(Op::Jmp, sym(continue_labels_.back()));
             break;
         case Stmt::Kind::Block:
             for (const auto& sub : s.body) {
@@ -563,39 +626,35 @@ private:
         const int off = slot_offsets_[static_cast<std::size_t>(d.slot)];
         if (d.has_init_str) {
             // Copy the string literal into the stack array.
-            const std::string label = intern_string(d.init_str);
-            comment("init " + d.name + " = string literal");
-            ins("mov r0, " + label);
-            ins("push r0");
-            ins("lea r0, " + bp_mem(off));
-            ins("push r0");
-            ins("push " + std::to_string(static_cast<int>(d.init_str.size()) + 1));
+            const StrRef label_ref = intern_string(d.init_str);
+            comment("init ", d.name, " = string literal");
+            ins(Op::MovI, R0, sym(label_ref));
+            ins(Op::Push, R0);
+            ins(Op::Lea, R0, mem(BP, off));
+            ins(Op::Push, R0);
+            ins(Op::PushI, imm(static_cast<int>(d.init_str.size()) + 1));
             // strcpy-free path: memcpy(dst, src, len+1) with args (dst,src,n)
-            ins("pop r2");
-            ins("pop r0");
-            ins("pop r1");
+            ins(Op::Pop, R2);
+            ins(Op::Pop, R0);
+            ins(Op::Pop, R1);
             // inline byte copy loop
-            const std::string loop = fresh_label("strinit");
-            const std::string done = fresh_label("strinit_done");
-            text(loop + ":");
-            ins("cmp r2, 0");
-            ins("jz " + done);
-            ins("load8 r3, [r1+0]");
-            ins("store8 [r0+0], r3");
-            ins("add r0, 1");
-            ins("add r1, 1");
-            ins("sub r2, 1");
-            ins("jmp " + loop);
-            text(done + ":");
+            const StrRef loop = fresh_label("strinit");
+            const StrRef done = fresh_label("strinit_done");
+            label(loop);
+            ins(Op::CmpI, R2, imm(0));
+            ins(Op::Jz, sym(done));
+            ins(Op::Load8, R3, mem(R1, 0));
+            ins(Op::Store8, mem(R0, 0), R3);
+            ins(Op::AddI, R0, imm(1));
+            ins(Op::AddI, R1, imm(1));
+            ins(Op::SubI, R2, imm(1));
+            ins(Op::Jmp, sym(loop));
+            label(done);
             return;
         }
         if (d.init) {
             eval(*d.init);
-            if (d.type->is_char()) {
-                ins("store8 " + bp_mem(off) + ", r0");
-            } else {
-                ins("store " + bp_mem(off) + ", r0");
-            }
+            ins(d.type->is_char() ? Op::Store8 : Op::Store, mem(BP, off), R0);
         }
     }
 
@@ -605,43 +664,41 @@ private:
     static bool is_char_value(const Expr& e) {
         return e.type->is_char();
     }
+    static Op load_op(bool is_char) { return is_char ? Op::Load8 : Op::Load; }
+    static Op store_op(bool is_char) { return is_char ? Op::Store8 : Op::Store; }
 
     void eval(const Expr& e) {
         set_line(e.line);
         switch (e.kind) {
         case Expr::Kind::IntLit:
-            ins("mov r0, " + std::to_string(e.value));
+            ins(Op::MovI, R0, imm(e.value));
             break;
         case Expr::Kind::StrLit:
-            ins("mov r0, " + intern_string(e.str));
+            ins(Op::MovI, R0, sym(intern_string(e.str)));
             break;
         case Expr::Kind::Ident:
             switch (e.ref) {
             case RefKind::Func:
-                ins("mov r0, " + e.str);
+                ins(Op::MovI, R0, sym(put(e.str)));
                 break;
             case RefKind::Global:
-                if (e.object_type->is_array()) {
-                    ins("mov r0, " + e.str); // decay to base address
-                } else {
-                    ins("mov r0, " + e.str);
-                    ins(e.object_type->is_char() ? "load8 r0, [r0+0]" : "load r0, [r0+0]");
+                ins(Op::MovI, R0, sym(put(e.str)));
+                if (!e.object_type->is_array()) { // an array decays to its base address
+                    ins(load_op(e.object_type->is_char()), R0, mem(R0, 0));
                 }
                 break;
             case RefKind::Local: {
                 const int off = slot_offsets_[static_cast<std::size_t>(e.value)];
                 if (e.object_type->is_array()) {
-                    ins("lea r0, " + bp_mem(off));
+                    ins(Op::Lea, R0, mem(BP, off));
                 } else {
-                    ins((e.object_type->is_char() ? "load8 r0, " : "load r0, ") + bp_mem(off));
+                    ins(load_op(e.object_type->is_char()), R0, mem(BP, off));
                 }
                 break;
             }
-            case RefKind::Param: {
-                const int off = param_offset(e.value);
-                ins((e.object_type->is_char() ? "load8 r0, " : "load r0, ") + bp_mem(off));
+            case RefKind::Param:
+                ins(load_op(e.object_type->is_char()), R0, mem(BP, param_offset(e.value)));
                 break;
-            }
             case RefKind::None:
                 throw Error("unresolved identifier in codegen: " + e.name);
             }
@@ -654,11 +711,11 @@ private:
             break;
         case Expr::Kind::Assign: {
             eval_addr(*e.lhs);
-            ins("push r0");
+            ins(Op::Push, R0);
             eval(*e.rhs);
-            ins("pop r1");
-            emit_asan_check("r1");
-            ins(is_char_value(*e.lhs) ? "store8 [r1+0], r0" : "store [r1+0], r0");
+            ins(Op::Pop, R1);
+            emit_asan_check(R1);
+            ins(store_op(is_char_value(*e.lhs)), mem(R1, 0), R0);
             break;
         }
         case Expr::Kind::Call:
@@ -666,49 +723,41 @@ private:
             break;
         case Expr::Kind::Index:
             eval_addr(e);
-            emit_asan_check("r0");
-            ins(is_char_value(e) ? "load8 r0, [r0+0]" : "load r0, [r0+0]");
+            emit_asan_check(R0);
+            ins(load_op(is_char_value(e)), R0, mem(R0, 0));
             break;
         case Expr::Kind::Cast:
-            if (e.cast_type->is_void()) {
-                eval(*e.lhs);
-            } else {
-                eval(*e.lhs);
-                if (e.cast_type->is_char()) {
-                    ins("and r0, 255");
-                }
+            eval(*e.lhs);
+            if (!e.cast_type->is_void() && e.cast_type->is_char()) {
+                ins(Op::AndI, R0, imm(255));
             }
             break;
         case Expr::Kind::SizeofT:
-            ins("mov r0, " + std::to_string(e.value));
+            ins(Op::MovI, R0, imm(e.value));
             break;
         case Expr::Kind::Cond: {
-            const std::string els = fresh_label("cond_else");
-            const std::string end = fresh_label("cond_end");
+            const StrRef els = fresh_label("cond_else");
+            const StrRef end = fresh_label("cond_end");
             eval(*e.lhs);
-            ins("cmp r0, 0");
-            ins("jz " + els);
+            ins(Op::CmpI, R0, imm(0));
+            ins(Op::Jz, sym(els));
             eval(*e.rhs);
-            ins("jmp " + end);
-            text(els + ":");
+            ins(Op::Jmp, sym(end));
+            label(els);
             eval(*e.args[0]);
-            text(end + ":");
+            label(end);
             break;
         }
         case Expr::Kind::PreIncDec:
         case Expr::Kind::PostIncDec: {
             const int step = e.lhs->type->is_ptr() ? e.lhs->type->step() : 1;
             eval_addr(*e.lhs);
-            emit_asan_check("r0"); // one check covers the load and the store
-            ins(is_char_value(*e.lhs) ? "load8 r1, [r0+0]" : "load r1, [r0+0]");
-            ins("mov r2, r1"); // original value
-            if (e.value > 0) {
-                ins("add r1, " + std::to_string(step));
-            } else {
-                ins("sub r1, " + std::to_string(step));
-            }
-            ins(is_char_value(*e.lhs) ? "store8 [r0+0], r1" : "store [r0+0], r1");
-            ins(e.kind == Expr::Kind::PreIncDec ? "mov r0, r1" : "mov r0, r2");
+            emit_asan_check(R0); // one check covers the load and the store
+            ins(load_op(is_char_value(*e.lhs)), R1, mem(R0, 0));
+            ins(Op::MovR, R2, R1); // original value
+            ins(e.value > 0 ? Op::AddI : Op::SubI, R1, imm(step));
+            ins(store_op(is_char_value(*e.lhs)), mem(R0, 0), R1);
+            ins(Op::MovR, R0, e.kind == Expr::Kind::PreIncDec ? R1 : R2);
             break;
         }
         }
@@ -718,20 +767,20 @@ private:
         switch (e.un_op) {
         case UnOp::Neg:
             eval(*e.lhs);
-            ins("neg r0");
+            ins(Op::Neg, R0);
             break;
         case UnOp::BitNot:
             eval(*e.lhs);
-            ins("not r0");
+            ins(Op::Not, R0);
             break;
         case UnOp::Not: {
             eval(*e.lhs);
-            const std::string t = fresh_label("not");
-            ins("cmp r0, 0");
-            ins("mov r0, 1");
-            ins("jz " + t);
-            ins("mov r0, 0");
-            text(t + ":");
+            const StrRef t = fresh_label("not");
+            ins(Op::CmpI, R0, imm(0));
+            ins(Op::MovI, R0, imm(1));
+            ins(Op::Jz, sym(t));
+            ins(Op::MovI, R0, imm(0));
+            label(t);
             break;
         }
         case UnOp::Deref:
@@ -739,8 +788,8 @@ private:
             if (e.object_type->is_array()) {
                 break; // *p where p points to an array: address is the value
             }
-            emit_asan_check("r0");
-            ins(is_char_value(e) ? "load8 r0, [r0+0]" : "load r0, [r0+0]");
+            emit_asan_check(R0);
+            ins(load_op(is_char_value(e)), R0, mem(R0, 0));
             break;
         case UnOp::AddrOf:
             eval_addr(*e.lhs);
@@ -751,19 +800,20 @@ private:
     void gen_binary(const Expr& e) {
         if (e.bin_op == BinOp::LogAnd || e.bin_op == BinOp::LogOr) {
             const bool is_and = e.bin_op == BinOp::LogAnd;
-            const std::string shortcut = fresh_label(is_and ? "and_false" : "or_true");
-            const std::string end = fresh_label("log_end");
+            const StrRef shortcut = fresh_label(is_and ? "and_false" : "or_true");
+            const StrRef end = fresh_label("log_end");
+            const Op jump = is_and ? Op::Jz : Op::Jnz;
             eval(*e.lhs);
-            ins("cmp r0, 0");
-            ins(is_and ? "jz " + shortcut : "jnz " + shortcut);
+            ins(Op::CmpI, R0, imm(0));
+            ins(jump, sym(shortcut));
             eval(*e.rhs);
-            ins("cmp r0, 0");
-            ins(is_and ? "jz " + shortcut : "jnz " + shortcut);
-            ins(std::string("mov r0, ") + (is_and ? "1" : "0"));
-            ins("jmp " + end);
-            text(shortcut + ":");
-            ins(std::string("mov r0, ") + (is_and ? "0" : "1"));
-            text(end + ":");
+            ins(Op::CmpI, R0, imm(0));
+            ins(jump, sym(shortcut));
+            ins(Op::MovI, R0, imm(is_and ? 1 : 0));
+            ins(Op::Jmp, sym(end));
+            label(shortcut);
+            ins(Op::MovI, R0, imm(is_and ? 0 : 1));
+            label(end);
             return;
         }
 
@@ -771,14 +821,19 @@ private:
         const bool lp = e.lhs->type->is_ptr();
         const bool rp = e.rhs->type->is_ptr();
         eval(*e.lhs);
-        ins("push r0");
+        ins(Op::Push, R0);
         eval(*e.rhs);
-        ins("pop r1"); // lhs in r1, rhs in r0
+        ins(Op::Pop, R1); // lhs in r1, rhs in r0
 
         const auto scale_rhs = [&](int step) {
             if (step != 1) {
-                ins("mul r0, " + std::to_string(step));
+                ins(Op::MulI, R0, imm(step));
             }
+        };
+        // r0 = r1 <op> r0
+        const auto combine = [&](Op op) {
+            ins(op, R1, R0);
+            ins(Op::MovR, R0, R1);
         };
 
         switch (e.bin_op) {
@@ -788,125 +843,58 @@ private:
             } else if (rp && !lp) {
                 // int + ptr: scale the int side (in r1)
                 if (e.rhs->type->step() != 1) {
-                    ins("mul r1, " + std::to_string(e.rhs->type->step()));
+                    ins(Op::MulI, R1, imm(e.rhs->type->step()));
                 }
             }
-            ins("add r1, r0");
-            ins("mov r0, r1");
+            combine(Op::Add);
             break;
         case BinOp::Sub:
             if (lp && rp) {
-                ins("sub r1, r0");
-                ins("mov r0, r1");
+                combine(Op::Sub);
                 const int step = e.lhs->type->step();
                 if (step != 1) {
-                    ins("mov r1, " + std::to_string(step));
-                    ins("divs r0, r1");
+                    ins(Op::MovI, R1, imm(step));
+                    ins(Op::Divs, R0, R1);
                 }
             } else {
                 if (lp) {
                     scale_rhs(e.lhs->type->step());
                 }
-                ins("sub r1, r0");
-                ins("mov r0, r1");
+                combine(Op::Sub);
             }
             break;
         case BinOp::Mul:
-            ins("mul r1, r0");
-            ins("mov r0, r1");
+            combine(Op::Mul);
             break;
         case BinOp::Div:
-            ins("divs r1, r0");
-            ins("mov r0, r1");
+            combine(Op::Divs);
             break;
         case BinOp::Rem:
-            ins("rems r1, r0");
-            ins("mov r0, r1");
+            combine(Op::Rems);
             break;
         case BinOp::Shl:
-            ins("shl r1, r0");
-            ins("mov r0, r1");
+            combine(Op::Shl);
             break;
         case BinOp::Shr:
-            ins("sar r1, r0"); // C: >> on signed int is arithmetic
-            ins("mov r0, r1");
+            combine(Op::Sar); // C: >> on signed int is arithmetic
             break;
         case BinOp::BitAnd:
-            ins("and r1, r0");
-            ins("mov r0, r1");
+            combine(Op::And);
             break;
         case BinOp::BitOr:
-            ins("or r1, r0");
-            ins("mov r0, r1");
+            combine(Op::Or);
             break;
         case BinOp::BitXor:
-            ins("xor r1, r0");
-            ins("mov r0, r1");
+            combine(Op::Xor);
             break;
         case BinOp::Lt:
         case BinOp::Gt:
         case BinOp::Le:
         case BinOp::Ge:
         case BinOp::Eq:
-        case BinOp::Ne: {
-            // Pointers compare unsigned, ints signed.
-            const bool unsigned_cmp = lp || rp;
-            ins("cmp r1, r0");
-            const std::string yes = fresh_label("cmp_true");
-            const std::string end = fresh_label("cmp_end");
-            std::string jump;
-            switch (e.bin_op) {
-            case BinOp::Lt:
-                jump = unsigned_cmp ? "jb" : "jl";
-                break;
-            case BinOp::Ge:
-                jump = unsigned_cmp ? "jae" : "jge";
-                break;
-            case BinOp::Gt:
-                jump = unsigned_cmp ? "ja" : "jg"; // ja synthesised below
-                break;
-            case BinOp::Le:
-                jump = unsigned_cmp ? "jbe" : "jle";
-                break;
-            case BinOp::Eq:
-                jump = "jz";
-                break;
-            case BinOp::Ne:
-                jump = "jnz";
-                break;
-            default:
-                break;
-            }
-            if (jump == "ja") {
-                // a > b unsigned == b < a: swap by testing "not below and not equal"
-                const std::string no = fresh_label("cmp_false");
-                ins("jb " + no);
-                ins("jz " + no);
-                ins("mov r0, 1");
-                ins("jmp " + end);
-                text(no + ":");
-                ins("mov r0, 0");
-                text(end + ":");
-                return;
-            }
-            if (jump == "jbe") {
-                ins("jb " + yes);
-                ins("jz " + yes);
-                ins("mov r0, 0");
-                ins("jmp " + end);
-                text(yes + ":");
-                ins("mov r0, 1");
-                text(end + ":");
-                return;
-            }
-            ins(jump + " " + yes);
-            ins("mov r0, 0");
-            ins("jmp " + end);
-            text(yes + ":");
-            ins("mov r0, 1");
-            text(end + ":");
+        case BinOp::Ne:
+            gen_compare(e.bin_op, lp || rp); // pointers compare unsigned, ints signed
             break;
-        }
         case BinOp::LogAnd:
         case BinOp::LogOr:
             SWSEC_ASSERT(false, "handled above");
@@ -914,11 +902,66 @@ private:
         }
     }
 
+    /// r0 = (r1 <op> r0) as 0 or 1.
+    void gen_compare(BinOp op, bool unsigned_cmp) {
+        ins(Op::Cmp, R1, R0);
+        const StrRef yes = fresh_label("cmp_true");
+        const StrRef end = fresh_label("cmp_end");
+        if (unsigned_cmp && op == BinOp::Gt) {
+            // a > b unsigned: "not below and not equal"
+            const StrRef no = fresh_label("cmp_false");
+            ins(Op::Jb, sym(no));
+            ins(Op::Jz, sym(no));
+            ins(Op::MovI, R0, imm(1));
+            ins(Op::Jmp, sym(end));
+            label(no);
+            ins(Op::MovI, R0, imm(0));
+            label(end);
+            return;
+        }
+        if (unsigned_cmp && op == BinOp::Le) {
+            ins(Op::Jb, sym(yes));
+            ins(Op::Jz, sym(yes));
+            ins(Op::MovI, R0, imm(0));
+            ins(Op::Jmp, sym(end));
+            label(yes);
+            ins(Op::MovI, R0, imm(1));
+            label(end);
+            return;
+        }
+        Op jump = Op::Jz;
+        switch (op) {
+        case BinOp::Lt:
+            jump = unsigned_cmp ? Op::Jb : Op::Jl;
+            break;
+        case BinOp::Ge:
+            jump = unsigned_cmp ? Op::Jae : Op::Jge;
+            break;
+        case BinOp::Gt:
+            jump = Op::Jg;
+            break;
+        case BinOp::Le:
+            jump = Op::Jle;
+            break;
+        case BinOp::Ne:
+            jump = Op::Jnz;
+            break;
+        default:
+            break;
+        }
+        ins(jump, sym(yes));
+        ins(Op::MovI, R0, imm(0));
+        ins(Op::Jmp, sym(end));
+        label(yes);
+        ins(Op::MovI, R0, imm(1));
+        label(end);
+    }
+
     void gen_call(const Expr& e) {
         // Push arguments right to left: arg0 ends up at [sp].
         for (std::size_t i = e.args.size(); i-- > 0;) {
             eval(*e.args[i]);
-            ins("push r0");
+            ins(Op::Push, R0);
         }
 
         // FORTIFY-style capacity check: read(fd, buf, n) with buf a known
@@ -930,36 +973,36 @@ private:
             const Expr& dst = buf_is_second ? *e.args[1] : *e.args[0];
             if (dst.object_type && dst.object_type->is_array()) {
                 const int cap = dst.object_type->size();
-                comment("fortify: length must not exceed sizeof(" +
-                        (dst.kind == Expr::Kind::Ident ? dst.name : std::string("buffer")) + ")");
-                const std::string ok = fresh_label("fortify_ok");
-                ins("load r1, [sp+8]"); // the length argument
-                ins("cmp r1, " + std::to_string(cap + 1));
-                ins("jb " + ok);
-                ins("mov r0, 3"); // AbortReason::Fortify
-                ins("sys 5");
-                text(ok + ":");
+                comment("fortify: length must not exceed sizeof(",
+                        dst.kind == Expr::Kind::Ident ? std::string_view(dst.name) : "buffer", ")");
+                const StrRef ok = fresh_label("fortify_ok");
+                ins(Op::Load, R1, mem(SP, 8)); // the length argument
+                ins(Op::CmpI, R1, imm(cap + 1));
+                ins(Op::Jb, sym(ok));
+                ins(Op::MovI, R0, imm(3)); // AbortReason::Fortify
+                ins(Op::Sys, imm(5));
+                label(ok);
             }
         }
 
         if (e.lhs->kind == Expr::Kind::Ident && e.lhs->ref == RefKind::Func) {
-            ins("call " + direct_call_label(*e.lhs));
+            ins(Op::Call, sym(direct_call_label(*e.lhs)));
         } else if (opts_.pma_mode == PmaMode::SecureModule) {
             eval(*e.lhs);
             gen_secure_outcall(static_cast<int>(e.args.size()));
         } else {
             eval(*e.lhs);
-            ins("call r0");
+            ins(Op::CallR, R0);
         }
         if (!e.args.empty()) {
-            ins("add sp, " + std::to_string(4 * e.args.size()));
+            ins(Op::AddI, SP, imm(static_cast<std::int32_t>(4 * e.args.size())));
         }
     }
 
     /// Direct calls inside a secure module must target the implementation
     /// label, not the entry stub (re-entering through the stub would switch
     /// stacks a second time and corrupt the out-sp bookkeeping).
-    [[nodiscard]] std::string direct_call_label(const Expr& callee) const {
+    [[nodiscard]] StrRef direct_call_label(const Expr& callee) {
         if (opts_.pma_mode == PmaMode::SecureModule) {
             for (const auto& fn : prog_.funcs) {
                 if (fn.body && fn.name == callee.name) {
@@ -967,7 +1010,7 @@ private:
                 }
             }
         }
-        return callee.str;
+        return put(callee.str);
     }
 
     /// Secure-compilation out-call (Section IV-B): the module calls through
@@ -981,41 +1024,40 @@ private:
     ///      per-call-site *re-entry point*, the only legal way back in.
     /// Target is in r0; `n` arguments sit on the private stack.
     void gen_secure_outcall(int n) {
-        const std::string ok = fresh_label("san_ok");
-        const std::string reentry = "__pma_reentry$" + unit_ + "$" +
-                                    std::to_string(label_counter_++);
+        const StrRef ok = fresh_label("san_ok");
+        const StrRef reentry = put("__pma_reentry$", unit_, "$", label_counter_++);
         comment("sanitise function pointer: must not point into the module");
-        ins("mov r6, __pma_text_start");
-        ins("cmp r0, r6");
-        ins("jb " + ok);
-        ins("mov r6, __pma_text_end");
-        ins("cmp r0, r6");
-        ins("jae " + ok);
-        ins("mov r0, 4"); // AbortReason::PmaGuard
-        ins("sys 5");     // abort: entry-point abuse attempt
-        text(ok + ":");
-        ins("mov r6, r0");
+        ins(Op::MovI, R6, sym(put("__pma_text_start")));
+        ins(Op::Cmp, R0, R6);
+        ins(Op::Jb, sym(ok));
+        ins(Op::MovI, R6, sym(put("__pma_text_end")));
+        ins(Op::Cmp, R0, R6);
+        ins(Op::Jae, sym(ok));
+        ins(Op::MovI, R0, imm(4)); // AbortReason::PmaGuard
+        ins(Op::Sys, imm(5));      // abort: entry-point abuse attempt
+        label(ok);
+        ins(Op::MovR, R6, R0);
         comment("marshal arguments to the outside stack");
-        ins("mov r5, __pma_out_sp");
-        ins("load r5, [r5+0]");
+        ins(Op::MovI, R5, sym(put("__pma_out_sp")));
+        ins(Op::Load, R5, mem(R5, 0));
         for (int i = n - 1; i >= 0; --i) {
-            ins("load r4, [sp+" + std::to_string(4 * i) + "]");
-            ins("sub r5, 4");
-            ins("store [r5+0], r4");
+            ins(Op::Load, R4, mem(SP, 4 * i));
+            ins(Op::SubI, R5, imm(4));
+            ins(Op::Store, mem(R5, 0), R4);
         }
-        ins("sub r5, 4");
-        ins("mov r4, " + reentry);
-        ins("store [r5+0], r4"); // outside callee returns to the re-entry point
-        ins("mov r7, __pma_priv_sp");
-        ins("store [r7+0], sp");
-        ins("mov sp, r5");
-        ins("jmp r6");
-        text(".entry " + reentry);
-        text(".func " + reentry);
-        text(reentry + ":");
+        ins(Op::SubI, R5, imm(4));
+        ins(Op::MovI, R4, sym(reentry));
+        ins(Op::Store, mem(R5, 0), R4); // outside callee returns to the re-entry point
+        ins(Op::MovI, R7, sym(put("__pma_priv_sp")));
+        ins(Op::Store, mem(R7, 0), SP);
+        ins(Op::MovR, SP, R5);
+        ins(Op::JmpR, R6);
+        directive(Kind::Entry, reentry);
+        directive(Kind::Func, reentry);
+        label(reentry);
         comment("back inside the module: restore the private stack");
-        ins("mov r7, __pma_priv_sp");
-        ins("load sp, [r7+0]");
+        ins(Op::MovI, R7, sym(put("__pma_priv_sp")));
+        ins(Op::Load, SP, mem(R7, 0));
     }
 
     void eval_addr(const Expr& e) {
@@ -1024,13 +1066,13 @@ private:
             switch (e.ref) {
             case RefKind::Global:
             case RefKind::Func:
-                ins("mov r0, " + e.str);
+                ins(Op::MovI, R0, sym(put(e.str)));
                 break;
             case RefKind::Local:
-                ins("lea r0, " + bp_mem(slot_offsets_[static_cast<std::size_t>(e.value)]));
+                ins(Op::Lea, R0, mem(BP, slot_offsets_[static_cast<std::size_t>(e.value)]));
                 break;
             case RefKind::Param:
-                ins("lea r0, " + bp_mem(param_offset(e.value)));
+                ins(Op::Lea, R0, mem(BP, param_offset(e.value)));
                 break;
             case RefKind::None:
                 throw Error("unresolved identifier in codegen: " + e.name);
@@ -1044,25 +1086,25 @@ private:
             // Base address: arrays use their storage address; pointers load
             // the pointer value.
             eval(*e.lhs); // decayed value == base address in both cases
-            ins("push r0");
+            ins(Op::Push, R0);
             eval(*e.rhs);
             if (opts_.bounds_checks && e.lhs->kind == Expr::Kind::Ident &&
                 e.lhs->object_type && e.lhs->object_type->is_array()) {
                 const int len = e.lhs->object_type->array_len();
-                comment("bounds check: index < " + std::to_string(len));
-                const std::string ok = fresh_label("bounds_ok");
-                ins("cmp r0, " + std::to_string(len));
-                ins("jb " + ok); // unsigned: also rejects negative indices
-                ins("mov r0, 2"); // AbortReason::Bounds
-                ins("sys 5");
-                text(ok + ":");
+                comment("bounds check: index < ", len);
+                const StrRef ok = fresh_label("bounds_ok");
+                ins(Op::CmpI, R0, imm(len));
+                ins(Op::Jb, sym(ok)); // unsigned: also rejects negative indices
+                ins(Op::MovI, R0, imm(2)); // AbortReason::Bounds
+                ins(Op::Sys, imm(5));
+                label(ok);
             }
             const int step = e.object_type->size();
             if (step != 1) {
-                ins("mul r0, " + std::to_string(step));
+                ins(Op::MulI, R0, imm(step));
             }
-            ins("pop r1");
-            ins("add r0, r1");
+            ins(Op::Pop, R1);
+            ins(Op::Add, R0, R1);
             break;
         }
         default:
@@ -1073,8 +1115,8 @@ private:
 
 } // namespace
 
-std::string generate(const Program& prog, const CompilerOptions& opts,
-                     const std::string& unit_name) {
+assembler::AsmList generate(const Program& prog, const CompilerOptions& opts,
+                            const std::string& unit_name) {
     CodeGen cg(prog, opts, unit_name);
     return cg.run();
 }

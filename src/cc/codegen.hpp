@@ -3,14 +3,16 @@
 
 #include <string>
 
+#include "assembler/asm_list.hpp"
 #include "cc/ast.hpp"
 #include "cc/compiler.hpp"
 
 namespace swsec::cc {
 
-/// Lower an analysed Program to swsec assembly text.
-[[nodiscard]] std::string generate(const Program& prog, const CompilerOptions& opts,
-                                   const std::string& unit_name);
+/// Lower an analysed Program to an instruction list (assembler/asm_list.hpp):
+/// assembler::build_object encodes it, assembler::render prints it.
+[[nodiscard]] assembler::AsmList generate(const Program& prog, const CompilerOptions& opts,
+                                          const std::string& unit_name);
 
 /// Evaluate a constant expression (global initialiser) with the *machine's*
 /// semantics: two's-complement wrap on +,-,*, the VM's defined results for

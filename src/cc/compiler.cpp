@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "assembler/asm_list.hpp"
 #include "assembler/assembler.hpp"
 #include "assembler/linker.hpp"
 #include "cc/codegen.hpp"
@@ -72,6 +73,12 @@ std::shared_ptr<const objfmt::ObjectFile> runtime_object(const std::string& key,
 /// with it.
 std::string program_unit_name(std::size_t i) { return "u" + std::to_string(i); }
 
+Program analysed(const std::string& source, const ExternEnv& externs, const std::string& unit_name) {
+    Program prog = parse(source);
+    analyze(prog, externs, unit_name);
+    return prog;
+}
+
 } // namespace
 
 void clear_runtime_memo() {
@@ -82,14 +89,13 @@ void clear_runtime_memo() {
 
 std::string compile_to_asm(const std::string& source, const CompilerOptions& opts,
                            const std::string& unit_name, const ExternEnv& externs) {
-    Program prog = parse(source);
-    analyze(prog, externs, unit_name);
-    return generate(prog, opts, unit_name);
+    return assembler::render(generate(analysed(source, externs, unit_name), opts, unit_name));
 }
 
 objfmt::ObjectFile compile(const std::string& source, const CompilerOptions& opts,
                            const std::string& unit_name, const ExternEnv& externs) {
-    return assembler::assemble(compile_to_asm(source, opts, unit_name, externs), unit_name);
+    return assembler::build_object(generate(analysed(source, externs, unit_name), opts, unit_name),
+                                   unit_name);
 }
 
 objfmt::Image compile_program(const std::vector<std::string>& minic_units,
@@ -113,31 +119,37 @@ ParsedProgram parse_program(const std::vector<std::string>& minic_units,
     ParsedProgram out;
     out.units.reserve(minic_units.size());
     for (std::size_t i = 0; i < minic_units.size(); ++i) {
-        Program prog = parse(minic_units[i]);
-        analyze(prog, env, program_unit_name(i));
-        out.units.push_back(std::move(prog));
+        out.units.push_back(analysed(minic_units[i], env, program_unit_name(i)));
     }
     return out;
 }
 
 objfmt::Image build_program(const ParsedProgram& program, const CompilerOptions& opts,
                             const std::vector<objfmt::ObjectFile>& extra_objects) {
-    std::vector<objfmt::ObjectFile> objects;
-    objects.reserve(2 + program.units.size() + extra_objects.size());
-    objects.push_back(
-        *runtime_object("crt0", [] { return assembler::assemble(runtime_crt0_asm(), "crt0"); }));
+    const std::shared_ptr<const objfmt::ObjectFile> crt0 =
+        runtime_object("crt0", [] { return assembler::assemble(runtime_crt0_asm(), "crt0"); });
     // The runtime library is compiled with the same hardening profile as the
     // program (a real distro ships a canary-protected libc alongside
     // canary-protected applications).
-    objects.push_back(*runtime_object("libc/" + compiler_options_key(opts), [&] {
-        return compile(runtime_libc_minic(), opts, "libc");
-    }));
+    const std::shared_ptr<const objfmt::ObjectFile> libc =
+        runtime_object("libc/" + compiler_options_key(opts),
+                       [&] { return compile(runtime_libc_minic(), opts, "libc"); });
+    std::vector<objfmt::ObjectFile> units;
+    units.reserve(program.units.size());
     for (std::size_t i = 0; i < program.units.size(); ++i) {
         const std::string name = program_unit_name(i);
-        objects.push_back(assembler::assemble(generate(program.units[i], opts, name), name));
+        units.push_back(assembler::build_object(generate(program.units[i], opts, name), name));
     }
-    for (const auto& obj : extra_objects) {
-        objects.push_back(obj);
+    // The memoized runtime objects are linked in place, not copied.
+    std::vector<const objfmt::ObjectFile*> objects;
+    objects.reserve(2 + units.size() + extra_objects.size());
+    objects.push_back(crt0.get());
+    objects.push_back(libc.get());
+    for (const objfmt::ObjectFile& obj : units) {
+        objects.push_back(&obj);
+    }
+    for (const objfmt::ObjectFile& obj : extra_objects) {
+        objects.push_back(&obj);
     }
     return assembler::link(objects);
 }

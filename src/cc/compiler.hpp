@@ -1,7 +1,8 @@
 // MiniC compiler driver and hardening options.
 //
-// The compiler lowers MiniC to swsec assembly, then assembles it to an
-// ObjectFile.  Its options are the *compiler-inserted* countermeasures of
+// The compiler lowers MiniC to an instruction list (assembler/asm_list.hpp),
+// which the assembler's object builder encodes into an ObjectFile directly;
+// compile_to_asm renders the same list as assembly text.  Its options are the *compiler-inserted* countermeasures of
 // the paper:
 //
 //  * stack_canaries  — StackGuard [9]: a random canary between the locals
@@ -124,9 +125,9 @@ struct ParsedProgram {
 [[nodiscard]] ParsedProgram parse_program(const std::vector<std::string>& minic_units,
                                           const ExternEnv& extra_externs = {});
 
-/// The per-options back half of compile_program: code generation, assembly,
-/// the memoized runtime objects and the link, with `extra_objects` linked
-/// after the units.
+/// The per-options back half of compile_program: code generation, object
+/// building, the memoized runtime objects and the link, with `extra_objects`
+/// linked after the units.
 [[nodiscard]] objfmt::Image build_program(const ParsedProgram& program,
                                           const CompilerOptions& opts,
                                           const std::vector<objfmt::ObjectFile>& extra_objects = {});

@@ -7,6 +7,7 @@
 #include <exception>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "cc/compiler.hpp"
@@ -21,17 +22,19 @@ namespace swsec::fuzz {
 
 namespace {
 
-/// Ring capacity for the engine oracle's tracers: big enough to hold every
-/// event of a generated program (they retire well under 8k instructions per
-/// chunk tail), small enough to keep per-run allocation cheap.
+/// Ring capacity for the engine oracle's tracers, small enough to keep the
+/// rings cheap.  A long generated program records more events than this
+/// (seed 143 records 14 484), so a ring keeps the tail, and each of the two
+/// tracers folds the events it evicts into a digest that the oracle
+/// compares as well.
 constexpr std::size_t kTraceCapacity = 8192;
 
-/// Observable behaviour of one run.  Steps are excluded from equality:
-/// configurations legitimately execute different instruction counts.
+/// Observable behaviour of one run: fd-1 bytes and the final trap's kind
+/// and code.  Steps are excluded from equality: configurations legitimately
+/// execute different instruction counts.
 struct Observed {
     std::string out;
     std::string trap;
-    std::uint64_t steps = 0;
 
     [[nodiscard]] bool same(const Observed& o) const { return out == o.out && trap == o.trap; }
     [[nodiscard]] std::string describe() const { return out + "[trap] " + trap + "\n"; }
@@ -88,14 +91,13 @@ private:
     std::map<std::string, std::shared_ptr<const objfmt::Image>> images_;
 };
 
-/// Architectural snapshot for the engine-A/engine-B oracle (tier 2, the
-/// engine's unobserved loop with fused superinstructions, vs tier 1, its
-/// observed loop throughout).  Unlike `Observed`, this compares
-/// ip/addr/registers and the step count exactly: the two runs share one
-/// seed and one profile, so one layout — any difference is an engine bug
-/// (fusion, page-change or budget handling), not ASLR.  Both runs are
-/// untraced on purpose: attaching a tracer would force both onto the
-/// observed loop and make the oracle vacuous.
+/// Everything one run leaves behind: the final registers, ip, step count,
+/// full trap and output.  The engine A/B oracle (tier 2, the engine's
+/// unobserved loop with fused superinstructions, vs tier 1, its observed
+/// loop throughout) compares all of it exactly: the two runs share one seed
+/// and one profile, so one layout, and any difference is an engine bug
+/// (fusion, page-change or budget handling), not ASLR.  The defense oracle
+/// compares only `behaviour()`.
 struct ObservedArch {
     std::array<std::uint32_t, isa::kNumRegs> regs{};
     std::uint32_t ip = 0;
@@ -116,6 +118,11 @@ struct ObservedArch {
         s += " ip=" + std::to_string(ip) + " steps=" + std::to_string(steps) + "\n";
         return s;
     }
+    /// Observable termination is the trap *kind and code*, never ip/addr,
+    /// which ASLR legitimately randomizes for identical behaviour.
+    [[nodiscard]] Observed behaviour() const {
+        return {out, vm::trap_name(trap.kind) + " code=" + std::to_string(trap.code)};
+    }
 };
 
 void add_dispatch(FuzzReport& stats, const vm::DispatchStats& d) {
@@ -125,14 +132,16 @@ void add_dispatch(FuzzReport& stats, const vm::DispatchStats& d) {
     stats.deopts += d.deopts();
 }
 
-ObservedArch run_arch(const std::shared_ptr<const objfmt::Image>& image,
-                      const os::SecurityProfile& profile,
-                      bool fast_engine, std::uint64_t seed, std::uint64_t max_steps,
-                      FuzzReport* stats) {
+/// One execution of `image` under `profile` (profiler detached, `tracer`
+/// attached when given), counted into `stats` when given.  A traced run's
+/// instructions are the tracer's retired events; an untraced run's are its
+/// steps.
+ObservedArch run(const std::shared_ptr<const objfmt::Image>& image,
+                 const os::SecurityProfile& profile, std::uint64_t seed,
+                 std::uint64_t max_steps, FuzzReport* stats, trace::Tracer* tracer = nullptr) {
     os::SecurityProfile p = profile;
-    p.tracer = nullptr;
+    p.tracer = tracer;
     p.profiler = nullptr;
-    p.fast_engine = fast_engine;
     os::Process proc(image, p, seed);
     const vm::RunResult r = proc.run(max_steps);
     ObservedArch a;
@@ -145,29 +154,6 @@ ObservedArch run_arch(const std::shared_ptr<const objfmt::Image>& image,
     a.out = proc.output();
     if (stats != nullptr) {
         ++stats->runs;
-        stats->counters.instructions += r.steps;
-        ++stats->counters.traps;
-        add_dispatch(*stats, proc.machine().dispatch_stats());
-    }
-    return a;
-}
-
-Observed run_once(const std::shared_ptr<const objfmt::Image>& image,
-                  const os::SecurityProfile& profile,
-                  std::uint64_t seed, std::uint64_t max_steps, FuzzReport* stats,
-                  trace::Tracer* tracer = nullptr) {
-    os::SecurityProfile p = profile;
-    p.tracer = tracer;
-    os::Process proc(image, p, seed);
-    const vm::RunResult r = proc.run(max_steps);
-    // Observable termination is the trap *kind and code* — never ip/addr,
-    // which ASLR legitimately randomizes for identical behaviour.  (The
-    // engine oracle still compares pc-exact traces: there the two runs
-    // share one layout.)
-    Observed obs{proc.output(),
-                 vm::trap_name(r.trap.kind) + " code=" + std::to_string(r.trap.code), r.steps};
-    if (stats != nullptr) {
-        ++stats->runs;
         if (tracer != nullptr) {
             add_counters(stats->counters, tracer->counters());
         } else {
@@ -176,12 +162,18 @@ Observed run_once(const std::shared_ptr<const objfmt::Image>& image,
         }
         add_dispatch(*stats, proc.machine().dispatch_stats());
     }
-    return obs;
+    return a;
 }
 
+/// What first_trace_mismatch returns for two traces that agree, and for two
+/// whose retained events and totals agree but whose evicted events differ.
+constexpr std::ptrdiff_t kTracesAgree = -1;
+constexpr std::ptrdiff_t kEvictedEventsDiffer = -2;
+
 /// Event-for-event trace equality (the byte-identical-JSONL oracle without
-/// the string building), read in place from both rings.  On mismatch
-/// returns the first differing index, else -1.
+/// the string building), read in place from both rings, plus the eviction
+/// digests of the events a long run pushed out of them.  On mismatch
+/// returns the first differing retained index, or kEvictedEventsDiffer.
 std::ptrdiff_t first_trace_mismatch(const trace::Tracer& x, const trace::Tracer& y) {
     const std::size_t n = std::min(x.size(), y.size());
     for (std::size_t i = 0; i < n; ++i) {
@@ -196,12 +188,23 @@ std::ptrdiff_t first_trace_mismatch(const trace::Tracer& x, const trace::Tracer&
     if (x.size() != y.size() || x.total_recorded() != y.total_recorded()) {
         return static_cast<std::ptrdiff_t>(n);
     }
-    return -1;
+    if (x.evicted_digest() != y.evicted_digest()) {
+        return kEvictedEventsDiffer;
+    }
+    return kTracesAgree;
 }
 
-/// The JSON of a ring's event `i`, or "<missing>" past its end.
-std::string event_json(const trace::Tracer& t, std::size_t i) {
-    return i < t.size() ? t.event(i).to_json() : "<missing>";
+/// The divergence note for one side of a trace mismatch: the JSON of the
+/// ring's event at `mismatch` ("<missing>" past its end), or the count and
+/// digest of the events it evicted.
+std::string trace_mismatch_note(const trace::Tracer& t, std::ptrdiff_t mismatch) {
+    if (mismatch == kEvictedEventsDiffer) {
+        return "[trace evicted] " + std::to_string(t.dropped()) + " events, digest " +
+               std::to_string(t.evicted_digest()) + "\n";
+    }
+    const auto i = static_cast<std::size_t>(mismatch);
+    return "[trace #" + std::to_string(i) + "] " +
+           (i < t.size() ? t.event(i).to_json() : std::string("<missing>")) + "\n";
 }
 
 std::size_t count_occurrences(const std::string& haystack, const std::string& needle) {
@@ -303,8 +306,21 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
         divs.push_back(Divergence{seed, oracle, a, b, std::move(out_a), std::move(out_b), source});
     };
 
+    // The engine oracle's configurations: "sanitize" rides along, because
+    // its compiled shadow checks are ordinary instructions, so tier 2 and
+    // the decode cache must be transparent through them exactly as for
+    // uninstrumented code.
+    const auto engine_checked = [&](const core::Defense& d) {
+        return d.name == defenses[0].name || d.name == "all-mitigations" || d.name == "sanitize";
+    };
+
     // ---- oracle 1: every benign defense preserves behaviour --------------
+    // Each run is untraced, and every standard defense runs the fast engine
+    // with the decode cache on, so the run is also the engine A/B oracle's
+    // tier-2 run of its defense: that oracle keeps the full observation
+    // instead of making the same run again.
     Observed baseline;
+    std::vector<std::optional<ObservedArch>> tier2(defenses.size());
     for (std::size_t i = 0; i < defenses.size(); ++i) {
         const core::Defense& d = defenses[i];
         std::shared_ptr<const objfmt::Image> image;
@@ -314,48 +330,45 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
             report(Oracle::Defense, "<compile>", d.name, e.what(), "");
             continue;
         }
-        const Observed obs = run_once(image, d.profile, seed, max_steps, stats);
+        ObservedArch arch = run(image, d.profile, seed, max_steps, stats);
+        const Observed obs = arch.behaviour();
         if (i == 0) {
             baseline = obs;
         } else if (!obs.same(baseline)) {
             report(Oracle::Defense, defenses[0].name, d.name, baseline.describe(), obs.describe());
+        }
+        if (engine_checked(d)) {
+            tier2[i] = std::move(arch);
         }
     }
 
     // ---- oracle 2: the execution engine's fast paths are invisible -------
     // Decode cache on vs off must agree on observable output *and* on the
     // event trace (the PR2/PR3 equivalence property, applied per program).
-    for (const core::Defense& d : defenses) {
-        // "sanitize" rides along: its compiled shadow checks are ordinary
-        // instructions, so tier-2 and the decode cache must be transparent
-        // through them exactly as for uninstrumented code.
-        if (d.name != defenses[0].name && d.name != "all-mitigations" &&
-            d.name != "sanitize") {
-            continue;
+    trace::Tracer on_trace(kTraceCapacity, trace::Tracer::kEvictionDigest);
+    trace::Tracer off_trace(kTraceCapacity, trace::Tracer::kEvictionDigest);
+    for (std::size_t i = 0; i < defenses.size(); ++i) {
+        const core::Defense& d = defenses[i];
+        if (!tier2[i]) {
+            continue; // not engine-checked, or already reported by oracle 1
         }
-        std::shared_ptr<const objfmt::Image> image;
-        try {
-            image = memo.get(d.copts);
-        } catch (const Error&) {
-            continue; // already reported by oracle 1
-        }
-        trace::Tracer on_trace(kTraceCapacity);
-        trace::Tracer off_trace(kTraceCapacity);
+        const std::shared_ptr<const objfmt::Image> image = memo.get(d.copts);
+        on_trace.clear();
+        off_trace.clear();
         os::SecurityProfile on_profile = d.profile;
         on_profile.decode_cache = true;
         os::SecurityProfile off_profile = d.profile;
         off_profile.decode_cache = false;
-        const Observed on = run_once(image, on_profile, seed, max_steps, stats, &on_trace);
-        const Observed off = run_once(image, off_profile, seed, max_steps, stats, &off_trace);
+        const Observed on = run(image, on_profile, seed, max_steps, stats, &on_trace).behaviour();
+        const Observed off =
+            run(image, off_profile, seed, max_steps, stats, &off_trace).behaviour();
         const std::ptrdiff_t mismatch = first_trace_mismatch(on_trace, off_trace);
-        if (!on.same(off) || mismatch >= 0) {
+        if (!on.same(off) || mismatch != kTracesAgree) {
             std::string out_a = on.describe();
             std::string out_b = off.describe();
-            if (mismatch >= 0) {
-                const auto idx = static_cast<std::size_t>(mismatch);
-                out_a += "[trace #" + std::to_string(idx) + "] " + event_json(on_trace, idx) + "\n";
-                out_b +=
-                    "[trace #" + std::to_string(idx) + "] " + event_json(off_trace, idx) + "\n";
+            if (mismatch != kTracesAgree) {
+                out_a += trace_mismatch_note(on_trace, mismatch);
+                out_b += trace_mismatch_note(off_trace, mismatch);
             }
             report(Oracle::Engine, d.name + "+dcache", d.name + "-dcache", std::move(out_a),
                    std::move(out_b));
@@ -365,10 +378,11 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
         // loop throughout) must agree on final registers, ip, trap
         // (kind/ip/addr/msg) and the exact step count.  Untraced: a tracer
         // would put both runs on the observed loop.
-        const ObservedArch tier2 = run_arch(image, d.profile, true, seed, max_steps, stats);
-        const ObservedArch tier1 = run_arch(image, d.profile, false, seed, max_steps, stats);
-        if (!tier2.same(tier1)) {
-            report(Oracle::Engine, d.name + "+tier2", d.name + "+tier1", tier2.describe(),
+        os::SecurityProfile tier1_profile = d.profile;
+        tier1_profile.fast_engine = false;
+        const ObservedArch tier1 = run(image, tier1_profile, seed, max_steps, stats);
+        if (!tier2[i]->same(tier1)) {
+            report(Oracle::Engine, d.name + "+tier2", d.name + "+tier1", tier2[i]->describe(),
                    tier1.describe());
         }
     }

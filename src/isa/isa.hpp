@@ -14,6 +14,7 @@
 // returns values in r0.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -151,21 +152,225 @@ struct OpInfo {
     std::uint8_t length; // total encoded length in bytes
 };
 
+namespace detail {
+
+// Encoded length by operand kind: opcode byte + operand bytes.
+constexpr std::uint8_t len_for(OperandKind k) noexcept {
+    switch (k) {
+    case OperandKind::None:
+        return 1;
+    case OperandKind::Reg:
+        return 2;
+    case OperandKind::RegReg:
+        return 2; // packed into one byte: (r1<<4 | r2)
+    case OperandKind::RegImm32:
+        return 6;
+    case OperandKind::Imm32:
+        return 5;
+    case OperandKind::RegMem:
+        return 6; // opcode, (r1<<4|r2), disp32 -> 1+1+4
+    case OperandKind::RegImm8:
+        return 3;
+    case OperandKind::Rel32:
+        return 5;
+    case OperandKind::Imm8:
+        return 2;
+    }
+    return 1;
+}
+
+constexpr OpInfo make(Op op, const char* mn, OperandKind k) {
+    return OpInfo{op, mn, k, len_for(k)};
+}
+
+/// The opcode table: the one source of every opcode's mnemonic, operand
+/// kind and length.
+inline constexpr std::array<OpInfo, 56> kOps = {
+    make(Op::Halt, "halt", OperandKind::None),
+    make(Op::Nop, "nop", OperandKind::None),
+    make(Op::Push, "push", OperandKind::Reg),
+    make(Op::Pop, "pop", OperandKind::Reg),
+    make(Op::PushI, "pushi", OperandKind::Imm32),
+    make(Op::MovI, "movi", OperandKind::RegImm32),
+    make(Op::MovR, "mov", OperandKind::RegReg),
+    make(Op::Load, "load", OperandKind::RegMem),
+    make(Op::Store, "store", OperandKind::RegMem),
+    make(Op::Load8, "load8", OperandKind::RegMem),
+    make(Op::Store8, "store8", OperandKind::RegMem),
+    make(Op::Lea, "lea", OperandKind::RegMem),
+    make(Op::Add, "add", OperandKind::RegReg),
+    make(Op::AddI, "addi", OperandKind::RegImm32),
+    make(Op::Sub, "sub", OperandKind::RegReg),
+    make(Op::SubI, "subi", OperandKind::RegImm32),
+    make(Op::Mul, "mul", OperandKind::RegReg),
+    make(Op::MulI, "muli", OperandKind::RegImm32),
+    make(Op::Divs, "divs", OperandKind::RegReg),
+    make(Op::Rems, "rems", OperandKind::RegReg),
+    make(Op::And, "and", OperandKind::RegReg),
+    make(Op::AndI, "andi", OperandKind::RegImm32),
+    make(Op::Or, "or", OperandKind::RegReg),
+    make(Op::OrI, "ori", OperandKind::RegImm32),
+    make(Op::Xor, "xor", OperandKind::RegReg),
+    make(Op::XorI, "xori", OperandKind::RegImm32),
+    make(Op::ShlI, "shli", OperandKind::RegImm8),
+    make(Op::ShrI, "shri", OperandKind::RegImm8),
+    make(Op::SarI, "sari", OperandKind::RegImm8),
+    make(Op::Shl, "shl", OperandKind::RegReg),
+    make(Op::Shr, "shr", OperandKind::RegReg),
+    make(Op::Sar, "sar", OperandKind::RegReg),
+    make(Op::Not, "not", OperandKind::Reg),
+    make(Op::Neg, "neg", OperandKind::Reg),
+    make(Op::Cmp, "cmp", OperandKind::RegReg),
+    make(Op::CmpI, "cmpi", OperandKind::RegImm32),
+    make(Op::Test, "test", OperandKind::RegReg),
+    make(Op::Jmp, "jmp", OperandKind::Rel32),
+    make(Op::Jz, "jz", OperandKind::Rel32),
+    make(Op::Jnz, "jnz", OperandKind::Rel32),
+    make(Op::Jl, "jl", OperandKind::Rel32),
+    make(Op::Jge, "jge", OperandKind::Rel32),
+    make(Op::Jg, "jg", OperandKind::Rel32),
+    make(Op::Jle, "jle", OperandKind::Rel32),
+    make(Op::Jb, "jb", OperandKind::Rel32),
+    make(Op::Jae, "jae", OperandKind::Rel32),
+    make(Op::Call, "call", OperandKind::Rel32),
+    make(Op::CallR, "callr", OperandKind::Reg),
+    make(Op::JmpR, "jmpr", OperandKind::Reg),
+    make(Op::Ret, "ret", OperandKind::None),
+    make(Op::Leave, "leave", OperandKind::None),
+    make(Op::Sys, "sys", OperandKind::Imm8),
+    make(Op::CLoad, "cload", OperandKind::RegImm8),
+    make(Op::CStore, "cstore", OperandKind::RegImm8),
+    make(Op::CJmp, "cjmp", OperandKind::Imm8),
+    make(Op::CSetB, "csetb", OperandKind::RegImm8),
+};
+
+/// How the bytes after an opcode decode, per first byte.  `length` 0 marks
+/// a byte that is no opcode.  Byte 1 holds one register (`regs` 1) or two
+/// packed as (r1<<4 | r2) (`regs` 2); an immediate of `imm_size` bytes (4,
+/// little-endian and sign-carrying, or 1, zero-extended) starts at
+/// `imm_at`.
+struct DecodeRow {
+    std::uint8_t length = 0;
+    std::uint8_t regs = 0;
+    std::uint8_t imm_size = 0;
+    std::uint8_t imm_at = 0;
+};
+
+constexpr DecodeRow decode_row(OperandKind k) noexcept {
+    DecodeRow r;
+    r.length = len_for(k);
+    switch (k) {
+    case OperandKind::None:
+        break;
+    case OperandKind::Reg:
+        r.regs = 1;
+        break;
+    case OperandKind::RegReg:
+        r.regs = 2;
+        break;
+    case OperandKind::RegImm32:
+        r.regs = 1;
+        r.imm_size = 4;
+        r.imm_at = 2;
+        break;
+    case OperandKind::Imm32:
+    case OperandKind::Rel32:
+        r.imm_size = 4;
+        r.imm_at = 1;
+        break;
+    case OperandKind::RegMem:
+        r.regs = 2;
+        r.imm_size = 4;
+        r.imm_at = 2;
+        break;
+    case OperandKind::RegImm8:
+        r.regs = 1;
+        r.imm_size = 1;
+        r.imm_at = 2;
+        break;
+    case OperandKind::Imm8:
+        r.imm_size = 1;
+        r.imm_at = 1;
+        break;
+    }
+    return r;
+}
+
+/// The decoder's table, derived from kOps at compile time.
+inline constexpr std::array<DecodeRow, 256> kDecodeTable = [] {
+    std::array<DecodeRow, 256> t{};
+    for (const OpInfo& info : kOps) {
+        t[static_cast<std::uint8_t>(info.op)] = decode_row(info.operands);
+    }
+    return t;
+}();
+
+/// kOps index per first byte; kNoOp for bytes that are no opcode.
+inline constexpr std::uint8_t kNoOp = 0xff;
+inline constexpr std::array<std::uint8_t, 256> kOpIndex = [] {
+    std::array<std::uint8_t, 256> t{};
+    t.fill(kNoOp);
+    for (std::size_t i = 0; i < kOps.size(); ++i) {
+        t[static_cast<std::uint8_t>(kOps[i].op)] = static_cast<std::uint8_t>(i);
+    }
+    return t;
+}();
+
+} // namespace detail
+
 /// Look up the opcode table entry for a raw opcode byte.
 /// Returns nullptr for bytes that are not valid opcodes.
-[[nodiscard]] const OpInfo* op_info(std::uint8_t opcode) noexcept;
+[[nodiscard]] constexpr const OpInfo* op_info(std::uint8_t opcode) noexcept {
+    const std::uint8_t i = detail::kOpIndex[opcode];
+    return i == detail::kNoOp ? nullptr : &detail::kOps[i];
+}
 
-/// Look up by mnemonic ("mov", "jz", ...); nullptr when unknown.  Several
-/// mnemonics map to multiple encodings (e.g. "mov" is MovI/MovR); this
-/// returns the table and the assembler disambiguates by operand shape.
-[[nodiscard]] std::span<const OpInfo> all_ops() noexcept;
+/// Every opcode's table entry (the assembler's mnemonic table and the tests
+/// enumerate it).
+[[nodiscard]] constexpr std::span<const OpInfo> all_ops() noexcept { return detail::kOps; }
 
 /// Decode one instruction from `bytes`.  Returns nullopt if the bytes do not
 /// form a valid instruction (bad opcode, bad register field, or truncated).
 /// This is the single decoder used by the VM, the disassembler and the ROP
 /// gadget scanner, so "what the VM executes" and "what the scanner finds"
-/// can never diverge.
-[[nodiscard]] std::optional<Insn> decode(std::span<const std::uint8_t> bytes) noexcept;
+/// can never diverge.  One row of detail::kDecodeTable per first byte says
+/// how the rest decodes; immediates are assembled byte by byte, so the
+/// result does not depend on the host's byte order.
+[[nodiscard]] inline std::optional<Insn> decode(std::span<const std::uint8_t> bytes) noexcept {
+    if (bytes.empty()) {
+        return std::nullopt;
+    }
+    const detail::DecodeRow row = detail::kDecodeTable[bytes[0]];
+    if (row.length == 0 || bytes.size() < row.length) {
+        return std::nullopt;
+    }
+    Insn insn;
+    insn.op = static_cast<Op>(bytes[0]);
+    insn.length = row.length;
+    if (row.regs == 1) {
+        if (!is_valid_reg(bytes[1])) {
+            return std::nullopt;
+        }
+        insn.r1 = static_cast<Reg>(bytes[1]);
+    } else if (row.regs == 2) {
+        const std::uint8_t a = bytes[1] >> 4;
+        const std::uint8_t b = bytes[1] & 0xf;
+        if (!is_valid_reg(a) || !is_valid_reg(b)) {
+            return std::nullopt;
+        }
+        insn.r1 = static_cast<Reg>(a);
+        insn.r2 = static_cast<Reg>(b);
+    }
+    if (row.imm_size == 4) {
+        const std::uint8_t* p = bytes.data() + row.imm_at;
+        insn.imm = static_cast<std::int32_t>(
+            static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+            (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24));
+    } else if (row.imm_size == 1) {
+        insn.imm = bytes[row.imm_at];
+    }
+    return insn;
+}
 
 /// Render a decoded instruction as assembly text. `addr` is the address of
 /// the instruction, used to resolve rel32 targets to absolute addresses.

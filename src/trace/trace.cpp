@@ -1,8 +1,7 @@
 #include "trace/trace.hpp"
 
-#include <utility>
-
 #include "common/escape.hpp"
+#include "common/rng.hpp"
 
 namespace swsec::trace {
 
@@ -98,37 +97,24 @@ std::string Counters::summary() const {
     return out;
 }
 
-Tracer::Tracer(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
+Tracer::Tracer(std::size_t capacity, bool eviction_digest)
+    : capacity_(capacity == 0 ? 1 : capacity), eviction_digest_(eviction_digest) {
     ring_.reserve(capacity_);
 }
 
-void Tracer::record(TraceEvent e) {
-    switch (e.kind) {
-    case EventKind::InsnRetired: ++counters_.instructions; break;
-    case EventKind::TrapRaised: ++counters_.traps; break;
-    case EventKind::MemFault: ++counters_.mem_faults; break;
-    case EventKind::SyscallEnter: ++counters_.syscalls; break;
-    case EventKind::SyscallExit: break;
-    case EventKind::PmaEnter:
-    case EventKind::PmaExit: ++counters_.pma_transitions; break;
-    case EventKind::FaultInjected: ++counters_.faults_injected; break;
-    case EventKind::HeapAlloc: ++counters_.heap_allocs; break;
-    case EventKind::HeapFree: ++counters_.heap_frees; break;
-    case EventKind::ModuleLoaded: break;
+void Tracer::fold_evicted(const TraceEvent& e) noexcept {
+    std::uint64_t h = mix64(evicted_digest_, e.step);
+    h = mix64(h, static_cast<std::uint64_t>(e.kind) |
+                     (static_cast<std::uint64_t>(e.origin) << 8) |
+                     (static_cast<std::uint64_t>(e.code) << 16) |
+                     (static_cast<std::uint64_t>(e.kernel ? 1 : 0) << 24) |
+                     (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.module)) << 32));
+    h = mix64(h, (static_cast<std::uint64_t>(e.pc) << 32) | e.a);
+    h = mix64(h, (static_cast<std::uint64_t>(e.b) << 32) | e.detail.size());
+    for (const char c : e.detail) {
+        h = mix64(h, static_cast<unsigned char>(c));
     }
-    // Writes go round the ring in order from slot 0, so the write position
-    // is at most one past the constructed slots.
-    if (head_ == ring_.size()) [[unlikely]] {
-        ring_.emplace_back(); // first write of this slot
-    }
-    ring_[head_] = std::move(e);
-    if (++head_ == capacity_) {
-        head_ = 0;
-    }
-    if (size_ < capacity_) {
-        ++size_;
-    }
-    ++total_;
+    evicted_digest_ = h;
 }
 
 std::vector<TraceEvent> Tracer::events() const {
@@ -153,6 +139,7 @@ void Tracer::clear() noexcept {
     head_ = 0;
     size_ = 0;
     total_ = 0;
+    evicted_digest_ = 0;
     counters_ = Counters{};
 }
 

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/escape.hpp"
@@ -116,13 +117,41 @@ struct Counters {
 /// keeps its tail, which is where the trap provenance lives.  The capacity
 /// is allocated once, and a slot is constructed the first time it is
 /// written, so a short run pays only for the events it records.
+///
+/// A tracer built with kEvictionDigest also folds every event it drops into
+/// a 64-bit digest of all its fields, `detail` included, so two runs whose
+/// tails agree can still be told apart by what they evicted.  The fold
+/// costs a few hashes per dropped event, so only the comparison oracles
+/// turn it on.
 class Tracer {
 public:
     static constexpr std::size_t kDefaultCapacity = 65536;
+    /// Constructor flag: keep evicted_digest().
+    static constexpr bool kEvictionDigest = true;
 
-    explicit Tracer(std::size_t capacity = kDefaultCapacity);
+    explicit Tracer(std::size_t capacity = kDefaultCapacity, bool eviction_digest = false);
 
-    void record(TraceEvent e);
+    void record(TraceEvent e) {
+        count(e.kind);
+        slot() = std::move(e);
+    }
+    /// The engine's per-instruction InsnRetired event, written into its
+    /// ring slot in place: no temporary event, and the slot's `detail` is
+    /// emptied, keeping its storage, rather than replaced.
+    void retire(std::uint64_t step, std::uint32_t pc, std::int32_t module, std::uint8_t opcode) {
+        ++counters_.instructions;
+        TraceEvent& e = slot();
+        e.kind = EventKind::InsnRetired;
+        e.step = step;
+        e.pc = pc;
+        e.module = module;
+        e.kernel = false;
+        e.origin = CheckOrigin::None;
+        e.code = opcode;
+        e.a = 0;
+        e.b = 0;
+        e.detail.clear();
+    }
     /// Counters-only decode-cache tally (never emits an event: the event
     /// stream must be identical with the cache on or off).
     void count_dcache(bool hit) noexcept {
@@ -147,20 +176,62 @@ public:
     [[nodiscard]] std::uint64_t dropped() const noexcept {
         return total_ - static_cast<std::uint64_t>(size_);
     }
+    /// Digest of every dropped event in drop order; 0 while none was
+    /// dropped, and always 0 without kEvictionDigest.
+    [[nodiscard]] std::uint64_t evicted_digest() const noexcept { return evicted_digest_; }
 
     /// The whole buffer as JSONL (one event per line, oldest first).
     [[nodiscard]] std::string to_jsonl() const;
 
-    /// Forget every event and counter.  The slots already constructed are
-    /// kept and overwritten by later records.
+    /// Forget every event, counter and the eviction digest.  The slots
+    /// already constructed are kept and overwritten by later records.
     void clear() noexcept;
 
 private:
+    void count(EventKind k) noexcept {
+        switch (k) {
+        case EventKind::InsnRetired: ++counters_.instructions; break;
+        case EventKind::TrapRaised: ++counters_.traps; break;
+        case EventKind::MemFault: ++counters_.mem_faults; break;
+        case EventKind::SyscallEnter: ++counters_.syscalls; break;
+        case EventKind::SyscallExit: break;
+        case EventKind::PmaEnter:
+        case EventKind::PmaExit: ++counters_.pma_transitions; break;
+        case EventKind::FaultInjected: ++counters_.faults_injected; break;
+        case EventKind::HeapAlloc: ++counters_.heap_allocs; break;
+        case EventKind::HeapFree: ++counters_.heap_frees; break;
+        case EventKind::ModuleLoaded: break;
+        }
+    }
+    /// The slot the next event goes to, with the ring advanced past it.
+    /// Writes go round the ring in order from slot 0, so until the ring is
+    /// full the write position is at most one past the constructed slots;
+    /// once it is full, each write evicts the oldest event.
+    TraceEvent& slot() {
+        if (size_ < capacity_) {
+            ++size_;
+            if (head_ == ring_.size()) [[unlikely]] {
+                ring_.emplace_back(); // first write of this slot
+            }
+        } else if (eviction_digest_) {
+            fold_evicted(ring_[head_]);
+        }
+        TraceEvent& e = ring_[head_];
+        if (++head_ == capacity_) {
+            head_ = 0;
+        }
+        ++total_;
+        return e;
+    }
+    void fold_evicted(const TraceEvent& e) noexcept;
+
     std::vector<TraceEvent> ring_; // constructed slots; capacity_ reserved
     std::size_t capacity_;
     std::size_t head_ = 0; // next write position
     std::size_t size_ = 0;
     std::uint64_t total_ = 0;
+    bool eviction_digest_ = false;
+    std::uint64_t evicted_digest_ = 0;
     Counters counters_;
 };
 

@@ -431,14 +431,14 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     }
 
 // --- Retirement.  The observed loop reports every retired instruction to
-// the tracer (numbered with the step it retires in) and the profiler
-// (`edge` marks control transfers, both outcomes of a jcc included).
+// the tracer (numbered with the step it retires in, written into its ring
+// slot in place) and the profiler (`edge` marks control transfers, both
+// outcomes of a jcc included).
 #define SWSEC_OBSERVE_RETIRE(pc, to, edge)                                                         \
     do {                                                                                           \
         if constexpr (kObserved) {                                                                 \
             if (tracer != nullptr) {                                                               \
-                tracer->record({trace::EventKind::InsnRetired, steps, pc, m.current_module_,       \
-                                false, trace::CheckOrigin::None, op->opcode, 0, 0, {}});           \
+                tracer->retire(steps, pc, m.current_module_, op->opcode);                          \
             }                                                                                      \
             if (profiler != nullptr) {                                                             \
                 profiler->on_retire(pc);                                                           \

@@ -1,6 +1,11 @@
 // Assembler and linker tests: directives, relocations, symbols, errors.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "assembler/assembler.hpp"
 #include "assembler/linker.hpp"
 #include "common/error.hpp"
@@ -235,6 +240,42 @@ TEST(Linker, UnitsAreWordAligned) {
     const std::vector<objfmt::ObjectFile> objs = {a, b};
     const auto img = assembler::link(objs);
     EXPECT_EQ(img.symbol("g").offset % 4, 0u);
+}
+
+/// The committed corpus of malformed units (tests/asm_corpus/*.txt): each
+/// "=== name" line opens a unit, whose "--- " line holds the diagnostic
+/// assembling it must raise, line number included.
+TEST(Assembler, DiagnosticsMatchCommittedCorpus) {
+    struct Case {
+        std::string file;
+        std::string name;
+        std::string text;
+        std::string expected;
+    };
+    std::vector<Case> cases;
+    for (const auto& entry : std::filesystem::directory_iterator(SWSEC_ASM_CORPUS_DIR)) {
+        std::ifstream in(entry.path());
+        for (std::string line; std::getline(in, line);) {
+            if (line.rfind("=== ", 0) == 0) {
+                cases.push_back({entry.path().filename().string(), line.substr(4), "", ""});
+            } else if (line.rfind("--- ", 0) == 0) {
+                ASSERT_FALSE(cases.empty()) << entry.path();
+                cases.back().expected = line.substr(4);
+            } else if (!cases.empty() && cases.back().expected.empty()) {
+                cases.back().text += line + "\n";
+            }
+        }
+    }
+    ASSERT_GE(cases.size(), 200u);
+    for (const Case& c : cases) {
+        std::string got = "<accepted>";
+        try {
+            (void)assemble(c.text);
+        } catch (const Error& e) {
+            got = e.what();
+        }
+        EXPECT_EQ(got, c.expected) << c.file << " " << c.name;
+    }
 }
 
 } // namespace

@@ -2,6 +2,10 @@
 // and the variable-length-encoding properties the attacks depend on.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <span>
+
 #include "isa/disasm.hpp"
 #include "isa/encoder.hpp"
 #include "isa/isa.hpp"
@@ -142,6 +146,113 @@ TEST(Isa, DecodeRejectsUnknownOpcodes) {
             EXPECT_FALSE(decode(buf).has_value()) << int(b);
         }
     }
+}
+
+/// What decode() must return for `bytes`, derived from op_info()'s operand
+/// kinds alone.
+std::optional<Insn> reference_decode(std::span<const std::uint8_t> bytes) {
+    if (bytes.empty()) {
+        return std::nullopt;
+    }
+    const OpInfo* info = op_info(bytes[0]);
+    if (info == nullptr || bytes.size() < info->length) {
+        return std::nullopt;
+    }
+    const auto le32 = [&](std::size_t at) {
+        std::uint32_t v = 0;
+        for (std::size_t k = 0; k < 4; ++k) {
+            v |= static_cast<std::uint32_t>(bytes[at + k]) << (8 * k);
+        }
+        return static_cast<std::int32_t>(v);
+    };
+    Insn insn;
+    insn.op = info->op;
+    insn.length = info->length;
+    const auto one_reg = [&] {
+        if (!is_valid_reg(bytes[1])) {
+            return false;
+        }
+        insn.r1 = static_cast<Reg>(bytes[1]);
+        return true;
+    };
+    const auto two_regs = [&] {
+        if (!is_valid_reg(bytes[1] >> 4) || !is_valid_reg(bytes[1] & 0xf)) {
+            return false;
+        }
+        insn.r1 = static_cast<Reg>(bytes[1] >> 4);
+        insn.r2 = static_cast<Reg>(bytes[1] & 0xf);
+        return true;
+    };
+    switch (info->operands) {
+    case OperandKind::None:
+        break;
+    case OperandKind::Reg:
+        if (!one_reg()) {
+            return std::nullopt;
+        }
+        break;
+    case OperandKind::RegReg:
+        if (!two_regs()) {
+            return std::nullopt;
+        }
+        break;
+    case OperandKind::RegImm32:
+        if (!one_reg()) {
+            return std::nullopt;
+        }
+        insn.imm = le32(2);
+        break;
+    case OperandKind::Imm32:
+    case OperandKind::Rel32:
+        insn.imm = le32(1);
+        break;
+    case OperandKind::RegMem:
+        if (!two_regs()) {
+            return std::nullopt;
+        }
+        insn.imm = le32(2);
+        break;
+    case OperandKind::RegImm8:
+        if (!one_reg()) {
+            return std::nullopt;
+        }
+        insn.imm = bytes[2];
+        break;
+    case OperandKind::Imm8:
+        insn.imm = bytes[1];
+        break;
+    }
+    return insn;
+}
+
+// Every first-two-byte pair, every window length 0-8, and two fills of the
+// remaining bytes (all zeros; a pattern with the sign bit set in every
+// immediate byte), against the reference above.
+TEST(Isa, DecodeAgreesWithTheOpcodeTableOnEveryPrefix) {
+    std::size_t compared = 0;
+    for (unsigned pair = 0; pair < 65536; ++pair) {
+        for (const std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xa5}}) {
+            std::array<std::uint8_t, 8> buf{};
+            buf.fill(fill);
+            buf[0] = static_cast<std::uint8_t>(pair & 0xff);
+            buf[1] = static_cast<std::uint8_t>(pair >> 8);
+            for (std::size_t len = 0; len <= buf.size(); ++len) {
+                const std::span<const std::uint8_t> window(buf.data(), len);
+                const auto got = decode(window);
+                const auto want = reference_decode(window);
+                ++compared;
+                ASSERT_EQ(got.has_value(), want.has_value())
+                    << "bytes " << pair << " length " << len << " fill " << int{fill};
+                if (got) {
+                    ASSERT_TRUE(got->op == want->op && got->r1 == want->r1 &&
+                                got->r2 == want->r2 && got->imm == want->imm &&
+                                got->length == want->length)
+                        << "bytes " << pair << " length " << len << " fill " << int{fill};
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, 65536u * 2 * 9);
 }
 
 TEST(Isa, VariableLengthDecodingYieldsDifferentStreams) {

@@ -92,6 +92,74 @@ TEST(Tracer, RingDropsOldestWhenFull) {
     expect_in_place_reads_match_copy();
 }
 
+// Events a ring evicts fold into a digest of every field, `detail` included,
+// so two streams with equal tails and totals can still be told apart.
+TEST(Tracer, EvictedEventsFoldIntoADigest) {
+    const auto feed = [](trace::Tracer& t, std::uint32_t a0, const std::string& detail0) {
+        for (std::uint64_t i = 0; i < 10; ++i) {
+            t.record({trace::EventKind::InsnRetired, i, 0x100, -1, false,
+                      trace::CheckOrigin::None, 0, i == 0 ? a0 : 0, 0,
+                      i == 0 ? detail0 : std::string("step")});
+        }
+    };
+    const auto same_rings = [](const trace::Tracer& x, const trace::Tracer& y) {
+        if (x.size() != y.size() || x.total_recorded() != y.total_recorded()) {
+            return false;
+        }
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            if (x.event(i).to_json() != y.event(i).to_json()) {
+                return false;
+            }
+        }
+        return true;
+    };
+    trace::Tracer base(4, trace::Tracer::kEvictionDigest);
+    trace::Tracer other_a(4, trace::Tracer::kEvictionDigest);
+    trace::Tracer other_detail(4, trace::Tracer::kEvictionDigest);
+    trace::Tracer same(4, trace::Tracer::kEvictionDigest);
+    feed(base, 0, "step");
+    feed(other_a, 1, "step");
+    feed(other_detail, 0, "stop");
+    feed(same, 0, "step");
+    for (const trace::Tracer* t : {&other_a, &other_detail}) {
+        EXPECT_TRUE(same_rings(base, *t));
+        EXPECT_NE(base.evicted_digest(), t->evicted_digest());
+    }
+    EXPECT_NE(base.evicted_digest(), 0u);
+    EXPECT_EQ(base.evicted_digest(), same.evicted_digest());
+
+    base.clear();
+    EXPECT_EQ(base.evicted_digest(), 0u);
+    feed(base, 0, "step");
+    EXPECT_EQ(base.evicted_digest(), same.evicted_digest());
+
+    // Without the flag nothing is folded.
+    trace::Tracer plain(4);
+    feed(plain, 0, "step");
+    EXPECT_EQ(plain.evicted_digest(), 0u);
+}
+
+// The engine's in-place retire writes the event record() would have.
+TEST(Tracer, InPlaceRetireMatchesRecord) {
+    trace::Tracer a(2);
+    trace::Tracer b(2);
+    // Fill the slots with details first, so the in-place write must clear them.
+    for (trace::Tracer* t : {&a, &b}) {
+        t->record({trace::EventKind::TrapRaised, 1, 2, 3, true, trace::CheckOrigin::Canary, 4, 5,
+                   6, "stack smashing detected"});
+        t->record({trace::EventKind::SyscallEnter, 7, 8, 9, true, trace::CheckOrigin::Dep, 1, 2,
+                   3, "write"});
+    }
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        a.record({trace::EventKind::InsnRetired, 10 + i, 0x40 + static_cast<std::uint32_t>(i), 2,
+                  false, trace::CheckOrigin::None, 0x89, 0, 0, {}});
+        b.retire(10 + i, 0x40 + static_cast<std::uint32_t>(i), 2, 0x89);
+    }
+    EXPECT_EQ(a.to_jsonl(), b.to_jsonl());
+    EXPECT_EQ(a.counters().summary(), b.counters().summary());
+    EXPECT_EQ(a.total_recorded(), b.total_recorded());
+}
+
 TEST(Tracer, JsonlEscapesAndFixedKeyOrder) {
     trace::Tracer t;
     t.record({trace::EventKind::TrapRaised, 7, 0x08049000, 2, true,
