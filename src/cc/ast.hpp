@@ -62,6 +62,7 @@ struct Expr {
 
     Kind kind = Kind::IntLit;
     int line = 0;
+    int height = 1; // parser: nodes on the longest path down (kMaxNesting)
 
     std::int32_t value = 0;   // IntLit, SizeofT (folded), inc/dec delta
     std::string str;          // StrLit contents

@@ -1,5 +1,6 @@
 #include "cc/parser.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -49,6 +50,37 @@ private:
     }
     [[nodiscard]] int line() const { return peek().line; }
 
+    // --- nesting (kMaxNesting) ----------------------------------------------
+    // Two measures share the bound: depth_ counts the parser's own recursion
+    // (top down), and Expr::height the tree it builds (bottom up: a chain
+    // such as 1+1+1 is built by a loop, yet later passes recurse down it).
+    int depth_ = 0;
+
+    [[noreturn]] static void too_deep(int at_line) {
+        throw ParseError("nesting deeper than " + std::to_string(kMaxNesting) + " levels",
+                         at_line);
+    }
+
+    /// Go one level deeper at the current token.  A failed parse discards
+    /// the parser, so only normal returns need to climb back out.
+    void descend() {
+        if (++depth_ > kMaxNesting) {
+            too_deep(line());
+        }
+    }
+
+    /// One level of nesting for the guard's lifetime.
+    class Level {
+    public:
+        explicit Level(Parser& p) : p_(p) { p_.descend(); }
+        ~Level() { --p_.depth_; }
+        Level(const Level&) = delete;
+        Level& operator=(const Level&) = delete;
+
+    private:
+        Parser& p_;
+    };
+
     // --- types ------------------------------------------------------------
     [[nodiscard]] bool at_type_start() const {
         return at(Tok::KwInt) || at(Tok::KwChar) || at(Tok::KwVoid) || at(Tok::KwStatic);
@@ -65,9 +97,12 @@ private:
         } else {
             throw ParseError("expected type, got " + token_name(peek().kind), line());
         }
+        const int outer = depth_;
         while (accept(Tok::Star)) {
+            descend();
             base = Type::ptr_to(base);
         }
+        depth_ = outer;
         return base;
     }
 
@@ -123,6 +158,7 @@ private:
     }
 
     std::vector<TypePtr> parse_param_types() {
+        const Level level(*this);
         std::vector<TypePtr> out;
         if (at(Tok::RParen)) {
             return out;
@@ -223,6 +259,7 @@ private:
     }
 
     StmtPtr parse_stmt() {
+        const Level level(*this);
         auto s = std::make_unique<Stmt>();
         s->line = line();
         if (at(Tok::LBrace)) {
@@ -328,7 +365,27 @@ private:
         return e;
     }
 
+    /// `e` once its operands are attached: one taller than its tallest
+    /// operand, and refused past kMaxNesting.
+    static ExprPtr seal(ExprPtr e) {
+        int tallest = 0;
+        for (const ExprPtr* operand : {&e->lhs, &e->rhs}) {
+            if (*operand) {
+                tallest = std::max(tallest, (*operand)->height);
+            }
+        }
+        for (const ExprPtr& a : e->args) {
+            tallest = std::max(tallest, a->height);
+        }
+        e->height = tallest + 1;
+        if (e->height > kMaxNesting) {
+            too_deep(e->line);
+        }
+        return e;
+    }
+
     ExprPtr parse_assignment() {
+        const Level level(*this);
         ExprPtr lhs = parse_conditional();
         if (at(Tok::Assign) || at(Tok::PlusAssign) || at(Tok::MinusAssign)) {
             const Tok op = advance().kind;
@@ -340,12 +397,12 @@ private:
                 bin->bin_op = (op == Tok::PlusAssign) ? BinOp::Add : BinOp::Sub;
                 bin->lhs = clone_expr(*lhs);
                 bin->rhs = std::move(rhs);
-                rhs = std::move(bin);
+                rhs = seal(std::move(bin));
             }
             auto e = make_expr(Expr::Kind::Assign);
             e->lhs = std::move(lhs);
             e->rhs = std::move(rhs);
-            return e;
+            return seal(std::move(e));
         }
         return lhs;
     }
@@ -359,8 +416,9 @@ private:
         e->lhs = std::move(cond);
         e->rhs = parse_assignment(); // then-branch
         expect(Tok::Colon, "':'");
+        const Level level(*this);
         e->args.push_back(parse_conditional()); // else-branch (right assoc)
-        return e;
+        return seal(std::move(e));
     }
 
     // Clone of a (simple) expression tree; used for compound-assign desugar.
@@ -368,6 +426,7 @@ private:
         auto e = std::make_unique<Expr>();
         e->kind = src.kind;
         e->line = src.line;
+        e->height = src.height;
         e->value = src.value;
         e->str = src.str;
         e->name = src.name;
@@ -397,7 +456,7 @@ private:
                     e->bin_op = op;
                     e->lhs = std::move(lhs);
                     e->rhs = (this->*next)();
-                    lhs = std::move(e);
+                    lhs = seal(std::move(e));
                     matched = true;
                     break;
                 }
@@ -456,48 +515,32 @@ private:
         return k == Tok::KwInt || k == Tok::KwChar || k == Tok::KwVoid;
     }
 
+    /// The operand of a prefix operator or a cast, one level deeper.
+    ExprPtr unary_operand() {
+        const Level level(*this);
+        return parse_unary();
+    }
+
     ExprPtr parse_unary() {
-        if (accept(Tok::Minus)) {
-            auto e = make_expr(Expr::Kind::Unary);
-            e->un_op = UnOp::Neg;
-            e->lhs = parse_unary();
-            return e;
+        static constexpr std::pair<Tok, UnOp> kPrefix[] = {{Tok::Minus, UnOp::Neg},
+                                                           {Tok::Bang, UnOp::Not},
+                                                           {Tok::Tilde, UnOp::BitNot},
+                                                           {Tok::Star, UnOp::Deref},
+                                                           {Tok::Amp, UnOp::AddrOf}};
+        for (const auto& [tok, op] : kPrefix) {
+            if (accept(tok)) {
+                auto e = make_expr(Expr::Kind::Unary);
+                e->un_op = op;
+                e->lhs = unary_operand();
+                return seal(std::move(e));
+            }
         }
-        if (accept(Tok::Bang)) {
-            auto e = make_expr(Expr::Kind::Unary);
-            e->un_op = UnOp::Not;
-            e->lhs = parse_unary();
-            return e;
-        }
-        if (accept(Tok::Tilde)) {
-            auto e = make_expr(Expr::Kind::Unary);
-            e->un_op = UnOp::BitNot;
-            e->lhs = parse_unary();
-            return e;
-        }
-        if (accept(Tok::Star)) {
-            auto e = make_expr(Expr::Kind::Unary);
-            e->un_op = UnOp::Deref;
-            e->lhs = parse_unary();
-            return e;
-        }
-        if (accept(Tok::Amp)) {
-            auto e = make_expr(Expr::Kind::Unary);
-            e->un_op = UnOp::AddrOf;
-            e->lhs = parse_unary();
-            return e;
-        }
-        if (accept(Tok::PlusPlus)) {
+        if (at(Tok::PlusPlus) || at(Tok::MinusMinus)) {
+            const bool inc = advance().kind == Tok::PlusPlus;
             auto e = make_expr(Expr::Kind::PreIncDec);
-            e->value = 1;
-            e->lhs = parse_unary();
-            return e;
-        }
-        if (accept(Tok::MinusMinus)) {
-            auto e = make_expr(Expr::Kind::PreIncDec);
-            e->value = -1;
-            e->lhs = parse_unary();
-            return e;
+            e->value = inc ? 1 : -1;
+            e->lhs = unary_operand();
+            return seal(std::move(e));
         }
         if (accept(Tok::KwSizeof)) {
             auto e = make_expr(Expr::Kind::SizeofT);
@@ -514,7 +557,7 @@ private:
                 e->lhs = parse_expr(); // sema folds from the expression's type
             }
             expect(Tok::RParen, "')'");
-            return e;
+            return seal(std::move(e));
         }
         if (at_cast()) {
             advance(); // '('
@@ -522,8 +565,8 @@ private:
             expect(Tok::RParen, "')'");
             auto e = make_expr(Expr::Kind::Cast);
             e->cast_type = std::move(t);
-            e->lhs = parse_unary();
-            return e;
+            e->lhs = unary_operand();
+            return seal(std::move(e));
         }
         return parse_postfix();
     }
@@ -540,7 +583,7 @@ private:
                     } while (accept(Tok::Comma));
                 }
                 expect(Tok::RParen, "')'");
-                e = std::move(call);
+                e = seal(std::move(call));
                 continue;
             }
             if (accept(Tok::LBracket)) {
@@ -548,7 +591,7 @@ private:
                 idx->lhs = std::move(e);
                 idx->rhs = parse_expr();
                 expect(Tok::RBracket, "']'");
-                e = std::move(idx);
+                e = seal(std::move(idx));
                 continue;
             }
             if (at(Tok::PlusPlus) || at(Tok::MinusMinus)) {
@@ -556,7 +599,7 @@ private:
                 auto pe = make_expr(Expr::Kind::PostIncDec);
                 pe->value = inc ? 1 : -1;
                 pe->lhs = std::move(e);
-                e = std::move(pe);
+                e = seal(std::move(pe));
                 continue;
             }
             return e;

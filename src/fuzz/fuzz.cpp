@@ -29,6 +29,9 @@ namespace {
 /// compares as well.
 constexpr std::size_t kTraceCapacity = 8192;
 
+/// Seeds per `coverage-batch` line of a --coverage summary's curve.
+constexpr std::size_t kCoverageBatch = 100;
+
 /// Observable behaviour of one run: fd-1 bytes and the final trap's kind
 /// and code.  Steps are excluded from equality: configurations legitimately
 /// execute different instruction counts.
@@ -509,7 +512,6 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     // Index-ordered merge: byte-identical for any jobs value.
     FuzzReport report;
     report.programs = static_cast<int>(n);
-    report.coverage_batch = opts.coverage_batch;
     for (SeedResult& r : results) {
         report.runs += r.stats.runs;
         report.const_checks += r.stats.const_checks;
@@ -613,11 +615,10 @@ std::string FuzzReport::summary() const {
         s += "coverage: edges=" + std::to_string(coverage.total_edges) + "/" +
              std::to_string(profile::CoverageBitmap::kBuckets) +
              " interesting-seeds=" + std::to_string(coverage.interesting.size()) + "\n";
-        const auto batch = static_cast<std::size_t>(coverage_batch <= 0 ? 100 : coverage_batch);
-        for (std::size_t i = 0; i < coverage.cumulative.size(); i += batch) {
-            const std::size_t last =
-                i + batch < coverage.cumulative.size() ? i + batch - 1
-                                                       : coverage.cumulative.size() - 1;
+        for (std::size_t i = 0; i < coverage.cumulative.size(); i += kCoverageBatch) {
+            const std::size_t last = i + kCoverageBatch < coverage.cumulative.size()
+                                         ? i + kCoverageBatch - 1
+                                         : coverage.cumulative.size() - 1;
             std::uint64_t fresh = 0;
             for (std::size_t j = i; j <= last; ++j) {
                 fresh += coverage.new_edges[j];

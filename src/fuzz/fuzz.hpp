@@ -79,7 +79,6 @@ struct FuzzOptions {
     /// the parallel phase, the cumulative merge runs serially in seed
     /// order, so the curve is byte-identical for any jobs value.
     bool coverage = false;
-    int coverage_batch = 100; // seeds per batch line in the summary curve
 };
 
 /// Cumulative edge-coverage accounting of a --coverage campaign.
@@ -137,7 +136,6 @@ struct FuzzReport {
     std::vector<Divergence> divergences;
     /// Populated when FuzzOptions::coverage was set.
     CoverageReport coverage;
-    int coverage_batch = 100;
 
     [[nodiscard]] bool clean() const noexcept { return divergences.empty(); }
     [[nodiscard]] std::string summary() const;

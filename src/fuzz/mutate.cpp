@@ -333,8 +333,8 @@ std::string render_chunk(const ChunkModel& c, std::size_t idx,
     case ChunkModel::Kind::Rec: {
         // Bounded linear self-recursion: each frame owns a char array (so a
         // per-frame canary and per-frame memcheck red zones exist) and the
-        // unwind re-reads it.  Stresses call/ret/leave fusion, shadow-stack
-        // depth, and frame teardown — surface the flat chunks never touch.
+        // unwind re-reads it.  Stresses call/ret/leave, shadow-stack depth,
+        // and frame teardown — surface the flat chunks never touch.
         // Depth caps at ~98 frames: far under the 256 KiB stack even with
         // memcheck's fattened frames.
         const auto& ops = binary_ops();

@@ -1,6 +1,5 @@
 #include "vm/decode_cache.hpp"
 
-#include <optional>
 #include <span>
 
 namespace swsec::vm {
@@ -159,6 +158,24 @@ FastHandler single_handler(Op op) noexcept {
     return FastHandler::Slow;
 }
 
+/// The fused handler for `head` followed by `second`, or Unbuilt when the
+/// pair does not fuse.  These are the four pairs compiled code runs
+/// (DESIGN.md §13).
+FastHandler fused_handler(Op head, Op second) noexcept {
+    switch (head) {
+    case Op::Cmp:
+        return is_jcc(second) ? FastHandler::FusedCmpJcc : FastHandler::Unbuilt;
+    case Op::CmpI:
+        return is_jcc(second) ? FastHandler::FusedCmpIJcc : FastHandler::Unbuilt;
+    case Op::Load: // load rd, [rb+d]; push rs — argument materialisation
+        return second == Op::Push ? FastHandler::FusedLoadPush : FastHandler::Unbuilt;
+    case Op::MovI: // movi rd, imm; pop re — a binary operator's immediate rhs
+        return second == Op::Pop ? FastHandler::FusedMovIPop : FastHandler::Unbuilt;
+    default:
+        return FastHandler::Unbuilt;
+    }
+}
+
 } // namespace
 
 FastOp fast_op_from(const isa::Insn& insn, std::uint32_t addr) noexcept {
@@ -239,102 +256,33 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) {
     const isa::Insn& i1 = *head;
     fo = fast_op_from(i1, ref.base + off);
 
-    // Superinstruction fusion: peek at the following instruction(s).  All
+    // Superinstruction fusion: peek at the following instruction.  Both
     // components must sit in the fast-decodable region of the *same* page;
-    // each fused entry lives in the head's slot only, so a branch into a
-    // component's own offset still dispatches that component individually.
-    const auto decode_at = [&](std::uint32_t o) -> std::optional<isa::Insn> {
-        if (o > kFastLimit) {
-            return std::nullopt;
-        }
-        return isa::decode(std::span<const std::uint8_t>(ref.bytes + o, isa::kMaxInsnLength));
-    };
-
-    switch (i1.op) {
-    case Op::Cmp:
-    case Op::CmpI: {
-        const std::uint32_t off2 = off + i1.length;
-        const auto d2 = decode_at(off2);
-        if (d2 && is_jcc(d2->op)) {
-            fo.h = (i1.op == Op::Cmp) ? FastHandler::FusedCmpJcc : FastHandler::FusedCmpIJcc;
-            fo.c = static_cast<std::uint8_t>(cond_of(d2->op));
-            const std::uint32_t jnext = ref.base + off2 + d2->length;
-            fo.imm2 = static_cast<std::int32_t>(jnext + static_cast<std::uint32_t>(d2->imm));
-            fo.next = jnext;
-            ++fused_built_;
-        }
-        break;
+    // the fused entry lives in the head's slot only, so a branch to the
+    // second component's own offset still dispatches it individually.  The
+    // second's opcode byte picks the family, and it is decoded only then.
+    const std::uint32_t off2 = off + i1.length;
+    if (off2 > kFastLimit) {
+        return;
     }
-    case Op::Push: {
-        const std::uint32_t off2 = off + i1.length;
-        const auto d2 = decode_at(off2);
-        if (d2 && d2->op == Op::Push) {
-            const std::uint32_t off3 = off2 + d2->length;
-            const auto d3 = decode_at(off3);
-            if (d3 && d3->op == Op::Call) {
-                fo.h = FastHandler::FusedPushPushCall;
-                fo.b = static_cast<std::uint8_t>(d2->r1);
-                const std::uint32_t cnext = ref.base + off3 + d3->length;
-                fo.imm2 = static_cast<std::int32_t>(cnext + static_cast<std::uint32_t>(d3->imm));
-                fo.next = cnext; // the call's return address
-                ++fused_built_;
-            }
-        } else if (d2 && d2->op == Op::Call) {
-            // Single-argument call: push r; call rel (the dominant call
-            // shape in compiled code — one stack argument).
-            fo.h = FastHandler::FusedPushCall;
-            const std::uint32_t cnext = ref.base + off2 + d2->length;
-            fo.imm2 = static_cast<std::int32_t>(cnext + static_cast<std::uint32_t>(d2->imm));
-            fo.next = cnext; // the call's return address
-            ++fused_built_;
-        }
-        break;
+    const FastHandler fused = fused_handler(i1.op, static_cast<Op>(ref.bytes[off2]));
+    if (fused == FastHandler::Unbuilt) {
+        return;
     }
-    case Op::Load: {
-        const std::uint32_t off2 = off + i1.length;
-        const auto d2 = decode_at(off2);
-        if (d2 && (d2->op == Op::Add || d2->op == Op::AddI)) {
-            fo.h = (d2->op == Op::Add) ? FastHandler::FusedLoadAdd : FastHandler::FusedLoadAddI;
-            fo.c = static_cast<std::uint8_t>(d2->r1);
-            fo.d = static_cast<std::uint8_t>(d2->r2);
-            fo.imm2 = d2->imm;
-            fo.next = ref.base + off2 + d2->length;
-            ++fused_built_;
-        } else if (d2 && d2->op == Op::Push) {
-            // Load rd, [rb+d]; push rs — argument materialisation.
-            fo.h = FastHandler::FusedLoadPush;
-            fo.c = static_cast<std::uint8_t>(d2->r1);
-            fo.next = ref.base + off2 + d2->length;
-            ++fused_built_;
-        }
-        break;
+    const auto i2 =
+        isa::decode(std::span<const std::uint8_t>(ref.bytes + off2, isa::kMaxInsnLength));
+    if (!i2) {
+        return; // bad operand bytes: the second executes (and traps) alone
     }
-    case Op::MovI: {
-        // MovI rd, imm; pop re — the compiler's binary-operator shape
-        // (lhs pushed, rhs immediate materialised, lhs popped back).
-        const std::uint32_t off2 = off + i1.length;
-        const auto d2 = decode_at(off2);
-        if (d2 && d2->op == Op::Pop) {
-            fo.h = FastHandler::FusedMovIPop;
-            fo.c = static_cast<std::uint8_t>(d2->r1);
-            fo.next = ref.base + off2 + d2->length;
-            ++fused_built_;
-        }
-        break;
+    fo.h = fused;
+    fo.next = ref.base + off2 + i2->length;
+    if (is_jcc(i2->op)) {
+        fo.c = static_cast<std::uint8_t>(cond_of(i2->op));
+        fo.imm2 = static_cast<std::int32_t>(fo.next + static_cast<std::uint32_t>(i2->imm));
+    } else {
+        fo.c = static_cast<std::uint8_t>(i2->r1); // the push's source, the pop's destination
     }
-    case Op::Leave: {
-        // Leave; ret — the function epilogue.
-        const std::uint32_t off2 = off + i1.length;
-        const auto d2 = decode_at(off2);
-        if (d2 && d2->op == Op::Ret) {
-            fo.h = FastHandler::FusedLeaveRet;
-            ++fused_built_;
-        }
-        break;
-    }
-    default:
-        break;
-    }
+    ++fused_built_;
 }
 
 void DecodeCache::clear() noexcept {

@@ -24,11 +24,12 @@
 //    ever serves instructions the slow path would have fetched identically.
 //
 // A `FastOp` has its register operands resolved to raw indices, immediates
-// widened and the next IP pre-added, and hot instruction pairs are fused
-// into superinstructions (cmp+jcc, push/push/call, load+arith).  The
-// unobserved loop dispatches a fused slot whole; the observed loop executes
-// only its head instruction.  A fused entry can never outlive a byte of the
-// code it was fused from, because the generation key guards it.  The array
+// widened and the next IP pre-added, and the four instruction pairs
+// compiled code runs most are fused into two-instruction superinstructions
+// (cmp+jcc, cmpi+jcc, load+push, movi+pop).  The unobserved loop dispatches
+// a fused slot whole; the observed loop executes only its head instruction.
+// A fused entry can never outlive a byte of the code it was fused from,
+// because the generation key guards it.  The array
 // stays flat (4096 entries, indexed by page offset): an index indirection
 // on the dispatch path cost the unobserved loop more than it saved in
 // zeroing.
@@ -107,13 +108,8 @@ class FastEngine;
     X(CSetB)                                                                                       \
     X(FusedCmpJcc)                                                                                 \
     X(FusedCmpIJcc)                                                                                \
-    X(FusedPushPushCall)                                                                           \
-    X(FusedPushCall)                                                                               \
-    X(FusedLoadAdd)                                                                                \
-    X(FusedLoadAddI)                                                                               \
     X(FusedLoadPush)                                                                               \
-    X(FusedMovIPop)                                                                                \
-    X(FusedLeaveRet)
+    X(FusedMovIPop)
 
 enum class FastHandler : std::uint8_t {
 #define SWSEC_FAST_ENUM(name) name,
@@ -126,9 +122,8 @@ enum class FastHandler : std::uint8_t {
 enum class FastCond : std::uint8_t { Z, Nz, L, Ge, G, Le, B, Ae };
 
 /// One dispatch unit: either a single pre-decoded instruction or a fused
-/// superinstruction (its handler knows how many instructions it retires).
-/// Operand registers are raw indices (no enum casts on the hot path), and
-/// `next` is the absolute IP after the *whole* sequence.  `opcode` and
+/// pair.  Operand registers are raw indices (no enum casts on the hot
+/// path), and `next` is the absolute IP after the *whole* pair.  `opcode` and
 /// `len` describe the head instruction alone: the observed loop executes
 /// only the head of a fused slot, and its `insn` trace events name the
 /// opcode.  Every field of an unbuilt slot is zero, so a page's array
@@ -137,8 +132,7 @@ struct FastOp {
     FastHandler h = FastHandler::Unbuilt;
     std::uint8_t a = 0; // first register operand
     std::uint8_t b = 0; // second register operand
-    std::uint8_t c = 0; // third register / FastCond
-    std::uint8_t d = 0; // fourth register (fused load+alu source)
+    std::uint8_t c = 0; // FastCond, or a fused pair's second register
     std::uint8_t opcode = 0; // head instruction's opcode byte
     std::uint8_t len = 0;    // head instruction's encoded length
     std::int32_t imm = 0;
@@ -184,8 +178,8 @@ public:
     [[nodiscard]] FastPageRef fast_page(const Memory& mem, std::uint32_t addr, Perm need);
 
     /// Build the fast op at `off` (page-relative) in a ref returned by
-    /// fast_page, fusing with following instructions when a hot pattern
-    /// matches.  Marks the slot FastHandler::Slow when the bytes do not
+    /// fast_page, fusing it with the following instruction when the pair is
+    /// one of the four fused families.  Marks the slot FastHandler::Slow when the bytes do not
     /// decode or the offset may straddle the page end.
     void build_fast(const FastPageRef& ref, std::uint32_t off);
 

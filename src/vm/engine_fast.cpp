@@ -22,12 +22,11 @@
 // the slot cannot serve.  It retires the head of a fused slot alone, and
 // returns after every syscall so run() re-evaluates which loop may run.
 //
-// Fused superinstructions retire two or three architectural instructions in
-// one unobserved dispatch.  A fused op is only entered when the remaining
-// budget covers all of it (otherwise the observed step retires the head
-// instruction alone), and push/push/call re-checks the code page generation
-// after every component store so a push that overwrites its own call exits
-// with the ip at the next unexecuted component.
+// A fused superinstruction retires two architectural instructions in one
+// unobserved dispatch.  It is only entered when the remaining budget covers
+// both (otherwise the observed step retires the head instruction alone).
+// No fused group stores before its last component, so the page check every
+// store-class handler already resumes at (store_check) covers it too.
 #include "vm/engine_fast.hpp"
 
 #include "profile/profiler.hpp"
@@ -350,15 +349,15 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     } while (0)
 
 // sp = bp happens even if the pop then faults.
-#define SWSEC_LEAVE(retire, at_ip)                                                                 \
+#define SWSEC_LEAVE()                                                                              \
     do {                                                                                           \
         regs[8] = regs[9];                                                                         \
-        SWSEC_POP(regs[9], retire, at_ip);                                                         \
+        SWSEC_POP(regs[9], 1, ip);                                                                 \
     } while (0)
 
-#define SWSEC_CALL(target, ret_addr, retire, at_ip)                                                \
+#define SWSEC_CALL(target, ret_addr)                                                               \
     do {                                                                                           \
-        SWSEC_PUSH(ret_addr, retire, at_ip);                                                       \
+        SWSEC_PUSH(ret_addr, 1, ip);                                                               \
         if (sstack) {                                                                              \
             m.shadow_stack_.push_back(ret_addr);                                                   \
         }                                                                                          \
@@ -370,12 +369,12 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     } while (0)
 
 // The pop completes before the shadow-stack verdict.
-#define SWSEC_RET(target, retire, at_ip)                                                           \
+#define SWSEC_RET(target)                                                                          \
     do {                                                                                           \
-        SWSEC_POP(target, retire, at_ip);                                                          \
+        SWSEC_POP(target, 1, ip);                                                                  \
         if (sstack) {                                                                              \
             if (m.shadow_stack_.empty() || m.shadow_stack_.back() != (target)) [[unlikely]] {      \
-                SWSEC_TRAP_EXIT(retire, at_ip, TrapKind::ShadowStackViolation, target,             \
+                SWSEC_TRAP_EXIT(1, ip, TrapKind::ShadowStackViolation, target,                     \
                                 "return address does not match shadow stack");                     \
             }                                                                                      \
             m.shadow_stack_.pop_back();                                                            \
@@ -468,42 +467,28 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
 #define SWSEC_NEXT_W() SWSEC_RETIRE(SWSEC_HEAD_NEXT, false, store_check)
 #define SWSEC_BRANCH_W(target) SWSEC_RETIRE(target, true, store_check)
 
-// A fused slot.  The observed loop runs its head alone.  The unobserved
-// loop runs the whole group, but only when it fits the remaining budget:
-// otherwise the observed step retires the head alone, so the watchdog
-// fires at exactly the same architectural instruction either way.
-// (loop_head guarantees steps < end, so `end - steps` is ≥ 1.)
-#define SWSEC_FUSED(name, head, n)                                                                 \
+// A fused slot: a head and one second instruction.  The observed loop runs
+// its head alone.  The unobserved loop runs both, but only when both fit
+// the remaining budget: otherwise the observed step retires the head alone,
+// so the watchdog fires at exactly the same architectural instruction
+// either way.  (loop_head guarantees steps < end, so `end - steps` is ≥ 1.)
+#define SWSEC_FUSED(name, head)                                                                    \
     SWSEC_CASE(name)                                                                               \
     if constexpr (kObserved) {                                                                     \
         goto H_##head;                                                                             \
     }                                                                                              \
-    if (end - steps < (n)) [[unlikely]] {                                                          \
+    if (end - steps < 2) [[unlikely]] {                                                            \
         SWSEC_FLUSH();                                                                             \
         ++stats.deopt_budget;                                                                      \
         return FastExit::NeedSlowStep;                                                             \
     }
 
-#define SWSEC_FUSED_RETIRE(n, to, resume)                                                          \
+#define SWSEC_FUSED_RETIRE(to, resume)                                                             \
     do {                                                                                           \
         ip = (to);                                                                                 \
-        steps += (n);                                                                              \
+        steps += 2;                                                                                \
         ++stats.superinsns_retired;                                                                \
         goto resume;                                                                               \
-    } while (0)
-
-// After a component store: if it overwrote the executing page, the rest of
-// the group may be stale, so exit with `done` components retired and the
-// ip at the next one.
-#define SWSEC_FUSED_PAGE_CHECK(done, next_ip)                                                      \
-    do {                                                                                           \
-        if (code_page->generation != ref.generation) [[unlikely]] {                                \
-            ip = (next_ip);                                                                        \
-            steps += (done);                                                                       \
-            SWSEC_FLUSH();                                                                         \
-            ++stats.deopt_page_gen;                                                                \
-            return FastExit::PageChange;                                                           \
-        }                                                                                          \
     } while (0)
 
     constexpr std::uint32_t kFastLimit = kPageSize - isa::kMaxInsnLength;
@@ -842,14 +827,14 @@ dispatch_op:
         }
         SWSEC_CASE(Call) {
             SWSEC_PLAIN_MEMORY_OP();
-            SWSEC_CALL(static_cast<std::uint32_t>(op->imm2), op->next, 1, ip);
+            SWSEC_CALL(static_cast<std::uint32_t>(op->imm2), op->next);
             SWSEC_BRANCH_W(static_cast<std::uint32_t>(op->imm2));
         }
         SWSEC_CASE(CallR) {
             SWSEC_PLAIN_MEMORY_OP();
             const std::uint32_t target = regs[op->a];
             SWSEC_CHECK_INDIRECT(target);
-            SWSEC_CALL(target, op->next, 1, ip);
+            SWSEC_CALL(target, op->next);
             SWSEC_BRANCH_W(target);
         }
         SWSEC_CASE(JmpR) {
@@ -861,12 +846,12 @@ dispatch_op:
         SWSEC_CASE(Ret) {
             SWSEC_PLAIN_MEMORY_OP();
             std::uint32_t target = 0;
-            SWSEC_RET(target, 1, ip);
+            SWSEC_RET(target);
             SWSEC_BRANCH(target);
         }
         SWSEC_CASE(Leave) {
             SWSEC_PLAIN_MEMORY_OP();
-            SWSEC_LEAVE(1, ip);
+            SWSEC_LEAVE();
             SWSEC_NEXT();
         }
         SWSEC_CASE(CLoad) {
@@ -915,67 +900,29 @@ dispatch_op:
             cap.length = new_len;
             SWSEC_NEXT();
         }
-        SWSEC_FUSED(FusedCmpJcc, Cmp, 2) {
+        SWSEC_FUSED(FusedCmpJcc, Cmp) {
             SWSEC_CMP(regs[op->a], regs[op->b]);
-            SWSEC_FUSED_RETIRE(2,
-                               cond_holds(op->c, fz, flt, fb) ? static_cast<std::uint32_t>(op->imm2)
-                                                              : op->next,
-                               loop_head);
+            SWSEC_FUSED_RETIRE(
+                cond_holds(op->c, fz, flt, fb) ? static_cast<std::uint32_t>(op->imm2) : op->next,
+                loop_head);
         }
-        SWSEC_FUSED(FusedCmpIJcc, CmpI, 2) {
+        SWSEC_FUSED(FusedCmpIJcc, CmpI) {
             SWSEC_CMP(regs[op->a], SWSEC_IMM_U);
-            SWSEC_FUSED_RETIRE(2,
-                               cond_holds(op->c, fz, flt, fb) ? static_cast<std::uint32_t>(op->imm2)
-                                                              : op->next,
-                               loop_head);
+            SWSEC_FUSED_RETIRE(
+                cond_holds(op->c, fz, flt, fb) ? static_cast<std::uint32_t>(op->imm2) : op->next,
+                loop_head);
         }
-        SWSEC_FUSED(FusedPushPushCall, Push, 3) {
-            // Each store may fault (trap ip = that component) or overwrite
-            // the code page (exit with ip = the next unexecuted component).
-            // Both pushes encode in `len` bytes.
-            const std::uint32_t push2_ip = ip + op->len;
-            const std::uint32_t call_ip = push2_ip + op->len;
-            SWSEC_PUSH(regs[op->a], 1, ip);
-            SWSEC_FUSED_PAGE_CHECK(1, push2_ip);
-            SWSEC_PUSH(regs[op->b], 2, push2_ip);
-            SWSEC_FUSED_PAGE_CHECK(2, call_ip);
-            SWSEC_CALL(static_cast<std::uint32_t>(op->imm2), op->next, 3, call_ip);
-            SWSEC_FUSED_RETIRE(3, static_cast<std::uint32_t>(op->imm2), store_check);
-        }
-        SWSEC_FUSED(FusedPushCall, Push, 2) {
-            const std::uint32_t call_ip = ip + op->len;
-            SWSEC_PUSH(regs[op->a], 1, ip);
-            SWSEC_FUSED_PAGE_CHECK(1, call_ip);
-            SWSEC_CALL(static_cast<std::uint32_t>(op->imm2), op->next, 2, call_ip);
-            SWSEC_FUSED_RETIRE(2, static_cast<std::uint32_t>(op->imm2), store_check);
-        }
-        SWSEC_FUSED(FusedLoadAdd, Load, 2) {
-            SWSEC_LOAD(regs[op->a], regs[op->b] + SWSEC_IMM_U, 1, ip);
-            regs[op->c] += regs[op->d]; // reads regs *after* the load wrote a
-            SWSEC_FUSED_RETIRE(2, op->next, loop_head);
-        }
-        SWSEC_FUSED(FusedLoadAddI, Load, 2) {
-            SWSEC_LOAD(regs[op->a], regs[op->b] + SWSEC_IMM_U, 1, ip);
-            regs[op->c] += static_cast<std::uint32_t>(op->imm2);
-            SWSEC_FUSED_RETIRE(2, op->next, loop_head);
-        }
-        SWSEC_FUSED(FusedLoadPush, Load, 2) {
+        SWSEC_FUSED(FusedLoadPush, Load) {
             // The push reads its source *after* the load wrote a (usually
             // the same register).
             SWSEC_LOAD(regs[op->a], regs[op->b] + SWSEC_IMM_U, 1, ip);
             SWSEC_PUSH(regs[op->c], 2, ip + op->len);
-            SWSEC_FUSED_RETIRE(2, op->next, store_check);
+            SWSEC_FUSED_RETIRE(op->next, store_check);
         }
-        SWSEC_FUSED(FusedMovIPop, MovI, 2) {
+        SWSEC_FUSED(FusedMovIPop, MovI) {
             regs[op->a] = SWSEC_IMM_U; // before the pop: movi sp, i; pop r
             SWSEC_POP(regs[op->c], 2, ip + op->len);
-            SWSEC_FUSED_RETIRE(2, op->next, loop_head);
-        }
-        SWSEC_FUSED(FusedLeaveRet, Leave, 2) {
-            SWSEC_LEAVE(1, ip);
-            std::uint32_t target = 0;
-            SWSEC_RET(target, 2, ip + op->len);
-            SWSEC_FUSED_RETIRE(2, target, loop_head);
+            SWSEC_FUSED_RETIRE(op->next, loop_head);
         }
 #if !SWSEC_THREADED_DISPATCH
     default: // FastHandler::Count is never stored
@@ -1018,7 +965,6 @@ dispatch_op:
 #undef SWSEC_BRANCH_W
 #undef SWSEC_FUSED
 #undef SWSEC_FUSED_RETIRE
-#undef SWSEC_FUSED_PAGE_CHECK
 #undef SWSEC_CASE
 }
 

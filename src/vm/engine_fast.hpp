@@ -8,9 +8,10 @@
 //  * run<false>, the unobserved loop, runs whenever nothing observable
 //    could distinguish it: no tracer, profiler or fault plan attached, no
 //    protected modules installed, decode cache and fast_engine on, not
-//    pure-capability.  It retires fused superinstructions (cmp+jcc,
-//    push/push/call, load+arith) built by DecodeCache::build_fast in one
-//    dispatch, and hands anything it does not own back to Machine::run().
+//    pure-capability.  It retires each fused pair built by
+//    DecodeCache::build_fast (cmp+jcc, cmpi+jcc, load+push, movi+pop) in
+//    one dispatch, and hands anything it does not own back to
+//    Machine::run().
 //  * run<true>, the observed loop, runs everywhere else, and is what
 //    Machine::step() runs for one instruction.  It adds the per-instruction
 //    fault probe, the PMA fetch and data checks, module-transition, retire
@@ -40,7 +41,7 @@ enum class FastExit : std::uint8_t {
                   // next insn (slow-path fetch, syscall, capability op, or a
                   // fused op that no longer fits the remaining budget)
     PageChange,   // unobserved loop: the executing page's generation bumped
-                  // (self-modifying code / mid-fusion write): re-resolve
+                  // (self-modifying code): re-resolve
     Syscall,      // observed loop: a syscall retired; run() re-evaluates
                   // which loop may run next
 };

@@ -2,7 +2,9 @@
 // semantic error reporting, and the hardening transformations.
 #include <gtest/gtest.h>
 
+#include "cc/analyzer.hpp"
 #include "cc/compiler.hpp"
+#include "cc/parser.hpp"
 #include "common/error.hpp"
 #include "os/process.hpp"
 
@@ -317,6 +319,89 @@ TEST(MiniCErrors, OversizedLiteralsAndArraysAreErrors) {
     // Literals up to 0xFFFFFFFF keep their int32 wrap.
     EXPECT_EQ(run_main("int main() { return 0xFFFFFFFF == -1; }"), 1);
     EXPECT_EQ(run_main("int main() { return 4294967295 + 2; }"), 1);
+}
+
+/// A hostile nesting shape: the source at `n` repetitions.  Each repetition
+/// costs one level of cc::kMaxNesting (of parser recursion, tree height or
+/// both).
+struct NestingShape {
+    const char* name;
+    std::string (*source)(int n);
+};
+
+std::string repeat(const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) {
+        out += s;
+    }
+    return out;
+}
+
+const NestingShape kNestingShapes[] = {
+    {"parentheses",
+     [](int n) { return "int main() { return " + repeat("(", n) + "1" + repeat(")", n) + "; }"; }},
+    {"calls",
+     [](int n) {
+         return "int f(int x) { return x; }\nint main() { return " + repeat("f(", n) + "1" +
+                repeat(")", n) + "; }";
+     }},
+    {"blocks",
+     [](int n) { return "int main() { " + repeat("{", n) + repeat("}", n) + " return 0; }"; }},
+    {"sum", [](int n) { return "int main() { return 1" + repeat("+1", n) + "; }"; }},
+    {"else-if",
+     [](int n) {
+         return "int main() { int x = 0;\nif (x) x = 1;" + repeat(" else if (x) x = 1;", n) +
+                "\nreturn x; }";
+     }},
+    {"minus", [](int n) { return "int main() { return " + repeat("- ", n) + "1; }"; }},
+    {"pointer", [](int n) { return "int main() { int " + repeat("*", n) + "p; return 0; }"; }},
+    {"parameters",
+     [](int n) {
+         return "int f(" + repeat("int a(", n) + repeat(")", n) +
+                ") { return 0; }\nint main() { return 0; }";
+     }},
+};
+
+/// Whether compiling `src` (or analyzing it, with `lint`) raises the
+/// nesting ParseError at a line of the source.
+bool nesting_error(const std::string& src, bool lint) {
+    try {
+        if (lint) {
+            (void)cc::analyze_source(src);
+        } else {
+            (void)cc::compile_program({src}, {});
+        }
+    } catch (const ParseError& e) {
+        EXPECT_GE(e.line(), 1);
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than"), std::string::npos) << e.what();
+        return true;
+    }
+    return false;
+}
+
+TEST(MiniCErrors, DeepNestingIsAnError) {
+    // Every pass after the parser recurses down its tree, so depth is
+    // bounded where the tree is built: deep input is a ParseError, never a
+    // stack overflow of the host.
+    for (const NestingShape& shape : kNestingShapes) {
+        SCOPED_TRACE(shape.name);
+        for (const bool lint : {false, true}) {
+            EXPECT_TRUE(nesting_error(shape.source(100'000), lint));
+            EXPECT_TRUE(nesting_error(shape.source(cc::kMaxNesting + 1), lint));
+        }
+        const int under = cc::kMaxNesting - 8;
+        EXPECT_NO_THROW((void)cc::compile_program({shape.source(under)}, {}));
+        EXPECT_NO_THROW((void)cc::analyze_source(shape.source(under)));
+    }
+    // A run of '-' lexes as pre-decrements, which nest as deep.
+    EXPECT_TRUE(nesting_error("int main() { return " + repeat("-", 100'000) + "1; }", false));
+    // Twenty chains, each the first operand of the next: the parser nests
+    // only 20 deep, but the tree it builds is 20 * 20 operators tall.
+    std::string stacked = "1";
+    for (int i = 0; i < 20; ++i) {
+        stacked = "(" + stacked + repeat(" + 1", 20) + ")";
+    }
+    EXPECT_TRUE(nesting_error("int main() { return " + stacked + "; }", false));
 }
 
 // --- hardening transformations --------------------------------------------------
