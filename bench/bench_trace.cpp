@@ -1,12 +1,15 @@
 // Experiment TRACE: the cost of the observability layer.
 //
-// The design promise (DESIGN.md §8) is that a *detached* tracer is free:
-// every hook is a null-pointer guard, so a machine nobody observes runs at
-// full speed.  BM_VmExecuteTraced pins that — arg 0 (no tracer) vs arg 1
-// (tracer attached) on a compute-bound workload; the detached case must stay
-// within 5% of the pre-trace baseline (bench_attack_matrix BM_VmExecute).
-// Arg 1 prices the attached case: one ring-buffer store per retired
-// instruction, the honest cost of full observability.
+// The design promise (DESIGN.md §8) is that a *detached* tracer is free
+// and an attached one does not change which engine runs: an untraced run
+// executes the engine's untraced tier-2 loop, which holds no tracer code,
+// and a traced run its traced instantiation.  BM_VmExecuteTraced pins that
+// — arg 0 (no tracer) vs arg 1 (tracer attached) on a compute-bound
+// workload; the detached case must stay within 5% of the pre-trace
+// baseline (bench_attack_matrix BM_VmExecute/1).  Arg 1 prices the
+// attached case: the fused loop writing one ring slot per retired
+// instruction, the honest cost of full observability (about 2× arg 0;
+// about 3× while a tracer forced the observed loop).
 #include <benchmark/benchmark.h>
 
 #include "cc/compiler.hpp"
@@ -19,8 +22,8 @@ namespace {
 
 using namespace swsec;
 
-// Arg 0: tracer detached (hooks compiled in, never taken).  Arg 1: tracer
-// attached, every event recorded into the ring.
+// Arg 0: tracer detached (the untraced tier-2 loop).  Arg 1: tracer
+// attached (the traced tier-2 loop), every event recorded into the ring.
 void BM_VmExecuteTraced(benchmark::State& state) {
     static const std::string src = R"(
         int fib(int n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }

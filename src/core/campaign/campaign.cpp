@@ -515,7 +515,17 @@ Spec read_manifest(const std::string& dir) {
     }
     // The spec object runs from just past the key to the manifest's final
     // closing brace.
-    return Spec::from_json(text.substr(pos + 7, text.size() - (pos + 7) - 1));
+    Spec spec = Spec::from_json(text.substr(pos + 7, text.size() - (pos + 7) - 1));
+    // The stored id names the campaign whose cells the WAL logged: a spec
+    // edited after the fact must not inherit them.
+    const std::size_t id_at = text.find("\"id\":\"");
+    const std::size_t id_end = id_at < pos ? text.find('"', id_at + 6) : std::string::npos;
+    const std::string stored = id_end < pos ? text.substr(id_at + 6, id_end - (id_at + 6)) : "";
+    if (stored != spec.id()) {
+        throw Error("campaign: manifest in " + dir + " stores id \"" + stored +
+                    "\" but its spec hashes to " + spec.id());
+    }
+    return spec;
 }
 
 namespace {

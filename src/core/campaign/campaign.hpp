@@ -98,10 +98,11 @@ struct Report {
                                   const Options& opts = {});
 
 /// Resume the campaign recorded in `dir`'s manifest.  Throws swsec::Error
-/// if there is no manifest.
+/// if there is no manifest, or if it was edited (read_manifest).
 [[nodiscard]] Report resume_campaign(const std::string& dir, const Options& opts = {});
 
-/// Parse `dir`'s manifest back into a Spec (throws if absent/malformed).
+/// Parse `dir`'s manifest back into a Spec.  Throws if it is absent or
+/// malformed, or if its stored id is not its spec's (an edited manifest).
 [[nodiscard]] Spec read_manifest(const std::string& dir);
 
 /// Non-destructive progress probe: reads manifest + WAL, runs nothing,

@@ -7,7 +7,6 @@
 #include <exception>
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "cc/compiler.hpp"
@@ -95,12 +94,9 @@ private:
 };
 
 /// Everything one run leaves behind: the final registers, ip, step count,
-/// full trap and output.  The engine A/B oracle (tier 2, the engine's
-/// unobserved loop with fused superinstructions, vs tier 1, its observed
-/// loop throughout) compares all of it exactly: the two runs share one seed
-/// and one profile, so one layout, and any difference is an engine bug
-/// (fusion, page-change or budget handling), not ASLR.  The defense oracle
-/// compares only `behaviour()`.
+/// full trap and output.  The engine oracle (tier 2, the engine's fused
+/// loop, vs tier 1, its observed loop throughout) compares all of it
+/// exactly; the defense oracle compares only `behaviour()`.
 struct ObservedArch {
     std::array<std::uint32_t, isa::kNumRegs> regs{};
     std::uint32_t ip = 0;
@@ -317,13 +313,22 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
         return d.name == defenses[0].name || d.name == "all-mitigations" || d.name == "sanitize";
     };
 
-    // ---- oracle 1: every benign defense preserves behaviour --------------
-    // Each run is untraced, and every standard defense runs the fast engine
-    // with the decode cache on, so the run is also the engine A/B oracle's
-    // tier-2 run of its defense: that oracle keeps the full observation
-    // instead of making the same run again.
+    // ---- oracles 1 and 2: every benign defense preserves behaviour, and
+    // the execution engine's fast paths are invisible ----------------------
+    // Every standard defense runs once as is: tier 2 (the fused loop) with
+    // the decode cache on.  An engine-checked defense runs that run traced,
+    // and once more, traced, with the decode cache off: the observed loop
+    // fetching every instruction through Machine::fetch, the reference for
+    // both the cache and tier 2.  The two must agree on behaviour, on the
+    // event trace (the byte-identical-JSONL property, read event for event
+    // plus the eviction digests) and on the full end state: registers, ip,
+    // the exact step count, the trap (kind/ip/addr/detail) and output.  The
+    // two runs share one seed and one profile, so one layout, and any
+    // difference is an engine bug (cache, fusion, page-change or budget
+    // handling), not ASLR.
     Observed baseline;
-    std::vector<std::optional<ObservedArch>> tier2(defenses.size());
+    trace::Tracer on_trace(kTraceCapacity, trace::Tracer::kEvictionDigest);
+    trace::Tracer off_trace(kTraceCapacity, trace::Tracer::kEvictionDigest);
     for (std::size_t i = 0; i < defenses.size(); ++i) {
         const core::Defense& d = defenses[i];
         std::shared_ptr<const objfmt::Image> image;
@@ -333,41 +338,27 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
             report(Oracle::Defense, "<compile>", d.name, e.what(), "");
             continue;
         }
-        ObservedArch arch = run(image, d.profile, seed, max_steps, stats);
-        const Observed obs = arch.behaviour();
+        const bool checked = engine_checked(d);
+        on_trace.clear();
+        const ObservedArch tier2 =
+            run(image, d.profile, seed, max_steps, stats, checked ? &on_trace : nullptr);
+        const Observed obs = tier2.behaviour();
         if (i == 0) {
             baseline = obs;
         } else if (!obs.same(baseline)) {
             report(Oracle::Defense, defenses[0].name, d.name, baseline.describe(), obs.describe());
         }
-        if (engine_checked(d)) {
-            tier2[i] = std::move(arch);
+        if (!checked) {
+            continue;
         }
-    }
-
-    // ---- oracle 2: the execution engine's fast paths are invisible -------
-    // Decode cache on vs off must agree on observable output *and* on the
-    // event trace (the PR2/PR3 equivalence property, applied per program).
-    trace::Tracer on_trace(kTraceCapacity, trace::Tracer::kEvictionDigest);
-    trace::Tracer off_trace(kTraceCapacity, trace::Tracer::kEvictionDigest);
-    for (std::size_t i = 0; i < defenses.size(); ++i) {
-        const core::Defense& d = defenses[i];
-        if (!tier2[i]) {
-            continue; // not engine-checked, or already reported by oracle 1
-        }
-        const std::shared_ptr<const objfmt::Image> image = memo.get(d.copts);
-        on_trace.clear();
         off_trace.clear();
-        os::SecurityProfile on_profile = d.profile;
-        on_profile.decode_cache = true;
         os::SecurityProfile off_profile = d.profile;
         off_profile.decode_cache = false;
-        const Observed on = run(image, on_profile, seed, max_steps, stats, &on_trace).behaviour();
-        const Observed off =
-            run(image, off_profile, seed, max_steps, stats, &off_trace).behaviour();
+        const ObservedArch ref = run(image, off_profile, seed, max_steps, stats, &off_trace);
+        const Observed off = ref.behaviour();
         const std::ptrdiff_t mismatch = first_trace_mismatch(on_trace, off_trace);
-        if (!on.same(off) || mismatch != kTracesAgree) {
-            std::string out_a = on.describe();
+        if (!obs.same(off) || mismatch != kTracesAgree) {
+            std::string out_a = obs.describe();
             std::string out_b = off.describe();
             if (mismatch != kTracesAgree) {
                 out_a += trace_mismatch_note(on_trace, mismatch);
@@ -376,17 +367,9 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
             report(Oracle::Engine, d.name + "+dcache", d.name + "-dcache", std::move(out_a),
                    std::move(out_b));
         }
-
-        // Engine A/B: tier 2 (the unobserved loop) vs tier 1 (the observed
-        // loop throughout) must agree on final registers, ip, trap
-        // (kind/ip/addr/msg) and the exact step count.  Untraced: a tracer
-        // would put both runs on the observed loop.
-        os::SecurityProfile tier1_profile = d.profile;
-        tier1_profile.fast_engine = false;
-        const ObservedArch tier1 = run(image, tier1_profile, seed, max_steps, stats);
-        if (!tier2[i]->same(tier1)) {
-            report(Oracle::Engine, d.name + "+tier2", d.name + "+tier1", tier2[i]->describe(),
-                   tier1.describe());
+        if (!tier2.same(ref)) {
+            report(Oracle::Engine, d.name + "+tier2", d.name + "+tier1", tier2.describe(),
+                   ref.describe());
         }
     }
 

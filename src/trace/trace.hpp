@@ -16,9 +16,14 @@
 //    the decode cache is on or off and whether a sweep ran serial or with
 //    --jobs N.  Anything that may differ between equivalent executions
 //    (decode-cache hit rates) lives only in Counters, never in events.
-//  * Hooks are guarded by a null pointer check at every emission site, so a
-//    detached tracer costs one predictable branch — the disabled-tracer
-//    overhead budget is <= 5% on the attack-matrix bench.
+//  * Like the monitoring hardware it models, an attached tracer does not
+//    change which engine runs: the VM's fused tier-2 loop has a traced
+//    instantiation that writes one InsnRetired per architectural
+//    instruction (one per component of a fused pair), exactly the events
+//    its observed loop writes.  A detached tracer costs the engine nothing
+//    (run() picks the untraced instantiation); every other emission site
+//    is guarded by a null pointer check, one predictable branch — the
+//    disabled-tracer overhead budget is <= 5% on the attack-matrix bench.
 //  * trace depends only on common.  The VM, OS and harness layers all sit
 //    above it; trap kinds and syscall numbers are carried as raw codes with
 //    the emitting layer supplying the human-readable name in `detail`.
@@ -137,8 +142,12 @@ public:
     }
     /// The engine's per-instruction InsnRetired event, written into its
     /// ring slot in place: no temporary event, and the slot's `detail` is
-    /// emptied, keeping its storage, rather than replaced.
-    void retire(std::uint64_t step, std::uint32_t pc, std::int32_t module, std::uint8_t opcode) {
+    /// emptied, keeping its storage, rather than replaced.  Forced inline
+    /// (compilers without the attribute ignore it): the engine calls it
+    /// from every handler of two loop instantiations, more sites than the
+    /// compiler's inlining budget covers on its own.
+    [[gnu::always_inline]] void retire(std::uint64_t step, std::uint32_t pc, std::int32_t module,
+                                       std::uint8_t opcode) {
         ++counters_.instructions;
         TraceEvent& e = slot();
         e.kind = EventKind::InsnRetired;
@@ -161,6 +170,9 @@ public:
             ++counters_.dcache_misses;
         }
     }
+    /// `n` decode-cache hits at once: the engine's tier 2 serves every
+    /// instruction it retires from a built slot and credits them per exit.
+    void count_dcache_hits(std::uint64_t n) noexcept { counters_.dcache_hits += n; }
 
     [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
     /// Events in emission order (oldest first).

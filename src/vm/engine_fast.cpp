@@ -2,9 +2,9 @@
 // bodies below are the only definition of each opcode's architectural
 // effect, and Machine::fetch is the only definition of fetch traps.
 //
-// Structure: one dispatch loop over FastOps, instantiated twice under a
-// compile-time observe policy.  Loop-head invariants, checked before
-// *every* dispatch:
+// Structure: one dispatch loop over FastOps, instantiated three times under
+// a compile-time observe policy (Policy).  Loop-head invariants, checked
+// before *every* dispatch:
 //
 //   1. the executing page's live generation still matches the stream's
 //      (any write/protect to the page — including by the program itself —
@@ -13,9 +13,12 @@
 //   3. the ip points into the fast-decodable region of the current page
 //      (page switches re-resolve; page tails take the slow fetch).
 //
-// The unobserved loop exits to Machine::run() where the observed one must
-// take over (invariant 1 broken, slow fetch, Sys, capability op, a fused
-// group that no longer fits the budget).  The observed loop handles all of
+// The two tier-2 loops (unobserved and traced) exit to Machine::run()
+// where the observed one must take over (invariant 1 broken, slow fetch,
+// Sys, capability op, a fused group that no longer fits the budget).  The
+// traced loop differs from the unobserved one only by its tracer calls,
+// each under `if constexpr (kTraced)`, so an untraced run executes no
+// tracer code at all.  The observed loop handles all of
 // those in place: it probes the fault injector, checks the PMA rules,
 // reports retirements and traps to the tracer and profiler, re-resolves
 // the page after a generation bump and fetches through Machine::fetch when
@@ -23,7 +26,7 @@
 // returns after every syscall so run() re-evaluates which loop may run.
 //
 // A fused superinstruction retires two architectural instructions in one
-// unobserved dispatch.  It is only entered when the remaining budget covers
+// tier-2 dispatch.  It is only entered when the remaining budget covers
 // both (otherwise the observed step retires the head instruction alone).
 // No fused group stores before its last component, so the page check every
 // store-class handler already resumes at (store_check) covers it too.
@@ -32,6 +35,7 @@
 #include "profile/profiler.hpp"
 #include "vm/machine.hpp"
 
+#include <iterator>
 #include <limits>
 
 // Computed-goto threaded dispatch is a GNU extension; elsewhere fall back
@@ -45,6 +49,16 @@
 namespace swsec::vm {
 
 namespace {
+
+/// The jcc opcode of a FastCond, in enumerator order: the second component
+/// of a fused cmp+jcc, which the traced loop names in its insn event.
+constexpr std::uint8_t kJccOpcode[] = {
+    static_cast<std::uint8_t>(isa::Op::Jz),  static_cast<std::uint8_t>(isa::Op::Jnz),
+    static_cast<std::uint8_t>(isa::Op::Jl),  static_cast<std::uint8_t>(isa::Op::Jge),
+    static_cast<std::uint8_t>(isa::Op::Jg),  static_cast<std::uint8_t>(isa::Op::Jle),
+    static_cast<std::uint8_t>(isa::Op::Jb),  static_cast<std::uint8_t>(isa::Op::Jae),
+};
+static_assert(std::size(kJccOpcode) == static_cast<std::size_t>(FastCond::Ae) + 1);
 
 bool cond_holds(std::uint8_t c, bool fz, bool flt, bool fb) noexcept {
     switch (static_cast<FastCond>(c)) {
@@ -70,8 +84,10 @@ bool cond_holds(std::uint8_t c, bool fz, bool flt, bool fb) noexcept {
 
 } // namespace
 
-template <bool kObserved>
+template <Policy kPolicy>
 FastExit FastEngine::run(Machine& m, std::uint64_t end) {
+    constexpr bool kObserved = kPolicy == Policy::Observed;
+    constexpr bool kTraced = kPolicy == Policy::Traced;
     DispatchStats& stats = m.dispatch_;
     Memory& mem = m.mem_;
     DecodeCache& dc = m.dcache_;
@@ -79,9 +95,11 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     const bool memcheck = m.opts_.memcheck;
     const bool sstack = m.opts_.hardware_shadow_stack;
     const bool cfi = m.opts_.coarse_cfi;
-    // What only the observed loop consults.  Every use sits under
-    // `if constexpr (kObserved)`, so none reaches the unobserved loop.
+    // What only the observed loop consults (and the traced one, for the
+    // tracer).  Every use sits under `if constexpr (kObserved)` or
+    // `if constexpr (kTraced)`, so none reaches the unobserved loop.
     [[maybe_unused]] trace::Tracer* const tracer = m.tracer_;
+    [[maybe_unused]] const std::int32_t module = m.current_module_; // fixed on tier 2
     [[maybe_unused]] profile::Profiler* const profiler = m.profiler_;
     [[maybe_unused]] fault::FaultInjector* const faults = m.faults_;
     [[maybe_unused]] const bool pma = !m.modules_.empty();
@@ -248,8 +266,10 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         return AccessFault::None;
     };
 
-// Write locals back to the machine.  The unobserved loop also credits its
-// counters, so it flushes exactly once per exit; the observed loop flushes
+// Write locals back to the machine.  The tier-2 loops also credit their
+// counters (every instruction they retire was served by a built slot, a
+// decode-cache hit, which the traced loop reports to the tracer in one
+// batch), so they flush exactly once per exit; the observed loop flushes
 // before every call that reads machine state.
 #define SWSEC_FLUSH()                                                                              \
     do {                                                                                           \
@@ -261,6 +281,9 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         if constexpr (!kObserved) {                                                                \
             stats.fast_steps += steps - steps0;                                                    \
             dc.hits_ += steps - steps0;                                                            \
+            if constexpr (kTraced) {                                                               \
+                tracer->count_dcache_hits(steps - steps0);                                         \
+            }                                                                                      \
         }                                                                                          \
     } while (0)
 
@@ -283,8 +306,8 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     } while (0)
 
 // One checked data access through `access` (load_word, store_word, ...):
-// PMA rules first (observed loop only: the unobserved one never runs with
-// protected modules), then the page fault priority.
+// PMA rules first (observed loop only: tier 2 never runs with protected
+// modules), then the page fault priority.
 #define SWSEC_ACCESS(access, write, addr_expr, v, retire, at_ip)                                   \
     do {                                                                                           \
         const std::uint32_t a_ = (addr_expr);                                                      \
@@ -406,8 +429,8 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         }                                                                                          \
     } while (0)
 
-// Capability ops run observed only (the unobserved loop hands them over as
-// a slow step), and only on the capability machine.
+// Capability ops run observed only (tier 2 hands them over as a slow step),
+// and only on the capability machine.
 #define SWSEC_CAPABILITY_OP()                                                                      \
     do {                                                                                           \
         if constexpr (!kObserved) {                                                                \
@@ -429,12 +452,15 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
                         "capability operand names no register");                                   \
     }
 
-// --- Retirement.  The observed loop reports every retired instruction to
-// the tracer (numbered with the step it retires in, written into its ring
-// slot in place) and the profiler (`edge` marks control transfers, both
-// outcomes of a jcc included).
+// --- Retirement.  The observed and traced loops report every retired
+// instruction to the tracer (numbered with the step it retires in, written
+// into its ring slot in place), and the observed loop to the profiler too
+// (`edge` marks control transfers, both outcomes of a jcc included).
 #define SWSEC_OBSERVE_RETIRE(pc, to, edge)                                                         \
     do {                                                                                           \
+        if constexpr (kTraced) {                                                                   \
+            tracer->retire(steps, pc, module, op->opcode);                                         \
+        }                                                                                          \
         if constexpr (kObserved) {                                                                 \
             if (tracer != nullptr) {                                                               \
                 tracer->retire(steps, pc, m.current_module_, op->opcode);                          \
@@ -458,7 +484,7 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     } while (0)
 
 // The head instruction's successor.  A fused slot's `next` follows the
-// whole group, and only the unobserved loop executes the whole group.
+// whole group, and only the tier-2 loops execute the whole group.
 #define SWSEC_HEAD_NEXT (kObserved ? ip + op->len : op->next)
 #define SWSEC_NEXT() SWSEC_RETIRE(SWSEC_HEAD_NEXT, false, loop_head)
 #define SWSEC_BRANCH(target) SWSEC_RETIRE(target, true, loop_head)
@@ -468,10 +494,10 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
 #define SWSEC_BRANCH_W(target) SWSEC_RETIRE(target, true, store_check)
 
 // A fused slot: a head and one second instruction.  The observed loop runs
-// its head alone.  The unobserved loop runs both, but only when both fit
-// the remaining budget: otherwise the observed step retires the head alone,
-// so the watchdog fires at exactly the same architectural instruction
-// either way.  (loop_head guarantees steps < end, so `end - steps` is ≥ 1.)
+// its head alone.  The tier-2 loops run both, but only when both fit the
+// remaining budget: otherwise the observed step retires the head alone, so
+// the watchdog fires at exactly the same architectural instruction either
+// way.  (loop_head guarantees steps < end, so `end - steps` is ≥ 1.)
 #define SWSEC_FUSED(name, head)                                                                    \
     SWSEC_CASE(name)                                                                               \
     if constexpr (kObserved) {                                                                     \
@@ -483,8 +509,23 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         return FastExit::NeedSlowStep;                                                             \
     }
 
-#define SWSEC_FUSED_RETIRE(to, resume)                                                             \
+// A fused pair retires per component, as the observed loop retires it.
+// The traced loop writes the head's insn event as soon as the head's
+// effect is done (SWSEC_HEAD_RETIRED), so a trapping second component
+// records it before its trap event, and the second's on retirement of the
+// pair, at step + 1 and the second's own address, naming `second_opcode`.
+#define SWSEC_HEAD_RETIRED()                                                                       \
     do {                                                                                           \
+        if constexpr (kTraced) {                                                                   \
+            tracer->retire(steps, ip, module, op->opcode);                                         \
+        }                                                                                          \
+    } while (0)
+
+#define SWSEC_FUSED_RETIRE(second_opcode, to, resume)                                              \
+    do {                                                                                           \
+        if constexpr (kTraced) {                                                                   \
+            tracer->retire(steps + 1, ip + op->len, module, (second_opcode));                      \
+        }                                                                                          \
         ip = (to);                                                                                 \
         steps += 2;                                                                                \
         ++stats.superinsns_retired;                                                                \
@@ -510,8 +551,8 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
 #endif
 
     // Invariant 1: the stream is only valid at its build generation.  Only
-    // stores can mutate memory while the unobserved loop runs (syscalls,
-    // hosts and fault injectors all end it), so it re-validates the
+    // stores can mutate memory while a tier-2 loop runs (syscalls, hosts
+    // and fault injectors all end it), so it re-validates the
     // executing page only after store-class handlers land here; entry and
     // page switches are safe to fall through: fast_page() just synced the
     // generation.  The observed loop re-validates before every fetch.
@@ -902,13 +943,17 @@ dispatch_op:
         }
         SWSEC_FUSED(FusedCmpJcc, Cmp) {
             SWSEC_CMP(regs[op->a], regs[op->b]);
+            SWSEC_HEAD_RETIRED();
             SWSEC_FUSED_RETIRE(
+                kJccOpcode[op->c],
                 cond_holds(op->c, fz, flt, fb) ? static_cast<std::uint32_t>(op->imm2) : op->next,
                 loop_head);
         }
         SWSEC_FUSED(FusedCmpIJcc, CmpI) {
             SWSEC_CMP(regs[op->a], SWSEC_IMM_U);
+            SWSEC_HEAD_RETIRED();
             SWSEC_FUSED_RETIRE(
+                kJccOpcode[op->c],
                 cond_holds(op->c, fz, flt, fb) ? static_cast<std::uint32_t>(op->imm2) : op->next,
                 loop_head);
         }
@@ -916,13 +961,15 @@ dispatch_op:
             // The push reads its source *after* the load wrote a (usually
             // the same register).
             SWSEC_LOAD(regs[op->a], regs[op->b] + SWSEC_IMM_U, 1, ip);
+            SWSEC_HEAD_RETIRED();
             SWSEC_PUSH(regs[op->c], 2, ip + op->len);
-            SWSEC_FUSED_RETIRE(op->next, store_check);
+            SWSEC_FUSED_RETIRE(static_cast<std::uint8_t>(isa::Op::Push), op->next, store_check);
         }
         SWSEC_FUSED(FusedMovIPop, MovI) {
             regs[op->a] = SWSEC_IMM_U; // before the pop: movi sp, i; pop r
+            SWSEC_HEAD_RETIRED();
             SWSEC_POP(regs[op->c], 2, ip + op->len);
-            SWSEC_FUSED_RETIRE(op->next, loop_head);
+            SWSEC_FUSED_RETIRE(static_cast<std::uint8_t>(isa::Op::Pop), op->next, loop_head);
         }
 #if !SWSEC_THREADED_DISPATCH
     default: // FastHandler::Count is never stored
@@ -964,11 +1011,13 @@ dispatch_op:
 #undef SWSEC_NEXT_W
 #undef SWSEC_BRANCH_W
 #undef SWSEC_FUSED
+#undef SWSEC_HEAD_RETIRED
 #undef SWSEC_FUSED_RETIRE
 #undef SWSEC_CASE
 }
 
-template FastExit FastEngine::run<false>(Machine& m, std::uint64_t end);
-template FastExit FastEngine::run<true>(Machine& m, std::uint64_t end);
+template FastExit FastEngine::run<Policy::Unobserved>(Machine& m, std::uint64_t end);
+template FastExit FastEngine::run<Policy::Traced>(Machine& m, std::uint64_t end);
+template FastExit FastEngine::run<Policy::Observed>(Machine& m, std::uint64_t end);
 
 } // namespace swsec::vm

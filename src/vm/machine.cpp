@@ -360,7 +360,7 @@ void Machine::apply_step_fault(const fault::StepFault& f) {
 
 void Machine::step() {
     if (!trap_.is_set()) {
-        (void)FastEngine::run<true>(*this, steps_ + 1);
+        (void)FastEngine::run<Policy::Observed>(*this, steps_ + 1);
     }
 }
 
@@ -373,11 +373,12 @@ RunResult Machine::run(std::uint64_t max_steps) {
         (max_steps > std::numeric_limits<std::uint64_t>::max() - steps_)
             ? std::numeric_limits<std::uint64_t>::max()
             : steps_ + max_steps;
-    // One engine, two loops (DESIGN.md §13): prefer the unobserved loop
-    // whenever nothing observable distinguishes it from the observed one.
-    // Eligibility is re-evaluated every iteration, and the observed loop
-    // returns after every syscall, so a syscall that attaches a tracer
-    // mid-run is observed from the very next instruction.
+    // One engine, two tiers (DESIGN.md §13): prefer tier 2 whenever nothing
+    // observable distinguishes it from the observed loop, and its traced
+    // instantiation when a tracer is attached.  Eligibility and the tracer
+    // are re-evaluated every iteration, and both loops hand every syscall
+    // back here, so a syscall that attaches a tracer or a profiler mid-run
+    // is observed from the very next instruction.
     bool was_fast = false;
     while (!trap_.is_set()) {
         if (steps_ >= end) {
@@ -390,8 +391,10 @@ RunResult Machine::run(std::uint64_t max_steps) {
         }
         if (fast_eligible()) {
             was_fast = true;
-            if (FastEngine::run<false>(*this, end) == FastExit::NeedSlowStep &&
-                !trap_.is_set() && steps_ < end) {
+            const FastExit exit = tracer_ != nullptr
+                                      ? FastEngine::run<Policy::Traced>(*this, end)
+                                      : FastEngine::run<Policy::Unobserved>(*this, end);
+            if (exit == FastExit::NeedSlowStep && !trap_.is_set() && steps_ < end) {
                 step(); // exactly one observed step: progress guarantee
             }
             continue;
@@ -400,7 +403,7 @@ RunResult Machine::run(std::uint64_t max_steps) {
             was_fast = false;
             ++dispatch_.deopt_observer;
         }
-        (void)FastEngine::run<true>(*this, end);
+        (void)FastEngine::run<Policy::Observed>(*this, end);
     }
     return RunResult{trap_, steps_};
 }

@@ -14,6 +14,12 @@
 //
 // All of these default to *off*: the base machine is exactly the unprotected
 // platform the classic attacks of Section III assume.
+//
+// run() executes through the engine of vm/engine_fast.hpp: tier 2, the
+// fused loop, whenever no profiler, fault plan or protected module could
+// tell it from the observed loop (with an attached tracer it runs its
+// traced instantiation, whose events and counters equal the observed
+// loop's), and the observed loop otherwise.
 #pragma once
 
 #include <array>
@@ -65,19 +71,20 @@ struct MachineOptions {
                                       // (integers can never act as pointers)
     bool decode_cache = true;         // per-page predecode cache (perf only:
                                       // trap-for-trap identical when off)
-    bool fast_engine = true;          // the unobserved engine loop with fused
+    bool fast_engine = true;          // tier 2, the engine loop with fused
                                       // superinstructions (perf only: off runs
                                       // the observed loop throughout, the
                                       // engine-A/B oracle's second side;
-                                      // never used while an observer is
-                                      // attached)
+                                      // never used while a profiler or fault
+                                      // plan is attached, traced while a
+                                      // tracer is)
 };
 
-/// Dispatch statistics of the unobserved loop, "tier 2" (exported as
-/// vm.dispatch.* metrics).  The deopt_* counters name why it handed control
+/// Dispatch statistics of tier 2, the fused loop, traced or not (exported
+/// as vm.dispatch.* metrics).  The deopt_* counters name why it handed control
 /// back to Machine::run(); their sum over a run explains every transition.
 struct DispatchStats {
-    std::uint64_t tier2_entries = 0;      // times run() entered the unobserved loop
+    std::uint64_t tier2_entries = 0;      // times run() entered tier 2
     std::uint64_t fast_steps = 0;         // instructions retired by it
     std::uint64_t superinsns_retired = 0; // fused dispatches (≥2 insns each)
     std::uint64_t deopt_page_gen = 0;     // executing page's generation bumped
@@ -85,8 +92,8 @@ struct DispatchStats {
     std::uint64_t deopt_trap = 0;         // trap raised inside the loop
     std::uint64_t deopt_budget = 0;       // watchdog slice end reached
     std::uint64_t deopt_syscall = 0;      // Sys runs as an observed step
-    std::uint64_t deopt_observer = 0;     // tracer/profiler/faults attached
-                                          // mid-run (fast_eligible went false)
+    std::uint64_t deopt_observer = 0;     // profiler/faults attached mid-run
+                                          // (fast_eligible went false)
 
     /// Sum over all deopt reasons.
     [[nodiscard]] std::uint64_t deopts() const noexcept {
@@ -194,8 +201,10 @@ public:
     void set_syscall_handler(SyscallHandler* handler) noexcept { syscalls_ = handler; }
 
     /// Attach an observability tracer (trace::Tracer).  Non-owning; pass
-    /// nullptr to detach.  Every hook is guarded by this pointer, so a
-    /// detached tracer costs one predictable branch per site.
+    /// nullptr to detach.  run() picks tier 2's traced or untraced
+    /// instantiation by this pointer, so an untraced run executes no tracer
+    /// code in the engine; every other hook (traps, syscalls, the observed
+    /// loop) is guarded by it, one predictable branch per site.
     void set_tracer(trace::Tracer* t) noexcept { tracer_ = t; }
     [[nodiscard]] trace::Tracer* tracer() const noexcept { return tracer_; }
     /// True while the machine is servicing a syscall (kernel mode).  Traps
@@ -241,7 +250,7 @@ public:
     /// Decode-cache counters (tests assert invalidation behaviour; benches
     /// report hit rates).
     [[nodiscard]] const DecodeCache& decode_cache() const noexcept { return dcache_; }
-    /// Unobserved-loop dispatch counters (vm.dispatch.* metrics).
+    /// Tier-2 dispatch counters (vm.dispatch.* metrics).
     [[nodiscard]] const DispatchStats& dispatch_stats() const noexcept { return dispatch_; }
 
 private:
@@ -274,13 +283,12 @@ private:
     /// module; also reports whether this is a legal entry-point transition.
     [[nodiscard]] bool pma_allows_fetch(std::uint32_t addr) const noexcept;
 
-    /// Whether run() may use the unobserved loop, re-evaluated on every
-    /// run() iteration: only when nothing observable distinguishes it from
-    /// the observed one.
+    /// Whether run() may use tier 2, re-evaluated on every run() iteration:
+    /// only when nothing observable distinguishes it from the observed loop.
+    /// An attached tracer does not: tier 2 then runs traced.
     [[nodiscard]] bool fast_eligible() const noexcept {
         return opts_.fast_engine && opts_.decode_cache && !opts_.pure_capability &&
-               tracer_ == nullptr && profiler_ == nullptr && faults_ == nullptr &&
-               modules_.empty();
+               profiler_ == nullptr && faults_ == nullptr && modules_.empty();
     }
 
     Memory mem_;

@@ -171,6 +171,42 @@ TEST(CampaignSpec, NegativeCountManifestIsRefusedOnResumeAndStatus) {
     EXPECT_THROW((void)campaign_status(dir), Error);
 }
 
+TEST(CampaignSpec, EditedManifestIsRefusedOnResumeAndStatus) {
+    // The WAL's records belong to the campaign the manifest's stored id
+    // names.  A spec edited after the cells ran (or an edited id) would
+    // credit those records to a different campaign, so both verbs refuse
+    // it and leave the report alone.
+    const std::string dir = scratch("edited_manifest");
+    (void)run_campaign(small_fuzz_spec(4), dir, fast_opts());
+    const std::string manifest = slurp(dir + "/manifest.json");
+    const std::string report = slurp(dir + "/report.jsonl");
+    ASSERT_FALSE(report.empty());
+    const auto write_manifest = [&](const std::string& text) {
+        std::ofstream(dir + "/manifest.json", std::ios::binary | std::ios::trunc) << text;
+    };
+
+    const std::size_t seed_at = manifest.find("\"seed_base\":1,");
+    ASSERT_NE(seed_at, std::string::npos);
+    write_manifest(std::string(manifest).replace(seed_at, 14, "\"seed_base\":101,"));
+    EXPECT_THROW((void)resume_campaign(dir, fast_opts()), Error);
+    EXPECT_THROW((void)campaign_status(dir), Error);
+    EXPECT_EQ(slurp(dir + "/report.jsonl"), report);
+
+    const std::string id = small_fuzz_spec(4).id();
+    const std::size_t id_at = manifest.find("\"id\":\"" + id + "\"");
+    ASSERT_NE(id_at, std::string::npos);
+    write_manifest(std::string(manifest).replace(id_at + 6, id.size(), std::string(id.size(), '0')));
+    EXPECT_THROW((void)resume_campaign(dir, fast_opts()), Error);
+    EXPECT_THROW((void)campaign_status(dir), Error);
+    EXPECT_EQ(slurp(dir + "/report.jsonl"), report);
+
+    // The untouched manifest still resumes.
+    write_manifest(manifest);
+    EXPECT_EQ(campaign_status(dir).id, id);
+    EXPECT_NO_THROW((void)resume_campaign(dir, fast_opts()));
+    EXPECT_EQ(slurp(dir + "/report.jsonl"), report);
+}
+
 TEST(CampaignSpec, NegativeCountSpecIsRefusedByRunCampaign) {
     const std::string dir = scratch("negative_seeds");
     Spec spec = small_fuzz_spec();

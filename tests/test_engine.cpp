@@ -1,16 +1,17 @@
 // Tiered-execution-engine tests (DESIGN.md §13).
 //
 // Both loops run the same handler bodies, so what these tests police is how
-// the unobserved loop ("tier 2") strings them together: its contract is
+// the fused loop ("tier 2") strings them together: its contract is
 // byte-identical architectural behaviour to the observed loop ("tier 1"),
-// with deoptimization at page generation bumps, budget boundaries
-// (including *inside* a fused superinstruction), observer attach, and
-// NX/PMA transitions, and the observed loop runs a fused slot's head
-// alone.  These tests pin the deopt points and the fused shapes one by
-// one; the fuzzer's engine-A/engine-B oracle covers the same contract over
-// generated programs.
+// and with a tracer attached a byte-identical trace, with deoptimization at
+// page generation bumps, budget boundaries (including *inside* a fused
+// superinstruction), observer attach, and NX/PMA transitions, and the
+// observed loop runs a fused slot's head alone.  These tests pin the deopt
+// points and the fused shapes one by one; the fuzzer's engine oracle
+// covers the same contract over generated programs.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <ostream>
 #include <set>
 #include <span>
@@ -150,27 +151,97 @@ std::vector<std::pair<Encoder, std::uint32_t>> workloads() {
     return {{mixed_program(), 30}, {fused_program(), 40}};
 }
 
-/// Run the same encoder under the unobserved loop (fast engine) and the
-/// observed loop throughout (disabled) and require identical architectural
-/// results.
-void expect_ab_identical(const Encoder& e, std::uint64_t max_steps = 10000) {
-    MachineOptions fast;
+/// A fused load+push whose load faults (unmapped address): the pair traps
+/// at the load's own address with nothing retired.
+Encoder load_fault_program() {
+    Encoder e;
+    e.reg_imm32(Op::MovI, Reg::R1, 0x5000); // unmapped
+    e.reg_mem(Op::Load, Reg::R0, Reg::R1, 0);
+    e.reg(Op::Push, Reg::R0);
+    e.none(Op::Halt);
+    return e;
+}
+
+/// The load+push pair's offset in push_fault_program().
+constexpr std::uint32_t kPushFaultLoadAt = 4 * 6;
+
+/// A fused load+push whose push faults (sp points at unmapped memory)
+/// after the load retired, its register write included.  Four movi/store
+/// come first, so the load is step 4 and the push step 5.
+Encoder push_fault_program() {
+    Encoder e;
+    e.reg_imm32(Op::MovI, Reg::R1, kStackTop);
+    e.reg_imm32(Op::MovI, Reg::R2, 0x77);
+    e.reg_mem(Op::Store, Reg::R1, Reg::R2, 0);
+    e.reg_imm32(Op::MovI, Reg::Sp, 0x5004); // pushes land unmapped
+    EXPECT_EQ(e.size(), kPushFaultLoadAt);
+    e.reg_mem(Op::Load, Reg::R0, Reg::R1, 0);
+    e.reg(Op::Push, Reg::R0);
+    e.none(Op::Halt);
+    return e;
+}
+
+/// The counters of two traced runs, field by field.
+void expect_counters_equal(const swsec::trace::Counters& a, const swsec::trace::Counters& b) {
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.traps, b.traps);
+    EXPECT_EQ(a.mem_faults, b.mem_faults);
+    EXPECT_EQ(a.syscalls, b.syscalls);
+    EXPECT_EQ(a.pma_transitions, b.pma_transitions);
+    EXPECT_EQ(a.faults_injected, b.faults_injected);
+    EXPECT_EQ(a.heap_allocs, b.heap_allocs);
+    EXPECT_EQ(a.heap_frees, b.heap_frees);
+    EXPECT_EQ(a.dcache_hits, b.dcache_hits);
+    EXPECT_EQ(a.dcache_misses, b.dcache_misses);
+}
+
+/// expect_ab_identical's budget for a run nothing stops early, and its flag
+/// for tracing both sides.
+constexpr std::uint64_t kNoBudget = std::numeric_limits<std::uint64_t>::max();
+constexpr bool kTraced = true;
+
+/// What the tier-2 side of an A/B run leaves for a test to inspect.
+struct Tier2Run {
+    DispatchStats stats;
+    std::vector<swsec::trace::TraceEvent> events; // empty unless traced
+};
+
+/// Run the same encoder on tier 2 (the default machine) and on the observed
+/// loop throughout (fast_engine = false) and require identical architectural
+/// results.  With `traced`, each machine carries a tracer, and the JSONL and
+/// every Counters field must match too.
+Tier2Run expect_ab_identical(const Encoder& e, std::uint64_t max_steps = 10000,
+                             bool traced = false) {
     MachineOptions slow;
     slow.fast_engine = false;
-    Runner a(fast);
+    Runner a;
     Runner b(slow);
+    swsec::trace::Tracer ta;
+    swsec::trace::Tracer tb;
+    if (traced) {
+        a.m.set_tracer(&ta);
+        b.m.set_tracer(&tb);
+    }
     const auto ra = a.run(e, max_steps);
     const auto rb = b.run(e, max_steps);
     EXPECT_EQ(ra.trap.kind, rb.trap.kind);
     EXPECT_EQ(ra.trap.ip, rb.trap.ip);
     EXPECT_EQ(ra.trap.addr, rb.trap.addr);
+    EXPECT_EQ(ra.trap.code, rb.trap.code);
     EXPECT_EQ(ra.trap.detail, rb.trap.detail);
+    EXPECT_EQ(ra.trap.origin, rb.trap.origin);
     EXPECT_EQ(ra.steps, rb.steps);
     for (int i = 0; i < swsec::isa::kNumRegs; ++i) {
         EXPECT_EQ(a.m.reg(static_cast<Reg>(i)), b.m.reg(static_cast<Reg>(i))) << "r" << i;
     }
     EXPECT_EQ(a.m.ip(), b.m.ip());
     EXPECT_EQ(b.m.dispatch_stats().tier2_entries, 0u) << "tier 1 run must not enter the engine";
+    if (traced) {
+        EXPECT_FALSE(ta.to_jsonl().empty());
+        EXPECT_EQ(ta.to_jsonl(), tb.to_jsonl());
+        expect_counters_equal(ta.counters(), tb.counters());
+    }
+    return {a.m.dispatch_stats(), ta.events()};
 }
 
 // --- tier selection ----------------------------------------------------------
@@ -191,7 +262,15 @@ TEST(TierSelection, DefaultMachineRunsTier2) {
     }
 }
 
-TEST(TierSelection, ObserversAndOptionsForceTier1) {
+TEST(TierSelection, TracerStaysOnTier2) {
+    // A tracer observes without demoting: the traced run enters tier 2 and
+    // records exactly the observed loop's trace.
+    const Tier2Run traced = expect_ab_identical(mixed_program(), kNoBudget, kTraced);
+    EXPECT_GT(traced.stats.tier2_entries, 0u);
+    EXPECT_GT(traced.stats.superinsns_retired, 0u);
+}
+
+TEST(TierSelection, ProfilerFaultsAndOptionsForceTier1) {
     const Encoder e = mixed_program();
     const auto tier2_entries_with = [&](auto&& configure) {
         Runner r;
@@ -201,10 +280,8 @@ TEST(TierSelection, ObserversAndOptionsForceTier1) {
         EXPECT_EQ(r.m.reg(Reg::R3), 30u);
         return r.m.dispatch_stats().tier2_entries;
     };
-    swsec::trace::Tracer tracer;
     swsec::profile::Profiler profiler;
     swsec::fault::FaultInjector faults{swsec::fault::FaultPlan{}}; // empty plan still counts
-    EXPECT_EQ(tier2_entries_with([&](Machine& m) { m.set_tracer(&tracer); }), 0u);
     EXPECT_EQ(tier2_entries_with([&](Machine& m) { m.set_profiler(&profiler); }), 0u);
     EXPECT_EQ(tier2_entries_with([&](Machine& m) { m.set_fault_injector(&faults); }), 0u);
     EXPECT_EQ(tier2_entries_with([](Machine& m) { m.options().fast_engine = false; }), 0u);
@@ -371,8 +448,9 @@ TEST(FusedShapes, EveryFamilyOccursInCompiledCode) {
 }
 
 TEST(FusedShapes, TracerSeesOneInsnEventPerRetiredStep) {
-    // The observed loop executes only the head of a fused slot, so a traced
-    // run reports every architectural instruction once, in step order.
+    // A traced run reports every architectural instruction once, in step
+    // order: tier 2 writes one event per component of a fused pair, and the
+    // observed loop executes only the head of a fused slot.
     for (const auto& [program, r3] : workloads()) {
         Runner r;
         swsec::trace::Tracer tracer;
@@ -427,20 +505,8 @@ TEST(EngineAB, TrapProvenanceIdentical) {
     // A fused load+push traps componentwise: a faulting load at its own
     // address with nothing retired, a faulting push at the push's address
     // after the load retired (its register write included).
-    Encoder load_faults;
-    load_faults.reg_imm32(Op::MovI, Reg::R1, 0x5000); // unmapped
-    load_faults.reg_mem(Op::Load, Reg::R0, Reg::R1, 0);
-    load_faults.reg(Op::Push, Reg::R0);
-    load_faults.none(Op::Halt);
-    Encoder push_faults;
-    push_faults.reg_imm32(Op::MovI, Reg::R1, kStackTop);
-    push_faults.reg_imm32(Op::MovI, Reg::R2, 0x77);
-    push_faults.reg_mem(Op::Store, Reg::R1, Reg::R2, 0);
-    push_faults.reg_imm32(Op::MovI, Reg::Sp, 0x5004); // pushes land unmapped
-    push_faults.reg_mem(Op::Load, Reg::R0, Reg::R1, 0);
-    const auto push_at = push_faults.size();
-    push_faults.reg(Op::Push, Reg::R0);
-    push_faults.none(Op::Halt);
+    const Encoder load_faults = load_fault_program();
+    const Encoder push_faults = push_fault_program();
     for (const Encoder* program : {&load_faults, &push_faults}) {
         EXPECT_TRUE(fused_families(*program).contains(FastHandler::FusedLoadPush));
         expect_ab_identical(*program);
@@ -448,9 +514,50 @@ TEST(EngineAB, TrapProvenanceIdentical) {
     Runner r;
     const auto res = r.run(push_faults);
     EXPECT_EQ(res.trap.kind, TrapKind::SegvWrite);
-    EXPECT_EQ(res.trap.ip, kCode + static_cast<std::uint32_t>(push_at));
+    EXPECT_EQ(res.trap.ip, kCode + kPushFaultLoadAt + 6);
     EXPECT_EQ(res.steps, 6u) << "four movi/store, the load, then the faulting push";
     EXPECT_EQ(r.m.reg(Reg::R0), 0x77u) << "the load retired before the push faulted";
+}
+
+TEST(EngineAB, TracedTier2MatchesTracedTier1) {
+    // Tier 2 traced writes the observed loop's events, one per component of
+    // a fused pair, and credits the same counters, at every budget that
+    // splits a pair and when nothing stops the program.
+    const std::vector<std::pair<const char*, Encoder>> programs = {
+        {"mixed", mixed_program()},
+        {"fused", fused_program()},
+        {"load-faults", load_fault_program()},
+        {"push-faults", push_fault_program()},
+    };
+    for (const auto& [name, program] : programs) {
+        SCOPED_TRACE(name);
+        for (std::uint64_t budget = 1; budget <= 40; ++budget) {
+            SCOPED_TRACE("budget=" + std::to_string(budget));
+            (void)expect_ab_identical(program, budget, kTraced);
+        }
+        const Tier2Run unbounded = expect_ab_identical(program, kNoBudget, kTraced);
+        EXPECT_GT(unbounded.stats.tier2_entries, 0u);
+        if (std::string_view(name).ends_with("-faults")) {
+            EXPECT_GT(unbounded.stats.deopt_trap, 0u) << "the pair trapped inside tier 2";
+        } else {
+            EXPECT_GT(unbounded.stats.superinsns_retired, 0u);
+        }
+    }
+
+    // The push faults after the load retired: the load's insn event comes
+    // first, then the trap at the push's step and address.
+    const Tier2Run push = expect_ab_identical(push_fault_program(), kNoBudget, kTraced);
+    ASSERT_GE(push.events.size(), 2u);
+    const swsec::trace::TraceEvent& load = push.events[push.events.size() - 2];
+    const swsec::trace::TraceEvent& trap = push.events.back();
+    EXPECT_EQ(load.kind, swsec::trace::EventKind::InsnRetired);
+    EXPECT_EQ(load.step, 4u);
+    EXPECT_EQ(load.pc, kCode + kPushFaultLoadAt);
+    EXPECT_EQ(load.code, static_cast<std::uint8_t>(Op::Load));
+    EXPECT_EQ(trap.kind, swsec::trace::EventKind::TrapRaised);
+    EXPECT_EQ(trap.step, 5u);
+    EXPECT_EQ(trap.pc, kCode + kPushFaultLoadAt + 6);
+    EXPECT_EQ(trap.code, static_cast<std::uint8_t>(TrapKind::SegvWrite));
 }
 
 TEST(EngineAB, ShadowStackAndCfiReplicatedInTier2) {
@@ -595,7 +702,7 @@ TEST(Deopt, InPagePushDeoptsBeforeTheCall) {
 
 // --- deopt: observer attach between slices -----------------------------------
 
-TEST(Deopt, TracerAttachBetweenSlicesDemotesToTier1) {
+TEST(Deopt, TracerAttachBetweenSlicesTracesTheRest) {
     // Run a slice under tier 2, attach a tracer at the slice boundary (the
     // campaign watchdog pattern), resume: the remainder must execute fully
     // instrumented, and the total behaviour must equal an uninterrupted
@@ -605,23 +712,41 @@ TEST(Deopt, TracerAttachBetweenSlicesDemotesToTier1) {
     (void)a.run(e, 10); // slice 1: tier 2
     EXPECT_EQ(a.m.trap().kind, TrapKind::OutOfGas);
     EXPECT_GT(a.m.dispatch_stats().fast_steps, 0u);
+    const std::uint64_t tier2_before = a.m.dispatch_stats().tier2_entries;
 
     swsec::trace::Tracer tracer;
     a.m.set_tracer(&tracer);
     a.m.clear_trap();
-    const auto resumed = a.m.run(10000); // slice 2: tier 1 (observed)
+    const auto resumed = a.m.run(10000); // slice 2: tier 2, traced
     EXPECT_EQ(resumed.trap.kind, TrapKind::Halted);
     EXPECT_GT(tracer.counters().instructions, 0u) << "resumed slice must be traced";
+    EXPECT_GT(a.m.dispatch_stats().tier2_entries, tier2_before) << "slice 2 must enter tier 2";
 
     MachineOptions slow;
     slow.fast_engine = false;
     Runner b(slow);
+    swsec::trace::Tracer reference;
+    b.m.set_tracer(&reference);
     const auto rb = b.run(e);
     EXPECT_EQ(resumed.trap.kind, rb.trap.kind);
     EXPECT_EQ(a.m.steps_executed(), rb.steps);
     for (int i = 0; i < swsec::isa::kNumRegs; ++i) {
         EXPECT_EQ(a.m.reg(static_cast<Reg>(i)), b.m.reg(static_cast<Reg>(i))) << "r" << i;
     }
+    // Slice 2 recorded exactly what the uninterrupted traced run records
+    // from step 10 on.
+    std::vector<std::string> rest;
+    for (const auto& ev : reference.events()) {
+        if (ev.step >= 10) {
+            rest.push_back(ev.to_json());
+        }
+    }
+    std::vector<std::string> slice2;
+    for (const auto& ev : tracer.events()) {
+        slice2.push_back(ev.to_json());
+    }
+    EXPECT_FALSE(slice2.empty());
+    EXPECT_EQ(slice2, rest);
 }
 
 TEST(Deopt, FaultPlanBitFlipInvalidatesUnderTier1Demotion) {

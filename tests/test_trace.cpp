@@ -271,12 +271,16 @@ TEST(TraceProvenanceDetail, FaultScenarioRecordsInjectionBeforeTrap) {
 
 // The decode cache is a pure performance device: with it off the trace must
 // not change by a single byte.  (Cache hit tallies live in Counters, which
-// are deliberately outside the event stream.)  Both streams must also equal
-// a committed golden: with cache on and off running the same handler
-// bodies, only a golden catches a change that moves both sides at once,
-// such as a trap event numbered one step late.  A golden changes only with
-// an intended change of the event stream: `swsec trace <scenario>
-// --trace-out tests/golden/trace/<scenario>.jsonl`.
+// are deliberately outside the event stream.)  With the cache on, a
+// scenario without a fault plan or protected modules runs traced on tier 2,
+// the fused loop, which writes one event per component of a fused pair;
+// with it off, the observed loop fetches every instruction through
+// Machine::fetch.  So this also holds the two tiers to one event stream.
+// Both streams must also equal a committed golden: with cache on and off
+// running the same handler bodies, only a golden catches a change that
+// moves both sides at once, such as a trap event numbered one step late.  A
+// golden changes only with an intended change of the event stream: `swsec
+// trace <scenario> --trace-out tests/golden/trace/<scenario>.jsonl`.
 TEST(TraceEquivalence, DecodeCacheOnOffTracesAreByteIdentical) {
     for (const std::string& scenario : core::trace_scenario_names()) {
         const std::filesystem::path golden =
