@@ -12,11 +12,13 @@
 // either result is correct) and returns shared_ptr<const Image>: workers
 // only read the image and copy it into their own Process.
 //
-// Growth is bounded: the fuzzer and campaign driver feed a *new* program
-// per seed, so an unbounded memo would grow linearly with campaign length
-// (a million-cell fuzz campaign would pin a million images).  The cache
-// therefore evicts least-recently-used entries beyond a capacity; eviction
-// only costs a deterministic recompile, never correctness.
+// It holds scenario images only: the matrix, fault sweep, curves and the
+// campaign's sabotage cell compile a fixed set of sources, so the cache is
+// bounded by that set and needs no eviction.  Generated programs never
+// reach it: the fuzz oracles compile each program through their own
+// per-program memo, and chunk prioritization and triage call
+// cc::compile_program directly, so a long fuzz or evolve campaign leaves
+// the cache as it found it.
 #pragma once
 
 #include <cstdint>
@@ -29,22 +31,14 @@
 namespace swsec::core {
 
 /// compile_program({source}, opts), memoized on (source,
-/// cc::compiler_options_key(opts)) with LRU eviction beyond the configured
-/// capacity.
+/// cc::compiler_options_key(opts)).  For scenario sources only (see above).
 [[nodiscard]] std::shared_ptr<const objfmt::Image>
 cached_compile(const std::string& source, const cc::CompilerOptions& opts);
 
 /// Drop every cached image and the compiler's memoized runtime objects
 /// (cc::clear_runtime_memo), so the next compile is a cold start (tests; the
-/// benchmark's set-up; bounds memory in long campaigns).  Also resets the
-/// hit and eviction tallies.
+/// benchmark's set-up).  Also resets the hit tally.
 void clear_image_cache();
-
-/// Cap the number of cached images (least-recently-used entries are evicted
-/// past it); 0 means unbounded.  Shrinking below the current size evicts
-/// immediately.  Returns the previous capacity.
-std::size_t set_image_cache_capacity(std::size_t max_images);
-[[nodiscard]] std::size_t image_cache_capacity();
 
 /// Number of distinct (source, options) images currently cached.
 [[nodiscard]] std::size_t image_cache_size();
@@ -55,9 +49,5 @@ std::size_t set_image_cache_capacity(std::size_t max_images);
 /// between equivalent runs.  It therefore feeds the metrics registry only
 /// as a Volatile gauge, never a deterministic report.
 [[nodiscard]] std::uint64_t image_cache_hits();
-
-/// LRU evictions since start (or the last clear).  Schedule-dependent for
-/// the same reason as the hit count: Volatile in the metrics registry.
-[[nodiscard]] std::uint64_t image_cache_evictions();
 
 } // namespace swsec::core

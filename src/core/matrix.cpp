@@ -137,8 +137,6 @@ void add_victim_metrics(profile::Registry& reg, const profile::Labels& base,
                   profile::Volatile::Yes);
     reg.gauge_set("image_cache_hits", base, static_cast<double>(image_cache_hits()),
                   profile::Volatile::Yes);
-    reg.gauge_set("image_cache_evictions", base, static_cast<double>(image_cache_evictions()),
-                  profile::Volatile::Yes);
 }
 
 profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells) {

@@ -55,14 +55,17 @@ struct MatrixCell {
 /// instructions, decode-cache hits/decodes, syscall retries, injected I/O
 /// faults, sbrk traffic and the heap high-water mark.  Aggregation runs in
 /// cell-index order over per-cell deterministic numbers, so the JSON export
-/// is byte-identical for any jobs value.  The machine-wide image-cache hit
-/// count is added as a Volatile gauge (schedule-dependent; excluded from
-/// the default export).
+/// is byte-identical for any jobs value.  The machine-wide image cache's
+/// size and hit count are added as Volatile gauges (schedule-dependent;
+/// excluded from the default export).  The cache holds scenario images
+/// only, so its size is the number of (scenario, option set) pairs every
+/// harness in the process has compiled.
 [[nodiscard]] profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells);
 
 /// Fold the per-victim platform tallies of `cells` into `reg` under `base`
 /// (instructions, decode cache, syscall retries, injected I/O faults, sbrk,
-/// heap high water, tier-2 dispatch), plus the Volatile image-cache gauges.
+/// heap high water, tier-2 dispatch), plus the Volatile image-cache gauges
+/// (images held and hits; the cache never evicts).
 /// matrix_metrics and fault_sweep_metrics both export these series.
 void add_victim_metrics(profile::Registry& reg, const profile::Labels& base,
                         const std::vector<MatrixCell>& cells);

@@ -4,28 +4,16 @@
 #include <memory>
 #include <utility>
 
+#include "cc/compiler.hpp"
 #include "common/error.hpp"
 #include "common/escape.hpp"
 #include "common/rng.hpp"
-#include "core/defense.hpp"
-#include "core/image_cache.hpp"
 #include "core/parallel.hpp"
 #include "os/process.hpp"
 #include "profile/profiler.hpp"
 #include "profile/symbolize.hpp"
 
 namespace swsec::fuzz {
-
-namespace {
-
-/// How to re-run one side of a divergence.  Oracle config names are either
-/// a standard defense name, a defense name with an engine suffix
-/// ("+dcache"/"-dcache"/"+tier2"/"+tier1"), the ConstFold pair
-/// ("fold"/"runtime" — the baseline run), or "<compile>" (no run exists).
-struct RunConfig {
-    bool runnable = false;
-    core::Defense defense;
-};
 
 RunConfig resolve_config(const std::string& name) {
     const auto& defenses = core::standard_defenses();
@@ -34,10 +22,6 @@ RunConfig resolve_config(const std::string& name) {
         return rc;
     }
     std::string base = name;
-    bool decode_cache = true;
-    bool have_dcache = false;
-    bool fast_engine = true;
-    bool have_engine = false;
     const auto strip = [&](const std::string& sfx) {
         if (base.size() > sfx.size() &&
             base.compare(base.size() - sfx.size(), sfx.size(), sfx) == 0) {
@@ -46,18 +30,12 @@ RunConfig resolve_config(const std::string& name) {
         }
         return false;
     };
-    if (strip("+dcache")) {
-        decode_cache = true;
-        have_dcache = true;
-    } else if (strip("-dcache")) {
-        decode_cache = false;
-        have_dcache = true;
-    } else if (strip("+tier2")) {
-        fast_engine = true;
-        have_engine = true;
-    } else if (strip("+tier1")) {
-        fast_engine = false;
-        have_engine = true;
+    // check_program's engine pairs name a defense's own run (tier 2, decode
+    // cache on) "+dcache" or "+tier2", and its reference run, with the
+    // decode cache off, "-dcache" or "+tier1".
+    const bool reference = strip("-dcache") || strip("+tier1");
+    if (!reference && !strip("+dcache")) {
+        strip("+tier2");
     }
     if (base == "fold" || base == "runtime") {
         base = defenses[0].name; // the ConstFold probe runs on the baseline
@@ -66,17 +44,14 @@ RunConfig resolve_config(const std::string& name) {
         if (d.name == base) {
             rc.runnable = true;
             rc.defense = d;
-            if (have_dcache) {
-                rc.defense.profile.decode_cache = decode_cache;
-            }
-            if (have_engine) {
-                rc.defense.profile.fast_engine = fast_engine;
-            }
+            rc.defense.profile.decode_cache = !reference;
             return rc;
         }
     }
     return rc;
 }
+
+namespace {
 
 /// Corpus entry: the model plus the new-bucket yield it was admitted with.
 /// Yield is the scheduling weight — seeds that opened more of the program
@@ -116,7 +91,8 @@ TriageResult triage_divergence(const Divergence& d, std::uint64_t max_steps) {
         return t;
     }
     try {
-        const auto image = core::cached_compile(d.source, rc.defense.copts);
+        const auto image = std::make_shared<const objfmt::Image>(
+            cc::compile_program({d.source}, rc.defense.copts));
         profile::Profiler prof;
         prof.set_sample_interval(0); // shadow stack only; no samples needed
         os::SecurityProfile p = rc.defense.profile;
@@ -154,7 +130,7 @@ EvolveReport run_evolve(const EvolveOptions& opts) {
     const int init_n = opts.init_programs < 1 ? 1 : opts.init_programs;
 
     std::vector<CorpusEntry> corpus;
-    profile::CoverageBitmap cumulative;
+    trace::CoverageBitmap cumulative;
     std::map<std::string, std::size_t> crash_index; // key -> index in report.crashes
 
     struct Candidate {
@@ -162,7 +138,7 @@ EvolveReport run_evolve(const EvolveOptions& opts) {
         std::uint64_t eval_seed = 0;
     };
     struct EvalResult {
-        std::unique_ptr<profile::CoverageBitmap> bitmap;
+        trace::CoverageBitmap bitmap;
         std::vector<Divergence> divs;
         FuzzReport stats;
     };
@@ -210,9 +186,7 @@ EvolveReport run_evolve(const EvolveOptions& opts) {
         core::parallel_for(cands.size(), opts.jobs, [&](std::size_t i) {
             const std::string source = cands[i].model.render().render();
             EvalResult& r = results[i];
-            r.divs = check_program(source, cands[i].eval_seed, opts.max_steps, &r.stats);
-            r.bitmap = std::make_unique<profile::CoverageBitmap>(
-                program_coverage(source, cands[i].eval_seed, opts.max_steps));
+            r.divs = check_program(source, cands[i].eval_seed, opts.max_steps, &r.stats, &r.bitmap);
         });
 
         // ---- merge serially in slot order (jobs-independent) --------------
@@ -220,8 +194,8 @@ EvolveReport run_evolve(const EvolveOptions& opts) {
             EvalResult& r = results[i];
             ++executed;
             ++report.execs;
-            report.runs += r.stats.runs + 1; // +1: the coverage run
-            const std::uint32_t fresh = cumulative.merge_new(*r.bitmap);
+            report.runs += r.stats.runs;
+            const std::uint32_t fresh = cumulative.merge_new(r.bitmap);
             report.curve.push_back(cumulative.popcount());
             if (fresh > 0 && corpus.size() < opts.max_corpus) {
                 corpus.push_back(CorpusEntry{cands[i].model, fresh});
@@ -301,6 +275,14 @@ std::string EvolveReport::to_json() const {
              json_escape(oracle_name(crashes[i].div.oracle)) + "\"}";
     }
     s += "]}";
+    return s;
+}
+
+std::string EvolveReport::curve_csv() const {
+    std::string s = "exec,cumulative\n";
+    for (std::size_t i = 0; i < curve.size(); ++i) {
+        s += std::to_string(i) + "," + std::to_string(curve[i]) + "\n";
+    }
     return s;
 }
 

@@ -11,21 +11,28 @@
 // The schedule is therefore a pure function of the master seed: a --jobs N
 // run produces byte-identical reports, corpora and curves.
 //
+// Each evaluation is one check_program call: the coverage that schedules
+// the corpus is folded from the traced baseline run the engine oracle
+// already makes, so an exec costs the oracles' 14 runs and no more, and
+// each program is compiled by the oracles' own per-program memo (never
+// through the machine-wide image cache, which holds scenario images only).
+//
 // Every divergence the oracles raise is auto-triaged: the deviating
-// configuration is re-run with a profiler attached, the final trap's
-// provenance (kind + CheckOrigin) and the shadow call stack are symbolized
-// through the image's line table, and the resulting "func:line" stack is the
-// dedup key — ten thousand executions of the same bug yield one crash
-// record (with a hit count), exactly the triage discipline AFL-style
-// fuzzers need to stay readable at campaign scale.  Each unique crash
-// carries its representative Divergence, so it exports as a standard
-// repro-v1 record for tests/fuzz_corpus/.
+// configuration (resolve_config) is compiled afresh and re-run with a
+// profiler attached, the final trap's provenance (kind + CheckOrigin) and
+// the shadow call stack are symbolized through the image's line table, and
+// the resulting "func:line" stack is the dedup key — ten thousand
+// executions of the same bug yield one crash record (with a hit count),
+// exactly the triage discipline AFL-style fuzzers need to stay readable at
+// campaign scale.  Each unique crash carries its representative Divergence,
+// so it exports as a standard repro-v1 record for tests/fuzz_corpus/.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/defense.hpp"
 #include "fuzz/fuzz.hpp"
 #include "fuzz/mutate.hpp"
 
@@ -48,6 +55,18 @@ struct CrashRecord {
     std::vector<std::string> frames; // symbolized stack, outermost first, trap site last
     std::uint64_t hits = 1;          // how many executions reached this key
 };
+
+/// How to re-run one side of a divergence.  Oracle config names are either
+/// a standard defense name, a defense name with check_program's engine
+/// suffix, the ConstFold pair ("fold"/"runtime" — the baseline run), or
+/// "<compile>" (no run exists, so not runnable).  "+dcache" and "+tier2"
+/// resolve to the defense as it stands; "-dcache" and "+tier1" to the
+/// defense with the decode cache off, the engine oracle's reference run.
+struct RunConfig {
+    bool runnable = false;
+    core::Defense defense;
+};
+[[nodiscard]] RunConfig resolve_config(const std::string& name);
 
 /// Triage one divergence: re-run the deviating configuration with a
 /// profiler, symbolize the trap site and shadow stack, and derive the dedup
@@ -78,6 +97,9 @@ struct EvolveReport {
     /// curve is thinned to at most 32 evenly spaced points (last always
     /// included) so payloads stay bounded at any budget.
     [[nodiscard]] std::string to_json() const;
+    /// One "exec,cumulative" line per evaluation (CSV header included): the
+    /// full curve, which `swsec evolve --curve-out` writes.
+    [[nodiscard]] std::string curve_csv() const;
 };
 
 /// Run the evolutionary stage.  Deterministic: (opts.seed, init_programs,

@@ -12,10 +12,8 @@
 #include "cc/compiler.hpp"
 #include "common/error.hpp"
 #include "core/defense.hpp"
-#include "core/image_cache.hpp"
 #include "core/parallel.hpp"
 #include "os/process.hpp"
-#include "profile/profiler.hpp"
 
 namespace swsec::fuzz {
 
@@ -134,15 +132,23 @@ void add_dispatch(FuzzReport& stats, const vm::DispatchStats& d) {
 /// One execution of `image` under `profile` (profiler detached, `tracer`
 /// attached when given), counted into `stats` when given.  A traced run's
 /// instructions are the tracer's retired events; an untraced run's are its
-/// steps.
+/// steps.  With `coverage`, the tracer folds the run's text-relative edges
+/// into it.
 ObservedArch run(const std::shared_ptr<const objfmt::Image>& image,
                  const os::SecurityProfile& profile, std::uint64_t seed,
-                 std::uint64_t max_steps, FuzzReport* stats, trace::Tracer* tracer = nullptr) {
+                 std::uint64_t max_steps, FuzzReport* stats, trace::Tracer* tracer = nullptr,
+                 trace::CoverageBitmap* coverage = nullptr) {
     os::SecurityProfile p = profile;
     p.tracer = tracer;
     p.profiler = nullptr;
     os::Process proc(image, p, seed);
+    if (coverage != nullptr) {
+        tracer->set_coverage(coverage, proc.layout().text_base, proc.layout().text_size);
+    }
     const vm::RunResult r = proc.run(max_steps);
+    if (coverage != nullptr) {
+        tracer->set_coverage(nullptr);
+    }
     ObservedArch a;
     for (std::size_t i = 0; i < a.regs.size(); ++i) {
         a.regs[i] = proc.machine().reg(static_cast<isa::Reg>(i));
@@ -295,7 +301,8 @@ bool oracle_from_name(const std::string& name, Oracle& out) noexcept {
 }
 
 std::vector<Divergence> check_program(const std::string& source, std::uint64_t seed,
-                                      std::uint64_t max_steps, FuzzReport* stats) {
+                                      std::uint64_t max_steps, FuzzReport* stats,
+                                      trace::CoverageBitmap* coverage) {
     std::vector<Divergence> divs;
     const auto& defenses = core::standard_defenses();
     CompileMemo memo(source);
@@ -325,7 +332,8 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
     // the exact step count, the trap (kind/ip/addr/detail) and output.  The
     // two runs share one seed and one profile, so one layout, and any
     // difference is an engine bug (cache, fusion, page-change or budget
-    // handling), not ASLR.
+    // handling), not ASLR.  The baseline's traced tier-2 run also folds
+    // the program's edge coverage when `coverage` asks for it.
     Observed baseline;
     trace::Tracer on_trace(kTraceCapacity, trace::Tracer::kEvictionDigest);
     trace::Tracer off_trace(kTraceCapacity, trace::Tracer::kEvictionDigest);
@@ -340,8 +348,8 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
         }
         const bool checked = engine_checked(d);
         on_trace.clear();
-        const ObservedArch tier2 =
-            run(image, d.profile, seed, max_steps, stats, checked ? &on_trace : nullptr);
+        const ObservedArch tier2 = run(image, d.profile, seed, max_steps, stats,
+                                       checked ? &on_trace : nullptr, i == 0 ? coverage : nullptr);
         const Observed obs = tier2.behaviour();
         if (i == 0) {
             baseline = obs;
@@ -387,26 +395,25 @@ std::vector<Divergence> check_program(const std::string& source, std::uint64_t s
     return divs;
 }
 
-profile::CoverageBitmap program_coverage(const std::string& source, std::uint64_t seed,
-                                         std::uint64_t max_steps) {
-    profile::CoverageBitmap bmp;
-    const core::Defense baseline = core::Defense::none();
-    const auto image = core::cached_compile(source, baseline.copts);
-    profile::Profiler prof;
-    prof.set_sample_interval(0); // coverage only: no stack samples needed
-    os::SecurityProfile p = baseline.profile;
-    p.profiler = &prof;
-    os::Process proc(image, p, seed);
-    prof.set_coverage(&bmp, proc.layout().text_base, proc.layout().text_size);
-    (void)proc.run(max_steps);
+namespace {
+
+/// The edge coverage check_program folds for `source`, from one traced
+/// tier-2 run of its baseline: chunk prioritization needs the edges of
+/// each candidate subset, not the oracles.
+trace::CoverageBitmap program_coverage(const std::string& source, std::uint64_t seed,
+                                       std::uint64_t max_steps) {
+    trace::CoverageBitmap bmp;
+    const core::Defense& baseline = core::standard_defenses()[0];
+    const auto image =
+        std::make_shared<const objfmt::Image>(cc::compile_program({source}, baseline.copts));
+    trace::Tracer tracer(1); // coverage only: the ring's events are never read
+    (void)run(image, baseline.profile, seed, max_steps, nullptr, &tracer, &bmp);
     return bmp;
 }
 
-namespace {
-
 /// Bucket indices set in `seed_bmp` but not yet in `cumulative`.
-std::vector<std::uint32_t> fresh_buckets(const profile::CoverageBitmap& seed_bmp,
-                                         const profile::CoverageBitmap& cumulative) {
+std::vector<std::uint32_t> fresh_buckets(const trace::CoverageBitmap& seed_bmp,
+                                         const trace::CoverageBitmap& cumulative) {
     std::vector<std::uint32_t> out;
     const auto& sw = seed_bmp.words();
     const auto& cw = cumulative.words();
@@ -428,7 +435,7 @@ std::vector<std::size_t> prioritize_chunks(const GenProgram& prog, std::uint64_t
                                            std::uint64_t max_steps,
                                            const std::vector<std::uint32_t>& targets) {
     const auto hits_target = [&](const std::string& source) {
-        const profile::CoverageBitmap bmp = program_coverage(source, seed, max_steps);
+        const trace::CoverageBitmap bmp = program_coverage(source, seed, max_steps);
         for (const std::uint32_t b : targets) {
             if (bmp.test(b)) {
                 return true;
@@ -458,7 +465,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     struct SeedResult {
         std::vector<Divergence> divs;
         FuzzReport stats;
-        std::unique_ptr<profile::CoverageBitmap> bitmap;
+        std::unique_ptr<trace::CoverageBitmap> bitmap;
     };
     const auto n = static_cast<std::size_t>(opts.seeds < 0 ? 0 : opts.seeds);
     std::vector<SeedResult> results(n);
@@ -467,11 +474,10 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
         const std::uint64_t seed = opts.seed_base + i;
         const GenProgram prog = generate_program(seed);
         SeedResult& r = results[i];
-        r.divs = check_program(prog.render(), seed, opts.max_steps, &r.stats);
         if (opts.coverage) {
-            r.bitmap = std::make_unique<profile::CoverageBitmap>(
-                program_coverage(prog.render(), seed, opts.max_steps));
+            r.bitmap = std::make_unique<trace::CoverageBitmap>();
         }
+        r.divs = check_program(prog.render(), seed, opts.max_steps, &r.stats, r.bitmap.get());
         if (opts.minimize) {
             for (Divergence& d : r.divs) {
                 const Divergence target = d;
@@ -518,7 +524,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     // monotone by construction — is identical for any jobs value.
     if (opts.coverage) {
         report.coverage.enabled = true;
-        profile::CoverageBitmap cumulative;
+        trace::CoverageBitmap cumulative;
         for (std::size_t i = 0; i < n; ++i) {
             const std::uint64_t seed = opts.seed_base + i;
             const std::vector<std::uint32_t> fresh = fresh_buckets(*results[i].bitmap, cumulative);
@@ -596,7 +602,7 @@ std::string FuzzReport::summary() const {
                     " divergences=" + std::to_string(divergences.size()) + "\n";
     if (coverage.enabled) {
         s += "coverage: edges=" + std::to_string(coverage.total_edges) + "/" +
-             std::to_string(profile::CoverageBitmap::kBuckets) +
+             std::to_string(trace::CoverageBitmap::kBuckets) +
              " interesting-seeds=" + std::to_string(coverage.interesting.size()) + "\n";
         for (std::size_t i = 0; i < coverage.cumulative.size(); i += kCoverageBatch) {
             const std::size_t last = i + kCoverageBatch < coverage.cumulative.size()

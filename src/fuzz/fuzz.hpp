@@ -37,7 +37,6 @@
 
 #include "fuzz/generator.hpp"
 #include "profile/metrics.hpp"
-#include "profile/profiler.hpp"
 #include "trace/trace.hpp"
 
 namespace swsec::fuzz {
@@ -73,11 +72,11 @@ struct FuzzOptions {
     int jobs = 1;           // core/parallel workers; 0 = one per hardware thread
     bool minimize = false;  // greedily minimize each divergence's source
     std::uint64_t max_steps = 20'000'000; // per-run watchdog budget
-    /// Collect per-seed edge coverage (profiler bitmap over the baseline
-    /// run) and report the cumulative curve; seeds that light new edges are
-    /// chunk-prioritized into a corpus.  Per-seed bitmaps are computed in
-    /// the parallel phase, the cumulative merge runs serially in seed
-    /// order, so the curve is byte-identical for any jobs value.
+    /// Collect per-seed edge coverage (folded from check_program's traced
+    /// baseline run) and report the cumulative curve; seeds that light new
+    /// edges are chunk-prioritized into a corpus.  Per-seed bitmaps are
+    /// filled in the parallel phase, the cumulative merge runs serially in
+    /// seed order, so the curve is byte-identical for any jobs value.
     bool coverage = false;
 };
 
@@ -102,13 +101,6 @@ struct CoverageReport {
     /// included) — the full curve for plotting.
     [[nodiscard]] std::string curve_csv(std::uint64_t seed_base) const;
 };
-
-/// Edge-coverage bitmap of one program's baseline (undefended) run,
-/// windowed to the text segment so the bits are ASLR-draw-independent and
-/// exclude injected/stack code.  Deterministic given (source, seed).
-[[nodiscard]] profile::CoverageBitmap program_coverage(const std::string& source,
-                                                       std::uint64_t seed,
-                                                       std::uint64_t max_steps);
 
 struct FuzzReport {
     int programs = 0;
@@ -142,10 +134,15 @@ struct FuzzReport {
 };
 
 /// Run all three oracles against one program.  `stats` (optional)
-/// accumulates runs/const_checks/counters.  Deterministic.
+/// accumulates runs/const_checks/counters.  `coverage` (optional) receives
+/// the edges of the baseline (undefended) run, which the engine oracle
+/// traces anyway, windowed to the text segment so the bits are
+/// ASLR-draw-independent and exclude injected/stack code; it costs no run.
+/// Deterministic given (source, seed, max_steps).
 [[nodiscard]] std::vector<Divergence> check_program(const std::string& source, std::uint64_t seed,
                                                     std::uint64_t max_steps,
-                                                    FuzzReport* stats = nullptr);
+                                                    FuzzReport* stats = nullptr,
+                                                    trace::CoverageBitmap* coverage = nullptr);
 
 /// The seeded campaign: generate opts.seeds programs, check each, merge
 /// results in seed order (byte-identical for any jobs value).

@@ -10,7 +10,6 @@ Process::Process(std::shared_ptr<const objfmt::Image> image, const SecurityProfi
     machine_.options().memcheck = profile.memcheck;
     machine_.options().sanitize_address = profile.sanitize_address;
     machine_.options().decode_cache = profile.decode_cache;
-    machine_.options().fast_engine = profile.fast_engine;
 
     if (profile.fault_injector != nullptr) {
         machine_.set_fault_injector(profile.fault_injector);

@@ -40,14 +40,10 @@ struct SecurityProfile {
                                // CompilerOptions::sanitize_address so the
                                // image carries the compiled checks
     bool decode_cache = true;  // per-page predecode cache (perf only; the
-                               // regression tests flip this off to prove
-                               // trap-for-trap equivalence: every step is
-                               // then fetched through Machine::fetch)
-    bool fast_engine = true;   // the engine's unobserved loop with fused
-                               // superinstructions (perf only; off runs its
-                               // observed loop throughout, and the
-                               // engine-A/engine-B fuzz oracle flips it to
-                               // prove architectural equivalence)
+                               // fuzz engine oracle and the regression tests
+                               // flip this off to prove trap-for-trap
+                               // equivalence: every step then runs the
+                               // observed loop through Machine::fetch)
 
     /// The platform's fault environment (non-owning; may be null).  When
     /// set, the machine's step loop and the kernel's I/O syscalls probe

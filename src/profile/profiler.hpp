@@ -1,4 +1,4 @@
-// Exact PC / basic-block / edge profiler and AFL-style edge-coverage bitmap.
+// Exact PC / basic-block / edge profiler.
 //
 // The Profiler is attached to a vm::Machine through the same null-guarded,
 // non-owning pointer discipline as trace::Tracer and fault::FaultInjector:
@@ -15,60 +15,24 @@
 // time.  The interval counter is instruction-based, so samples are as
 // deterministic as the run itself.
 //
+// An attached profiler keeps the machine on the observed loop, so it serves
+// `swsec profile`, fuzz triage's shadow stack and BM_VmExecuteProfiled.  The
+// fuzzers' edge coverage does not come from here: the tracer folds it from
+// the traced baseline run the engine oracle already makes
+// (trace::Tracer::set_coverage), and tests/test_profile.cpp checks that
+// fold against this profiler's edge_counts().
+//
 // This header depends only on common/ so the VM can link it without pulling
 // in the object format; symbolization and report rendering live in
 // symbolize.hpp / report.hpp.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
 #include <vector>
 
 namespace swsec::profile {
-
-/// Fixed-size edge-coverage bitmap (2^16 buckets, AFL-style).  Buckets are a
-/// deterministic hash of the (from, to) edge, so the same run always lights
-/// the same bits; `merge_new` supports the fuzzer's cumulative coverage
-/// curve with an exact "newly covered" count.
-class CoverageBitmap {
-public:
-    static constexpr std::uint32_t kBuckets = 1u << 16;
-
-    [[nodiscard]] static std::uint32_t bucket(std::uint32_t from, std::uint32_t to) noexcept {
-        // Deterministic avalanche mix of both endpoints (splitmix-style).
-        std::uint32_t h = from * 0x9e3779b1u;
-        h ^= to + 0x7f4a7c15u + (h << 6) + (h >> 2);
-        h *= 0x85ebca6bu;
-        h ^= h >> 13;
-        return h & (kBuckets - 1);
-    }
-
-    void add(std::uint32_t from, std::uint32_t to) noexcept {
-        const std::uint32_t b = bucket(from, to);
-        words_[b >> 6] |= 1ull << (b & 63);
-    }
-
-    [[nodiscard]] bool test(std::uint32_t b) const noexcept {
-        return (words_[b >> 6] >> (b & 63)) & 1u;
-    }
-
-    /// Number of distinct covered buckets.
-    [[nodiscard]] std::uint32_t popcount() const noexcept;
-
-    /// OR `other` into this bitmap; returns how many buckets became newly set.
-    std::uint32_t merge_new(const CoverageBitmap& other) noexcept;
-
-    void clear() noexcept { words_.fill(0); }
-
-    [[nodiscard]] const std::array<std::uint64_t, kBuckets / 64>& words() const noexcept {
-        return words_;
-    }
-
-private:
-    std::array<std::uint64_t, kBuckets / 64> words_{};
-};
 
 /// One recorded call-stack sample: the shadow stack (function entry PCs,
 /// outermost first) with the sampled PC appended.
@@ -90,9 +54,6 @@ public:
     /// successor IP after execution.
     void on_edge(std::uint32_t from, std::uint32_t to) noexcept {
         ++edge_counts_[edge_key(from, to)];
-        if (coverage_ != nullptr && in_window(from) && in_window(to)) {
-            coverage_->add(from - window_base_, to - window_base_);
-        }
     }
 
     void on_call(std::uint32_t target) { shadow_stack_.push_back(target); }
@@ -107,18 +68,6 @@ public:
     /// Sample the shadow stack every `n` retired instructions (0 disables the
     /// sampler).  97 is prime so loops do not alias the sample grid.
     void set_sample_interval(std::uint64_t n) noexcept { sample_interval_ = n; }
-
-    /// Record coverage edges into `bmp` (non-owning; nullptr detaches).
-    /// Edges are recorded relative to `base` and only when both endpoints
-    /// fall inside [base, base+size): text-relative coverage is what makes
-    /// bitmaps comparable across ASLR draws, and it excludes stack-injected
-    /// shellcode, which is not program coverage.
-    void set_coverage(CoverageBitmap* bmp, std::uint32_t base = 0,
-                      std::uint32_t size = 0xffffffffu) noexcept {
-        coverage_ = bmp;
-        window_base_ = base;
-        window_size_ = size;
-    }
 
     void reset() noexcept {
         retired_ = 0;
@@ -157,10 +106,6 @@ public:
     }
 
 private:
-    [[nodiscard]] bool in_window(std::uint32_t pc) const noexcept {
-        return pc - window_base_ < window_size_;
-    }
-
     void take_sample(std::uint32_t pc) {
         StackSample s = shadow_stack_;
         s.push_back(pc);
@@ -173,10 +118,6 @@ private:
     std::unordered_map<std::uint64_t, std::uint64_t> edge_counts_;
     std::vector<std::uint32_t> shadow_stack_;
     std::map<StackSample, std::uint64_t> samples_;
-
-    CoverageBitmap* coverage_ = nullptr;
-    std::uint32_t window_base_ = 0;
-    std::uint32_t window_size_ = 0xffffffffu;
 };
 
 } // namespace swsec::profile

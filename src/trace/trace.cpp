@@ -1,5 +1,7 @@
 #include "trace/trace.hpp"
 
+#include <bit>
+
 #include "common/escape.hpp"
 #include "common/rng.hpp"
 
@@ -95,6 +97,24 @@ std::string Counters::summary() const {
     out += " dcache_hits=" + std::to_string(dcache_hits);
     out += " dcache_misses=" + std::to_string(dcache_misses);
     return out;
+}
+
+std::uint32_t CoverageBitmap::popcount() const noexcept {
+    std::uint32_t n = 0;
+    for (const std::uint64_t w : words_) {
+        n += static_cast<std::uint32_t>(std::popcount(w));
+    }
+    return n;
+}
+
+std::uint32_t CoverageBitmap::merge_new(const CoverageBitmap& other) noexcept {
+    std::uint32_t fresh = 0;
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+        const std::uint64_t added = other.words_[i] & ~words_[i];
+        fresh += static_cast<std::uint32_t>(std::popcount(added));
+        words_[i] |= other.words_[i];
+    }
+    return fresh;
 }
 
 Tracer::Tracer(std::size_t capacity, bool eviction_digest)

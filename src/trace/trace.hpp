@@ -24,11 +24,17 @@
 //    (run() picks the untraced instantiation); every other emission site
 //    is guarded by a null pointer check, one predictable branch — the
 //    disabled-tracer overhead budget is <= 5% on the attack-matrix bench.
+//  * A tracer can also fold the run's edges into a CoverageBitmap as the
+//    engine retires them (Tracer::set_coverage).  The fuzzers take their
+//    edge coverage from the traced baseline run the engine oracle already
+//    makes, so observing coverage costs no run of its own.  The fold is not
+//    an event: the stream and counters are the same with or without it.
 //  * trace depends only on common.  The VM, OS and harness layers all sit
 //    above it; trap kinds and syscall numbers are carried as raw codes with
 //    the emitting layer supplying the human-readable name in `detail`.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -117,6 +123,46 @@ struct Counters {
     [[nodiscard]] std::string summary() const;
 };
 
+/// Fixed-size edge-coverage bitmap (2^16 buckets, AFL-style).  Buckets are a
+/// deterministic hash of the (from, to) edge, so the same run always lights
+/// the same bits; `merge_new` supports the fuzzer's cumulative coverage
+/// curve with an exact "newly covered" count.
+class CoverageBitmap {
+public:
+    static constexpr std::uint32_t kBuckets = 1u << 16;
+
+    [[nodiscard]] static std::uint32_t bucket(std::uint32_t from, std::uint32_t to) noexcept {
+        // Deterministic avalanche mix of both endpoints (splitmix-style).
+        std::uint32_t h = from * 0x9e3779b1u;
+        h ^= to + 0x7f4a7c15u + (h << 6) + (h >> 2);
+        h *= 0x85ebca6bu;
+        h ^= h >> 13;
+        return h & (kBuckets - 1);
+    }
+
+    void add(std::uint32_t from, std::uint32_t to) noexcept {
+        const std::uint32_t b = bucket(from, to);
+        words_[b >> 6] |= 1ull << (b & 63);
+    }
+
+    [[nodiscard]] bool test(std::uint32_t b) const noexcept {
+        return (words_[b >> 6] >> (b & 63)) & 1u;
+    }
+
+    /// Number of distinct covered buckets.
+    [[nodiscard]] std::uint32_t popcount() const noexcept;
+
+    /// OR `other` into this bitmap; returns how many buckets became newly set.
+    std::uint32_t merge_new(const CoverageBitmap& other) noexcept;
+
+    [[nodiscard]] const std::array<std::uint64_t, kBuckets / 64>& words() const noexcept {
+        return words_;
+    }
+
+private:
+    std::array<std::uint64_t, kBuckets / 64> words_{};
+};
+
 /// Fixed-capacity ring buffer of TraceEvents plus Counters.  When the
 /// buffer is full the oldest event is dropped (and counted) — a long run
 /// keeps its tail, which is where the trap provenance lives.  The capacity
@@ -173,6 +219,28 @@ public:
     /// `n` decode-cache hits at once: the engine's tier 2 serves every
     /// instruction it retires from a built slot and credits them per exit.
     void count_dcache_hits(std::uint64_t n) noexcept { counters_.dcache_hits += n; }
+
+    /// Fold the run's edges into `bmp` (non-owning; nullptr detaches), each
+    /// relative to `base` and only when both endpoints fall inside [base,
+    /// base + size): text-relative edges are what make bitmaps comparable
+    /// across ASLR draws, and they exclude injected stack code, which is not
+    /// program coverage.  clear() keeps the attachment.
+    void set_coverage(CoverageBitmap* bmp, std::uint32_t base = 0,
+                      std::uint32_t size = 0) noexcept {
+        coverage_ = bmp;
+        window_base_ = base;
+        window_size_ = size;
+    }
+    /// A retired control transfer (jumps, calls, returns, indirect forms,
+    /// both outcomes of a jcc) to its architectural successor `to`: the
+    /// engine's edge hook, folded in as it retires, so the ring's capacity
+    /// does not limit coverage.
+    [[gnu::always_inline]] void edge(std::uint32_t from, std::uint32_t to) noexcept {
+        if (coverage_ != nullptr && from - window_base_ < window_size_ &&
+            to - window_base_ < window_size_) {
+            coverage_->add(from - window_base_, to - window_base_);
+        }
+    }
 
     [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
     /// Events in emission order (oldest first).
@@ -245,6 +313,9 @@ private:
     bool eviction_digest_ = false;
     std::uint64_t evicted_digest_ = 0;
     Counters counters_;
+    CoverageBitmap* coverage_ = nullptr;
+    std::uint32_t window_base_ = 0;
+    std::uint32_t window_size_ = 0;
 };
 
 /// Escape a string for embedding in a JSON value: the one escaper every

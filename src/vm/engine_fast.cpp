@@ -454,30 +454,38 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
 
 // --- Retirement.  The observed and traced loops report every retired
 // instruction to the tracer (numbered with the step it retires in, written
-// into its ring slot in place), and the observed loop to the profiler too
-// (`edge` marks control transfers, both outcomes of a jcc included).
-#define SWSEC_OBSERVE_RETIRE(pc, to, edge)                                                         \
+// into its ring slot in place), and the observed loop to the profiler too.
+// `is_edge` marks control transfers, both outcomes of a jcc included: both
+// loops hand them to the tracer's coverage fold, and the observed loop to
+// the profiler.
+#define SWSEC_OBSERVE_RETIRE(pc, to, is_edge)                                                      \
     do {                                                                                           \
         if constexpr (kTraced) {                                                                   \
             tracer->retire(steps, pc, module, op->opcode);                                         \
+            if (is_edge) {                                                                         \
+                tracer->edge(pc, to);                                                              \
+            }                                                                                      \
         }                                                                                          \
         if constexpr (kObserved) {                                                                 \
             if (tracer != nullptr) {                                                               \
                 tracer->retire(steps, pc, m.current_module_, op->opcode);                          \
+                if (is_edge) {                                                                     \
+                    tracer->edge(pc, to);                                                          \
+                }                                                                                  \
             }                                                                                      \
             if (profiler != nullptr) {                                                             \
                 profiler->on_retire(pc);                                                           \
-                if (edge) {                                                                        \
+                if (is_edge) {                                                                     \
                     profiler->on_edge(pc, to);                                                     \
                 }                                                                                  \
             }                                                                                      \
         }                                                                                          \
     } while (0)
 
-#define SWSEC_RETIRE(to_expr, edge, resume)                                                        \
+#define SWSEC_RETIRE(to_expr, is_edge, resume)                                                     \
     do {                                                                                           \
         const std::uint32_t to_ = (to_expr);                                                       \
-        SWSEC_OBSERVE_RETIRE(ip, to_, edge);                                                       \
+        SWSEC_OBSERVE_RETIRE(ip, to_, is_edge);                                                    \
         ip = to_;                                                                                  \
         ++steps;                                                                                   \
         goto resume;                                                                               \
@@ -513,7 +521,8 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
 // The traced loop writes the head's insn event as soon as the head's
 // effect is done (SWSEC_HEAD_RETIRED), so a trapping second component
 // records it before its trap event, and the second's on retirement of the
-// pair, at step + 1 and the second's own address, naming `second_opcode`.
+// pair, at step + 1 and the second's own address, naming `second_opcode`
+// (and, when `is_edge` marks the second as a jcc, its edge).
 #define SWSEC_HEAD_RETIRED()                                                                       \
     do {                                                                                           \
         if constexpr (kTraced) {                                                                   \
@@ -521,12 +530,16 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         }                                                                                          \
     } while (0)
 
-#define SWSEC_FUSED_RETIRE(second_opcode, to, resume)                                              \
+#define SWSEC_FUSED_RETIRE(second_opcode, to, is_edge, resume)                                     \
     do {                                                                                           \
+        const std::uint32_t to_ = (to);                                                            \
         if constexpr (kTraced) {                                                                   \
             tracer->retire(steps + 1, ip + op->len, module, (second_opcode));                      \
+            if (is_edge) {                                                                         \
+                tracer->edge(ip + op->len, to_);                                                   \
+            }                                                                                      \
         }                                                                                          \
-        ip = (to);                                                                                 \
+        ip = to_;                                                                                  \
         steps += 2;                                                                                \
         ++stats.superinsns_retired;                                                                \
         goto resume;                                                                               \
@@ -947,7 +960,7 @@ dispatch_op:
             SWSEC_FUSED_RETIRE(
                 kJccOpcode[op->c],
                 cond_holds(op->c, fz, flt, fb) ? static_cast<std::uint32_t>(op->imm2) : op->next,
-                loop_head);
+                true, loop_head);
         }
         SWSEC_FUSED(FusedCmpIJcc, CmpI) {
             SWSEC_CMP(regs[op->a], SWSEC_IMM_U);
@@ -955,7 +968,7 @@ dispatch_op:
             SWSEC_FUSED_RETIRE(
                 kJccOpcode[op->c],
                 cond_holds(op->c, fz, flt, fb) ? static_cast<std::uint32_t>(op->imm2) : op->next,
-                loop_head);
+                true, loop_head);
         }
         SWSEC_FUSED(FusedLoadPush, Load) {
             // The push reads its source *after* the load wrote a (usually
@@ -963,13 +976,14 @@ dispatch_op:
             SWSEC_LOAD(regs[op->a], regs[op->b] + SWSEC_IMM_U, 1, ip);
             SWSEC_HEAD_RETIRED();
             SWSEC_PUSH(regs[op->c], 2, ip + op->len);
-            SWSEC_FUSED_RETIRE(static_cast<std::uint8_t>(isa::Op::Push), op->next, store_check);
+            SWSEC_FUSED_RETIRE(static_cast<std::uint8_t>(isa::Op::Push), op->next, false,
+                               store_check);
         }
         SWSEC_FUSED(FusedMovIPop, MovI) {
             regs[op->a] = SWSEC_IMM_U; // before the pop: movi sp, i; pop r
             SWSEC_HEAD_RETIRED();
             SWSEC_POP(regs[op->c], 2, ip + op->len);
-            SWSEC_FUSED_RETIRE(static_cast<std::uint8_t>(isa::Op::Pop), op->next, loop_head);
+            SWSEC_FUSED_RETIRE(static_cast<std::uint8_t>(isa::Op::Pop), op->next, false, loop_head);
         }
 #if !SWSEC_THREADED_DISPATCH
     default: // FastHandler::Count is never stored

@@ -8,8 +8,8 @@
 //
 //  * run<Policy::Unobserved>, the unobserved loop ("tier 2"), runs
 //    whenever nothing but a tracer could observe it: no profiler or fault
-//    plan attached, no protected modules installed, decode cache and
-//    fast_engine on, not pure-capability.  It retires each fused pair
+//    plan attached, no protected modules installed, decode cache on, not
+//    pure-capability.  It retires each fused pair
 //    built by DecodeCache::build_fast (cmp+jcc, cmpi+jcc, load+push,
 //    movi+pop) in one dispatch, and hands anything it does not own back to
 //    Machine::run().
@@ -18,7 +18,8 @@
 //    retirement, one per component of a fused pair (the head's between
 //    the two components), and credits its decode-cache hits to the
 //    tracer's counters once per exit, so its trace and counters equal the
-//    observed loop's.
+//    observed loop's.  It also hands every retired control transfer to
+//    the tracer's coverage fold, the jcc of a fused cmp+jcc included.
 //  * run<Policy::Observed>, the observed loop ("tier 1"), runs everywhere
 //    else, and is what Machine::step() runs for one instruction.  It adds
 //    the per-instruction fault probe, the PMA fetch and data checks,

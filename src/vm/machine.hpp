@@ -17,9 +17,11 @@
 //
 // run() executes through the engine of vm/engine_fast.hpp: tier 2, the
 // fused loop, whenever no profiler, fault plan or protected module could
-// tell it from the observed loop (with an attached tracer it runs its
-// traced instantiation, whose events and counters equal the observed
-// loop's), and the observed loop otherwise.
+// tell it from the observed loop and the decode cache is on (with an
+// attached tracer it runs its traced instantiation, whose events and
+// counters equal the observed loop's), and the observed loop otherwise.
+// There is no switch that selects the observed loop by itself: tests that
+// want it with the decode cache on attach an empty fault::FaultInjector.
 #pragma once
 
 #include <array>
@@ -70,14 +72,9 @@ struct MachineOptions {
     bool pure_capability = false;     // pure-cap mode: plain memory ops trap
                                       // (integers can never act as pointers)
     bool decode_cache = true;         // per-page predecode cache (perf only:
-                                      // trap-for-trap identical when off)
-    bool fast_engine = true;          // tier 2, the engine loop with fused
-                                      // superinstructions (perf only: off runs
-                                      // the observed loop throughout, the
-                                      // engine-A/B oracle's second side;
-                                      // never used while a profiler or fault
-                                      // plan is attached, traced while a
-                                      // tracer is)
+                                      // trap-for-trap identical when off, when
+                                      // the observed loop fetches every
+                                      // instruction through Machine::fetch)
 };
 
 /// Dispatch statistics of tier 2, the fused loop, traced or not (exported
@@ -287,7 +284,7 @@ private:
     /// only when nothing observable distinguishes it from the observed loop.
     /// An attached tracer does not: tier 2 then runs traced.
     [[nodiscard]] bool fast_eligible() const noexcept {
-        return opts_.fast_engine && opts_.decode_cache && !opts_.pure_capability &&
+        return opts_.decode_cache && !opts_.pure_capability &&
                profiler_ == nullptr && faults_ == nullptr && modules_.empty();
     }
 

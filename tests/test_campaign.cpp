@@ -24,6 +24,7 @@
 #include "core/campaign/campaign.hpp"
 #include "core/campaign/spec.hpp"
 #include "core/campaign/wal.hpp"
+#include "core/image_cache.hpp"
 
 namespace {
 
@@ -703,6 +704,17 @@ TEST(CampaignFuzzEvolve, InterruptedRunResumesByteIdentical) {
     EXPECT_EQ(slurp(cut + "/summary.txt"), slurp(ref + "/summary.txt"));
     std::filesystem::remove_all(ref);
     std::filesystem::remove_all(cut);
+}
+
+// An island evaluates generated programs only, and none of them reaches
+// the machine-wide image cache, which holds scenario images only.
+TEST(CampaignFuzzEvolve, IslandsLeaveTheImageCacheAlone) {
+    const std::string dir = scratch("evolve_cache");
+    const std::size_t before = core::image_cache_size();
+    const Report r = run_campaign(small_evolve_spec(2), dir, fast_opts());
+    EXPECT_TRUE(r.complete());
+    EXPECT_EQ(core::image_cache_size(), before);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

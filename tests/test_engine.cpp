@@ -57,13 +57,20 @@ constexpr std::uint32_t kCode = 0x1000;
 constexpr std::uint32_t kStackTop = 0xff00;
 
 struct Runner {
+    swsec::fault::FaultInjector no_faults; // an empty plan: never fires
     Machine m;
 
-    explicit Runner(MachineOptions opts = {}) : m(opts) {
+    /// `observed` attaches the empty fault plan, which keeps the machine on
+    /// the observed loop (decode cache on) without changing what it does:
+    /// the engine-A/B reference.
+    explicit Runner(MachineOptions opts = {}, bool observed = false) : m(opts) {
         m.memory().map(kCode, 0x1000, Perm::RWX); // writable code: SMC tests
         m.memory().map(0xf000, 0x1000, Perm::RW); // stack
         m.set_ip(kCode);
         m.set_sp(kStackTop);
+        if (observed) {
+            m.set_fault_injector(&no_faults);
+        }
     }
 
     RunResult run(const Encoder& e, std::uint64_t max_steps = 10000) {
@@ -207,15 +214,13 @@ struct Tier2Run {
 };
 
 /// Run the same encoder on tier 2 (the default machine) and on the observed
-/// loop throughout (fast_engine = false) and require identical architectural
-/// results.  With `traced`, each machine carries a tracer, and the JSONL and
-/// every Counters field must match too.
+/// loop throughout (an empty fault plan attached) and require identical
+/// architectural results.  With `traced`, each machine carries a tracer,
+/// and the JSONL and every Counters field must match too.
 Tier2Run expect_ab_identical(const Encoder& e, std::uint64_t max_steps = 10000,
                              bool traced = false) {
-    MachineOptions slow;
-    slow.fast_engine = false;
     Runner a;
-    Runner b(slow);
+    Runner b({}, true);
     swsec::trace::Tracer ta;
     swsec::trace::Tracer tb;
     if (traced) {
@@ -284,7 +289,6 @@ TEST(TierSelection, ProfilerFaultsAndOptionsForceTier1) {
     swsec::fault::FaultInjector faults{swsec::fault::FaultPlan{}}; // empty plan still counts
     EXPECT_EQ(tier2_entries_with([&](Machine& m) { m.set_profiler(&profiler); }), 0u);
     EXPECT_EQ(tier2_entries_with([&](Machine& m) { m.set_fault_injector(&faults); }), 0u);
-    EXPECT_EQ(tier2_entries_with([](Machine& m) { m.options().fast_engine = false; }), 0u);
     EXPECT_EQ(tier2_entries_with([](Machine& m) { m.options().decode_cache = false; }), 0u);
 }
 
@@ -299,10 +303,8 @@ TEST(TierSelection, SanitizeAddressStaysOnTier2) {
     // contract end-to-end through compiled images).
     MachineOptions fast;
     fast.sanitize_address = true;
-    MachineOptions slow = fast;
-    slow.fast_engine = false;
     Runner a(fast);
-    Runner b(slow);
+    Runner b(fast, true);
     const Encoder e = mixed_program();
     const auto ra = a.run(e);
     const auto rb = b.run(e);
@@ -577,10 +579,8 @@ TEST(EngineAB, ShadowStackAndCfiReplicatedInTier2) {
 
     MachineOptions fast;
     fast.hardware_shadow_stack = true;
-    MachineOptions slow = fast;
-    slow.fast_engine = false;
     Runner a(fast);
-    Runner b(slow);
+    Runner b(fast, true);
     const auto ra = a.run(e);
     const auto rb = b.run(e);
     EXPECT_EQ(ra.trap.kind, TrapKind::ShadowStackViolation);
@@ -596,10 +596,8 @@ TEST(EngineAB, ShadowStackAndCfiReplicatedInTier2) {
     j.reg(Op::JmpR, Reg::R0);
     MachineOptions cfast;
     cfast.coarse_cfi = true;
-    MachineOptions cslow = cfast;
-    cslow.fast_engine = false;
     Runner ca(cfast);
-    Runner cb(cslow);
+    Runner cb(cfast, true);
     const auto rca = ca.run(j);
     const auto rcb = cb.run(j);
     EXPECT_EQ(rca.trap.kind, TrapKind::CfiViolation);
@@ -624,11 +622,8 @@ TEST(Deopt, WatchdogExpiryInsideFusedSuperinstruction) {
     e.none(Op::Halt);
 
     for (const std::uint64_t budget : {1u, 2u, 3u, 4u, 5u, 7u}) {
-        MachineOptions fast;
-        MachineOptions slow;
-        slow.fast_engine = false;
-        Runner a(fast);
-        Runner b(slow);
+        Runner a;
+        Runner b({}, true);
         const auto ra = a.run(e, budget);
         const auto rb = b.run(e, budget);
         EXPECT_EQ(ra.trap.kind, TrapKind::OutOfGas) << "budget=" << budget;
@@ -722,9 +717,7 @@ TEST(Deopt, TracerAttachBetweenSlicesTracesTheRest) {
     EXPECT_GT(tracer.counters().instructions, 0u) << "resumed slice must be traced";
     EXPECT_GT(a.m.dispatch_stats().tier2_entries, tier2_before) << "slice 2 must enter tier 2";
 
-    MachineOptions slow;
-    slow.fast_engine = false;
-    Runner b(slow);
+    Runner b({}, true);
     swsec::trace::Tracer reference;
     b.m.set_tracer(&reference);
     const auto rb = b.run(e);
@@ -839,8 +832,7 @@ TEST(DemandZero, UntouchedPageReadsZeroUnderBothTiersAndStoreMaterialises) {
     e.none(Op::Halt);
     for (const bool fast : {true, false}) {
         SCOPED_TRACE(fast ? "tier 2" : "tier 1");
-        Runner r;
-        r.m.options().fast_engine = fast;
+        Runner r({}, !fast);
         Memory& mem = r.m.memory();
         mem.map(0x8000, 0x2000, Perm::RW);
         mem.raw_write(kCode, e.bytes());

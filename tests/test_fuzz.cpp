@@ -2,12 +2,15 @@
 // cleanliness, minimizer idempotence, repro round-trips, serial-vs-parallel
 // report identity, the satellite bugfix regressions (constant folding,
 // malloc overflow, image-cache key drift), corpus replay, and the committed
-// fuzz report, metrics and coverage curve.
+// fuzz report, metrics and coverage curve; then the evolutionary stage,
+// triage's config resolver, the image cache's scope and the committed
+// evolve report.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -93,6 +96,8 @@ TEST(FuzzOracles, CompileErrorIsReportedOncePerDefense) {
 // defenses), then per engine-checked defense one traced decode-cache-off
 // run, the observed-loop reference: 14 in all.  The instruction counter is
 // the sum over exactly those runs (a traced run counts its retired events).
+// Edge coverage is folded from the baseline's traced run, so asking for it
+// adds no run.
 TEST(FuzzOracles, EachConfigurationRunsOnce) {
     constexpr std::uint64_t kSeed = 3;
     constexpr std::uint64_t kBudget = 20'000'000;
@@ -107,7 +112,8 @@ TEST(FuzzOracles, EachConfigurationRunsOnce) {
     std::uint64_t expected = 0;
     std::size_t checked = 0;
     for (const core::Defense& d : core::standard_defenses()) {
-        const auto image = core::cached_compile(source, d.copts);
+        const auto image =
+            std::make_shared<const objfmt::Image>(cc::compile_program({source}, d.copts));
         if (d.name != "none" && d.name != "all-mitigations" && d.name != "sanitize") {
             os::Process p(image, d.profile, kSeed);
             expected += p.run(kBudget).steps;
@@ -126,6 +132,13 @@ TEST(FuzzOracles, EachConfigurationRunsOnce) {
     }
     EXPECT_EQ(checked, 3u);
     EXPECT_EQ(stats.counters.instructions, expected);
+
+    fuzz::FuzzReport with_coverage;
+    trace::CoverageBitmap bitmap;
+    ASSERT_TRUE(fuzz::check_program(source, kSeed, kBudget, &with_coverage, &bitmap).empty());
+    EXPECT_EQ(with_coverage.runs, 14u);
+    EXPECT_EQ(with_coverage.counters.instructions, expected);
+    EXPECT_GT(bitmap.popcount(), 0u);
 }
 
 // ---- minimizer ----------------------------------------------------------
@@ -382,45 +395,17 @@ TEST(ImageCacheKey, DistinctOptionSetsNeverCollide) {
     EXPECT_EQ(static_cast<int>(keys.size()), combos);
 }
 
-// ---- image-cache LRU bound ----------------------------------------------
-
-TEST(ImageCacheLru, CapacityBoundsGrowthAndCountsEvictions) {
-    core::clear_image_cache();
-    const std::size_t prev = core::set_image_cache_capacity(3);
-    for (int i = 0; i < 5; ++i) {
-        const std::string src =
-            "int main() { return " + std::to_string(i) + "; }";
-        (void)core::cached_compile(src, cc::CompilerOptions{});
-    }
-    EXPECT_EQ(core::image_cache_size(), 3u);
-    EXPECT_EQ(core::image_cache_evictions(), 2u);
-    // The most recent insert is resident: re-asking is a hit, not a compile.
-    const std::uint64_t hits_before = core::image_cache_hits();
-    (void)core::cached_compile("int main() { return 4; }", cc::CompilerOptions{});
-    EXPECT_EQ(core::image_cache_hits(), hits_before + 1);
-    // An evicted source recompiles (deterministically) and re-enters within
-    // the cap, evicting the now-coldest entry.
-    (void)core::cached_compile("int main() { return 0; }", cc::CompilerOptions{});
-    EXPECT_EQ(core::image_cache_size(), 3u);
-    EXPECT_EQ(core::image_cache_evictions(), 3u);
-    core::set_image_cache_capacity(prev);
-    core::clear_image_cache();
-}
-
-TEST(ImageCacheLru, HitRefreshesRecency) {
-    core::clear_image_cache();
-    const std::size_t prev = core::set_image_cache_capacity(2);
-    const auto a = core::cached_compile("int main() { return 10; }", cc::CompilerOptions{});
-    (void)core::cached_compile("int main() { return 11; }", cc::CompilerOptions{});
-    // Touch A so B becomes the LRU entry, then insert C: B must be evicted.
-    (void)core::cached_compile("int main() { return 10; }", cc::CompilerOptions{});
-    (void)core::cached_compile("int main() { return 12; }", cc::CompilerOptions{});
-    const std::uint64_t hits_before = core::image_cache_hits();
-    const auto a2 = core::cached_compile("int main() { return 10; }", cc::CompilerOptions{});
-    EXPECT_EQ(core::image_cache_hits(), hits_before + 1); // A survived
-    EXPECT_EQ(a.get(), a2.get());                         // same shared image
-    core::set_image_cache_capacity(prev);
-    core::clear_image_cache();
+// A repeated (source, options) lookup is a counted hit on the one shared
+// image, and adds no entry.
+TEST(ImageCacheScope, RepeatLookupIsAHitOnTheSameImage) {
+    const std::string src = "int main() { return 10; }";
+    const auto a = core::cached_compile(src, cc::CompilerOptions{});
+    const std::size_t size = core::image_cache_size();
+    const std::uint64_t hits = core::image_cache_hits();
+    const auto b = core::cached_compile(src, cc::CompilerOptions{});
+    EXPECT_EQ(core::image_cache_hits(), hits + 1);
+    EXPECT_EQ(core::image_cache_size(), size);
+    EXPECT_EQ(a.get(), b.get());
 }
 
 // ---- committed corpus ---------------------------------------------------
@@ -598,6 +583,101 @@ TEST(Triage, UnrunnableConfigStillYieldsAStableKey) {
     const fuzz::TriageResult t = fuzz::triage_divergence(d, 20'000'000);
     EXPECT_EQ(t.trap, "unrunnable");
     EXPECT_EQ(t.key, fuzz::triage_divergence(d, 20'000'000).key);
+}
+
+// Triage re-runs the configuration check_program ran: an engine pair's
+// "+dcache"/"+tier2" side is the defense as it stands, its
+// "-dcache"/"+tier1" side the reference run with the decode cache off.
+TEST(Triage, ConfigNamesResolveToTheRunTheOracleMade) {
+    for (const core::Defense& d : core::standard_defenses()) {
+        SCOPED_TRACE(d.name);
+        for (const auto& [suffix, decode_cache] :
+             std::vector<std::pair<std::string, bool>>{
+                 {"", true}, {"+dcache", true}, {"+tier2", true},
+                 {"-dcache", false}, {"+tier1", false}}) {
+            SCOPED_TRACE(suffix);
+            const fuzz::RunConfig rc = fuzz::resolve_config(d.name + suffix);
+            ASSERT_TRUE(rc.runnable);
+            EXPECT_EQ(rc.defense.name, d.name);
+            EXPECT_EQ(cc::compiler_options_key(rc.defense.copts),
+                      cc::compiler_options_key(d.copts));
+            const os::SecurityProfile& p = rc.defense.profile;
+            EXPECT_EQ(p.dep, d.profile.dep);
+            EXPECT_EQ(p.aslr, d.profile.aslr);
+            EXPECT_EQ(p.shadow_stack, d.profile.shadow_stack);
+            EXPECT_EQ(p.coarse_cfi, d.profile.coarse_cfi);
+            EXPECT_EQ(p.memcheck, d.profile.memcheck);
+            EXPECT_EQ(p.sanitize_address, d.profile.sanitize_address);
+            EXPECT_EQ(p.decode_cache, decode_cache);
+        }
+    }
+    // The ConstFold probe lives in the baseline run.
+    for (const char* name : {"fold", "runtime"}) {
+        const fuzz::RunConfig rc = fuzz::resolve_config(name);
+        ASSERT_TRUE(rc.runnable) << name;
+        EXPECT_EQ(rc.defense.name, core::standard_defenses()[0].name);
+        EXPECT_TRUE(rc.defense.profile.decode_cache);
+    }
+    for (const char* name : {"<compile>", "no-such-defense", "none+tier3", "+tier1"}) {
+        EXPECT_FALSE(fuzz::resolve_config(name).runnable) << name;
+    }
+}
+
+// Generated programs never reach the machine-wide image cache: the oracles
+// compile each one through their per-program memo, and chunk
+// prioritization and triage compile theirs directly.  The cache holds
+// scenario images only.
+TEST(ImageCacheScope, FuzzEvolveAndTriageLeaveTheCacheAlone) {
+    const std::size_t before = core::image_cache_size();
+    fuzz::FuzzOptions fo;
+    fo.seeds = 12;
+    fo.coverage = true; // every seed, and chunk prioritization of the new ones
+    const fuzz::FuzzReport fr = fuzz::run_fuzz(fo);
+    EXPECT_FALSE(fr.coverage.interesting.empty());
+    EXPECT_EQ(core::image_cache_size(), before) << "run_fuzz --coverage";
+    (void)fuzz::run_evolve(small_evolve(2));
+    EXPECT_EQ(core::image_cache_size(), before) << "run_evolve";
+    fuzz::Divergence d; // a program neither run above compiled
+    d.seed = 97;
+    d.oracle = fuzz::Oracle::Engine;
+    d.config_a = "none+tier2";
+    d.config_b = "none+tier1";
+    d.source = fuzz::generate_program(97).render();
+    EXPECT_EQ(fuzz::triage_divergence(d, 20'000'000).trap, "exit/none");
+    EXPECT_EQ(core::image_cache_size(), before) << "triage_divergence";
+}
+
+// The three artifacts of CI's `swsec evolve --seed 2 --init 8 --execs 120`
+// (the summary, the --json-out report and the --curve-out CSV) pinned byte
+// for byte against tests/golden/evolve/: the determinism diffs in CI
+// compare a build with itself, so a change that moves the schedule, the
+// coverage or a count on both sides would go unseen without them.  After
+// an intended change, regenerate them with
+//   SWSEC_EVOLVE_GOLDEN_OUT=<dir> ./build/tests/test_fuzz --gtest_filter='EvolveGolden.*'
+// and review the diff.
+TEST(EvolveGolden, SummaryReportAndCurveMatchCommitted) {
+    fuzz::EvolveOptions opts;
+    opts.seed = 2;
+    opts.init_programs = 8;
+    opts.execs = 120;
+    opts.jobs = 2; // the report is byte-identical for any jobs value
+    const fuzz::EvolveReport report = fuzz::run_evolve(opts);
+    const std::vector<std::pair<std::string, std::string>> artifacts = {
+        {"summary.txt", report.summary()},
+        {"report.json", report.to_json() + "\n"},
+        {"curve.csv", report.curve_csv()},
+    };
+    if (const char* out = std::getenv("SWSEC_EVOLVE_GOLDEN_OUT")) {
+        for (const auto& [name, text] : artifacts) {
+            std::ofstream(std::filesystem::path(out) / name, std::ios::binary) << text;
+        }
+        GTEST_SKIP() << "wrote " << artifacts.size() << " evolve goldens to " << out;
+    }
+    const std::filesystem::path dir = SWSEC_EVOLVE_GOLDEN_DIR;
+    for (const auto& [name, text] : artifacts) {
+        ASSERT_TRUE(std::filesystem::exists(dir / name)) << "missing " << dir / name;
+        EXPECT_EQ(text, read_file(dir / name)) << name;
+    }
 }
 
 // ---- Monte-Carlo probabilistic defense curves ---------------------------

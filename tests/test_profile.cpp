@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "assembler/assembler.hpp"
 #include "assembler/linker.hpp"
@@ -484,7 +486,7 @@ TEST(Metrics, PrometheusIdenticalSerialVsJobsOnMatrixRun) {
 // --- coverage bitmaps --------------------------------------------------------
 
 TEST(Coverage, BitmapBasics) {
-    profile::CoverageBitmap bmp;
+    trace::CoverageBitmap bmp;
     EXPECT_EQ(bmp.popcount(), 0u);
     bmp.add(0x10, 0x20);
     bmp.add(0x10, 0x20); // same edge: same bucket
@@ -492,7 +494,7 @@ TEST(Coverage, BitmapBasics) {
     bmp.add(0x30, 0x40);
     EXPECT_EQ(bmp.popcount(), 2u);
 
-    profile::CoverageBitmap other;
+    trace::CoverageBitmap other;
     other.add(0x10, 0x20);
     other.add(0x50, 0x60);
     EXPECT_EQ(bmp.merge_new(other), 1u); // only the new edge counts
@@ -500,11 +502,56 @@ TEST(Coverage, BitmapBasics) {
 }
 
 TEST(Coverage, PerSeedBitmapIsDeterministic) {
-    const fuzz::GenProgram prog = fuzz::generate_program(42);
-    const auto a = fuzz::program_coverage(prog.render(), 42, 20'000'000);
-    const auto b = fuzz::program_coverage(prog.render(), 42, 20'000'000);
+    const std::string source = fuzz::generate_program(42).render();
+    trace::CoverageBitmap a;
+    trace::CoverageBitmap b;
+    ASSERT_TRUE(fuzz::check_program(source, 42, 20'000'000, nullptr, &a).empty());
+    ASSERT_TRUE(fuzz::check_program(source, 42, 20'000'000, nullptr, &b).empty());
     EXPECT_GT(a.popcount(), 0u);
     EXPECT_EQ(a.words(), b.words());
+}
+
+// The bitmap check_program folds from its traced tier-2 baseline run equals
+// one built from an independent reference: a Profiler on the observed loop
+// over the same image and seed, whose edge_counts() are folded over the
+// same text window.  Seed 143's baseline retires more instructions than
+// the oracle's 8 192-slot trace ring holds, so its edges must be folded as
+// they retire, not read back from the ring.
+TEST(Coverage, CheckProgramBitmapEqualsProfilerEdges) {
+    std::vector<std::uint64_t> seeds;
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        seeds.push_back(seed);
+    }
+    seeds.push_back(143);
+    const core::Defense& baseline = core::standard_defenses()[0];
+    for (const std::uint64_t seed : seeds) {
+        SCOPED_TRACE(seed);
+        const std::string source = fuzz::generate_program(seed).render();
+        trace::CoverageBitmap folded;
+        ASSERT_TRUE(fuzz::check_program(source, seed, 20'000'000, nullptr, &folded).empty());
+
+        profile::Profiler prof;
+        prof.set_sample_interval(0);
+        os::SecurityProfile p = baseline.profile;
+        p.profiler = &prof;
+        os::Process proc(cc::compile_program({source}, baseline.copts), p, seed);
+        (void)proc.run(20'000'000);
+        const std::uint32_t base = proc.layout().text_base;
+        const std::uint32_t size = proc.layout().text_size;
+        trace::CoverageBitmap reference;
+        for (const auto& [key, count] : prof.edge_counts()) {
+            const std::uint32_t from = profile::Profiler::edge_from(key) - base;
+            const std::uint32_t to = profile::Profiler::edge_to(key) - base;
+            if (from < size && to < size) {
+                reference.add(from, to);
+            }
+        }
+        if (seed == 143) {
+            EXPECT_GT(prof.retired(), 8192u) << "seed 143 no longer overflows the ring";
+        }
+        EXPECT_GT(reference.popcount(), 0u);
+        EXPECT_EQ(folded.words(), reference.words());
+    }
 }
 
 TEST(Coverage, CurveMonotoneAndJobsInvariant) {

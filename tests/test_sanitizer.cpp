@@ -284,7 +284,8 @@ TEST(Sanitizer, SanitizedImageRunsOnTier2WithIdenticalBehaviour) {
     // The compiled checks are ordinary instructions: the fast engine must
     // keep executing sanitized images (no silent demotion) AND agree with
     // tier 1 on output and trap — both for a benign run and for a run that
-    // trips a shadow check.
+    // trips a shadow check.  An empty fault plan keeps the tier-1 side on
+    // the observed loop with the decode cache on; it never fires.
     const std::string benign = R"(
         int main() {
           int acc = 0;
@@ -307,7 +308,8 @@ TEST(Sanitizer, SanitizedImageRunsOnTier2WithIdenticalBehaviour) {
         const auto img = cc::compile_program({src}, asan_copts());
         SecurityProfile fast = asan_profile();
         SecurityProfile slow = asan_profile();
-        slow.fast_engine = false;
+        fault::FaultInjector no_faults;
+        slow.fault_injector = &no_faults;
         Process a(img, fast, 13);
         Process b(img, slow, 13);
         const auto ra = a.run();

@@ -153,14 +153,20 @@ TEST(DemandZero, RangeWrappingPast4GiBIsRejected) {
 // --- Machine semantics ---------------------------------------------------------
 
 struct Runner {
+    swsec::fault::FaultInjector no_faults; // an empty plan: never fires
     Machine m;
 
-    explicit Runner(MachineOptions opts = {}) : m(opts) {
+    /// `observed` attaches the empty fault plan, which keeps the machine on
+    /// the observed loop (decode cache on) without changing what it does.
+    explicit Runner(MachineOptions opts = {}, bool observed = false) : m(opts) {
         m.memory().map(0x1000, 0x1000, Perm::RX);
         m.memory().map(0x8000, 0x1000, Perm::RW); // data
         m.memory().map(0xf000, 0x1000, Perm::RW); // stack
         m.set_ip(0x1000);
         m.set_sp(0xff00);
+        if (observed) {
+            m.set_fault_injector(&no_faults);
+        }
     }
 
     RunResult run(const Encoder& e, std::uint64_t max_steps = 10000) {
@@ -173,23 +179,22 @@ struct Runner {
 };
 
 /// The three ways a machine executes a program: the default (the unobserved
-/// loop, decode cache on), the observed loop throughout (fast_engine off),
-/// and the observed loop fetching every instruction through Machine::fetch
-/// (decode cache off).  Both loops share one set of handler bodies, so the
+/// loop, decode cache on), the observed loop throughout (an empty fault
+/// plan attached), and the observed loop fetching every instruction through
+/// Machine::fetch (decode cache off).  Both loops share one set of handler bodies, so the
 /// A/B and cache on/off oracles compare a handler with itself; these
 /// absolute expectations, asserted under each configuration, are what
 /// catch a wrong opcode.
 struct EngineConfig {
     const char* name;
     MachineOptions opts;
+    bool observed = false;
 };
 
 std::vector<EngineConfig> engine_configs(MachineOptions base = {}) {
-    MachineOptions observed = base;
-    observed.fast_engine = false;
     MachineOptions uncached = base;
     uncached.decode_cache = false;
-    return {{"default", base}, {"fast_engine=false", observed}, {"decode_cache=false", uncached}};
+    return {{"default", base}, {"observed", base, true}, {"decode_cache=false", uncached}};
 }
 
 TEST(Machine, ArithmeticAndFlags) {
@@ -201,7 +206,7 @@ TEST(Machine, ArithmeticAndFlags) {
     e.none(Op::Halt);
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         const auto res = r.run(e);
         EXPECT_EQ(res.trap.kind, TrapKind::Halted);
         EXPECT_EQ(r.m.reg(Reg::R0), 42u);
@@ -216,7 +221,7 @@ TEST(Machine, SignedDivisionAndRemainder) {
     e.none(Op::Halt);
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         (void)r.run(e);
         EXPECT_EQ(static_cast<std::int32_t>(r.m.reg(Reg::R0)), -2);
     }
@@ -229,7 +234,7 @@ TEST(Machine, DivideByZeroTraps) {
     e.reg_reg(Op::Divs, Reg::R0, Reg::R1);
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         EXPECT_EQ(r.run(e).trap.kind, TrapKind::DivByZero);
     }
 }
@@ -248,7 +253,7 @@ TEST(Machine, ConditionalBranches) {
     e.patch_rel32(jl, target);
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         (void)r.run(e);
         EXPECT_EQ(r.m.reg(Reg::R0), 1u);
     }
@@ -268,7 +273,7 @@ TEST(Machine, UnsignedVsSignedComparison) {
     e.patch_rel32(jb, wrong);
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         (void)r.run(e);
         EXPECT_EQ(r.m.reg(Reg::R0), 42u);
     }
@@ -287,7 +292,7 @@ TEST(Machine, CallRetAndLeave) {
     e.patch_rel32(call, fn);
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         const auto res = r.run(e);
         EXPECT_EQ(res.trap.kind, TrapKind::Halted);
         EXPECT_EQ(r.m.reg(Reg::R0), 99u);
@@ -304,7 +309,7 @@ TEST(Machine, LoadStoreByteAndWord) {
     e.none(Op::Halt);
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         (void)r.run(e);
         EXPECT_EQ(r.m.reg(Reg::R2), 0x33u);
         EXPECT_EQ(r.m.memory().raw_read32(0x8000), 0x11223344u);
@@ -319,7 +324,7 @@ TEST(Machine, DepBlocksFetchFromData) {
     opts.enforce_nx = true;
     for (const EngineConfig& c : engine_configs(opts)) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         r.m.memory().raw_write8(0x8000, 0x90);
         const auto res = r.run(e);
         EXPECT_EQ(res.trap.kind, TrapKind::SegvExec);
@@ -335,7 +340,7 @@ TEST(Machine, WithoutDepDataExecutes) {
     data.none(Op::Halt);
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         r.m.memory().protect(0x8000, 0x1000, Perm::RWX);
         r.m.memory().raw_write(0x8000, data.bytes());
         const auto res = r.run(code);
@@ -362,13 +367,13 @@ TEST(Machine, ShadowStackCatchesReturnHijack) {
     opts.hardware_shadow_stack = true;
     for (const EngineConfig& c : engine_configs(opts)) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         EXPECT_EQ(r.run(e).trap.kind, TrapKind::ShadowStackViolation);
     }
     // Without the shadow stack the hijack sails through to the target.
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r2(c.opts);
+        Runner r2(c.opts, c.observed);
         EXPECT_EQ(r2.run(e).trap.kind, TrapKind::Halted);
         EXPECT_EQ(r2.m.reg(Reg::R0), 2u);
     }
@@ -383,11 +388,11 @@ TEST(Machine, CoarseCfiChecksIndirectTargets) {
     opts.coarse_cfi = true;
     for (const EngineConfig& c : engine_configs(opts)) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         r.m.set_cfi_targets({0x1000}); // 0x1040 not approved
         EXPECT_EQ(r.run(e).trap.kind, TrapKind::CfiViolation);
 
-        Runner r2(c.opts);
+        Runner r2(c.opts, c.observed);
         r2.m.set_cfi_targets({0x1000, 0x1040});
         r2.m.memory().protect(0x1000, 0x1000, Perm::RW);
         r2.m.memory().raw_write8(0x1040, 0x00); // halt at the target
@@ -402,7 +407,7 @@ TEST(Machine, OutOfGas) {
     e.patch_rel32(j, 0); // jmp self
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         const auto res = r.run(e, 100);
         EXPECT_EQ(res.trap.kind, TrapKind::OutOfGas);
         EXPECT_EQ(res.steps, 100u);
@@ -423,7 +428,7 @@ TEST(Machine, OutOfGasReportsCurrentIpMidProgram) {
     e.none(Op::Nop);
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         const auto res = r.run(e, 2);
         EXPECT_EQ(res.trap.kind, TrapKind::OutOfGas);
         EXPECT_EQ(res.steps, 2u);
@@ -441,7 +446,7 @@ TEST(Machine, RunBudgetIsPerCall) {
     e.patch_rel32(j, 0); // jmp self
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         EXPECT_EQ(r.run(e, 5).trap.kind, TrapKind::OutOfGas);
         EXPECT_EQ(r.m.steps_executed(), 5u);
 
@@ -461,7 +466,7 @@ TEST(Machine, RunBudgetSaturatesNearUint64Max) {
     e.none(Op::Halt);
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         (void)r.run(e, 10); // halts after 1 step; odometer now nonzero
         r.m.clear_trap();
         r.m.set_ip(0x1000);
@@ -476,7 +481,7 @@ TEST(Machine, InvalidOpcodeTraps) {
     e.raw(junk);
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         EXPECT_EQ(r.run(e).trap.kind, TrapKind::InvalidInstruction);
     }
 }
@@ -525,7 +530,7 @@ TEST(Machine, FetchAtPageBoundariesTrapsExactly) {
         opts.enforce_nx = k.nx;
         for (const EngineConfig& c : engine_configs(opts)) {
             SCOPED_TRACE(c.name);
-            Runner r(c.opts);
+            Runner r(c.opts, c.observed);
             if (k.extra_page != 0) {
                 r.m.memory().map(k.extra_page, 0x1000, k.extra_perms);
             }
@@ -544,7 +549,7 @@ TEST(Machine, FetchAtPageBoundariesTrapsExactly) {
     const std::vector<std::uint8_t> wrapped_movi = {static_cast<std::uint8_t>(Op::MovI), 0, 7};
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts);
+        Runner r(c.opts, c.observed);
         r.m.memory().map(0xfffff000, 0x1000, Perm::RX);
         r.m.memory().map(0, 0x1000, Perm::RX);
         // movi r0, 7: the immediate's upper three bytes are page 0's zeros.
@@ -565,7 +570,7 @@ TEST(Machine, UnhandledSyscallTraps) {
     e.imm8(Op::Sys, 99);
     for (const EngineConfig& c : engine_configs()) {
         SCOPED_TRACE(c.name);
-        Runner r(c.opts); // no syscall handler attached
+        Runner r(c.opts, c.observed); // no syscall handler attached
         EXPECT_EQ(r.run(e).trap.kind, TrapKind::BadSyscall);
     }
 }

@@ -600,11 +600,7 @@ int cmd_evolve(int argc, char** argv) {
         write_out(json_out, report.to_json() + "\n");
     }
     if (!curve_out.empty()) {
-        std::string csv = "exec,cumulative\n";
-        for (std::size_t i = 0; i < report.curve.size(); ++i) {
-            csv += std::to_string(i) + "," + std::to_string(report.curve[i]) + "\n";
-        }
-        write_out(curve_out, csv);
+        write_out(curve_out, report.curve_csv());
     }
     write_metrics(metrics_out, "", [&] { return fuzz::evolve_metrics(report); });
     if (!report.crashes.empty()) {
