@@ -1,7 +1,8 @@
 // Experiment CM-EXPLOIT: the attack/defense matrix (the paper's central
-// qualitative "table"), plus the end-to-end cost of mounting each attack,
-// the --jobs scaling of the parallel sweep engine, and the decode-cache
-// speedup on raw VM execution.
+// qualitative "table"), plus the end-to-end cost of mounting each attack
+// and the VM microbenchmarks: the decode-cache speedup on raw execution and
+// the sanitizer's instrumentation tax.  The whole matrix's cells/s is the
+// harness benchmark's `matrix` workload (harnessbench/).
 #include <benchmark/benchmark.h>
 
 #include "cc/compiler.hpp"
@@ -29,23 +30,6 @@ void BM_Attack(benchmark::State& state) {
 }
 BENCHMARK(BM_Attack)->ArgsProduct(
     {{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, {0, 1, 2}});
-
-// Arg = --jobs.  The parallel result is cell-for-cell identical to serial,
-// so the jobs variants measure pure engine scaling.
-void BM_FullMatrix(benchmark::State& state) {
-    const int jobs = static_cast<int>(state.range(0));
-    std::uint64_t cells = 0;
-    for (auto _ : state) {
-        const auto m = run_matrix(1001, 2002, jobs);
-        cells += m.size();
-        benchmark::DoNotOptimize(m);
-    }
-    state.counters["cells_per_sec"] =
-        benchmark::Counter(static_cast<double>(cells), benchmark::Counter::kIsRate);
-}
-// UseRealTime so the cells_per_sec rate divides by wall clock, not the main
-// thread's CPU time (which undercounts once workers carry the load).
-BENCHMARK(BM_FullMatrix)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Raw VM execution with the per-page decode cache on vs off (arg 1/0):
 // one compile, many runs of a compute-bound workload, so the decode loop

@@ -1,22 +1,19 @@
 // Experiment CAMPAIGN: cost of crash safety.  The campaign engine wraps
-// every cell in a write-ahead-log append (CRC + fsync policy) and runs the
-// lattice through the work-stealing scheduler, so the questions are (1)
-// what the WAL itself costs per record, (2) what durability overhead a
-// campaign pays over the bare harness, and (3) how cell throughput scales
-// with workers and fsync cadence.
+// every cell in a write-ahead-log append (CRC + fsync policy); these
+// microbenchmarks price that record: its framing alone, and its append to a
+// real log at either fsync cadence.  End-to-end campaign cells/s (2
+// workers, WAL, merge, then a resume) is the harness benchmark's `campaign`
+// workload (harnessbench/).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
 
-#include "core/campaign/campaign.hpp"
 #include "core/campaign/wal.hpp"
-#include "core/image_cache.hpp"
 
 namespace {
 
-using namespace swsec;
 using namespace swsec::campaign;
 
 std::string bench_dir(const std::string& tag) {
@@ -71,54 +68,10 @@ void BM_WalAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_WalAppend)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// An end-to-end fuzz campaign (fresh directory every iteration): cells/sec
-// including manifest, WAL appends, fsync and the final atomic merge.
-// Arg = jobs; cells are handed to the work-stealing scheduler at grain 1.
-void BM_FuzzCampaign(benchmark::State& state) {
-    Spec spec;
-    spec.kind = Kind::Fuzz;
-    spec.seeds = 32;
-    Options opts;
-    opts.jobs = static_cast<int>(state.range(0));
-    const std::string dir = bench_dir("fuzz_j" + std::to_string(opts.jobs));
-    std::uint64_t cells = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        std::filesystem::remove_all(dir);
-        core::clear_image_cache(); // pay compilation honestly each iteration
-        state.ResumeTiming();
-        const Report rep = run_campaign(spec, dir, opts);
-        benchmark::DoNotOptimize(rep.complete());
-        cells += rep.cells_run;
-    }
-    state.counters["cells_per_sec"] =
-        benchmark::Counter(static_cast<double>(cells), benchmark::Counter::kIsRate);
-    std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_FuzzCampaign)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// Resume cost on an already-complete campaign: read + verify the WAL,
-// discover nothing to do, rewrite the merge artifacts.  This is the fixed
-// tax every `campaign resume` pays before any cell runs.
-void BM_ResumeNoWork(benchmark::State& state) {
-    Spec spec;
-    spec.kind = Kind::Fuzz;
-    spec.seeds = 32;
-    const std::string dir = bench_dir("resume");
-    (void)run_campaign(spec, dir, Options{});
-    for (auto _ : state) {
-        const Report rep = resume_campaign(dir, Options{});
-        benchmark::DoNotOptimize(rep.complete());
-    }
-    std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_ResumeNoWork)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int main(int argc, char** argv) {
-    std::printf("Campaign engine: WAL framing cost, fsync cadence, and end-to-end\n");
-    std::printf("crash-safe cell throughput vs the work-stealing scheduler's jobs.\n\n");
+    std::printf("Campaign engine: WAL framing cost and fsync cadence.\n\n");
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

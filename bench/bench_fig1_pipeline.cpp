@@ -1,7 +1,8 @@
 // Experiment FIG1: the source-to-machine-code pipeline of Fig. 1.
 //
 // Measures every stage (lex, parse, compile, assemble, link, load) and the
-// machine's execution rate on the Fig. 1 server and a recursive workload.
+// whole pipeline on the Fig. 1 server.  The machine's execution rate is
+// bench_attack_matrix's BM_VmExecute.
 #include <benchmark/benchmark.h>
 
 #include "assembler/assembler.hpp"
@@ -81,24 +82,6 @@ void BM_FullPipeline(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_FullPipeline);
-
-void BM_ExecuteFib(benchmark::State& state) {
-    const auto img = cc::compile_program({R"(
-        int fib(int n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }
-        int main() { return fib(18); }
-    )"},
-                                         cc::CompilerOptions::none());
-    std::uint64_t steps = 0;
-    for (auto _ : state) {
-        os::Process p(img, os::SecurityProfile::none(), 1);
-        const auto r = p.run(100'000'000);
-        steps += r.steps;
-        benchmark::DoNotOptimize(r.trap.code);
-    }
-    state.counters["insns_per_s"] =
-        benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ExecuteFib);
 
 void BM_Fig1SnapshotReport(benchmark::State& state) {
     for (auto _ : state) {

@@ -8,9 +8,7 @@
 # Required -D vars: BENCH_DIR (binary dir), BENCH_NAMES (comma-separated),
 # OUTPUT (aggregate path).  Optional: MIN_TIME (per-benchmark seconds,
 # default 0.05 — enough for stable medians on these millisecond-scale
-# benches without CI-hostile runtimes); OUTPUT_COPY (second path for the
-# aggregate — bench-all points it at <repo>/BENCH_PR<N>.json so each PR can
-# commit its snapshot and the repo accumulates a performance trajectory).
+# benches without CI-hostile runtimes).
 cmake_minimum_required(VERSION 3.19) # string(JSON)
 
 if(NOT DEFINED MIN_TIME)
@@ -39,12 +37,7 @@ foreach(name IN LISTS bench_list)
 endforeach()
 
 # Write-temp-then-rename so a cancelled bench run never leaves a torn
-# aggregate where a committed snapshot should be.
+# aggregate behind.
 file(WRITE "${OUTPUT}.tmp" "${agg}")
 file(RENAME "${OUTPUT}.tmp" "${OUTPUT}")
 message(STATUS "bench-all: wrote ${OUTPUT}")
-if(DEFINED OUTPUT_COPY AND NOT OUTPUT_COPY STREQUAL "")
-  file(WRITE "${OUTPUT_COPY}.tmp" "${agg}")
-  file(RENAME "${OUTPUT_COPY}.tmp" "${OUTPUT_COPY}")
-  message(STATUS "bench-all: wrote ${OUTPUT_COPY}")
-endif()

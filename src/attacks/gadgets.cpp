@@ -100,16 +100,6 @@ std::optional<std::uint32_t> GadgetScanner::find_sys_ret(std::uint8_t sysno) con
     return std::nullopt;
 }
 
-std::optional<std::uint32_t> GadgetScanner::find_store_ret(isa::Reg base, isa::Reg src) const {
-    for (const auto& g : gadgets_) {
-        if (g.insns.size() == 1 && g.insns[0].op == Op::Store && g.insns[0].r1 == base &&
-            g.insns[0].r2 == src && g.insns[0].imm == 0) {
-            return g.addr;
-        }
-    }
-    return std::nullopt;
-}
-
 std::optional<std::uint32_t> GadgetScanner::find_ret() const {
     for (const auto& g : gadgets_) {
         if (g.insns.empty()) {

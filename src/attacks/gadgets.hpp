@@ -39,9 +39,6 @@ public:
     /// Address of a "sys <n>; ret" gadget (syscall primitive).
     [[nodiscard]] std::optional<std::uint32_t> find_sys_ret(std::uint8_t sysno) const;
 
-    /// Address of a "store [rA+0], rB; ret" write-what-where gadget.
-    [[nodiscard]] std::optional<std::uint32_t> find_store_ret(isa::Reg base, isa::Reg src) const;
-
     /// Address of a bare "ret" (stack-shift / alignment gadget).
     [[nodiscard]] std::optional<std::uint32_t> find_ret() const;
 

@@ -18,18 +18,6 @@ std::vector<std::uint8_t> sc_exit(std::int32_t code) {
     return e.take();
 }
 
-std::vector<std::uint8_t> sc_write_exit(int fd, std::uint32_t msg_addr, std::uint32_t len,
-                                        std::int32_t code) {
-    Encoder e;
-    e.reg_imm32(Op::MovI, Reg::R0, fd);
-    e.reg_imm32(Op::MovI, Reg::R1, static_cast<std::int32_t>(msg_addr));
-    e.reg_imm32(Op::MovI, Reg::R2, static_cast<std::int32_t>(len));
-    e.imm8(Op::Sys, sys_num(Sys::Write));
-    e.reg_imm32(Op::MovI, Reg::R0, code);
-    e.imm8(Op::Sys, sys_num(Sys::Exit));
-    return e.take();
-}
-
 std::vector<std::uint8_t> sc_print_exit(int fd, const std::string& msg, std::uint32_t self_addr,
                                         std::int32_t code) {
     // Layout: [code][message bytes].  The code references the message at

@@ -12,11 +12,6 @@ namespace swsec::attacks {
 /// exit(code) — 8 bytes; the minimal proof of arbitrary code execution.
 [[nodiscard]] std::vector<std::uint8_t> sc_exit(std::int32_t code);
 
-/// write(fd, msg_addr, len); exit(code) — leak `len` bytes at an absolute
-/// address (e.g. a key in the data segment) to the attacker's channel.
-[[nodiscard]] std::vector<std::uint8_t> sc_write_exit(int fd, std::uint32_t msg_addr,
-                                                      std::uint32_t len, std::int32_t code);
-
 /// Message-carrying shellcode: writes an embedded string to `fd`, then
 /// exits.  `self_addr` is the address the shellcode will run from (needed to
 /// reference the embedded bytes absolutely).

@@ -142,7 +142,7 @@ std::string run_fuzz_cell(const Spec& spec, std::uint64_t cell) {
     const fuzz::GenProgram prog = fuzz::generate_program(seed);
     fuzz::FuzzReport stats;
     const std::vector<fuzz::Divergence> divs =
-        fuzz::check_program(prog.render(), seed, 20'000'000, &stats);
+        fuzz::check_program(prog.render(), seed, fuzz::kMaxSteps, &stats);
     std::string out = "{\"seed\":" + std::to_string(seed);
     out += ",\"runs\":" + std::to_string(stats.runs);
     out += ",\"const_checks\":" + std::to_string(stats.const_checks);

@@ -186,7 +186,7 @@ EvolveReport run_evolve(const EvolveOptions& opts) {
         core::parallel_for(cands.size(), opts.jobs, [&](std::size_t i) {
             const std::string source = cands[i].model.render().render();
             EvalResult& r = results[i];
-            r.divs = check_program(source, cands[i].eval_seed, opts.max_steps, &r.stats, &r.bitmap);
+            r.divs = check_program(source, cands[i].eval_seed, kMaxSteps, &r.stats, &r.bitmap);
         });
 
         // ---- merge serially in slot order (jobs-independent) --------------
@@ -202,7 +202,7 @@ EvolveReport run_evolve(const EvolveOptions& opts) {
             }
             report.divergences_total += r.divs.size();
             for (Divergence& d : r.divs) {
-                const TriageResult t = triage_divergence(d, opts.max_steps);
+                const TriageResult t = triage_divergence(d, kMaxSteps);
                 const auto it = crash_index.find(t.key);
                 if (it == crash_index.end()) {
                     crash_index.emplace(t.key, report.crashes.size());

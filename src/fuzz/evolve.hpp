@@ -44,7 +44,6 @@ struct EvolveOptions {
     int execs = 256;               // total program-evaluation budget (includes round 0)
     int batch = 32;                // children bred per round
     int jobs = 1;                  // core/parallel workers; 0 = hardware threads
-    std::uint64_t max_steps = 20'000'000; // per-run watchdog budget
     std::size_t max_corpus = 256;  // corpus admission cap
 };
 
@@ -103,8 +102,8 @@ struct EvolveReport {
 };
 
 /// Run the evolutionary stage.  Deterministic: (opts.seed, init_programs,
-/// execs, batch, max_steps, max_corpus) fully determine the report; jobs
-/// only changes wall-clock time.
+/// execs, batch, max_corpus) fully determine the report; jobs only changes
+/// wall-clock time.
 [[nodiscard]] EvolveReport run_evolve(const EvolveOptions& opts);
 
 /// swsec-metrics-v1 export of an evolve report: execution, round, run,

@@ -400,14 +400,13 @@ namespace {
 /// The edge coverage check_program folds for `source`, from one traced
 /// tier-2 run of its baseline: chunk prioritization needs the edges of
 /// each candidate subset, not the oracles.
-trace::CoverageBitmap program_coverage(const std::string& source, std::uint64_t seed,
-                                       std::uint64_t max_steps) {
+trace::CoverageBitmap program_coverage(const std::string& source, std::uint64_t seed) {
     trace::CoverageBitmap bmp;
     const core::Defense& baseline = core::standard_defenses()[0];
     const auto image =
         std::make_shared<const objfmt::Image>(cc::compile_program({source}, baseline.copts));
     trace::Tracer tracer(1); // coverage only: the ring's events are never read
-    (void)run(image, baseline.profile, seed, max_steps, nullptr, &tracer, &bmp);
+    (void)run(image, baseline.profile, seed, kMaxSteps, nullptr, &tracer, &bmp);
     return bmp;
 }
 
@@ -432,10 +431,9 @@ std::vector<std::uint32_t> fresh_buckets(const trace::CoverageBitmap& seed_bmp,
 /// least one of `targets` covered, returning the indices that survive —
 /// the part of the program that actually reaches the new edges.
 std::vector<std::size_t> prioritize_chunks(const GenProgram& prog, std::uint64_t seed,
-                                           std::uint64_t max_steps,
                                            const std::vector<std::uint32_t>& targets) {
     const auto hits_target = [&](const std::string& source) {
-        const trace::CoverageBitmap bmp = program_coverage(source, seed, max_steps);
+        const trace::CoverageBitmap bmp = program_coverage(source, seed);
         for (const std::uint32_t b : targets) {
             if (bmp.test(b)) {
                 return true;
@@ -477,14 +475,14 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
         if (opts.coverage) {
             r.bitmap = std::make_unique<trace::CoverageBitmap>();
         }
-        r.divs = check_program(prog.render(), seed, opts.max_steps, &r.stats, r.bitmap.get());
+        r.divs = check_program(prog.render(), seed, kMaxSteps, &r.stats, r.bitmap.get());
         if (opts.minimize) {
             for (Divergence& d : r.divs) {
                 const Divergence target = d;
                 std::uint64_t rounds = 0;
                 const GenProgram small = minimize(prog, [&](const std::string& candidate) {
                     for (const Divergence& x :
-                         check_program(candidate, seed, opts.max_steps, nullptr)) {
+                         check_program(candidate, seed, kMaxSteps, nullptr)) {
                         if (x.oracle == target.oracle && x.config_a == target.config_a &&
                             x.config_b == target.config_b) {
                             return true;
@@ -535,7 +533,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
                 CoverageReport::InterestingSeed is;
                 is.seed = seed;
                 is.new_buckets = grew;
-                is.chunks = prioritize_chunks(generate_program(seed), seed, opts.max_steps, fresh);
+                is.chunks = prioritize_chunks(generate_program(seed), seed, fresh);
                 report.coverage.interesting.push_back(std::move(is));
             }
         }

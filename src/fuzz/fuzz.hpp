@@ -66,12 +66,14 @@ struct Divergence {
     bool operator==(const Divergence&) const = default;
 };
 
+/// The watchdog budget of every fuzz, evolve and fuzz-campaign run.
+inline constexpr std::uint64_t kMaxSteps = 20'000'000;
+
 struct FuzzOptions {
     std::uint64_t seed_base = 1; // seeds are seed_base .. seed_base + seeds - 1
     int seeds = 100;
     int jobs = 1;           // core/parallel workers; 0 = one per hardware thread
     bool minimize = false;  // greedily minimize each divergence's source
-    std::uint64_t max_steps = 20'000'000; // per-run watchdog budget
     /// Collect per-seed edge coverage (folded from check_program's traced
     /// baseline run) and report the cumulative curve; seeds that light new
     /// edges are chunk-prioritized into a corpus.  Per-seed bitmaps are
@@ -175,7 +177,7 @@ struct FuzzReport {
 /// Replay each record's source through check_program; returns the
 /// divergences observed *now* (empty means every recorded bug stays fixed).
 [[nodiscard]] std::vector<Divergence> replay_repros(const std::vector<Divergence>& records,
-                                                    std::uint64_t max_steps = 20'000'000,
+                                                    std::uint64_t max_steps = kMaxSteps,
                                                     FuzzReport* stats = nullptr);
 
 } // namespace swsec::fuzz

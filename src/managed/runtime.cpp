@@ -18,15 +18,6 @@ int ManagedRuntime::add_method(Method m) {
     return static_cast<int>(methods_.size()) - 1;
 }
 
-int ManagedRuntime::method_index(const std::string& name) const {
-    for (std::size_t i = 0; i < methods_.size(); ++i) {
-        if (methods_[i].name == name) {
-            return static_cast<int>(i);
-        }
-    }
-    throw ManagedError("unknown method '" + name + "'");
-}
-
 std::int32_t ManagedRuntime::new_object(int class_index,
                                         std::span<const std::int32_t> field_values) {
     if (class_index < 0 || class_index >= static_cast<int>(classes_.size())) {

@@ -93,7 +93,6 @@ class ManagedRuntime {
 public:
     int add_class(Class cls);
     int add_method(Method m);
-    [[nodiscard]] int method_index(const std::string& name) const;
 
     /// Allocate an object at "privileged" (setup) level, bypassing access
     /// control — how a constructor would initialise private state.

@@ -114,7 +114,6 @@ public:
     /// Everything the program has written to `fd` so far.
     [[nodiscard]] const std::vector<std::uint8_t>& output(int fd);
     [[nodiscard]] std::string output_string(int fd);
-    void clear_io() { channels_.clear(); }
 
     bool handle_syscall(vm::Machine& m, std::uint8_t number) override;
 

@@ -321,15 +321,4 @@ std::string Registry::to_prometheus(bool include_volatile) const {
     return out;
 }
 
-void Registry::clear() {
-    std::scoped_lock lk(mu_);
-    metrics_.clear();
-    help_.clear();
-}
-
-Registry& Registry::global() {
-    static Registry r;
-    return r;
-}
-
 } // namespace swsec::profile

@@ -107,12 +107,6 @@ public:
     /// series plus `_sum`/`_count`.  Volatile metrics appear only when asked.
     [[nodiscard]] std::string to_prometheus(bool include_volatile = false) const;
 
-    void clear();
-
-    /// The process-wide registry (e.g. for the image cache, which is itself
-    /// process-global).
-    static Registry& global();
-
 private:
     enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
     struct Metric {

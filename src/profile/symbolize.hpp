@@ -37,10 +37,6 @@ public:
     /// Enclosing function name, or "" when the PC is outside any function.
     [[nodiscard]] std::string function_at(std::uint32_t pc) const;
 
-    [[nodiscard]] std::uint32_t text_base() const noexcept { return text_base_; }
-    [[nodiscard]] std::uint32_t text_size() const noexcept { return text_size_; }
-    [[nodiscard]] const objfmt::Image& image() const noexcept { return *image_; }
-
 private:
     const objfmt::Image* image_;
     std::uint32_t text_base_;

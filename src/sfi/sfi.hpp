@@ -34,9 +34,6 @@ struct SandboxPolicy {
     [[nodiscard]] std::uint32_t offset_mask() const noexcept {
         return (1u << data_bits) - 1;
     }
-    [[nodiscard]] bool in_sandbox(std::uint32_t addr) const noexcept {
-        return (addr & ~offset_mask()) == data_base;
-    }
 };
 
 /// Rewrite module assembly so every store (and, per policy, load) is

@@ -28,7 +28,6 @@ std::int32_t word_at(const Blob& b, std::size_t i) {
 PinVault::PinVault(StateProtocol& proto, std::int32_t pin, std::int32_t secret)
     : proto_(proto), pin_(pin), secret_(secret) {
     const LoadResult r = proto_.load();
-    boot_status_ = r.status;
     switch (r.status) {
     case LoadStatus::Ok:
         pin_ = word_at(r.state, 0);

@@ -17,9 +17,9 @@ public:
     static constexpr int kMaxTries = 3;
 
     /// Boot the vault: recover state through `proto`, or initialise fresh
-    /// state with the given PIN and secret on first boot.  `boot_status`
-    /// records what load() reported — a Rollback result leaves the vault
-    /// refusing service (tamper-evident halt).
+    /// state with the given PIN and secret on first boot.  A Rollback
+    /// result from load() leaves the vault refusing service (tamper-evident
+    /// halt).
     PinVault(StateProtocol& proto, std::int32_t pin, std::int32_t secret);
 
     /// One authentication attempt; persists the updated state.
@@ -28,7 +28,6 @@ public:
 
     [[nodiscard]] int tries_left() const noexcept { return tries_left_; }
     [[nodiscard]] bool serving() const noexcept { return serving_; }
-    [[nodiscard]] LoadStatus boot_status() const noexcept { return boot_status_; }
 
 private:
     void persist();
@@ -38,7 +37,6 @@ private:
     std::int32_t secret_;
     int tries_left_ = kMaxTries;
     bool serving_ = true;
-    LoadStatus boot_status_ = LoadStatus::Empty;
 };
 
 } // namespace swsec::statecont

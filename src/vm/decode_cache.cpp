@@ -285,10 +285,4 @@ void DecodeCache::build_fast(const FastPageRef& ref, std::uint32_t off) {
     ++fused_built_;
 }
 
-void DecodeCache::clear() noexcept {
-    pages_.clear();
-    mru_index_ = 0xffffffff;
-    mru_ = nullptr;
-}
-
 } // namespace swsec::vm

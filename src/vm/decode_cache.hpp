@@ -148,10 +148,6 @@ static_assert(sizeof(FastOp) == 20, "FastOp is the page array's element: keep it
 
 class DecodeCache {
 public:
-    /// Drop every cached page (the generation check makes this unnecessary
-    /// for correctness; exposed for tests and memory pressure).
-    void clear() noexcept;
-
     /// Handle to one page's fast-op array, generation-synced at creation.
     /// `ops` stays valid until the page is unmapped (impossible from inside
     /// the dispatch loop: only syscalls and the host unmap, and both exit

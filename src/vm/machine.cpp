@@ -32,17 +32,6 @@ int Machine::module_containing(std::uint32_t addr) const noexcept {
     return kNoModule;
 }
 
-void Machine::reset() {
-    regs_.fill(0);
-    ip_ = 0;
-    flags_ = Flags{};
-    trap_ = Trap{};
-    shadow_stack_.clear();
-    current_module_ = kNoModule;
-    in_kernel_ = false;
-    steps_ = 0;
-}
-
 trace::CheckOrigin Machine::default_origin(TrapKind kind) const noexcept {
     switch (kind) {
     case TrapKind::SegvExec:
@@ -179,22 +168,6 @@ bool Machine::store8(std::uint32_t addr, std::uint8_t v) {
 // PMA hardware does (with "outside every module" semantics).
 // ---------------------------------------------------------------------------
 
-bool Machine::kernel_read8(std::uint32_t addr, std::uint8_t& out) const noexcept {
-    if (module_containing(addr) != kNoModule) {
-        if (tracer_ != nullptr) {
-            tracer_->record({trace::EventKind::MemFault, steps_, ip_, module_containing(addr),
-                             true, trace::CheckOrigin::Pma, 0, addr, 1,
-                             "pma denied kernel read"});
-        }
-        return false;
-    }
-    if (!mem_.is_mapped(addr)) {
-        return false;
-    }
-    out = mem_.read8(addr);
-    return true;
-}
-
 bool Machine::kernel_read32(std::uint32_t addr, std::uint32_t& out) const noexcept {
     if (!kernel_word_allowed(addr)) {
         if (tracer_ != nullptr && module_containing(addr) != kNoModule) {
@@ -205,22 +178,6 @@ bool Machine::kernel_read32(std::uint32_t addr, std::uint32_t& out) const noexce
         return false;
     }
     out = mem_.read32(addr);
-    return true;
-}
-
-bool Machine::kernel_write8(std::uint32_t addr, std::uint8_t v) {
-    if (module_containing(addr) != kNoModule) {
-        if (tracer_ != nullptr) {
-            tracer_->record({trace::EventKind::MemFault, steps_, ip_, module_containing(addr),
-                             true, trace::CheckOrigin::Pma, 0, addr, 1,
-                             "pma denied kernel write"});
-        }
-        return false;
-    }
-    if (!mem_.is_mapped(addr)) {
-        return false;
-    }
-    mem_.write8(addr, v);
     return true;
 }
 

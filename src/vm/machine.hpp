@@ -146,9 +146,6 @@ public:
     /// Install a protected module descriptor (PMA "hardware" register).
     /// Returns the module index.
     int add_protected_module(ProtectedModule module);
-    [[nodiscard]] const std::vector<ProtectedModule>& protected_modules() const noexcept {
-        return modules_;
-    }
     /// Index of the module whose code or data contains `addr`, or kNoModule.
     [[nodiscard]] int module_containing(std::uint32_t addr) const noexcept;
     /// Index of the module currently executing (derived from the IP), or kNoModule.
@@ -163,10 +160,6 @@ public:
     void set_ip(std::uint32_t ip) noexcept { ip_ = ip; }
     [[nodiscard]] std::uint32_t sp() const noexcept { return reg(isa::Reg::Sp); }
     void set_sp(std::uint32_t v) noexcept { set_reg(isa::Reg::Sp, v); }
-
-    /// Wipe registers, flags, trap, shadow stack and module state (memory is
-    /// left intact; the loader owns memory contents).
-    void reset();
 
     // --- capability registers (capability machine extension) ---------------
     static constexpr int kNumCaps = 8;
@@ -204,10 +197,6 @@ public:
     /// loop) is guarded by it, one predictable branch per site.
     void set_tracer(trace::Tracer* t) noexcept { tracer_ = t; }
     [[nodiscard]] trace::Tracer* tracer() const noexcept { return tracer_; }
-    /// True while the machine is servicing a syscall (kernel mode).  Traps
-    /// and events raised inside a syscall handler are attributed to the
-    /// kernel — e.g. a read() faulting while copying to a bad user buffer.
-    [[nodiscard]] bool in_kernel() const noexcept { return in_kernel_; }
 
     /// Attach a fault injector probed at every instruction boundary: power
     /// cuts stop the machine with TrapKind::PowerCut; register/memory
@@ -235,15 +224,11 @@ public:
     // subject to the PMA rules with "IP outside every module" semantics:
     // this is precisely the protection the paper claims PMAs give against
     // kernel-level malware.  Returns false (no trap) when PMA-denied.
-    [[nodiscard]] bool kernel_read8(std::uint32_t addr, std::uint8_t& out) const noexcept;
     [[nodiscard]] bool kernel_read32(std::uint32_t addr, std::uint32_t& out) const noexcept;
-    [[nodiscard]] bool kernel_write8(std::uint32_t addr, std::uint8_t v);
     [[nodiscard]] bool kernel_write32(std::uint32_t addr, std::uint32_t v);
 
     // --- statistics --------------------------------------------------------
     [[nodiscard]] std::uint64_t steps_executed() const noexcept { return steps_; }
-    /// Shadow stack depth (tests use this to validate call/return pairing).
-    [[nodiscard]] std::size_t shadow_stack_depth() const noexcept { return shadow_stack_.size(); }
     /// Decode-cache counters (tests assert invalidation behaviour; benches
     /// report hit rates).
     [[nodiscard]] const DecodeCache& decode_cache() const noexcept { return dcache_; }

@@ -558,7 +558,6 @@ TEST(Coverage, CurveMonotoneAndJobsInvariant) {
     fuzz::FuzzOptions opts;
     opts.seeds = 8;
     opts.coverage = true;
-    opts.max_steps = 20'000'000;
     opts.jobs = 1;
     const auto serial = fuzz::run_fuzz(opts);
     opts.jobs = 4;

@@ -533,7 +533,7 @@ int cmd_fuzz(int argc, char** argv) {
     fuzz::FuzzReport report;
     if (!replay_path.empty()) {
         const auto records = fuzz::parse_repro_file(read_file(replay_path));
-        report.divergences = fuzz::replay_repros(records, opts.max_steps, &report);
+        report.divergences = fuzz::replay_repros(records, fuzz::kMaxSteps, &report);
     } else {
         report = fuzz::run_fuzz(opts);
     }
