@@ -1022,9 +1022,17 @@ private:
     ///      stack (the callee may not read module memory);
     ///  (3) transfers control with the return address set to a dedicated
     ///      per-call-site *re-entry point*, the only legal way back in.
+    /// Before leaving, it pushes the module's BP and then the re-entry point
+    /// on the private stack, which outside code cannot write.  The re-entry
+    /// point accepts control only while the top of that stack names it, i.e.
+    /// while its own out-call is the innermost one outstanding, and pops
+    /// both: the frame the module resumes in is its own whatever BP the
+    /// callee left, and a re-entry point is good for one return, so a
+    /// stale or foreign re-entry aborts with AbortReason::PmaGuard.
     /// Target is in r0; `n` arguments sit on the private stack.
     void gen_secure_outcall(int n) {
         const StrRef ok = fresh_label("san_ok");
+        const StrRef reentry_ok = fresh_label("reentry_ok");
         const StrRef reentry = put("__pma_reentry$", unit_, "$", label_counter_++);
         comment("sanitise function pointer: must not point into the module");
         ins(Op::MovI, R6, sym(put("__pma_text_start")));
@@ -1048,6 +1056,8 @@ private:
         ins(Op::SubI, R5, imm(4));
         ins(Op::MovI, R4, sym(reentry));
         ins(Op::Store, mem(R5, 0), R4); // outside callee returns to the re-entry point
+        ins(Op::Push, BP);              // the module's frame, restored at re-entry
+        ins(Op::Push, R4);              // the one outstanding re-entry point
         ins(Op::MovI, R7, sym(put("__pma_priv_sp")));
         ins(Op::Store, mem(R7, 0), SP);
         ins(Op::MovR, SP, R5);
@@ -1055,9 +1065,18 @@ private:
         directive(Kind::Entry, reentry);
         directive(Kind::Func, reentry);
         label(reentry);
-        comment("back inside the module: restore the private stack");
+        comment("back inside the module: restore the private stack, accept only the");
+        comment("outstanding out-call's re-entry point, and restore the module's frame");
         ins(Op::MovI, R7, sym(put("__pma_priv_sp")));
         ins(Op::Load, SP, mem(R7, 0));
+        ins(Op::Pop, R6);
+        ins(Op::MovI, R7, sym(reentry));
+        ins(Op::Cmp, R6, R7);
+        ins(Op::Jz, sym(reentry_ok));
+        ins(Op::MovI, R0, imm(4)); // AbortReason::PmaGuard
+        ins(Op::Sys, imm(5));      // abort: stale or foreign re-entry
+        label(reentry_ok);
+        ins(Op::Pop, BP);
     }
 
     void eval_addr(const Expr& e) {

@@ -88,7 +88,7 @@ struct Lab {
         out.succeeded = success;
         out.trap = v.machine().trap();
         out.note = std::move(note);
-        out.steps = v.machine().steps_executed();
+        out.stats = v.stats();
         out.text_base = v.layout().text_base;
         out.text_size = v.layout().text_size;
         out.image = held_image;
@@ -99,22 +99,6 @@ struct Lab {
                 out.trap_sym = pos.function + ":" + std::to_string(pos.line);
             }
         }
-        out.dcache_hits = v.machine().decode_cache().hits();
-        out.dcache_decodes = v.machine().decode_cache().decodes();
-        out.syscall_retries = v.kernel().fault_stats().retries;
-        out.io_faults_injected = v.kernel().fault_stats().injected_failures;
-        out.sbrk_calls = v.kernel().heap_stats().sbrk_calls;
-        out.heap_high_water = v.kernel().heap_stats().high_water;
-        const vm::DispatchStats& d = v.machine().dispatch_stats();
-        out.tier2_entries = d.tier2_entries;
-        out.fast_steps = d.fast_steps;
-        out.superinsns_retired = d.superinsns_retired;
-        out.deopts = d.deopts();
-        const os::KernelSanitizerStats& sa = v.kernel().sanitizer_stats();
-        out.asan_shadow_poisons = sa.shadow_poisons;
-        out.asan_shadow_unpoisons = sa.shadow_unpoisons;
-        out.asan_interceptor_checks = sa.interceptor_checks;
-        out.asan_interceptor_traps = sa.interceptor_traps;
         return out;
     }
 

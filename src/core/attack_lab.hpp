@@ -17,6 +17,7 @@
 #include "assembler/object.hpp"
 #include "core/defense.hpp"
 #include "fault/fault.hpp"
+#include "os/process.hpp"
 #include "profile/profiler.hpp"
 #include "trace/trace.hpp"
 #include "vm/trap.hpp"
@@ -53,7 +54,10 @@ struct AttackOutcome {
     bool succeeded = false;
     vm::Trap trap;     // final trap of the victim process
     std::string note;  // what the attacker achieved / what stopped it
-    std::uint64_t steps = 0; // instructions the victim executed
+    /// The victim's counts (stats.instructions: instructions it executed).
+    /// Deterministic given the seeds (the victim is share-nothing), so a
+    /// --jobs N sweep sums them byte-identically to a serial one.
+    os::RunStats stats;
 
     /// The victim's load bias.  trap.ip is a raw run-time PC, meaningless
     /// across two ASLR draws on its own; (ip - text_base) plus `trap_sym`
@@ -68,27 +72,6 @@ struct AttackOutcome {
     /// cache); lets callers symbolize/profile without recompiling.  Null
     /// for scenarios that never build a process (the static sfi verdict).
     std::shared_ptr<const objfmt::Image> image;
-
-    // Per-victim-run platform tallies for the metrics registry.  All
-    // deterministic given the seeds (the victim is share-nothing), so a
-    // --jobs N sweep aggregates them byte-identically to a serial one.
-    std::uint64_t dcache_hits = 0;
-    std::uint64_t dcache_decodes = 0;
-    std::uint64_t syscall_retries = 0;
-    std::uint64_t io_faults_injected = 0;
-    std::uint64_t sbrk_calls = 0;
-    std::uint32_t heap_high_water = 0;
-    // Tier-2 dispatch tallies (which engine did the work; DESIGN.md §13).
-    std::uint64_t tier2_entries = 0;
-    std::uint64_t fast_steps = 0;
-    std::uint64_t superinsns_retired = 0;
-    std::uint64_t deopts = 0; // sum over all deopt reasons
-    // Shadow-memory sanitizer tallies (all zero unless the defense sets
-    // sanitize_address; DESIGN.md §15).
-    std::uint64_t asan_shadow_poisons = 0;
-    std::uint64_t asan_shadow_unpoisons = 0;
-    std::uint64_t asan_interceptor_checks = 0;
-    std::uint64_t asan_interceptor_traps = 0;
 
     [[nodiscard]] std::string verdict() const {
         return succeeded ? "ATTACK SUCCEEDED" : "blocked: " + vm::trap_name(trap.kind);

@@ -1,9 +1,12 @@
 #include "core/curves.hpp"
 
+#include <cstdint>
 #include <cmath>
 #include <cstdio>
+#include <set>
 
 #include "attacks/payload.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/defense.hpp"
 #include "core/image_cache.hpp"
@@ -134,7 +137,7 @@ CurveCell run_canary_cell(const CurveOptions& opts, std::uint32_t budget) {
             }
         }
     });
-    const double per_guess = std::ldexp(1.0, -static_cast<int>(j > 31 ? 31 : j));
+    const double per_guess = std::ldexp(1.0, -static_cast<int>(j));
     const double model = 1.0 - std::pow(1.0 - per_guess, static_cast<double>(budget));
     return finish_cell("canary", budget, model, success, runs);
 }
@@ -211,15 +214,34 @@ std::string CurveReport::summary() const {
 }
 
 CurveReport run_curves(const CurveOptions& opts) {
+    const auto check_list = [](const std::vector<std::uint32_t>& values, const std::string& what,
+                               std::uint32_t lo, std::uint32_t hi) {
+        std::set<std::uint32_t> seen;
+        for (const std::uint32_t v : values) {
+            if (v < lo || v > hi) {
+                throw Error("curves: " + what + " " + std::to_string(v) + " is outside [" +
+                            std::to_string(lo) + ", " + std::to_string(hi) + "]");
+            }
+            if (!seen.insert(v).second) {
+                throw Error("curves: " + what + " " + std::to_string(v) + " is listed twice");
+            }
+        }
+    };
+    check_list(opts.aslr_bits, "ASLR level", 0, os::kMaxAslrEntropyBits);
+    check_list(opts.canary_budgets, "guess budget", 1, UINT32_MAX);
+    if (opts.canary_bits > 32) {
+        throw Error("curves: " + std::to_string(opts.canary_bits) +
+                    " unknown canary bits exceed the canary's 32");
+    }
     CurveReport report;
     report.seed = opts.seed;
     report.trials_per_cell = opts.trials;
     report.canary_bits = opts.canary_bits;
     for (const std::uint32_t bits : opts.aslr_bits) {
-        report.cells.push_back(run_aslr_cell(opts, bits > 14 ? 14 : bits));
+        report.cells.push_back(run_aslr_cell(opts, bits));
     }
     for (const std::uint32_t budget : opts.canary_budgets) {
-        report.cells.push_back(run_canary_cell(opts, budget == 0 ? 1 : budget));
+        report.cells.push_back(run_canary_cell(opts, budget));
     }
     return report;
 }

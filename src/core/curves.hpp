@@ -43,11 +43,11 @@
 namespace swsec::core {
 
 struct CurveOptions {
-    /// ASLR entropy levels to sweep (loader clamp is 14 bits).
+    /// ASLR entropy levels to sweep, each at most os::kMaxAslrEntropyBits.
     std::vector<std::uint32_t> aslr_bits = {0, 2, 4, 6, 8, 10, 12, 14};
-    /// Canary guess budgets to sweep.
+    /// Canary guess budgets to sweep, each at least 1.
     std::vector<std::uint32_t> canary_budgets = {1, 4, 16, 64};
-    std::uint32_t canary_bits = 8; // unknown low canary bits (the partial leak)
+    std::uint32_t canary_bits = 8; // unknown low canary bits (the partial leak), <= 32
     std::uint64_t trials = 1000;   // Monte-Carlo trials per cell
     std::uint64_t seed = 1;        // master seed
     int jobs = 1;                  // core/parallel workers; 0 = hardware threads
@@ -90,6 +90,10 @@ struct Wilson {
 };
 [[nodiscard]] Wilson wilson95(std::uint64_t successes, std::uint64_t trials);
 
+/// Run every cell of `opts`.  Throws swsec::Error, running nothing, for an
+/// ASLR level above os::kMaxAslrEntropyBits, a guess budget of 0, more than
+/// 32 canary bits, or a level or budget listed twice: each cell measures
+/// the parameter its label names.
 [[nodiscard]] CurveReport run_curves(const CurveOptions& opts);
 
 /// swsec-metrics-v1 export of a curve report.

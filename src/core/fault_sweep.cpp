@@ -325,7 +325,7 @@ FaultCellSweep sweep_cell(const FaultSweepOptions& opts, std::size_t ai, std::si
         cell.baseline_success = true;
         return cell;
     }
-    const std::uint64_t horizon = std::max<std::uint64_t>(baseline.steps, 1);
+    const std::uint64_t horizon = std::max<std::uint64_t>(baseline.stats.instructions, 1);
 
     for (std::size_t ci = 0; ci < opts.classes.size(); ++ci) {
         ClassTally& tally = cell.tallies[ci];
@@ -512,7 +512,7 @@ profile::Registry fault_sweep_metrics(const FaultSweepReport& report) {
             reg.histogram_observe("sweep_trap_latency_steps",
                                   {{"harness", "fault-sweep"},
                                    {"attack", attack_name(c.attack)}},
-                                  c.outcome.steps);
+                                  c.outcome.stats.instructions);
         }
     }
     reg.set_help("sweep_trap_latency_steps",

@@ -102,7 +102,7 @@ std::string matrix_cell_json(const MatrixCell& c) {
     out += ",\"ip_off\":";
     out += in_text ? "\"" + hex32(t.ip - c.outcome.text_base) + "\"" : "null";
     out += ",\"sym\":\"" + trace::json_escape(c.outcome.trap_sym) + "\"";
-    out += ",\"steps\":" + std::to_string(c.outcome.steps);
+    out += ",\"steps\":" + std::to_string(c.outcome.stats.instructions);
     out += ",\"note\":\"" + trace::json_escape(c.outcome.note) + "\"}";
     return out;
 }
@@ -116,23 +116,37 @@ std::string matrix_cells_jsonl(const std::vector<MatrixCell>& cells) {
     return out;
 }
 
+void add_platform_metrics(profile::Registry& reg, const profile::Labels& base,
+                          const os::RunStats& stats) {
+    reg.counter_add("victim_instructions_total", base, stats.instructions);
+    reg.counter_add("dcache_hits_total", base, stats.dcache_hits);
+    reg.counter_add("dcache_decodes_total", base, stats.dcache_decodes);
+    reg.counter_add("syscalls_total", base, stats.syscalls);
+    reg.counter_add("syscall_retries_total", base, stats.faults.retries);
+    reg.counter_add("io_faults_injected_total", base, stats.faults.injected_failures);
+    reg.counter_add("sbrk_calls_total", base, stats.heap.sbrk_calls);
+    reg.gauge_max("heap_high_water_bytes", base, static_cast<double>(stats.heap.high_water));
+    // vm.dispatch.*: which execution tier did the work (DESIGN.md §13).
+    reg.counter_add("vm_dispatch_tier2_entries_total", base, stats.dispatch.tier2_entries);
+    reg.counter_add("vm_dispatch_fast_steps_total", base, stats.dispatch.fast_steps);
+    reg.counter_add("vm_dispatch_superinsns_retired_total", base,
+                    stats.dispatch.superinsns_retired);
+    reg.counter_add("vm_dispatch_deopts_total", base, stats.dispatch.deopts());
+    // asan.*: shadow-memory sanitizer activity (DESIGN.md §15), zero unless
+    // a run set sanitize_address.
+    reg.counter_add("asan_shadow_poisons_total", base, stats.asan.shadow_poisons);
+    reg.counter_add("asan_shadow_unpoisons_total", base, stats.asan.shadow_unpoisons);
+    reg.counter_add("asan_interceptor_checks_total", base, stats.asan.interceptor_checks);
+    reg.counter_add("asan_interceptor_traps_total", base, stats.asan.interceptor_traps);
+}
+
 void add_victim_metrics(profile::Registry& reg, const profile::Labels& base,
                         const std::vector<MatrixCell>& cells) {
+    os::RunStats victims;
     for (const auto& c : cells) {
-        const AttackOutcome& o = c.outcome;
-        reg.counter_add("victim_instructions_total", base, o.steps);
-        reg.counter_add("dcache_hits_total", base, o.dcache_hits);
-        reg.counter_add("dcache_decodes_total", base, o.dcache_decodes);
-        reg.counter_add("syscall_retries_total", base, o.syscall_retries);
-        reg.counter_add("io_faults_injected_total", base, o.io_faults_injected);
-        reg.counter_add("sbrk_calls_total", base, o.sbrk_calls);
-        reg.gauge_max("heap_high_water_bytes", base, static_cast<double>(o.heap_high_water));
-        // vm.dispatch.*: which execution tier did the work (DESIGN.md §13).
-        reg.counter_add("vm_dispatch_tier2_entries_total", base, o.tier2_entries);
-        reg.counter_add("vm_dispatch_fast_steps_total", base, o.fast_steps);
-        reg.counter_add("vm_dispatch_superinsns_retired_total", base, o.superinsns_retired);
-        reg.counter_add("vm_dispatch_deopts_total", base, o.deopts);
+        victims += c.outcome.stats;
     }
+    add_platform_metrics(reg, base, victims);
     reg.gauge_set("image_cache_images", base, static_cast<double>(image_cache_size()),
                   profile::Volatile::Yes);
     reg.gauge_set("image_cache_hits", base, static_cast<double>(image_cache_hits()),
@@ -146,13 +160,6 @@ profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells) {
     for (const auto& c : cells) {
         const AttackOutcome& o = c.outcome;
         reg.counter_add(o.succeeded ? "attacks_succeeded_total" : "attacks_blocked_total", base);
-        // asan.*: shadow-memory sanitizer activity (DESIGN.md §15).  All
-        // zero for non-sanitize defenses, so the totals isolate the
-        // sanitizer column's work.
-        reg.counter_add("asan_shadow_poisons_total", base, o.asan_shadow_poisons);
-        reg.counter_add("asan_shadow_unpoisons_total", base, o.asan_shadow_unpoisons);
-        reg.counter_add("asan_interceptor_checks_total", base, o.asan_interceptor_checks);
-        reg.counter_add("asan_interceptor_traps_total", base, o.asan_interceptor_traps);
         // Per-defense verdicts: which configurations are holding the line.
         reg.counter_add(o.succeeded ? "attacks_succeeded_total" : "attacks_blocked_total",
                         {{"harness", "matrix"}, {"defense", c.defense}});
@@ -163,7 +170,7 @@ profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells) {
         if (!o.succeeded) {
             reg.histogram_observe("matrix_trap_latency_steps",
                                   {{"harness", "matrix"}, {"attack", attack_name(c.attack)}},
-                                  o.steps);
+                                  o.stats.instructions);
         }
     }
     reg.set_help("matrix_trap_latency_steps",

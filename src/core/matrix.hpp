@@ -50,22 +50,26 @@ struct MatrixCell {
 /// is byte-identical to a monolithic sweep's.
 [[nodiscard]] std::string matrix_cell_json(const MatrixCell& cell);
 
-/// Aggregate the cells' deterministic platform tallies into a metrics
-/// registry (labels: harness=matrix): attack verdict counts, victim
-/// instructions, decode-cache hits/decodes, syscall retries, injected I/O
-/// faults, sbrk traffic and the heap high-water mark.  Aggregation runs in
+/// The matrix's metrics registry (labels: harness=matrix): attack verdict
+/// counts per defense, the trap-latency histogram per attack and the
+/// victims' platform series (add_victim_metrics).  Aggregation runs in
 /// cell-index order over per-cell deterministic numbers, so the JSON export
-/// is byte-identical for any jobs value.  The machine-wide image cache's
-/// size and hit count are added as Volatile gauges (schedule-dependent;
-/// excluded from the default export).  The cache holds scenario images
-/// only, so its size is the number of (scenario, option set) pairs every
-/// harness in the process has compiled.
+/// is byte-identical for any jobs value.
 [[nodiscard]] profile::Registry matrix_metrics(const std::vector<MatrixCell>& cells);
 
-/// Fold the per-victim platform tallies of `cells` into `reg` under `base`
-/// (instructions, decode cache, syscall retries, injected I/O faults, sbrk,
-/// heap high water, tier-2 dispatch), plus the Volatile image-cache gauges
-/// (images held and hits; the cache never evicts).
+/// Write `stats` into `reg` under `base` as the platform series every
+/// harness exports (matrix, fault-sweep and fuzz call this one exporter):
+/// victim_instructions_total, dcache_{hits,decodes}_total, syscalls_total,
+/// syscall_retries_total, io_faults_injected_total, sbrk_calls_total, the
+/// heap_high_water_bytes gauge (the largest of any one process), the
+/// vm_dispatch_*_total tier-2 counts and the asan_*_total sanitizer counts.
+void add_platform_metrics(profile::Registry& reg, const profile::Labels& base,
+                          const os::RunStats& stats);
+
+/// The platform series of the sum of `cells`' victim stats, plus the
+/// Volatile image-cache gauges (images held and hits; the cache holds
+/// scenario images only and never evicts, so its size is the number of
+/// (scenario, option set) pairs every harness in the process compiled).
 /// matrix_metrics and fault_sweep_metrics both export these series.
 void add_victim_metrics(profile::Registry& reg, const profile::Labels& base,
                         const std::vector<MatrixCell>& cells);

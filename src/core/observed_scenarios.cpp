@@ -105,10 +105,9 @@ TraceRun run_pma_scenario(const TraceScenarioOptions& opts) {
     run.scenario = "pma";
     run.outcome.succeeded = false;
     run.outcome.trap = m.trap();
-    run.outcome.steps = m.steps_executed();
+    run.outcome.stats = os::RunStats::of(m);
     run.outcome.note = "module data read from outside the module denied by the PMA";
     run.events_jsonl = tracer.to_jsonl();
-    run.counters = tracer.counters();
     return run;
 }
 
@@ -143,7 +142,6 @@ TraceRun run_sfi_scenario(const TraceScenarioOptions& opts) {
     run.outcome.note = "sfi verifier rejected module (" +
                        std::to_string(verdict.violations.size()) + " violations)";
     run.events_jsonl = tracer.to_jsonl();
-    run.counters = tracer.counters();
     return run;
 }
 
@@ -188,7 +186,6 @@ TraceRun run_trace_scenario(const std::string& name, const TraceScenarioOptions&
     run.outcome = run_attack_scenario(*s, opts.decode_cache, opts.victim_seed,
                                       opts.attacker_seed, &tracer, nullptr);
     run.events_jsonl = tracer.to_jsonl();
-    run.counters = tracer.counters();
     return run;
 }
 

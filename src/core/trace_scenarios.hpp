@@ -29,12 +29,11 @@ struct TraceScenarioOptions {
 /// Result of one traced scenario run.
 struct TraceRun {
     std::string scenario;
-    /// Victim outcome with full trap provenance.  For the static "sfi"
-    /// scenario no machine runs: trap.kind stays None and origin carries
-    /// the verifier attribution.
+    /// Victim outcome with full trap provenance and the victim's counts.
+    /// For the static "sfi" scenario no machine runs: trap.kind stays None,
+    /// origin carries the verifier attribution and every count is zero.
     AttackOutcome outcome;
-    std::string events_jsonl;  // the victim's event stream, one JSON per line
-    trace::Counters counters;  // aggregate tallies (NOT part of the stream)
+    std::string events_jsonl; // the victim's event stream, one JSON per line
 };
 
 /// Scenario names accepted by run_trace_scenario, in display order: the

@@ -12,6 +12,7 @@
 #include "cc/compiler.hpp"
 #include "common/error.hpp"
 #include "core/defense.hpp"
+#include "core/matrix.hpp"
 #include "core/parallel.hpp"
 #include "os/process.hpp"
 
@@ -39,19 +40,6 @@ struct Observed {
     [[nodiscard]] bool same(const Observed& o) const { return out == o.out && trap == o.trap; }
     [[nodiscard]] std::string describe() const { return out + "[trap] " + trap + "\n"; }
 };
-
-void add_counters(trace::Counters& into, const trace::Counters& c) {
-    into.instructions += c.instructions;
-    into.traps += c.traps;
-    into.mem_faults += c.mem_faults;
-    into.syscalls += c.syscalls;
-    into.pma_transitions += c.pma_transitions;
-    into.faults_injected += c.faults_injected;
-    into.heap_allocs += c.heap_allocs;
-    into.heap_frees += c.heap_frees;
-    into.dcache_hits += c.dcache_hits;
-    into.dcache_misses += c.dcache_misses;
-}
 
 /// Per-program compile memo.  The source is parsed and analysed once, and
 /// images depend only on CompilerOptions (the platform half of a Defense
@@ -122,18 +110,9 @@ struct ObservedArch {
     }
 };
 
-void add_dispatch(FuzzReport& stats, const vm::DispatchStats& d) {
-    stats.tier2_entries += d.tier2_entries;
-    stats.fast_steps += d.fast_steps;
-    stats.superinsns_retired += d.superinsns_retired;
-    stats.deopts += d.deopts();
-}
-
 /// One execution of `image` under `profile` (profiler detached, `tracer`
-/// attached when given), counted into `stats` when given.  A traced run's
-/// instructions are the tracer's retired events; an untraced run's are its
-/// steps.  With `coverage`, the tracer folds the run's text-relative edges
-/// into it.
+/// attached when given), counted into `stats` when given.  With `coverage`,
+/// the tracer folds the run's text-relative edges into it.
 ObservedArch run(const std::shared_ptr<const objfmt::Image>& image,
                  const os::SecurityProfile& profile, std::uint64_t seed,
                  std::uint64_t max_steps, FuzzReport* stats, trace::Tracer* tracer = nullptr,
@@ -159,13 +138,7 @@ ObservedArch run(const std::shared_ptr<const objfmt::Image>& image,
     a.out = proc.output();
     if (stats != nullptr) {
         ++stats->runs;
-        if (tracer != nullptr) {
-            add_counters(stats->counters, tracer->counters());
-        } else {
-            stats->counters.instructions += r.steps;
-            ++stats->counters.traps;
-        }
-        add_dispatch(*stats, proc.machine().dispatch_stats());
+        stats->stats += proc.stats();
     }
     return a;
 }
@@ -462,7 +435,7 @@ std::vector<std::size_t> prioritize_chunks(const GenProgram& prog, std::uint64_t
 FuzzReport run_fuzz(const FuzzOptions& opts) {
     struct SeedResult {
         std::vector<Divergence> divs;
-        FuzzReport stats;
+        FuzzReport report;
         std::unique_ptr<trace::CoverageBitmap> bitmap;
     };
     const auto n = static_cast<std::size_t>(opts.seeds < 0 ? 0 : opts.seeds);
@@ -475,7 +448,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
         if (opts.coverage) {
             r.bitmap = std::make_unique<trace::CoverageBitmap>();
         }
-        r.divs = check_program(prog.render(), seed, kMaxSteps, &r.stats, r.bitmap.get());
+        r.divs = check_program(prog.render(), seed, kMaxSteps, &r.report, r.bitmap.get());
         if (opts.minimize) {
             for (Divergence& d : r.divs) {
                 const Divergence target = d;
@@ -491,7 +464,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
                     return false;
                 }, &rounds);
                 d.source = small.render();
-                r.stats.minimizer_rounds.push_back(rounds);
+                r.report.minimizer_rounds.push_back(rounds);
             }
         }
     });
@@ -500,17 +473,13 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     FuzzReport report;
     report.programs = static_cast<int>(n);
     for (SeedResult& r : results) {
-        report.runs += r.stats.runs;
-        report.const_checks += r.stats.const_checks;
-        add_counters(report.counters, r.stats.counters);
-        report.tier2_entries += r.stats.tier2_entries;
-        report.fast_steps += r.stats.fast_steps;
-        report.superinsns_retired += r.stats.superinsns_retired;
-        report.deopts += r.stats.deopts;
-        report.seed_runs.push_back(r.stats.runs);
+        report.runs += r.report.runs;
+        report.const_checks += r.report.const_checks;
+        report.stats += r.report.stats;
+        report.seed_runs.push_back(r.report.runs);
         report.minimizer_rounds.insert(report.minimizer_rounds.end(),
-                                       r.stats.minimizer_rounds.begin(),
-                                       r.stats.minimizer_rounds.end());
+                                       r.report.minimizer_rounds.begin(),
+                                       r.report.minimizer_rounds.end());
         for (Divergence& d : r.divs) {
             report.divergences.push_back(std::move(d));
         }
@@ -549,17 +518,7 @@ profile::Registry fuzz_metrics(const FuzzReport& report) {
     reg.counter_add("fuzz_runs_total", base, report.runs);
     reg.counter_add("fuzz_const_checks_total", base, report.const_checks);
     reg.counter_add("fuzz_divergences_total", base, report.divergences.size());
-    reg.counter_add("victim_instructions_total", base, report.counters.instructions);
-    reg.counter_add("dcache_hits_total", base, report.counters.dcache_hits);
-    reg.counter_add("dcache_misses_total", base, report.counters.dcache_misses);
-    reg.counter_add("syscalls_total", base, report.counters.syscalls);
-    reg.counter_add("heap_allocs_total", base, report.counters.heap_allocs);
-    reg.counter_add("heap_frees_total", base, report.counters.heap_frees);
-    // vm.dispatch.*: which execution tier did the work (DESIGN.md §13).
-    reg.counter_add("vm_dispatch_tier2_entries_total", base, report.tier2_entries);
-    reg.counter_add("vm_dispatch_fast_steps_total", base, report.fast_steps);
-    reg.counter_add("vm_dispatch_superinsns_retired_total", base, report.superinsns_retired);
-    reg.counter_add("vm_dispatch_deopts_total", base, report.deopts);
+    core::add_platform_metrics(reg, base, report.stats);
     if (report.coverage.enabled) {
         reg.gauge_set("coverage_edges", base, static_cast<double>(report.coverage.total_edges));
         reg.counter_add("coverage_interesting_seeds_total", base,
@@ -574,9 +533,6 @@ profile::Registry fuzz_metrics(const FuzzReport& report) {
     for (const std::uint64_t rounds : report.minimizer_rounds) {
         reg.histogram_observe("fuzz_minimizer_rounds", base, rounds);
     }
-    reg.set_help("dcache_misses_total",
-                 "Traced steps whose instruction the decode cache did not serve (cache-off "
-                 "runs fetch every step)");
     reg.set_help("fuzz_seed_runs", "Differential process executions per fuzzed seed");
     reg.set_help("fuzz_minimizer_rounds",
                  "Greedy minimizer fixpoint passes per minimized divergence");
@@ -595,7 +551,7 @@ std::string CoverageReport::curve_csv(std::uint64_t seed_base) const {
 std::string FuzzReport::summary() const {
     std::string s = "fuzz: programs=" + std::to_string(programs) +
                     " runs=" + std::to_string(runs) +
-                    " instructions=" + std::to_string(counters.instructions) +
+                    " instructions=" + std::to_string(stats.instructions) +
                     " const-checks=" + std::to_string(const_checks) +
                     " divergences=" + std::to_string(divergences.size()) + "\n";
     if (coverage.enabled) {

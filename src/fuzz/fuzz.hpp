@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "fuzz/generator.hpp"
+#include "os/process.hpp"
 #include "profile/metrics.hpp"
 #include "trace/trace.hpp"
 
@@ -108,16 +109,8 @@ struct FuzzReport {
     int programs = 0;
     std::uint64_t runs = 0;         // differential process executions
     std::uint64_t const_checks = 0; // fold-vs-runtime probes evaluated
-    /// Aggregated trace-layer counters across every run (instructions
-    /// retired, traps, syscalls, heap events, decode-cache hit rates).
-    trace::Counters counters;
-    /// Aggregated vm::DispatchStats across every run: which execution tier
-    /// did the work (tier-2 entries, fast-retired steps, superinstructions,
-    /// deoptimizations — DESIGN.md §13).
-    std::uint64_t tier2_entries = 0;
-    std::uint64_t fast_steps = 0;
-    std::uint64_t superinsns_retired = 0;
-    std::uint64_t deopts = 0;
+    /// The sum of every run's os::Process::stats(), traced or not.
+    os::RunStats stats;
     /// Per-seed differential executions, in seed order (one entry per
     /// generated program; empty for replay runs).  Feeds the
     /// fuzz_seed_runs histogram — the distribution shows which seeds
@@ -136,10 +129,11 @@ struct FuzzReport {
 };
 
 /// Run all three oracles against one program.  `stats` (optional)
-/// accumulates runs/const_checks/counters.  `coverage` (optional) receives
-/// the edges of the baseline (undefended) run, which the engine oracle
-/// traces anyway, windowed to the text segment so the bits are
-/// ASLR-draw-independent and exclude injected/stack code; it costs no run.
+/// accumulates runs, const_checks and every run's stats.  `coverage`
+/// (optional) receives the edges of the baseline (undefended) run, which
+/// the engine oracle traces anyway, windowed to the text segment so the
+/// bits are ASLR-draw-independent and exclude injected/stack code; it
+/// costs no run.
 /// Deterministic given (source, seed, max_steps).
 [[nodiscard]] std::vector<Divergence> check_program(const std::string& source, std::uint64_t seed,
                                                     std::uint64_t max_steps,
@@ -159,8 +153,9 @@ struct FuzzReport {
                                   const std::function<bool(const std::string&)>& still_diverges,
                                   std::uint64_t* rounds_out = nullptr);
 
-/// The campaign's metrics registry: totals mirrored from the report plus the
-/// per-seed execution-count and minimizer-rounds histograms.  Deterministic
+/// The campaign's metrics registry: the fuzz totals, the platform series of
+/// the runs' summed stats (core::add_platform_metrics) and the per-seed
+/// execution-count and minimizer-rounds histograms.  Deterministic
 /// given the report (which is itself jobs-invariant).
 [[nodiscard]] profile::Registry fuzz_metrics(const FuzzReport& report);
 

@@ -72,6 +72,28 @@ struct SecurityProfile {
     }
 };
 
+/// What one process did, as the machine and its kernel count it: one
+/// deterministic snapshot per run (Process::stats()), summed across runs
+/// by `+=`.  Every harness exports these counts through one exporter, so a
+/// series means the same thing in each of them.
+struct RunStats {
+    std::uint64_t instructions = 0;   // Machine::steps_executed()
+    std::uint64_t dcache_hits = 0;    // DecodeCache::hits()
+    std::uint64_t dcache_decodes = 0; // DecodeCache::decodes()
+    std::uint64_t syscalls = 0;       // entries of Kernel::syscall_trace()
+    vm::DispatchStats dispatch;       // Machine::dispatch_stats()
+    KernelFaultStats faults;          // Kernel::fault_stats()
+    KernelHeapStats heap;             // Kernel::heap_stats()
+    KernelSanitizerStats asan;        // Kernel::sanitizer_stats()
+
+    /// The machine's counts alone (a bare Machine has no kernel).
+    [[nodiscard]] static RunStats of(const vm::Machine& m) noexcept;
+    /// Sum `o` into this snapshot; heap.high_water keeps the larger of the two.
+    RunStats& operator+=(const RunStats& o) noexcept;
+    /// "name=value" for every count, space-separated.
+    [[nodiscard]] std::string summary() const;
+};
+
 class Process {
 public:
     /// Load `image` with the given profile.  `seed` drives every random
@@ -111,6 +133,9 @@ public:
     [[nodiscard]] const std::vector<std::uint8_t>& output_bytes(int fd = 1) {
         return kernel_.output(fd);
     }
+
+    /// This process's counts so far.
+    [[nodiscard]] RunStats stats() const noexcept;
 
     /// Run to completion (trap) or until the watchdog fires: a program that
     /// is still running after `max_steps` instructions is killed and the

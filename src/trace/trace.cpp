@@ -84,21 +84,6 @@ std::string TraceEvent::to_json() const {
     return out;
 }
 
-std::string Counters::summary() const {
-    std::string out;
-    out += "instructions=" + std::to_string(instructions);
-    out += " traps=" + std::to_string(traps);
-    out += " mem_faults=" + std::to_string(mem_faults);
-    out += " syscalls=" + std::to_string(syscalls);
-    out += " pma_transitions=" + std::to_string(pma_transitions);
-    out += " faults_injected=" + std::to_string(faults_injected);
-    out += " heap_allocs=" + std::to_string(heap_allocs);
-    out += " heap_frees=" + std::to_string(heap_frees);
-    out += " dcache_hits=" + std::to_string(dcache_hits);
-    out += " dcache_misses=" + std::to_string(dcache_misses);
-    return out;
-}
-
 std::uint32_t CoverageBitmap::popcount() const noexcept {
     std::uint32_t n = 0;
     for (const std::uint64_t w : words_) {
@@ -160,7 +145,6 @@ void Tracer::clear() noexcept {
     size_ = 0;
     total_ = 0;
     evicted_digest_ = 0;
-    counters_ = Counters{};
 }
 
 } // namespace swsec::trace

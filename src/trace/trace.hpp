@@ -1,5 +1,4 @@
-// Machine-wide observability: typed trace events, per-run counters and a
-// JSONL exporter.
+// Machine-wide observability: typed trace events and a JSONL exporter.
 //
 // The paper's whole argument turns on *attributing* behaviour: which
 // instruction smashed the stack, which check (canary/DEP/PMA/...) fired,
@@ -7,7 +6,9 @@
 // analogue of the branch-monitoring hardware in the CFI literature: a
 // low-overhead ring buffer of TraceEvents that every platform layer
 // (vm::Machine, os::Kernel, the fault injector probes, harnesses) can emit
-// into, plus aggregate Counters for the run.
+// into.  A run's counts (instructions, decode-cache hits, syscalls, heap)
+// are not the tracer's: the machine and the kernel keep them, and
+// os::Process::stats() reads them whether a tracer is attached or not.
 //
 // Design rules the rest of the tree relies on:
 //
@@ -15,7 +16,7 @@
 //    runs that execute identically must emit byte-identical JSONL, whether
 //    the decode cache is on or off and whether a sweep ran serial or with
 //    --jobs N.  Anything that may differ between equivalent executions
-//    (decode-cache hit rates) lives only in Counters, never in events.
+//    (decode-cache hit rates) stays out of the events.
 //  * Like the monitoring hardware it models, an attached tracer does not
 //    change which engine runs: the VM's fused tier-2 loop has a traced
 //    instantiation that writes one InsnRetired per architectural
@@ -28,7 +29,7 @@
 //    engine retires them (Tracer::set_coverage).  The fuzzers take their
 //    edge coverage from the traced baseline run the engine oracle already
 //    makes, so observing coverage costs no run of its own.  The fold is not
-//    an event: the stream and counters are the same with or without it.
+//    an event: the stream is the same with or without it.
 //  * trace depends only on common.  The VM, OS and harness layers all sit
 //    above it; trap kinds and syscall numbers are carried as raw codes with
 //    the emitting layer supplying the human-readable name in `detail`.
@@ -105,24 +106,6 @@ struct TraceEvent {
     [[nodiscard]] std::string to_json() const;
 };
 
-/// Aggregate per-run tallies.  Counters may legitimately differ between
-/// equivalent executions (decode-cache hits); they are therefore reported
-/// separately and never serialised into the event stream.
-struct Counters {
-    std::uint64_t instructions = 0;
-    std::uint64_t traps = 0;
-    std::uint64_t mem_faults = 0;
-    std::uint64_t syscalls = 0;
-    std::uint64_t pma_transitions = 0;
-    std::uint64_t faults_injected = 0;
-    std::uint64_t heap_allocs = 0;
-    std::uint64_t heap_frees = 0;
-    std::uint64_t dcache_hits = 0;
-    std::uint64_t dcache_misses = 0;
-
-    [[nodiscard]] std::string summary() const;
-};
-
 /// Fixed-size edge-coverage bitmap (2^16 buckets, AFL-style).  Buckets are a
 /// deterministic hash of the (from, to) edge, so the same run always lights
 /// the same bits; `merge_new` supports the fuzzer's cumulative coverage
@@ -163,11 +146,11 @@ private:
     std::array<std::uint64_t, kBuckets / 64> words_{};
 };
 
-/// Fixed-capacity ring buffer of TraceEvents plus Counters.  When the
-/// buffer is full the oldest event is dropped (and counted) — a long run
-/// keeps its tail, which is where the trap provenance lives.  The capacity
-/// is allocated once, and a slot is constructed the first time it is
-/// written, so a short run pays only for the events it records.
+/// Fixed-capacity ring buffer of TraceEvents.  When the buffer is full the
+/// oldest event is dropped (and counted) — a long run keeps its tail, which
+/// is where the trap provenance lives.  The capacity is allocated once, and
+/// a slot is constructed the first time it is written, so a short run pays
+/// only for the events it records.
 ///
 /// A tracer built with kEvictionDigest also folds every event it drops into
 /// a 64-bit digest of all its fields, `detail` included, so two runs whose
@@ -182,10 +165,7 @@ public:
 
     explicit Tracer(std::size_t capacity = kDefaultCapacity, bool eviction_digest = false);
 
-    void record(TraceEvent e) {
-        count(e.kind);
-        slot() = std::move(e);
-    }
+    void record(TraceEvent e) { slot() = std::move(e); }
     /// The engine's per-instruction InsnRetired event, written into its
     /// ring slot in place: no temporary event, and the slot's `detail` is
     /// emptied, keeping its storage, rather than replaced.  Forced inline
@@ -194,7 +174,6 @@ public:
     /// compiler's inlining budget covers on its own.
     [[gnu::always_inline]] void retire(std::uint64_t step, std::uint32_t pc, std::int32_t module,
                                        std::uint8_t opcode) {
-        ++counters_.instructions;
         TraceEvent& e = slot();
         e.kind = EventKind::InsnRetired;
         e.step = step;
@@ -207,19 +186,6 @@ public:
         e.b = 0;
         e.detail.clear();
     }
-    /// Counters-only decode-cache tally (never emits an event: the event
-    /// stream must be identical with the cache on or off).
-    void count_dcache(bool hit) noexcept {
-        if (hit) {
-            ++counters_.dcache_hits;
-        } else {
-            ++counters_.dcache_misses;
-        }
-    }
-    /// `n` decode-cache hits at once: the engine's tier 2 serves every
-    /// instruction it retires from a built slot and credits them per exit.
-    void count_dcache_hits(std::uint64_t n) noexcept { counters_.dcache_hits += n; }
-
     /// Fold the run's edges into `bmp` (non-owning; nullptr detaches), each
     /// relative to `base` and only when both endpoints fall inside [base,
     /// base + size): text-relative edges are what make bitmaps comparable
@@ -242,7 +208,6 @@ public:
         }
     }
 
-    [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
     /// Events in emission order (oldest first).
     [[nodiscard]] std::vector<TraceEvent> events() const;
     /// Number of events held, and the i-th oldest (i < size()) read in
@@ -263,26 +228,11 @@ public:
     /// The whole buffer as JSONL (one event per line, oldest first).
     [[nodiscard]] std::string to_jsonl() const;
 
-    /// Forget every event, counter and the eviction digest.  The slots
+    /// Forget every event and the eviction digest.  The slots
     /// already constructed are kept and overwritten by later records.
     void clear() noexcept;
 
 private:
-    void count(EventKind k) noexcept {
-        switch (k) {
-        case EventKind::InsnRetired: ++counters_.instructions; break;
-        case EventKind::TrapRaised: ++counters_.traps; break;
-        case EventKind::MemFault: ++counters_.mem_faults; break;
-        case EventKind::SyscallEnter: ++counters_.syscalls; break;
-        case EventKind::SyscallExit: break;
-        case EventKind::PmaEnter:
-        case EventKind::PmaExit: ++counters_.pma_transitions; break;
-        case EventKind::FaultInjected: ++counters_.faults_injected; break;
-        case EventKind::HeapAlloc: ++counters_.heap_allocs; break;
-        case EventKind::HeapFree: ++counters_.heap_frees; break;
-        case EventKind::ModuleLoaded: break;
-        }
-    }
     /// The slot the next event goes to, with the ring advanced past it.
     /// Writes go round the ring in order from slot 0, so until the ring is
     /// full the write position is at most one past the constructed slots;
@@ -312,7 +262,6 @@ private:
     std::uint64_t total_ = 0;
     bool eviction_digest_ = false;
     std::uint64_t evicted_digest_ = 0;
-    Counters counters_;
     CoverageBitmap* coverage_ = nullptr;
     std::uint32_t window_base_ = 0;
     std::uint32_t window_size_ = 0;

@@ -268,9 +268,8 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
 
 // Write locals back to the machine.  The tier-2 loops also credit their
 // counters (every instruction they retire was served by a built slot, a
-// decode-cache hit, which the traced loop reports to the tracer in one
-// batch), so they flush exactly once per exit; the observed loop flushes
-// before every call that reads machine state.
+// decode-cache hit), so they flush exactly once per exit; the observed loop
+// flushes before every call that reads machine state.
 #define SWSEC_FLUSH()                                                                              \
     do {                                                                                           \
         m.ip_ = ip;                                                                                \
@@ -281,9 +280,6 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         if constexpr (!kObserved) {                                                                \
             stats.fast_steps += steps - steps0;                                                    \
             dc.hits_ += steps - steps0;                                                            \
-            if constexpr (kTraced) {                                                               \
-                tracer->count_dcache_hits(steps - steps0);                                         \
-            }                                                                                      \
         }                                                                                          \
     } while (0)
 
@@ -619,10 +615,6 @@ loop_head:
                     ++dc.hits_;
                 }
             }
-        }
-        if (tracer != nullptr) {
-            // Counters only — the event stream must not depend on the cache.
-            tracer->count_dcache(op != nullptr);
         }
         if (op == nullptr) {
             SWSEC_FLUSH();

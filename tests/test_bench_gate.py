@@ -56,8 +56,8 @@ class BenchGate(unittest.TestCase):
         return r.returncode
 
     def runs(self, medians: dict[str, float], outlier: float, **kw) -> list[str]:
-        """Three runs whose per-name median is `medians`; the third run is
-        `outlier` times slower, so only a median comparison ignores it."""
+        """Three rounds at `medians`, the third `outlier` times slower, so
+        only a median over the rounds ignores it."""
         return [self.write(report(medians, date=f"d{i}", **kw)) for i in range(2)] + [
             self.write(report({n: t * outlier for n, t in medians.items()}, date="d2", **kw))]
 
@@ -74,6 +74,25 @@ class BenchGate(unittest.TestCase):
         self.assertEqual(self.gate(base, cur), 1, self.output)
         self.assertIn("BM_VmExecute/1", self.output)
         self.assertIn("REGRESSION", self.output)
+
+    def test_bimodal_same_commit_rounds_pass(self):
+        # Two builds of one commit whose processes each land in a fast
+        # (1.0 ms) or a slow (1.6 ms) mode.  Pooled, the parent's median is
+        # fast and the change's slow (+60%); round by round, the ratios are
+        # 1, 1, 1.6, 1/1.6 and 1.6, and their median is 1.
+        modes = [(1.0, 1.0), (1.6, 1.6), (1.0, 1.6), (1.6, 1.0), (1.0, 1.6)]
+        base = [self.write(report({"BM_VmExecute/1": b}, date=f"p{i}"))
+                for i, (b, _) in enumerate(modes)]
+        cur = [self.write(report({"BM_VmExecute/1": c}, date=f"c{i}"))
+               for i, (_, c) in enumerate(modes)]
+        self.assertEqual(self.gate(base, cur), 0, self.output)
+        self.assertIn("+0.0% over 5 pair(s)", self.output)
+
+    def test_unequal_round_counts_refused(self):
+        base = self.runs({"BM_VmExecute/1": 1.0}, outlier=1.0)
+        cur = self.runs({"BM_VmExecute/1": 1.05}, outlier=1.0)[:2]
+        self.assertEqual(self.gate(base, cur), 2, self.output)
+        self.assertIn("round by round", self.output)
 
     def test_unguarded_slowdown_passes(self):
         base = [self.write(aggregate({"BM_VmExecute/1": 1.0, "BM_Attack/0/0": 1.0}))]
@@ -96,7 +115,9 @@ class BenchGate(unittest.TestCase):
         self.assertIn("num_cpus", self.output)
         # Mixed within one side is refused too.
         base.append(self.write(report({"BM_VmExecute/1": 1.0}, num_cpus=4, date="t2")))
+        cur.append(self.write(report({"BM_VmExecute/1": 1.0}, num_cpus=4, date="t3")))
         self.assertEqual(self.gate(base, cur), 2, self.output)
+        self.assertIn("num_cpus", self.output)
 
     def test_identical_baseline_refused(self):
         doc = aggregate({"BM_VmExecute/1": 1.0})

@@ -262,7 +262,7 @@ TEST(DecodeCacheEquivalence, FullMatrixTrapForTrapIdentical) {
             EXPECT_EQ(with_cache.succeeded, without.succeeded) << where;
             EXPECT_EQ(with_cache.trap.kind, without.trap.kind) << where;
             EXPECT_EQ(with_cache.trap.ip, without.trap.ip) << where;
-            EXPECT_EQ(with_cache.steps, without.steps) << where;
+            EXPECT_EQ(with_cache.stats.instructions, without.stats.instructions) << where;
             EXPECT_EQ(with_cache.note, without.note) << where;
         }
     }

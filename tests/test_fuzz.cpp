@@ -94,8 +94,8 @@ TEST(FuzzOracles, CompileErrorIsReportedOncePerDefense) {
 // Each configuration runs once per program: the 11 defense runs (the
 // engine oracle traces the tier-2, decode-cache-on run of its three
 // defenses), then per engine-checked defense one traced decode-cache-off
-// run, the observed-loop reference: 14 in all.  The instruction counter is
-// the sum over exactly those runs (a traced run counts its retired events).
+// run, the observed-loop reference: 14 in all.  The instruction count is
+// the sum of exactly those runs' steps, traced or not.
 // Edge coverage is folded from the baseline's traced run, so asking for it
 // adds no run.
 TEST(FuzzOracles, EachConfigurationRunsOnce) {
@@ -106,38 +106,33 @@ TEST(FuzzOracles, EachConfigurationRunsOnce) {
     ASSERT_TRUE(fuzz::check_program(source, kSeed, kBudget, &stats).empty());
     EXPECT_EQ(stats.runs, 14u);
 
-    // 11 defenses once each; the three engine-checked ones traced, and once
-    // more traced with the decode cache off.  A traced run counts its insn
-    // events, an untraced one its steps.
+    // 11 defenses once each, and the three engine-checked ones once more
+    // with the decode cache off.
     std::uint64_t expected = 0;
     std::size_t checked = 0;
     for (const core::Defense& d : core::standard_defenses()) {
         const auto image =
             std::make_shared<const objfmt::Image>(cc::compile_program({source}, d.copts));
-        if (d.name != "none" && d.name != "all-mitigations" && d.name != "sanitize") {
-            os::Process p(image, d.profile, kSeed);
-            expected += p.run(kBudget).steps;
-            continue;
-        }
-        ++checked;
+        const bool engine_checked =
+            d.name == "none" || d.name == "all-mitigations" || d.name == "sanitize";
+        checked += engine_checked ? 1 : 0;
         for (const bool dcache : {true, false}) {
-            trace::Tracer tracer(8192);
-            os::SecurityProfile traced = d.profile;
-            traced.decode_cache = dcache;
-            traced.tracer = &tracer;
-            os::Process p(image, traced, kSeed);
-            (void)p.run(kBudget);
-            expected += tracer.counters().instructions;
+            if (dcache || engine_checked) {
+                os::SecurityProfile profile = d.profile;
+                profile.decode_cache = dcache;
+                os::Process p(image, profile, kSeed);
+                expected += p.run(kBudget).steps;
+            }
         }
     }
     EXPECT_EQ(checked, 3u);
-    EXPECT_EQ(stats.counters.instructions, expected);
+    EXPECT_EQ(stats.stats.instructions, expected);
 
     fuzz::FuzzReport with_coverage;
     trace::CoverageBitmap bitmap;
     ASSERT_TRUE(fuzz::check_program(source, kSeed, kBudget, &with_coverage, &bitmap).empty());
     EXPECT_EQ(with_coverage.runs, 14u);
-    EXPECT_EQ(with_coverage.counters.instructions, expected);
+    EXPECT_EQ(with_coverage.stats.instructions, expected);
     EXPECT_GT(bitmap.popcount(), 0u);
 }
 
@@ -232,27 +227,29 @@ TEST(FuzzDriver, SerialAndParallelReportsAreIdentical) {
     EXPECT_EQ(a.divergences, b.divergences);
     EXPECT_EQ(a.runs, b.runs);
     EXPECT_EQ(a.const_checks, b.const_checks);
-    EXPECT_EQ(a.counters.instructions, b.counters.instructions);
-    EXPECT_EQ(a.counters.dcache_hits, b.counters.dcache_hits);
+    EXPECT_EQ(a.stats.summary(), b.stats.summary());
     EXPECT_TRUE(a.clean()) << a.summary();
 }
 
-// The traced runs' slow-path fetch tally is a miss count, not
-// DecodeCache::decodes() (which the matrix exports as dcache_decodes_total):
-// it is exported under its own name, with its source pinned.
-TEST(FuzzDriver, MetricsExportTracedCacheMissesUnderTheirOwnName) {
+// The report sums every run's stats, traced or not, and the metrics and
+// the summary read that one sum: every tier-2 step is a decode-cache hit,
+// and the decode cache's own decode count is what the matrix exports too.
+TEST(FuzzDriver, MetricsExportTheStatsOfEveryRun) {
     fuzz::FuzzOptions opts;
     opts.seed_base = 1;
     opts.seeds = 3;
     const fuzz::FuzzReport report = fuzz::run_fuzz(opts);
     const profile::Registry reg = fuzz::fuzz_metrics(report);
     const profile::Labels base = {{"harness", "fuzz"}};
-    EXPECT_GT(report.counters.dcache_misses, 0u) << "the cache-off traced runs miss every step";
-    EXPECT_EQ(reg.counter("dcache_misses_total", base), report.counters.dcache_misses);
-    EXPECT_EQ(reg.counter("dcache_hits_total", base), report.counters.dcache_hits);
-    const std::string prom = reg.to_prometheus();
-    EXPECT_NE(prom.find("# HELP dcache_misses_total "), std::string::npos);
-    EXPECT_EQ(prom.find("dcache_decodes_total"), std::string::npos);
+    EXPECT_EQ(reg.counter("victim_instructions_total", base), report.stats.instructions);
+    EXPECT_NE(report.summary().find(" instructions=" + std::to_string(report.stats.instructions) +
+                                    " "),
+              std::string::npos);
+    EXPECT_EQ(reg.counter("dcache_hits_total", base), report.stats.dcache_hits);
+    EXPECT_GE(report.stats.dcache_hits, report.stats.dispatch.fast_steps);
+    EXPECT_GT(report.stats.dcache_decodes, 0u);
+    EXPECT_EQ(reg.counter("dcache_decodes_total", base), report.stats.dcache_decodes);
+    EXPECT_EQ(reg.to_prometheus().find("dcache_misses_total"), std::string::npos);
 }
 
 // ---- satellite 1: compile-time folding == machine semantics -------------
@@ -757,6 +754,37 @@ TEST(Curves, MetricsExportUsesTheRegistrySchema) {
     EXPECT_NE(json.find("\"schema\":\"swsec-metrics-v1\""), std::string::npos);
     EXPECT_NE(json.find("curve_trials_total"), std::string::npos);
     EXPECT_NE(json.find("curve_p_hat"), std::string::npos);
+}
+
+// Each cell measures the parameter its label names, so a parameter no cell
+// can measure is refused before any trial runs, never silently rewritten:
+// an ASLR level above the loader's maximum, a guess budget of 0, more
+// canary bits than a canary has, and a level or budget listed twice (two
+// cells with one label).  The edges themselves run as given, and the
+// canary model uses the exact per-guess odds 2^-j up to j = 32.
+TEST(Curves, RejectsParametersNoCellCanMeasureAsLabelled) {
+    const auto rejected = [](auto edit) {
+        core::CurveOptions o = small_curves(1);
+        edit(o);
+        EXPECT_THROW((void)core::run_curves(o), Error);
+    };
+    rejected([](core::CurveOptions& o) { o.aslr_bits = {os::kMaxAslrEntropyBits + 1}; });
+    rejected([](core::CurveOptions& o) { o.aslr_bits = {20, 30}; });
+    rejected([](core::CurveOptions& o) { o.canary_budgets = {0}; });
+    rejected([](core::CurveOptions& o) { o.canary_bits = 33; });
+    rejected([](core::CurveOptions& o) { o.aslr_bits = {4, 2, 4}; });
+    rejected([](core::CurveOptions& o) { o.canary_budgets = {4, 4}; });
+
+    core::CurveOptions edge = small_curves(1);
+    edge.trials = 2;
+    edge.aslr_bits = {os::kMaxAslrEntropyBits};
+    edge.canary_budgets = {1};
+    edge.canary_bits = 32;
+    const core::CurveReport r = core::run_curves(edge);
+    ASSERT_EQ(r.cells.size(), 2u);
+    EXPECT_EQ(r.cells[0].param, os::kMaxAslrEntropyBits);
+    EXPECT_EQ(r.cells[1].param, 1u);
+    EXPECT_EQ(r.cells[1].model, std::ldexp(1.0, -32));
 }
 
 } // namespace

@@ -5,8 +5,18 @@
 // the central integration tests of the reproduction.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/attack_lab.hpp"
 #include "core/defense.hpp"
+#include "core/fault_sweep.hpp"
+#include "core/matrix.hpp"
 
 namespace {
 
@@ -340,5 +350,64 @@ TEST(Matrix, HeapUafReadLeak) {
                   {Defense::memcheck(), false, TrapKind::PoisonedAccess},
                   {Defense::sanitize_address(), false, TrapKind::PoisonedAccess},
               });
+}
+
+// ---- committed harness outputs ---------------------------------------------
+
+using Artifacts = std::vector<std::pair<std::string, std::string>>;
+
+/// Pin `artifacts` byte for byte against the files in `dir`, or, when the
+/// environment variable `out_env` names a directory, write them there
+/// instead and skip.
+void check_goldens(const Artifacts& artifacts, const std::filesystem::path& dir,
+                   const char* out_env) {
+    if (const char* out = std::getenv(out_env)) {
+        for (const auto& [name, text] : artifacts) {
+            std::ofstream(std::filesystem::path(out) / name, std::ios::binary) << text;
+        }
+        GTEST_SKIP() << "wrote " << artifacts.size() << " goldens to " << out;
+    }
+    for (const auto& [name, text] : artifacts) {
+        ASSERT_TRUE(std::filesystem::exists(dir / name)) << "missing " << dir / name;
+        std::ifstream in(dir / name, std::ios::binary);
+        std::ostringstream committed;
+        committed << in.rdbuf();
+        EXPECT_EQ(text, committed.str()) << name;
+    }
+}
+
+// The four outputs of `swsec matrix` (the table, --trace-out JSONL,
+// --metrics-out JSON and --prom-out text) pinned against
+// tests/golden/matrix/.  CI's serial-vs-jobs diffs compare a build with
+// itself, so a change that moves a cell, a provenance field or a count on
+// both sides would go unseen without them.  After an intended change,
+// regenerate them with
+//   SWSEC_MATRIX_GOLDEN_OUT=<dir> ./build/tests/test_matrix --gtest_filter='MatrixGolden.*'
+// and review the diff.
+TEST(MatrixGolden, TableTraceMetricsAndPromMatchCommitted) {
+    const auto cells = swsec::core::run_matrix(1001, 2002, 2);
+    const swsec::profile::Registry reg = swsec::core::matrix_metrics(cells);
+    check_goldens({{"table.txt", swsec::core::format_matrix(cells)},
+                   {"trace.jsonl", swsec::core::matrix_cells_jsonl(cells)},
+                   {"metrics.json", reg.to_json()},
+                   {"metrics.prom", reg.to_prometheus()}},
+                  SWSEC_MATRIX_GOLDEN_DIR, "SWSEC_MATRIX_GOLDEN_OUT");
+}
+
+// The same four outputs of CI's `swsec fault-sweep --windows 2` (summary,
+// baseline-cell JSONL, metrics JSON and Prometheus text) pinned against
+// tests/golden/fault-sweep/; regenerate with
+//   SWSEC_FAULT_SWEEP_GOLDEN_OUT=<dir> ./build/tests/test_matrix --gtest_filter='FaultSweepGolden.*'
+TEST(FaultSweepGolden, SummaryTraceMetricsAndPromMatchCommitted) {
+    swsec::core::FaultSweepOptions opts;
+    opts.windows_per_class = 2;
+    opts.jobs = 2; // the report is byte-identical for any jobs value
+    const swsec::core::FaultSweepReport report = swsec::core::run_fault_sweep(opts);
+    const swsec::profile::Registry reg = swsec::core::fault_sweep_metrics(report);
+    check_goldens({{"summary.txt", report.summary()},
+                   {"trace.jsonl", swsec::core::matrix_cells_jsonl(report.baseline_cells)},
+                   {"metrics.json", reg.to_json()},
+                   {"metrics.prom", reg.to_prometheus()}},
+                  SWSEC_FAULT_SWEEP_GOLDEN_DIR, "SWSEC_FAULT_SWEEP_GOLDEN_OUT");
 }
 } // namespace

@@ -164,7 +164,8 @@ void expect_same_cells(const std::vector<MatrixCell>& a, const std::vector<Matri
         EXPECT_EQ(a[i].outcome.succeeded, b[i].outcome.succeeded) << "cell " << i;
         EXPECT_EQ(a[i].outcome.trap.kind, b[i].outcome.trap.kind) << "cell " << i;
         EXPECT_EQ(a[i].outcome.trap.ip, b[i].outcome.trap.ip) << "cell " << i;
-        EXPECT_EQ(a[i].outcome.steps, b[i].outcome.steps) << "cell " << i;
+        EXPECT_EQ(a[i].outcome.stats.instructions, b[i].outcome.stats.instructions)
+            << "cell " << i;
         EXPECT_EQ(a[i].outcome.note, b[i].outcome.note) << "cell " << i;
     }
 }

@@ -299,4 +299,86 @@ TEST(Pma, Fig4EntryAbuseAttack) {
     }
 }
 
+// ---- machine-code callbacks against the out-call protocol -----------------
+// The callee of a secure out-call is host code, and under the paper's
+// machine-code attacker host code may do anything the machine allows: here
+// the test plays it, setting registers and host memory and jumping, when
+// the module's out-call reaches the host's callback.
+
+using swsec::isa::Reg;
+
+/// Step `m` until its ip is `target` (or it traps).
+void run_to(swsec::vm::Machine& m, std::uint32_t target) {
+    while (m.ip() != target && !m.trap().is_set()) {
+        m.step();
+    }
+}
+
+const char* kPinHost = R"(
+    int my_get_pin() { return 1234; }
+    int main() { return get_secret(my_get_pin); }
+)";
+
+TEST(Pma, ForgedFrameFromCallbackCannotReachTheSecret) {
+    // The callback returns the wrong PIN to the legitimate re-entry point
+    // with BP aimed at two frames forged in host stack memory.  If the
+    // module resumed in that frame, its epilogue would return first into
+    // its own "return secret" sequence (internal control flow the PMA
+    // allows) and then out to crt0's exit with r0 = 666.
+    Fixture f(kSecretModuleFnPtr, ModuleSecurity::Secure, kPinHost, true);
+    swsec::vm::Machine& m = f.process.machine();
+    auto& mem = m.memory();
+    const std::uint32_t secret_addr = f.module.addr_of("secret$secret");
+    std::uint32_t gadget = 0; // movi r0, &secret: the start of "return secret"
+    for (std::uint32_t a = f.place.code_base;
+         a + 6 < f.place.code_base + static_cast<std::uint32_t>(f.module_img.text.size()); ++a) {
+        if (mem.raw_read8(a) == 0xb8 && mem.raw_read8(a + 1) == 0x00 &&
+            mem.raw_read32(a + 2) == secret_addr) {
+            gadget = a;
+            break;
+        }
+    }
+    ASSERT_NE(gadget, 0u) << "return-secret sequence not found";
+
+    run_to(m, f.process.addr_of("main"));
+    const std::uint32_t exit_with_r0 = mem.raw_read32(m.reg(Reg::Sp)); // after `call main`
+    run_to(m, f.process.addr_of("my_get_pin"));
+    ASSERT_FALSE(m.trap().is_set()) << m.trap().to_string();
+    const std::uint32_t sp = m.reg(Reg::Sp);
+    const std::uint32_t reentry = mem.raw_read32(sp);
+    const std::uint32_t frames = sp - 64;
+    mem.raw_write32(frames, frames + 8); // frame 1: saved BP -> frame 2
+    mem.raw_write32(frames + 4, gadget); //          return -> "return secret"
+    mem.raw_write32(frames + 8, 0);      // frame 2: saved BP
+    mem.raw_write32(frames + 12, exit_with_r0);
+    m.set_reg(Reg::Bp, frames);
+    m.set_reg(Reg::R0, 1); // the wrong PIN
+    m.set_reg(Reg::Sp, sp + 4);
+    m.set_ip(reentry);
+    const auto r = m.run(100000);
+    EXPECT_FALSE(r.exited(666)) << "the forged frame leaked the secret";
+    EXPECT_TRUE(r.exited(0)) << r.trap.to_string();
+    EXPECT_EQ(f.tries_left(), 2u) << "one wrong PIN, counted once";
+}
+
+TEST(Pma, StaleReentryAbortsWithoutTouchingTheModule) {
+    // After get_secret has returned, no out-call is outstanding, so a jump
+    // to the re-entry point its callback used must not run module code.
+    Fixture f(kSecretModuleFnPtr, ModuleSecurity::Secure, kPinHost, true);
+    swsec::vm::Machine& m = f.process.machine();
+    run_to(m, f.process.addr_of("main"));
+    const std::uint32_t exit_with_r0 = m.memory().raw_read32(m.reg(Reg::Sp));
+    run_to(m, f.process.addr_of("my_get_pin"));
+    const std::uint32_t reentry = m.memory().raw_read32(m.reg(Reg::Sp));
+    run_to(m, exit_with_r0); // main returned get_secret's 666
+    ASSERT_EQ(m.reg(Reg::R0), 666u) << m.trap().to_string();
+    ASSERT_EQ(f.tries_left(), 3u);
+    m.set_reg(Reg::R0, 1); // a wrong PIN, as if the callback returned it again
+    m.set_ip(reentry);
+    const auto r = m.run(100000);
+    EXPECT_EQ(r.trap.kind, TrapKind::Abort) << r.trap.to_string();
+    EXPECT_EQ(r.trap.origin, swsec::trace::CheckOrigin::Pma) << r.trap.to_string();
+    EXPECT_EQ(f.tries_left(), 3u) << "the stale re-entry decremented the counter";
+}
+
 } // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "common/escape.hpp"
 #include "core/attack_lab.hpp"
 #include "core/defense.hpp"
+#include "core/fault_sweep.hpp"
 #include "core/matrix.hpp"
 #include "core/profile_scenarios.hpp"
 #include "core/trace_scenarios.hpp"
@@ -217,7 +220,8 @@ TEST(ObservedScenarios, TraceAndProfileRunTheSamePairing) {
         EXPECT_EQ(traced.outcome.trap.kind, profiled.outcome.trap.kind) << name;
         EXPECT_EQ(traced.outcome.trap.origin, profiled.outcome.trap.origin) << name;
         EXPECT_EQ(traced.outcome.trap.ip, profiled.outcome.trap.ip) << name;
-        EXPECT_EQ(traced.outcome.steps, profiled.outcome.steps) << name;
+        EXPECT_EQ(traced.outcome.stats.instructions, profiled.outcome.stats.instructions)
+            << name;
     }
 }
 
@@ -585,14 +589,88 @@ TEST(Plumbing, ModuleLoadedIsFirstTraceEvent) {
     EXPECT_NE(first.find("\"event\":\"module-load\""), std::string::npos);
 }
 
+/// The metric families of `reg` (its Prometheus `# TYPE` lines) whose
+/// names begin with one of `prefixes`.
+std::set<std::string> families(const profile::Registry& reg,
+                               const std::vector<std::string>& prefixes) {
+    std::set<std::string> out;
+    std::istringstream in(reg.to_prometheus());
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("# TYPE ", 0) != 0) {
+            continue;
+        }
+        const std::string name = line.substr(7, line.find(' ', 7) - 7);
+        for (const std::string& p : prefixes) {
+            if (name.rfind(p, 0) == 0) {
+                out.insert(name);
+            }
+        }
+    }
+    return out;
+}
+
+// Matrix, fault-sweep and fuzz write their platform series through one
+// exporter from one summed os::RunStats, so each series has one definition
+// in every harness: the same names everywhere, a fuzz decode-cache hit count
+// that covers every tier-2 step of every run, and a sum of snapshots that
+// keeps the largest single-process heap high water.
+TEST(HarnessMetrics, EveryHarnessExportsOneSetOfPlatformSeries) {
+    const std::set<std::string> platform = {
+        "asan_interceptor_checks_total", "asan_interceptor_traps_total",
+        "asan_shadow_poisons_total",     "asan_shadow_unpoisons_total",
+        "dcache_decodes_total",          "dcache_hits_total",
+        "heap_high_water_bytes",         "io_faults_injected_total",
+        "sbrk_calls_total",              "syscall_retries_total",
+        "syscalls_total",                "victim_instructions_total",
+        "vm_dispatch_deopts_total",      "vm_dispatch_fast_steps_total",
+        "vm_dispatch_superinsns_retired_total", "vm_dispatch_tier2_entries_total"};
+    // Every family a platform count could be exported under.
+    const std::vector<std::string> prefixes = {"asan_", "dcache_", "heap_",   "io_",
+                                               "sbrk_", "syscall", "victim_", "vm_"};
+
+    core::FaultSweepOptions sweep;
+    sweep.windows_per_class = 1;
+    sweep.jobs = 2;
+    fuzz::FuzzOptions fz;
+    fz.seeds = 3;
+    const fuzz::FuzzReport fuzz_report = fuzz::run_fuzz(fz);
+    const std::vector<std::pair<std::string, profile::Registry>> harnesses = {
+        {"matrix", core::matrix_metrics(core::run_matrix(1001, 2002, 2))},
+        {"fault-sweep", core::fault_sweep_metrics(core::run_fault_sweep(sweep))},
+        {"fuzz", fuzz::fuzz_metrics(fuzz_report)},
+    };
+    for (const auto& [name, reg] : harnesses) {
+        EXPECT_EQ(families(reg, prefixes), platform) << name;
+    }
+
+    const profile::Labels fuzz_base = {{"harness", "fuzz"}};
+    const profile::Registry& fuzz_reg = harnesses[2].second;
+    EXPECT_GT(fuzz_reg.counter("vm_dispatch_fast_steps_total", fuzz_base), 0u);
+    EXPECT_GE(fuzz_reg.counter("dcache_hits_total", fuzz_base),
+              fuzz_reg.counter("vm_dispatch_fast_steps_total", fuzz_base));
+
+    os::RunStats big;
+    big.instructions = 5;
+    big.heap.high_water = 4096;
+    os::RunStats small;
+    small.instructions = 7;
+    small.heap.high_water = 1024;
+    os::RunStats sum = small;
+    sum += big;
+    EXPECT_EQ(sum.instructions, 12u);
+    EXPECT_EQ(sum.heap.high_water, 4096u);
+    sum += small;
+    EXPECT_EQ(sum.heap.high_water, 4096u);
+}
+
 TEST(Plumbing, HeapHighWaterReachesOutcome) {
     // The uaf scenario mallocs: the kernel's brk accounting must surface
     // through the attack outcome for the metrics registry.
     const auto out =
         core::run_attack(core::AttackKind::UseAfterFree, core::Defense::none(), 1001, 2002);
-    EXPECT_GT(out.sbrk_calls, 0u);
-    EXPECT_GT(out.heap_high_water, 0u);
-    EXPECT_GT(out.dcache_hits + out.dcache_decodes, 0u);
+    EXPECT_GT(out.stats.heap.sbrk_calls, 0u);
+    EXPECT_GT(out.stats.heap.high_water, 0u);
+    EXPECT_GT(out.stats.dcache_hits + out.stats.dcache_decodes, 0u);
 }
 
 } // namespace

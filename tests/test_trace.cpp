@@ -23,7 +23,7 @@ using core::TraceScenarioOptions;
 
 // --- Tracer mechanics -------------------------------------------------------
 
-TEST(Tracer, CountersTallyPerEventKind) {
+TEST(Tracer, RecordsEveryEventKindInOrder) {
     trace::Tracer t;
     t.record({trace::EventKind::InsnRetired, 0, 0, -1, false, trace::CheckOrigin::None, 0, 0, 0, {}});
     t.record({trace::EventKind::InsnRetired, 1, 0, -1, false, trace::CheckOrigin::None, 0, 0, 0, {}});
@@ -35,15 +35,17 @@ TEST(Tracer, CountersTallyPerEventKind) {
     t.record({trace::EventKind::HeapFree, 6, 0, -1, true, trace::CheckOrigin::None, 0, 0, 0, {}});
     t.record({trace::EventKind::PmaEnter, 7, 0, 0, false, trace::CheckOrigin::None, 0, 0, 0, {}});
 
-    const trace::Counters& c = t.counters();
-    EXPECT_EQ(c.instructions, 2u);
-    EXPECT_EQ(c.traps, 1u);
-    EXPECT_EQ(c.mem_faults, 1u);
-    EXPECT_EQ(c.syscalls, 1u);
-    EXPECT_EQ(c.faults_injected, 1u);
-    EXPECT_EQ(c.heap_allocs, 1u);
-    EXPECT_EQ(c.heap_frees, 1u);
-    EXPECT_EQ(c.pma_transitions, 1u);
+    const std::vector<trace::EventKind> kinds = {
+        trace::EventKind::InsnRetired,  trace::EventKind::InsnRetired,
+        trace::EventKind::TrapRaised,   trace::EventKind::MemFault,
+        trace::EventKind::SyscallEnter, trace::EventKind::FaultInjected,
+        trace::EventKind::HeapAlloc,    trace::EventKind::HeapFree,
+        trace::EventKind::PmaEnter};
+    ASSERT_EQ(t.size(), kinds.size());
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+        EXPECT_EQ(t.event(i).kind, kinds[i]) << "event " << i;
+        EXPECT_EQ(t.event(i).step, i < 3 ? i : i - 1) << "event " << i;
+    }
     EXPECT_EQ(t.total_recorded(), 9u);
     EXPECT_EQ(t.dropped(), 0u);
 }
@@ -76,8 +78,8 @@ TEST(Tracer, RingDropsOldestWhenFull) {
     // Oldest-first: the survivors are the last four records.
     EXPECT_EQ(evs.front().step, 6u);
     EXPECT_EQ(evs.back().step, 9u);
-    // Counters are not subject to the ring: all 10 counted.
-    EXPECT_EQ(t.counters().instructions, 10u);
+    // The total is not subject to the ring: all 10 counted.
+    EXPECT_EQ(t.total_recorded(), 10u);
     expect_in_place_reads_match_copy(); // after it wrapped
 
     // clear() keeps the constructed slots; fewer records than before must
@@ -156,7 +158,6 @@ TEST(Tracer, InPlaceRetireMatchesRecord) {
         b.retire(10 + i, 0x40 + static_cast<std::uint32_t>(i), 2, 0x89);
     }
     EXPECT_EQ(a.to_jsonl(), b.to_jsonl());
-    EXPECT_EQ(a.counters().summary(), b.counters().summary());
     EXPECT_EQ(a.total_recorded(), b.total_recorded());
 }
 
@@ -220,6 +221,17 @@ INSTANTIATE_TEST_SUITE_P(
         return n;
     });
 
+/// Events of `kind` (its JSONL name) in a scenario's stream.
+std::size_t count_events(const std::string& jsonl, const std::string& kind) {
+    const std::string needle = "{\"event\":\"" + kind + "\"";
+    std::size_t n = 0;
+    for (std::size_t pos = jsonl.find(needle); pos != std::string::npos;
+         pos = jsonl.find(needle, pos + needle.size())) {
+        ++n;
+    }
+    return n;
+}
+
 TEST(TraceProvenanceDetail, BaselineSucceedsWithNoCheckFiring) {
     const auto run = run_trace_scenario("baseline");
     EXPECT_TRUE(run.outcome.succeeded);
@@ -244,13 +256,13 @@ TEST(TraceProvenanceDetail, PmaSceneRecordsKernelProbeAsMemFault) {
                   "\"event\":\"mem-fault\""), std::string::npos);
     EXPECT_NE(run.events_jsonl.find("\"mode\":\"kernel\",\"origin\":\"pma\""),
               std::string::npos);
-    EXPECT_EQ(run.counters.mem_faults, 1u);
+    EXPECT_EQ(count_events(run.events_jsonl, "mem-fault"), 1u);
 }
 
 TEST(TraceProvenanceDetail, SfiViolationsBecomeSyntheticTrapEvents) {
     const auto run = run_trace_scenario("sfi");
     EXPECT_EQ(run.outcome.trap.kind, vm::TrapKind::None); // nothing executed
-    EXPECT_GE(run.counters.traps, 2u); // unmasked store + raw syscall
+    EXPECT_GE(count_events(run.events_jsonl, "trap"), 2u); // unmasked store + raw syscall
     EXPECT_NE(run.events_jsonl.find("\"origin\":\"sfi\""), std::string::npos);
     EXPECT_NE(run.events_jsonl.find("unmasked store"), std::string::npos);
     EXPECT_NE(run.outcome.note.find("sfi verifier rejected"), std::string::npos);
@@ -258,7 +270,7 @@ TEST(TraceProvenanceDetail, SfiViolationsBecomeSyntheticTrapEvents) {
 
 TEST(TraceProvenanceDetail, FaultScenarioRecordsInjectionBeforeTrap) {
     const auto run = run_trace_scenario("fault");
-    EXPECT_EQ(run.counters.faults_injected, 1u);
+    EXPECT_EQ(count_events(run.events_jsonl, "fault-injected"), 1u);
     const auto inj = run.events_jsonl.find("\"event\":\"fault-injected\"");
     const auto trap = run.events_jsonl.find("\"event\":\"trap\"");
     ASSERT_NE(inj, std::string::npos);
@@ -270,8 +282,8 @@ TEST(TraceProvenanceDetail, FaultScenarioRecordsInjectionBeforeTrap) {
 // --- Equivalence oracles ----------------------------------------------------
 
 // The decode cache is a pure performance device: with it off the trace must
-// not change by a single byte.  (Cache hit tallies live in Counters, which
-// are deliberately outside the event stream.)  With the cache on, a
+// not change by a single byte.  (Cache hits are the decode cache's own
+// count, deliberately outside the event stream.)  With the cache on, a
 // scenario without a fault plan or protected modules runs traced on tier 2,
 // the fused loop, which writes one event per component of a fused pair;
 // with it off, the observed loop fetches every instruction through
@@ -295,7 +307,7 @@ TEST(TraceEquivalence, DecodeCacheOnOffTracesAreByteIdentical) {
         const auto a = run_trace_scenario(scenario, on);
         const auto b = run_trace_scenario(scenario, off);
         EXPECT_EQ(a.events_jsonl, b.events_jsonl) << scenario;
-        EXPECT_EQ(a.counters.instructions, b.counters.instructions) << scenario;
+        EXPECT_EQ(a.outcome.stats.instructions, b.outcome.stats.instructions) << scenario;
         EXPECT_EQ(a.events_jsonl, expected.str()) << scenario << " differs from " << golden;
     }
 }
@@ -307,7 +319,7 @@ TEST(TraceEquivalence, SameSeedReproducesTraceBitForBit) {
         const auto a = run_trace_scenario(scenario);
         const auto b = run_trace_scenario(scenario);
         EXPECT_EQ(a.events_jsonl, b.events_jsonl) << scenario;
-        EXPECT_EQ(a.counters.summary(), b.counters.summary()) << scenario;
+        EXPECT_EQ(a.outcome.stats.summary(), b.outcome.stats.summary()) << scenario;
     }
 }
 
@@ -318,7 +330,7 @@ TEST(TraceEquivalence, DifferentSeedChangesAslrBackedTraces) {
     other.victim_seed = 7777;
     const auto a = run_trace_scenario("memcheck");
     const auto b = run_trace_scenario("memcheck", other);
-    EXPECT_EQ(a.counters.instructions, b.counters.instructions);
+    EXPECT_EQ(a.outcome.stats.instructions, b.outcome.stats.instructions);
     EXPECT_EQ(b.outcome.trap.origin, trace::CheckOrigin::Memcheck);
 }
 

@@ -3,23 +3,30 @@
 
 Compares the real_time of every benchmark whose name starts with --prefix
 (default BM_VmExecute) in a change's google-benchmark reports against the
-same benchmarks in its parent's, and fails if any per-name median regressed
-by more than the threshold (default 15%).  Both sides must come from one
-machine: CI builds the parent and the change on one runner and runs them in
-alternation, so drift of the runner hits both alike.
+same benchmarks in its parent's, round by round: the i-th --current file is
+paired with the i-th --baseline file, each pair gives one change/parent
+ratio per benchmark, and a benchmark fails if the median of its ratios
+exceeds 1 + threshold (default 15%).  Both sides must come from one machine:
+CI builds the parent and the change on one runner and runs them in
+alternating rounds, so drift of the runner hits both halves of a round
+alike, and a process that lands in a slow mode moves one ratio, not a
+pooled median.
 
 Each file is one google-benchmark JSON report (--benchmark_out_format=json)
 or a bench-all aggregate (build/BENCH_RESULTS.json, one report per binary).
-Pass several files per side and the gate compares medians over all of them.
+List both sides in the same order (CI's globs do), one file per side and
+round.
 
 The prefix is a startswith match, so the default also guards the
 BM_VmExecuteSanitized pair (bench_attack_matrix) and the traced and profiled
 pairs (bench_trace): the uninstrumented hot path and each observer's tax sit
 under the same budget.
 
-Refused as input errors, because such a comparison cannot fail:
+Refused as input errors, because such a comparison cannot fail or cannot
+be paired:
 - reports whose context.num_cpus differ (timings from two machines);
-- a baseline file byte-identical to a current one (a run against itself).
+- a baseline file byte-identical to a current one (a run against itself);
+- unequal numbers of baseline and current files.
 
 A benchmark present in the baseline but absent from the current run is a
 hard failure by default (a silently dropped bench is a silently dropped
@@ -52,20 +59,19 @@ def reports(path: Path) -> list[dict]:
     return [doc] if "benchmarks" in doc else list(doc.values())
 
 
-def bench_times(paths: list[Path], prefix: str, cpus: set) -> dict[str, float]:
-    """name -> median real_time (ms) over every iteration row matching
-    `prefix` in `paths`; adds each report's num_cpus to `cpus`."""
+def bench_times(path: Path, prefix: str, cpus: set) -> dict[str, float]:
+    """name -> median real_time (ms) over the iteration rows matching
+    `prefix` in one file; adds each report's num_cpus to `cpus`."""
     samples: dict[str, list[float]] = {}
-    for path in paths:
-        for report in reports(path):
-            cpus.add(report.get("context", {}).get("num_cpus"))
-            for b in report.get("benchmarks", []):
-                name = b.get("name", "")
-                # Skip google-benchmark aggregate rows (mean/median/stddev).
-                if b.get("run_type", "iteration") != "iteration" or not name.startswith(prefix):
-                    continue
-                ms = float(b["real_time"]) * MS_PER_UNIT[b.get("time_unit", "ns")]
-                samples.setdefault(name, []).append(ms)
+    for report in reports(path):
+        cpus.add(report.get("context", {}).get("num_cpus"))
+        for b in report.get("benchmarks", []):
+            name = b.get("name", "")
+            # Skip google-benchmark aggregate rows (mean/median/stddev).
+            if b.get("run_type", "iteration") != "iteration" or not name.startswith(prefix):
+                continue
+            ms = float(b["real_time"]) * MS_PER_UNIT[b.get("time_unit", "ns")]
+            samples.setdefault(name, []).append(ms)
     return {name: statistics.median(v) for name, v in samples.items()}
 
 
@@ -95,49 +101,53 @@ def main() -> int:
                 print(f"error: baseline {b} is byte-identical to current {c}: "
                       f"a run compared with itself cannot regress", file=sys.stderr)
                 return 2
+    if len(args.baseline) != len(args.current):
+        print(f"error: {len(args.baseline)} baseline file(s) but {len(args.current)} current "
+              f"file(s); the gate pairs them round by round", file=sys.stderr)
+        return 2
 
     cpus: set = set()
-    baseline = bench_times(args.baseline, args.prefix, cpus)
-    current = bench_times(args.current, args.prefix, cpus)
+    pairs = [(bench_times(b, args.prefix, cpus), bench_times(c, args.prefix, cpus))
+             for b, c in zip(args.baseline, args.current)]
     if len(cpus) > 1:
         print(f"error: reports ran on different machines (num_cpus {sorted(cpus, key=str)}); "
               f"compare a parent and a change run on one machine", file=sys.stderr)
         return 2
-    for side, times in (("baseline", baseline), ("current", current)):
-        if not times:
+    baseline = set().union(*(base for base, _ in pairs))
+    current = set().union(*(cur for _, cur in pairs))
+    for side, names in (("baseline", baseline), ("current", current)):
+        if not names:
             print(f"error: no '{args.prefix}*' benchmarks in the {side} reports",
                   file=sys.stderr)
             return 2
 
-    print(f"baseline: {len(args.baseline)} file(s)   current: {len(args.current)} file(s)   "
-          f"threshold: +{args.threshold:.0%}   (medians, ms)")
+    print(f"pairs: {len(pairs)}   threshold: +{args.threshold:.0%}   "
+          f"(median of per-pair change/parent ratios)")
     failed = []
     for name in sorted(current):
-        cur = current[name]
-        base = baseline.get(name)
-        if base is None:
-            print(f"  {name}: {cur:9.3f} ms  (new benchmark, no baseline)")
+        ratios = [cur[name] / base[name] for base, cur in pairs if name in base and name in cur]
+        if not ratios:
+            print(f"  {name}: new benchmark, no baseline")
             continue
-        ratio = cur / base
+        ratio = statistics.median(ratios)
         verdict = "ok"
         if ratio > 1.0 + args.threshold:
             verdict = "REGRESSION"
             failed.append(name)
-        print(f"  {name}: {cur:9.3f} ms  vs {base:9.3f} ms  "
-              f"({ratio - 1.0:+.1%})  {verdict}")
-    for name in sorted(set(baseline) - set(current)):
+        print(f"  {name}: {ratio - 1.0:+.1%} over {len(ratios)} pair(s) "
+              f"(from {min(ratios) - 1.0:+.1%} to {max(ratios) - 1.0:+.1%})  {verdict}")
+    for name in sorted(baseline - current):
         if any(allowed in name for allowed in args.allow_missing):
-            print(f"  {name}: missing from current run (was {baseline[name]:.3f} ms)"
-                  f" — allowlisted, warning only")
+            print(f"  {name}: missing from current run — allowlisted, warning only")
             continue
-        print(f"  {name}: missing from current run (was {baseline[name]:.3f} ms); "
+        print(f"  {name}: missing from current run; "
               f"pass --allow-missing if the rename/removal is intentional",
               file=sys.stderr)
         failed.append(name)
 
     if failed:
         print(f"FAIL: {len(failed)} benchmark(s) regressed beyond "
-              f"+{args.threshold:.0%} of the baseline", file=sys.stderr)
+              f"+{args.threshold:.0%} of the baseline in the median pair", file=sys.stderr)
         return 1
     print("all guarded benchmarks within budget")
     return 0

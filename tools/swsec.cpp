@@ -16,7 +16,8 @@
 //                                       exit 0 iff the invariant holds)
 //   swsec trace <scenario>             run one observability scenario and
 //                                      emit its event trace as JSONL on
-//                                      stdout (counters go to stderr);
+//                                      stdout (the victim's counts go to
+//                                      stderr);
 //                                      --trace-out FILE, --no-decode-cache
 //   swsec fuzz [options]               differential semantics-preservation
 //                                      fuzzing: seeded benign MiniC programs
@@ -491,7 +492,8 @@ int cmd_trace(int argc, char** argv) {
     std::fprintf(stderr, "[%s] %s\n", run.scenario.c_str(), run.outcome.verdict().c_str());
     std::fprintf(stderr, "[%s] %s\n", run.scenario.c_str(),
                  run.outcome.trap.provenance().c_str());
-    std::fprintf(stderr, "[%s] %s\n", run.scenario.c_str(), run.counters.summary().c_str());
+    std::fprintf(stderr, "[%s] %s\n", run.scenario.c_str(),
+                 run.outcome.stats.summary().c_str());
     return 0;
 }
 
