@@ -4,10 +4,14 @@
 // registry, and the fuzzer's edge-coverage bitmaps.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "assembler/assembler.hpp"
@@ -238,6 +242,55 @@ TEST(Profiler, FoldedStacksNameCallers) {
     }
     EXPECT_EQ(total, run.report.total_retired); // interval 1: every retire sampled
     EXPECT_TRUE(saw_nested);
+}
+
+// The three outputs of `swsec profile SCENARIO --sample-interval 1` (the
+// summary, --out JSON and --folded text) for every scenario, and the
+// summary and --annotate disassembly of `swsec profile fib.mc` at the
+// default interval, pinned against tests/golden/profile/.  Interval 1
+// samples every retirement, so the folded stacks pin where each call's
+// push and each ret's pop land relative to that instruction's sample.
+// After an intended change, regenerate them with
+//   SWSEC_PROFILE_GOLDEN_OUT=<dir> ./build/tests/test_profile --gtest_filter='ProfileGolden.*'
+// and review the diff.
+TEST(ProfileGolden, ScenariosAndRecursiveProgramMatchCommitted) {
+    const std::filesystem::path dir = SWSEC_PROFILE_GOLDEN_DIR;
+    std::vector<std::pair<std::string, std::string>> artifacts;
+    core::ProfileScenarioOptions opts;
+    opts.sample_interval = 1;
+    for (const std::string& name : core::profile_scenario_names()) {
+        const profile::ProfileReport report = core::run_profile_scenario(name, opts).report;
+        artifacts.emplace_back(name + ".summary.txt", report.summary());
+        artifacts.emplace_back(name + ".json", report.to_json());
+        artifacts.emplace_back(name + ".folded", report.folded_text());
+    }
+
+    std::ifstream src_in(dir / "fib.mc", std::ios::binary);
+    std::ostringstream src;
+    src << src_in.rdbuf();
+    const auto img = cc::compile_program({src.str()}, {});
+    profile::Profiler prof;
+    os::SecurityProfile p;
+    p.profiler = &prof;
+    os::Process proc(img, p, 1);
+    ASSERT_TRUE(proc.run(100'000'000).exited(0));
+    const profile::ProfileReport fib = profile::build_report(prof, img, proc.layout().text_base);
+    artifacts.emplace_back("fib.txt", fib.summary() + fib.annotated_disasm);
+    artifacts.emplace_back("fib.folded", fib.folded_text());
+
+    if (const char* out = std::getenv("SWSEC_PROFILE_GOLDEN_OUT")) {
+        for (const auto& [name, text] : artifacts) {
+            std::ofstream(std::filesystem::path(out) / name, std::ios::binary) << text;
+        }
+        GTEST_SKIP() << "wrote " << artifacts.size() << " goldens to " << out;
+    }
+    for (const auto& [name, text] : artifacts) {
+        std::ifstream in(dir / name, std::ios::binary);
+        ASSERT_TRUE(in) << "missing " << dir / name;
+        std::ostringstream committed;
+        committed << in.rdbuf();
+        EXPECT_EQ(text, committed.str()) << name;
+    }
 }
 
 // --- metrics registry --------------------------------------------------------
