@@ -2,24 +2,24 @@
 //
 // Four prices, separated so regressions name their layer:
 //
-//  * BM_ProfilerHooks     — the attached-profiler hot path in isolation:
-//                           one retire + one edge account per iteration
-//                           (hash-map increments, no sampling).
+//  * BM_ProfilerHooks     — the profiler's fold in isolation: one retire
+//                           + one edge account per iteration (hash-map
+//                           increments, no sampling).
 //  * BM_Symbolize         — PC -> function:line through the debug line
 //                           table (binary search over funcs + line rows).
 //  * BM_BuildReport       — full report construction from a profiled run:
 //                           blocks, line heat, edges, folded stacks and
 //                           the annotated disassembly render.
 //  * BM_ProfileScenario   — end-to-end `swsec profile <scenario>`: attack,
-//                           victim run with profiler attached, report.
+//                           traced victim run folding the profile, report.
 //  * BM_HistogramObserve  — one histogram_observe on a resolved series:
 //                           the per-cell price campaign workers pay inline.
 //  * BM_RegistryToPrometheus — full text-exposition render of a registry
 //                           sized like a campaign export.
 //
-// The *detached* profiler cost is deliberately benched next to the tracer
-// in bench_trace.cpp (BM_VmExecuteProfiled arg 0) so the two disabled-
-// observability arms share one workload and stay directly comparable.
+// The whole-run cost of a profile (the traced tier-2 loop feeding the fold)
+// is benched next to the tracer in bench_trace.cpp (BM_VmExecuteProfiled),
+// so the profiled and traced arms share one workload and stay comparable.
 #include <benchmark/benchmark.h>
 
 #include "cc/compiler.hpp"
@@ -29,6 +29,7 @@
 #include "profile/profiler.hpp"
 #include "profile/report.hpp"
 #include "profile/symbolize.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -43,8 +44,10 @@ const std::string kWorkload = R"(
 profile::Profiler profiled_run(const objfmt::Image& img, std::uint32_t* text_base) {
     profile::Profiler prof;
     prof.set_sample_interval(97);
+    trace::Tracer tracer(1);
+    tracer.set_fold(&prof);
     os::SecurityProfile p;
-    p.profiler = &prof;
+    p.tracer = &tracer;
     os::Process proc(img, p, 99);
     (void)proc.run(200'000'000);
     *text_base = proc.layout().text_base;
@@ -56,8 +59,8 @@ void BM_ProfilerHooks(benchmark::State& state) {
     prof.set_sample_interval(0);
     std::uint32_t pc = 0x08048000;
     for (auto _ : state) {
-        prof.on_retire(pc);
-        prof.on_edge(pc, pc + 7);
+        prof.retire(pc, static_cast<std::uint8_t>(isa::Op::Jmp));
+        prof.edge(pc, pc + 7);
         pc = 0x08048000 + ((pc + 13) & 0xfff); // walk a 4 KiB working set
         benchmark::DoNotOptimize(prof);
     }

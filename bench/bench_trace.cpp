@@ -50,12 +50,12 @@ void BM_VmExecuteTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_VmExecuteTraced)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// The profiler holds the same pay-for-what-you-use promise as the tracer
-// (DESIGN.md §11): its only hook sites are the step loop's retire/edge
-// bookkeeping and call/ret, never the memory fast paths, so arg 0 (no
-// profiler) must stay within 5% of the same workload's detached-tracer
-// arm above — that parity is the PR's disabled-overhead acceptance bar.
-// Arg 1 prices exact PC+edge counting with the stack sampler on.
+// A profile is a fold over the traced stream (DESIGN.md §11): the machine
+// has no profiler hook, so arg 0 (nothing attached) is the same untraced
+// tier-2 run as BM_VmExecuteTraced/0.  Arg 1 is a profiled run as `swsec
+// profile FILE` makes it: the traced tier-2 loop feeding a one-slot
+// tracer that carries the profiler's fold, exact PC+edge counting with the
+// stack sampler on.
 void BM_VmExecuteProfiled(benchmark::State& state) {
     static const std::string src = R"(
         int fib(int n) { if (n < 2) { return n; } return fib(n-1) + fib(n-2); }
@@ -66,8 +66,10 @@ void BM_VmExecuteProfiled(benchmark::State& state) {
     const auto img = cc::compile_program({src}, {});
     os::SecurityProfile profile;
     profile::Profiler prof;
+    trace::Tracer tracer(1);
+    tracer.set_fold(&prof);
     if (profiled) {
-        profile.profiler = &prof;
+        profile.tracer = &tracer;
     }
     std::uint64_t steps = 0;
     for (auto _ : state) {

@@ -63,7 +63,6 @@ struct Lab {
     std::uint64_t attacker_seed;
     fault::FaultInjector* victim_faults = nullptr;
     trace::Tracer* victim_tracer = nullptr;
-    profile::Profiler* victim_profiler = nullptr;
 
     // Keeps the memoized image alive for the duration of the attack; every
     // cell used to recompile its scenario from scratch, which dominated the
@@ -76,7 +75,6 @@ struct Lab {
         os::SecurityProfile prof = defense.profile;
         prof.fault_injector = victim_faults; // only the deployed machine glitches
         prof.tracer = victim_tracer;         // only the deployed machine is observed
-        prof.profiler = victim_profiler;     // ... and profiled
         return Process(held_image, prof, victim_seed);
     }
     [[nodiscard]] Process probe() const {
@@ -471,9 +469,8 @@ const std::vector<AttackKind>& all_attacks() {
 
 AttackOutcome run_attack(AttackKind kind, const Defense& defense, std::uint64_t victim_seed,
                          std::uint64_t attacker_seed, fault::FaultInjector* victim_faults,
-                         trace::Tracer* victim_tracer, profile::Profiler* victim_profiler) {
-    Lab lab{defense, victim_seed, attacker_seed, victim_faults, victim_tracer,
-            victim_profiler, {}};
+                         trace::Tracer* victim_tracer) {
+    Lab lab{defense, victim_seed, attacker_seed, victim_faults, victim_tracer, {}};
     switch (kind) {
     case AttackKind::StackSmashInject:
         return lab.stack_smash_inject();

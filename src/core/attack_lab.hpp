@@ -18,7 +18,6 @@
 #include "core/defense.hpp"
 #include "fault/fault.hpp"
 #include "os/process.hpp"
-#include "profile/profiler.hpp"
 #include "trace/trace.hpp"
 #include "vm/trap.hpp"
 
@@ -85,14 +84,13 @@ struct AttackOutcome {
 /// clean — the attacker rehearses on healthy hardware; only the deployed
 /// machine glitches).  The fault-sweep harness uses this to check that no
 /// glitch can flip a blocked cell into a success.  When `victim_tracer` is
-/// given, the victim machine records its full event trace into it (the probe
-/// never traces — only the deployed machine is observed).  `victim_profiler`
-/// likewise attaches the exact PC/edge profiler to the victim only.
+/// given, the victim machine records its full event trace into it, and feeds
+/// the tracer's folds (the probe never traces — only the deployed machine is
+/// observed).
 [[nodiscard]] AttackOutcome run_attack(AttackKind kind, const Defense& defense,
                                        std::uint64_t victim_seed = 1001,
                                        std::uint64_t attacker_seed = 2002,
                                        fault::FaultInjector* victim_faults = nullptr,
-                                       trace::Tracer* victim_tracer = nullptr,
-                                       profile::Profiler* victim_profiler = nullptr);
+                                       trace::Tracer* victim_tracer = nullptr);
 
 } // namespace swsec::core

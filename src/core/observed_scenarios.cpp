@@ -1,7 +1,8 @@
 // The observed scenarios of `swsec trace` (core/trace_scenarios.hpp) and
 // `swsec profile` (core/profile_scenarios.hpp): one table of attack-vs-
-// defense pairings that both verbs read, plus the two platform scenarios
-// (pma, sfi) that only the tracer runs.
+// defense pairings and one traced run of them, which both verbs make (a
+// profile attaches its fold to the tracer), plus the two platform
+// scenarios (pma, sfi) that only the tracer runs.
 #include "core/profile_scenarios.hpp"
 #include "core/trace_scenarios.hpp"
 
@@ -53,15 +54,15 @@ const AttackScenario* find_attack_scenario(const std::string& name) {
     return nullptr;
 }
 
-/// Run `s` with the given observers attached to its victim.
+/// Run `s` with `tracer` (and the folds attached to it) observing its victim.
 AttackOutcome run_attack_scenario(const AttackScenario& s, bool decode_cache,
                                   std::uint64_t victim_seed, std::uint64_t attacker_seed,
-                                  trace::Tracer* tracer, profile::Profiler* profiler) {
+                                  trace::Tracer& tracer) {
     Defense defense = s.defense();
     defense.profile.decode_cache = decode_cache;
     fault::FaultInjector injector{fault::FaultPlan{}.add(fault::FaultEvent::power_cut(20))};
     return run_attack(s.attack, defense, victim_seed, attacker_seed,
-                      s.power_cut ? &injector : nullptr, tracer, profiler);
+                      s.power_cut ? &injector : nullptr, &tracer);
 }
 
 /// PMA scenario: untrusted code outside any module tries to read a protected
@@ -184,7 +185,7 @@ TraceRun run_trace_scenario(const std::string& name, const TraceScenarioOptions&
     TraceRun run;
     run.scenario = name;
     run.outcome = run_attack_scenario(*s, opts.decode_cache, opts.victim_seed,
-                                      opts.attacker_seed, &tracer, nullptr);
+                                      opts.attacker_seed, tracer);
     run.events_jsonl = tracer.to_jsonl();
     return run;
 }
@@ -197,10 +198,11 @@ ProfileRun run_profile_scenario(const std::string& name, const ProfileScenarioOp
     }
     profile::Profiler prof;
     prof.set_sample_interval(opts.sample_interval);
+    trace::Tracer tracer;
+    tracer.set_fold(&prof);
     ProfileRun run;
     run.scenario = name;
-    run.outcome =
-        run_attack_scenario(*s, true, opts.victim_seed, opts.attacker_seed, nullptr, &prof);
+    run.outcome = run_attack_scenario(*s, true, opts.victim_seed, opts.attacker_seed, tracer);
     if (run.outcome.image == nullptr) {
         throw InternalError("profile scenario '" + name + "' produced no image");
     }

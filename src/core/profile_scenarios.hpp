@@ -1,10 +1,10 @@
-// Named profiling scenarios for `swsec profile`: the attack scenarios of
-// `swsec trace` re-run with the exact PC/edge profiler attached to the victim,
+// Named profiling scenarios for `swsec profile`: the traced runs of
+// `swsec trace` with the exact PC/edge profiler folding the victim's stream,
 // producing hot-block tables, per-source-line heat, flamegraph-folded
 // stacks and an annotated disassembly — all symbolized through the debug
 // line table the compiler now emits (DESIGN.md §11).
 //
-// The profiler observes the architectural event stream, so a scenario's
+// The profiler folds the architectural event stream, so a scenario's
 // report is exactly as deterministic as the run: same seeds, same counts,
 // bit for bit, decode cache on or off.
 #pragma once
@@ -37,8 +37,8 @@ struct ProfileRun {
 /// process, so there is nothing to profile).
 [[nodiscard]] const std::vector<std::string>& profile_scenario_names();
 
-/// Run one named scenario with a profiler attached to the victim.  Throws
-/// Error for unknown names.
+/// Run one named scenario, traced, with a profiler folding the victim's
+/// stream.  Throws Error for unknown names.
 [[nodiscard]] ProfileRun run_profile_scenario(const std::string& name,
                                               const ProfileScenarioOptions& opts = {});
 

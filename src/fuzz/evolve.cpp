@@ -95,9 +95,10 @@ TriageResult triage_divergence(const Divergence& d, std::uint64_t max_steps) {
             cc::compile_program({d.source}, rc.defense.copts));
         profile::Profiler prof;
         prof.set_sample_interval(0); // shadow stack only; no samples needed
+        trace::Tracer tracer(1);     // the fold's carrier: its ring is never read
+        tracer.set_fold(&prof);
         os::SecurityProfile p = rc.defense.profile;
-        p.tracer = nullptr;
-        p.profiler = &prof;
+        p.tracer = &tracer;
         os::Process proc(image, p, d.seed);
         const vm::RunResult r = proc.run(max_steps);
         const profile::Symbolizer sym(proc.image(), proc.layout().text_base);

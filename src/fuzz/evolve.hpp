@@ -18,10 +18,10 @@
 // through the machine-wide image cache, which holds scenario images only).
 //
 // Every divergence the oracles raise is auto-triaged: the deviating
-// configuration (resolve_config) is compiled afresh and re-run with a
-// profiler attached, the final trap's provenance (kind + CheckOrigin) and
-// the shadow call stack are symbolized through the image's line table, and
-// the resulting "func:line" stack is the dedup key — ten thousand
+// configuration (resolve_config) is compiled afresh and re-run traced with
+// a profiler folding its stream, the final trap's provenance (kind +
+// CheckOrigin) and the shadow call stack are symbolized through the image's
+// line table, and the resulting "func:line" stack is the dedup key — ten thousand
 // executions of the same bug yield one crash record (with a hit count),
 // exactly the triage discipline AFL-style fuzzers need to stay readable at
 // campaign scale.  Each unique crash carries its representative Divergence,
@@ -67,10 +67,10 @@ struct RunConfig {
 };
 [[nodiscard]] RunConfig resolve_config(const std::string& name);
 
-/// Triage one divergence: re-run the deviating configuration with a
-/// profiler, symbolize the trap site and shadow stack, and derive the dedup
-/// key.  Deterministic: triaging the same divergence twice yields the same
-/// key (the dedup-idempotence property the tests lock).
+/// Triage one divergence: re-run the deviating configuration traced with a
+/// profiler folding its stream, symbolize the trap site and shadow stack,
+/// and derive the dedup key.  Deterministic: triaging the same divergence
+/// twice yields the same key (the dedup-idempotence property the tests lock).
 struct TriageResult {
     std::string key;
     std::vector<std::string> frames;

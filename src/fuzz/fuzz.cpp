@@ -110,16 +110,15 @@ struct ObservedArch {
     }
 };
 
-/// One execution of `image` under `profile` (profiler detached, `tracer`
-/// attached when given), counted into `stats` when given.  With `coverage`,
-/// the tracer folds the run's text-relative edges into it.
+/// One execution of `image` under `profile` (`tracer` attached when given),
+/// counted into `stats` when given.  With `coverage`, the tracer folds the
+/// run's text-relative edges into it.
 ObservedArch run(const std::shared_ptr<const objfmt::Image>& image,
                  const os::SecurityProfile& profile, std::uint64_t seed,
                  std::uint64_t max_steps, FuzzReport* stats, trace::Tracer* tracer = nullptr,
                  trace::CoverageBitmap* coverage = nullptr) {
     os::SecurityProfile p = profile;
     p.tracer = tracer;
-    p.profiler = nullptr;
     os::Process proc(image, p, seed);
     if (coverage != nullptr) {
         tracer->set_coverage(coverage, proc.layout().text_base, proc.layout().text_size);

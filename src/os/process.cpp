@@ -22,9 +22,6 @@ Process::Process(std::shared_ptr<const objfmt::Image> image, const SecurityProfi
     if (profile.tracer != nullptr) {
         machine_.set_tracer(profile.tracer);
     }
-    if (profile.profiler != nullptr) {
-        machine_.set_profiler(profile.profiler);
-    }
 
     LoadOptions lo;
     lo.dep = profile.dep;

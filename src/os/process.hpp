@@ -20,7 +20,6 @@
 #include "assembler/object.hpp"
 #include "os/kernel.hpp"
 #include "os/loader.hpp"
-#include "profile/profiler.hpp"
 #include "vm/machine.hpp"
 
 namespace swsec::os {
@@ -54,14 +53,9 @@ struct SecurityProfile {
 
     /// Observability tracer attached to the machine (non-owning; may be
     /// null).  Events flow from every platform layer; a null tracer costs
-    /// one guarded branch per hook site.  Must outlive the Process.
+    /// one guarded branch per hook site; a profile is a fold on it
+    /// (trace::Tracer::set_fold).  Must outlive the Process.
     trace::Tracer* tracer = nullptr;
-
-    /// Exact PC/edge profiler attached to the machine (non-owning; may be
-    /// null).  Same pay-for-what-you-use contract as the tracer: a detached
-    /// profiler adds no branches to the memory fast paths.  Must outlive
-    /// the Process.
-    profile::Profiler* profiler = nullptr;
 
     [[nodiscard]] static SecurityProfile none() noexcept { return {}; }
     [[nodiscard]] static SecurityProfile hardened() noexcept {

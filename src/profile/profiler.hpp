@@ -1,30 +1,26 @@
 // Exact PC / basic-block / edge profiler.
 //
-// The Profiler is attached to a vm::Machine through the same null-guarded,
-// non-owning pointer discipline as trace::Tracer and fault::FaultInjector:
-// a detached profiler costs nothing on the memory fast paths (the only hook
-// sites are the VM engine's observed retire, call and ret), and
-// an attached one observes the *architectural* event stream — retired
-// instructions and taken control transfers — so its counts are exact, not
-// sampled, and identical across decode-cache on/off and `--jobs N`.
+// The Profiler is a fold over the retired stream (trace::RetireFold),
+// attached to the tracer a vm::Machine already feeds from both engine
+// loops (trace::Tracer::set_fold): a profiled run executes traced tier 2
+// wherever a traced run does, and its counts are exact, not sampled, and
+// identical across decode-cache on/off and `--jobs N`.  A profile alone
+// rides on a one-slot tracer, trace::Tracer(1), whose ring nobody reads.
 //
 // The shadow call stack mirrors the machine's call/ret pairing (it is an
 // observer, not the security mechanism — that one lives in vm::Machine as
-// `hardware_shadow_stack`).  Every `sample_interval` retires the profiler
+// `hardware_shadow_stack`); a call's push and a ret's pop land before that
+// retirement's sample.  Every `sample_interval` retires the profiler
 // snapshots the shadow stack, which folds into flamegraph stacks at report
 // time.  The interval counter is instruction-based, so samples are as
 // deterministic as the run itself.
 //
-// An attached profiler keeps the machine on the observed loop, so it serves
-// `swsec profile`, fuzz triage's shadow stack and BM_VmExecuteProfiled.  The
-// fuzzers' edge coverage does not come from here: the tracer folds it from
-// the traced baseline run the engine oracle already makes
-// (trace::Tracer::set_coverage), and tests/test_profile.cpp checks that
-// fold against this profiler's edge_counts().
-//
-// This header depends only on common/ so the VM can link it without pulling
-// in the object format; symbolization and report rendering live in
-// symbolize.hpp / report.hpp.
+// It serves `swsec profile`, fuzz triage's shadow stack and
+// BM_VmExecuteProfiled.  The fuzzers' edge coverage does not come from
+// here: the tracer folds it from the traced baseline run the engine oracle
+// already makes (trace::Tracer::set_coverage), and tests/test_profile.cpp
+// checks that fold against this profiler's edge_counts().  Symbolization
+// and report rendering live in symbolize.hpp / report.hpp.
 #pragma once
 
 #include <cstdint>
@@ -32,19 +28,33 @@
 #include <unordered_map>
 #include <vector>
 
+#include "isa/isa.hpp"
+#include "trace/trace.hpp"
+
 namespace swsec::profile {
 
 /// One recorded call-stack sample: the shadow stack (function entry PCs,
 /// outermost first) with the sampled PC appended.
 using StackSample = std::vector<std::uint32_t>;
 
-class Profiler {
+class Profiler final : public trace::RetireFold {
 public:
-    // ---- hooks called by vm::Machine (null-guarded at the call site) ------
-    void on_retire(std::uint32_t pc) noexcept {
+    // ---- the fold (called by trace::Tracer) --------------------------------
+    void retire(std::uint32_t pc, std::uint8_t opcode) override {
         ++retired_;
         ++pc_counts_[pc];
-        if (sample_interval_ != 0 && retired_ % sample_interval_ == 0) {
+        const bool due = sample_interval_ != 0 && retired_ % sample_interval_ == 0;
+        if (opcode == static_cast<std::uint8_t>(isa::Op::Call) ||
+            opcode == static_cast<std::uint8_t>(isa::Op::CallR)) {
+            // The push needs the target, which the call's edge brings next.
+            call_pending_ = true;
+            call_sample_due_ = due;
+            return;
+        }
+        if (opcode == static_cast<std::uint8_t>(isa::Op::Ret) && !shadow_stack_.empty()) {
+            shadow_stack_.pop_back();
+        }
+        if (due) {
             take_sample(pc);
         }
     }
@@ -52,15 +62,14 @@ public:
     /// A taken or fall-through edge of a control-transfer instruction
     /// (jumps, calls, returns, indirect forms).  `to` is the architectural
     /// successor IP after execution.
-    void on_edge(std::uint32_t from, std::uint32_t to) noexcept {
+    void edge(std::uint32_t from, std::uint32_t to) override {
         ++edge_counts_[edge_key(from, to)];
-    }
-
-    void on_call(std::uint32_t target) { shadow_stack_.push_back(target); }
-
-    void on_ret() noexcept {
-        if (!shadow_stack_.empty()) {
-            shadow_stack_.pop_back();
+        if (call_pending_) {
+            call_pending_ = false;
+            shadow_stack_.push_back(to);
+            if (call_sample_due_) {
+                take_sample(from);
+            }
         }
     }
 
@@ -75,6 +84,7 @@ public:
         edge_counts_.clear();
         shadow_stack_.clear();
         samples_.clear();
+        call_pending_ = false;
     }
 
     // ---- results ----------------------------------------------------------
@@ -114,6 +124,8 @@ private:
 
     std::uint64_t retired_ = 0;
     std::uint64_t sample_interval_ = 97;
+    bool call_pending_ = false;    // a call retired; its edge pushes the target
+    bool call_sample_due_ = false; // ... and then takes that retirement's sample
     std::unordered_map<std::uint32_t, std::uint64_t> pc_counts_;
     std::unordered_map<std::uint64_t, std::uint64_t> edge_counts_;
     std::vector<std::uint32_t> shadow_stack_;

@@ -26,10 +26,11 @@
 //    is guarded by a null pointer check, one predictable branch — the
 //    disabled-tracer overhead budget is <= 5% on the attack-matrix bench.
 //  * A tracer can also fold the run's edges into a CoverageBitmap as the
-//    engine retires them (Tracer::set_coverage).  The fuzzers take their
-//    edge coverage from the traced baseline run the engine oracle already
-//    makes, so observing coverage costs no run of its own.  The fold is not
-//    an event: the stream is the same with or without it.
+//    engine retires them (Tracer::set_coverage), and feed the stream to a
+//    RetireFold (Tracer::set_fold), profile::Profiler.  The fuzzers take
+//    their edge coverage from the traced baseline run the engine oracle
+//    already makes, and a profiled run is a traced one.  A fold is not an
+//    event: the stream is the same with or without one.
 //  * trace depends only on common.  The VM, OS and harness layers all sit
 //    above it; trap kinds and syscall numbers are carried as raw codes with
 //    the emitting layer supplying the human-readable name in `detail`.
@@ -104,6 +105,18 @@ struct TraceEvent {
 
     /// One JSON object, fixed key order, no trailing newline.
     [[nodiscard]] std::string to_json() const;
+};
+
+/// A fold over the retired stream (Tracer::set_fold): both engine loops
+/// hand it each retirement, with its opcode byte, then a control
+/// transfer's edge to its successor, one component of a fused pair at a time.
+class RetireFold {
+public:
+    virtual void retire(std::uint32_t pc, std::uint8_t opcode) = 0;
+    virtual void edge(std::uint32_t from, std::uint32_t to) = 0;
+
+protected:
+    ~RetireFold() = default;
 };
 
 /// Fixed-size edge-coverage bitmap (2^16 buckets, AFL-style).  Buckets are a
@@ -185,6 +198,9 @@ public:
         e.a = 0;
         e.b = 0;
         e.detail.clear();
+        if (fold_ != nullptr) {
+            fold_->retire(pc, opcode);
+        }
     }
     /// Fold the run's edges into `bmp` (non-owning; nullptr detaches), each
     /// relative to `base` and only when both endpoints fall inside [base,
@@ -197,14 +213,19 @@ public:
         window_base_ = base;
         window_size_ = size;
     }
+    /// Feed the stream to `fold` (non-owning; nullptr detaches).
+    void set_fold(RetireFold* fold) noexcept { fold_ = fold; }
     /// A retired control transfer (jumps, calls, returns, indirect forms,
     /// both outcomes of a jcc) to its architectural successor `to`: the
     /// engine's edge hook, folded in as it retires, so the ring's capacity
     /// does not limit coverage.
-    [[gnu::always_inline]] void edge(std::uint32_t from, std::uint32_t to) noexcept {
+    [[gnu::always_inline]] void edge(std::uint32_t from, std::uint32_t to) {
         if (coverage_ != nullptr && from - window_base_ < window_size_ &&
             to - window_base_ < window_size_) {
             coverage_->add(from - window_base_, to - window_base_);
+        }
+        if (fold_ != nullptr) {
+            fold_->edge(from, to);
         }
     }
 
@@ -263,6 +284,7 @@ private:
     bool eviction_digest_ = false;
     std::uint64_t evicted_digest_ = 0;
     CoverageBitmap* coverage_ = nullptr;
+    RetireFold* fold_ = nullptr;
     std::uint32_t window_base_ = 0;
     std::uint32_t window_size_ = 0;
 };

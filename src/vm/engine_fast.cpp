@@ -20,7 +20,7 @@
 // each under `if constexpr (kTraced)`, so an untraced run executes no
 // tracer code at all.  The observed loop handles all of
 // those in place: it probes the fault injector, checks the PMA rules,
-// reports retirements and traps to the tracer and profiler, re-resolves
+// reports retirements and traps to the tracer, re-resolves
 // the page after a generation bump and fetches through Machine::fetch when
 // the slot cannot serve.  It retires the head of a fused slot alone, and
 // returns after every syscall so run() re-evaluates which loop may run.
@@ -32,7 +32,6 @@
 // store-class handler already resumes at (store_check) covers it too.
 #include "vm/engine_fast.hpp"
 
-#include "profile/profiler.hpp"
 #include "vm/machine.hpp"
 
 #include <iterator>
@@ -100,7 +99,6 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
     // `if constexpr (kTraced)`, so none reaches the unobserved loop.
     [[maybe_unused]] trace::Tracer* const tracer = m.tracer_;
     [[maybe_unused]] const std::int32_t module = m.current_module_; // fixed on tier 2
-    [[maybe_unused]] profile::Profiler* const profiler = m.profiler_;
     [[maybe_unused]] fault::FaultInjector* const faults = m.faults_;
     [[maybe_unused]] const bool pma = !m.modules_.empty();
     [[maybe_unused]] const bool pure_cap = m.opts_.pure_capability;
@@ -380,11 +378,6 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
         if (sstack) {                                                                              \
             m.shadow_stack_.push_back(ret_addr);                                                   \
         }                                                                                          \
-        if constexpr (kObserved) {                                                                 \
-            if (profiler != nullptr) {                                                             \
-                profiler->on_call(target);                                                         \
-            }                                                                                      \
-        }                                                                                          \
     } while (0)
 
 // The pop completes before the shadow-stack verdict.
@@ -397,11 +390,6 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
                                 "return address does not match shadow stack");                     \
             }                                                                                      \
             m.shadow_stack_.pop_back();                                                            \
-        }                                                                                          \
-        if constexpr (kObserved) {                                                                 \
-            if (profiler != nullptr) {                                                             \
-                profiler->on_ret();                                                                \
-            }                                                                                      \
         }                                                                                          \
     } while (0)
 
@@ -450,10 +438,9 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
 
 // --- Retirement.  The observed and traced loops report every retired
 // instruction to the tracer (numbered with the step it retires in, written
-// into its ring slot in place), and the observed loop to the profiler too.
-// `is_edge` marks control transfers, both outcomes of a jcc included: both
-// loops hand them to the tracer's coverage fold, and the observed loop to
-// the profiler.
+// into its ring slot in place).  `is_edge` marks control transfers, both
+// outcomes of a jcc included: both loops hand them to the tracer too, for
+// its folds (coverage, a profile), after the instruction's retirement.
 #define SWSEC_OBSERVE_RETIRE(pc, to, is_edge)                                                      \
     do {                                                                                           \
         if constexpr (kTraced) {                                                                   \
@@ -467,12 +454,6 @@ FastExit FastEngine::run(Machine& m, std::uint64_t end) {
                 tracer->retire(steps, pc, m.current_module_, op->opcode);                          \
                 if (is_edge) {                                                                     \
                     tracer->edge(pc, to);                                                          \
-                }                                                                                  \
-            }                                                                                      \
-            if (profiler != nullptr) {                                                             \
-                profiler->on_retire(pc);                                                           \
-                if (is_edge) {                                                                     \
-                    profiler->on_edge(pc, to);                                                     \
                 }                                                                                  \
             }                                                                                      \
         }                                                                                          \

@@ -7,8 +7,8 @@
 // does.
 //
 //  * run<Policy::Unobserved>, the unobserved loop ("tier 2"), runs
-//    whenever nothing but a tracer could observe it: no profiler or fault
-//    plan attached, no protected modules installed, decode cache on, not
+//    whenever nothing but a tracer could observe it: no fault plan
+//    attached, no protected modules installed, decode cache on, not
 //    pure-capability.  It retires each fused pair
 //    built by DecodeCache::build_fast (cmp+jcc, cmpi+jcc, load+push,
 //    movi+pop) in one dispatch, and hands anything it does not own back to
@@ -16,17 +16,17 @@
 //  * run<Policy::Traced> is the same loop with a tracer attached.  It
 //    writes the insn event the observed loop would write for every
 //    retirement, one per component of a fused pair (the head's between
-//    the two components), and credits its decode-cache hits to the
-//    tracer's counters once per exit, so its trace and counters equal the
-//    observed loop's.  It also hands every retired control transfer to
-//    the tracer's coverage fold, the jcc of a fused cmp+jcc included.
+//    the two components), so its trace equals the observed loop's.  It
+//    also hands every retired control transfer to the tracer, after its
+//    retirement, the jcc of a fused cmp+jcc included, so the folds
+//    attached to the tracer (edge coverage, a source-level profile) see
+//    the stream the observed loop reports, in the same order.
 //  * run<Policy::Observed>, the observed loop ("tier 1"), runs everywhere
 //    else, and is what Machine::step() runs for one instruction.  It adds
 //    the per-instruction fault probe, the PMA fetch and data checks,
-//    module-transition events, the profiler's hooks, syscalls and
-//    capability ops; it executes only the head instruction of a fused
-//    slot, and with the decode cache off it builds one unfused FastOp per
-//    step from Machine::fetch.
+//    module-transition events, syscalls and capability ops; it executes
+//    only the head instruction of a fused slot, and with the decode cache
+//    off it builds one unfused FastOp per step from Machine::fetch.
 //
 // Contract: every loop leaves the same registers, flags, step counts, traps
 // (kind/ip/addr/detail/origin) and memory mutations, including generation

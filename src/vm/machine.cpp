@@ -334,8 +334,8 @@ RunResult Machine::run(std::uint64_t max_steps) {
     // observable distinguishes it from the observed loop, and its traced
     // instantiation when a tracer is attached.  Eligibility and the tracer
     // are re-evaluated every iteration, and both loops hand every syscall
-    // back here, so a syscall that attaches a tracer or a profiler mid-run
-    // is observed from the very next instruction.
+    // back here, so a syscall that attaches a tracer mid-run is observed
+    // from the very next instruction.
     bool was_fast = false;
     while (!trap_.is_set()) {
         if (steps_ >= end) {

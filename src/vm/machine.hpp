@@ -16,10 +16,10 @@
 // platform the classic attacks of Section III assume.
 //
 // run() executes through the engine of vm/engine_fast.hpp: tier 2, the
-// fused loop, whenever no profiler, fault plan or protected module could
-// tell it from the observed loop and the decode cache is on (with an
-// attached tracer it runs its traced instantiation, whose events and
-// counters equal the observed loop's), and the observed loop otherwise.
+// fused loop, whenever no fault plan or protected module could tell it
+// from the observed loop and the decode cache is on (with an attached
+// tracer, and the folds on it, it runs its traced instantiation, whose
+// events equal the observed loop's), and the observed loop otherwise.
 // There is no switch that selects the observed loop by itself: tests that
 // want it with the decode cache on attach an empty fault::FaultInjector.
 #pragma once
@@ -36,10 +36,6 @@
 #include "vm/memory.hpp"
 #include "vm/pma_model.hpp"
 #include "vm/trap.hpp"
-
-namespace swsec::profile {
-class Profiler;
-}
 
 namespace swsec::vm {
 
@@ -89,7 +85,7 @@ struct DispatchStats {
     std::uint64_t deopt_trap = 0;         // trap raised inside the loop
     std::uint64_t deopt_budget = 0;       // watchdog slice end reached
     std::uint64_t deopt_syscall = 0;      // Sys runs as an observed step
-    std::uint64_t deopt_observer = 0;     // profiler/faults attached mid-run
+    std::uint64_t deopt_observer = 0;     // fault plan attached mid-run
                                           // (fast_eligible went false)
 
     /// Sum over all deopt reasons.
@@ -190,11 +186,11 @@ public:
 
     void set_syscall_handler(SyscallHandler* handler) noexcept { syscalls_ = handler; }
 
-    /// Attach an observability tracer (trace::Tracer).  Non-owning; pass
-    /// nullptr to detach.  run() picks tier 2's traced or untraced
-    /// instantiation by this pointer, so an untraced run executes no tracer
-    /// code in the engine; every other hook (traps, syscalls, the observed
-    /// loop) is guarded by it, one predictable branch per site.
+    /// Attach an observability tracer (trace::Tracer) and its folds.  Non-
+    /// owning; pass nullptr to detach.  run() picks tier 2's traced or
+    /// untraced instantiation by this pointer, so an untraced run executes
+    /// no tracer code in the engine; every other hook (traps, syscalls, the
+    /// observed loop) is guarded by it, one predictable branch per site.
     void set_tracer(trace::Tracer* t) noexcept { tracer_ = t; }
     [[nodiscard]] trace::Tracer* tracer() const noexcept { return tracer_; }
 
@@ -204,13 +200,6 @@ public:
     /// until a countermeasure does, or does not, catch the corruption).
     /// Non-owning; pass nullptr to detach.
     void set_fault_injector(fault::FaultInjector* inj) noexcept { faults_ = inj; }
-
-    /// Attach an exact PC/edge profiler (profile::Profiler).  Non-owning;
-    /// pass nullptr to detach.  Hook sites are the observed loop's
-    /// retirement, call and ret only — the memory paths carry no profiler
-    /// branches, so a detached profiler is free there.
-    void set_profiler(profile::Profiler* p) noexcept { profiler_ = p; }
-    [[nodiscard]] profile::Profiler* profiler() const noexcept { return profiler_; }
 
     // --- machine-level byte access (the kernel substrate's buffer copies) --
     // These honour page permissions, poison (when memcheck) and the PMA
@@ -269,8 +258,8 @@ private:
     /// only when nothing observable distinguishes it from the observed loop.
     /// An attached tracer does not: tier 2 then runs traced.
     [[nodiscard]] bool fast_eligible() const noexcept {
-        return opts_.decode_cache && !opts_.pure_capability &&
-               profiler_ == nullptr && faults_ == nullptr && modules_.empty();
+        return opts_.decode_cache && !opts_.pure_capability && faults_ == nullptr &&
+               modules_.empty();
     }
 
     Memory mem_;
@@ -283,7 +272,6 @@ private:
     SyscallHandler* syscalls_ = nullptr;      // non-owning; must outlive run()
     fault::FaultInjector* faults_ = nullptr;  // non-owning; may be null
     trace::Tracer* tracer_ = nullptr;         // non-owning; may be null
-    profile::Profiler* profiler_ = nullptr;   // non-owning; may be null
     bool in_kernel_ = false;                  // inside a syscall handler
 
     std::array<Capability, kNumCaps> caps_{};

@@ -17,6 +17,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "fault/fault.hpp"
 #include "fuzz/generator.hpp"
 #include "isa/encoder.hpp"
+#include "os/process.hpp"
 #include "profile/profiler.hpp"
 #include "trace/trace.hpp"
 #include "vm/decode_cache.hpp"
@@ -274,11 +276,82 @@ TEST(TierSelection, ProfilerFaultsAndOptionsForceTier1) {
         EXPECT_EQ(r.m.reg(Reg::R3), 30u);
         return r.m.dispatch_stats().tier2_entries;
     };
-    swsec::profile::Profiler profiler;
     swsec::fault::FaultInjector faults{swsec::fault::FaultPlan{}}; // empty plan still counts
-    EXPECT_EQ(tier2_entries_with([&](Machine& m) { m.set_profiler(&profiler); }), 0u);
     EXPECT_EQ(tier2_entries_with([&](Machine& m) { m.set_fault_injector(&faults); }), 0u);
     EXPECT_EQ(tier2_entries_with([](Machine& m) { m.options().decode_cache = false; }), 0u);
+}
+
+/// What a profile folded: every count it keeps, and where its shadow stack
+/// ended.
+void expect_same_profile(const swsec::profile::Profiler& a, const swsec::profile::Profiler& b) {
+    EXPECT_EQ(a.retired(), b.retired());
+    EXPECT_EQ(a.pc_counts(), b.pc_counts());
+    EXPECT_EQ(a.edge_counts(), b.edge_counts());
+    EXPECT_EQ(a.samples(), b.samples());
+    EXPECT_EQ(a.shadow_stack(), b.shadow_stack());
+}
+
+TEST(TierSelection, ProfiledRunStaysOnTier2) {
+    // A profile is a fold over the tracer's stream, so it observes without
+    // demoting: the profiled run enters tier 2 and retires fused pairs, and
+    // folds at interval 1 exactly what the same run folds with the decode
+    // cache off, every instruction on the observed loop.
+    using swsec::profile::Profiler;
+    using swsec::trace::Tracer;
+    {
+        MachineOptions off;
+        off.decode_cache = false;
+        Runner a;
+        Runner b(off);
+        Profiler pa;
+        Profiler pb;
+        Tracer ta(1);
+        Tracer tb(1);
+        for (auto [r, p, t] : {std::tuple{&a, &pa, &ta}, std::tuple{&b, &pb, &tb}}) {
+            p->set_sample_interval(1);
+            t->set_fold(p);
+            r->m.set_tracer(t);
+            EXPECT_EQ(r->run(mixed_program()).trap.kind, TrapKind::Halted);
+            EXPECT_EQ(r->m.reg(Reg::R3), 30u);
+        }
+        EXPECT_GT(a.m.dispatch_stats().tier2_entries, 0u);
+        EXPECT_GT(a.m.dispatch_stats().superinsns_retired, 0u);
+        EXPECT_EQ(b.m.dispatch_stats().tier2_entries, 0u);
+        expect_same_profile(pa, pb);
+        EXPECT_EQ(pa.retired(), a.m.steps_executed() - 1); // the halt traps, not retires
+        // Each address runs in one frame, so one sample stack per address.
+        EXPECT_EQ(pa.samples().size(), pa.pc_counts().size());
+    }
+    {
+        // A compiled recursive program, cut by the watchdog deep inside
+        // the recursion, so the shadow stack ends several frames deep.
+        const auto img = swsec::cc::compile_program({R"(
+            int fib(int n) { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }
+            int main() { return fib(12); }
+        )"}, {});
+        Profiler profiles[2];
+        const bool decode_cache[2] = {true, false};
+        for (int i = 0; i < 2; ++i) {
+            Tracer t(1);
+            profiles[i].set_sample_interval(1);
+            t.set_fold(&profiles[i]);
+            swsec::os::SecurityProfile p;
+            p.decode_cache = decode_cache[i];
+            p.tracer = &t;
+            swsec::os::Process proc(img, p, 7);
+            EXPECT_EQ(proc.run(3000).trap.kind, TrapKind::OutOfGas);
+            const DispatchStats& d = proc.machine().dispatch_stats();
+            if (decode_cache[i]) {
+                EXPECT_GT(d.tier2_entries, 0u);
+                EXPECT_GT(d.superinsns_retired, 0u);
+            } else {
+                EXPECT_EQ(d.tier2_entries, 0u);
+            }
+        }
+        expect_same_profile(profiles[0], profiles[1]);
+        EXPECT_EQ(profiles[0].retired(), 3000u);
+        EXPECT_GE(profiles[0].shadow_stack().size(), 4u);
+    }
 }
 
 TEST(TierSelection, SanitizeAddressStaysOnTier2) {

@@ -158,8 +158,10 @@ TEST(Profiler, PcCountsMatchSingleStepOracle) {
 
     profile::Profiler prof;
     prof.set_sample_interval(0);
+    trace::Tracer tracer(1);
+    tracer.set_fold(&prof);
     os::SecurityProfile profiled = plain;
-    profiled.profiler = &prof;
+    profiled.tracer = &tracer;
     os::Process p(img, profiled, 99);
     (void)p.run(1'000'000);
 
@@ -180,8 +182,10 @@ TEST(Profiler, LoopEdgeCountsAreExact) {
     const auto img = cc::compile_program({kLoopSrc}, {});
     profile::Profiler prof;
     prof.set_sample_interval(0);
+    trace::Tracer tracer(1);
+    tracer.set_fold(&prof);
     os::SecurityProfile profile;
-    profile.profiler = &prof;
+    profile.tracer = &tracer;
     os::Process p(img, profile, 99);
     (void)p.run(1'000'000);
 
@@ -270,8 +274,10 @@ TEST(ProfileGolden, ScenariosAndRecursiveProgramMatchCommitted) {
     src << src_in.rdbuf();
     const auto img = cc::compile_program({src.str()}, {});
     profile::Profiler prof;
+    trace::Tracer tracer(1);
+    tracer.set_fold(&prof);
     os::SecurityProfile p;
-    p.profiler = &prof;
+    p.tracer = &tracer;
     os::Process proc(img, p, 1);
     ASSERT_TRUE(proc.run(100'000'000).exited(0));
     const profile::ProfileReport fib = profile::build_report(prof, img, proc.layout().text_base);
@@ -569,9 +575,10 @@ TEST(Coverage, PerSeedBitmapIsDeterministic) {
 }
 
 // The bitmap check_program folds from its traced tier-2 baseline run equals
-// one built from an independent reference: a Profiler on the observed loop
-// over the same image and seed, whose edge_counts() are folded over the
-// same text window.  Seed 143's baseline retires more instructions than
+// one built from an independent reference: a Profiler folding the observed
+// loop's stream (decode cache off, every instruction fetched through
+// Machine::fetch) over the same image and seed, whose edge_counts() are
+// folded over the same text window.  Seed 143's baseline retires more instructions than
 // the oracle's 8 192-slot trace ring holds, so its edges must be folded as
 // they retire, not read back from the ring.
 TEST(Coverage, CheckProgramBitmapEqualsProfilerEdges) {
@@ -589,8 +596,11 @@ TEST(Coverage, CheckProgramBitmapEqualsProfilerEdges) {
 
         profile::Profiler prof;
         prof.set_sample_interval(0);
+        trace::Tracer tracer(1);
+        tracer.set_fold(&prof);
         os::SecurityProfile p = baseline.profile;
-        p.profiler = &prof;
+        p.decode_cache = false;
+        p.tracer = &tracer;
         os::Process proc(cc::compile_program({source}, baseline.copts), p, seed);
         (void)proc.run(20'000'000);
         const std::uint32_t base = proc.layout().text_base;

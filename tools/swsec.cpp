@@ -432,12 +432,14 @@ int cmd_profile(int argc, char** argv) {
         }
     } else {
         // File mode: compile and run the program under the requested
-        // hardening profile with the profiler attached.
+        // hardening profile, traced, with the profiler folding the stream.
         const auto img = cc::compile_program({read_file(target)}, opt.copts);
         profile::Profiler prof;
         prof.set_sample_interval(sopts.sample_interval);
+        trace::Tracer tracer(1); // the fold's carrier: its ring is never read
+        tracer.set_fold(&prof);
         os::SecurityProfile p = opt.profile;
-        p.profiler = &prof;
+        p.tracer = &tracer;
         os::Process proc(img, p, opt.seed.value_or(1));
         if (!opt.input.empty()) {
             proc.feed_input(opt.input);
