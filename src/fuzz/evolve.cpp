@@ -80,10 +80,14 @@ std::size_t pick_weighted(const std::vector<CorpusEntry>& corpus, Rng& rng) {
 
 TriageResult triage_divergence(const Divergence& d, std::uint64_t max_steps) {
     TriageResult t;
-    // Re-run the *deviating* side: for Defense/Engine that is config_b (the
-    // baseline or reference engine is config_a); ConstFold's pair names the
-    // probe, which lives in the baseline run either way.
-    const RunConfig rc = resolve_config(d.config_b.empty() ? d.config_a : d.config_b);
+    // Re-run the *deviating* side.  A Defense pair names the baseline
+    // config_a and the defense config_b; an Engine pair names the defense's
+    // own run ("+dcache"/"+tier2") config_a and the decode-cache-off
+    // reference config_b; ConstFold's pair names the probe, which lives in
+    // the baseline run either way.
+    const std::string& side =
+        d.oracle == Oracle::Engine || d.config_b.empty() ? d.config_a : d.config_b;
+    const RunConfig rc = resolve_config(side);
     if (!rc.runnable) {
         t.trap = "unrunnable";
         t.key = std::string(oracle_name(d.oracle)) + "|" + d.config_a + "|" + d.config_b +
@@ -93,6 +97,8 @@ TriageResult triage_divergence(const Divergence& d, std::uint64_t max_steps) {
     try {
         const auto image = std::make_shared<const objfmt::Image>(
             cc::compile_program({d.source}, rc.defense.copts));
+        // The profile folds a traced run, so the side runs the engine the
+        // oracle ran it on: traced tier 2 for "+dcache"/"+tier2".
         profile::Profiler prof;
         prof.set_sample_interval(0); // shadow stack only; no samples needed
         trace::Tracer tracer(1);     // the fold's carrier: its ring is never read
@@ -119,7 +125,7 @@ TriageResult triage_divergence(const Divergence& d, std::uint64_t max_steps) {
         }
         stack += f;
     }
-    t.key = std::string(oracle_name(d.oracle)) + "|" + d.config_b + "|" + t.trap + "|" + stack;
+    t.key = std::string(oracle_name(d.oracle)) + "|" + side + "|" + t.trap + "|" + stack;
     return t;
 }
 

@@ -18,10 +18,12 @@
 // through the machine-wide image cache, which holds scenario images only).
 //
 // Every divergence the oracles raise is auto-triaged: the deviating
-// configuration (resolve_config) is compiled afresh and re-run traced with
-// a profiler folding its stream, the final trap's provenance (kind +
-// CheckOrigin) and the shadow call stack are symbolized through the image's
-// line table, and the resulting "func:line" stack is the dedup key — ten thousand
+// configuration (resolve_config) — a Defense pair's defense, an Engine
+// pair's own "+dcache"/"+tier2" run — is compiled afresh and re-run traced
+// with a profiler folding its stream, so on the engine the oracle ran it
+// on; the final trap's provenance (kind + CheckOrigin) and the shadow call
+// stack are symbolized through the image's line table, and the side's name
+// plus the resulting "func:line" stack is the dedup key — ten thousand
 // executions of the same bug yield one crash record (with a hit count),
 // exactly the triage discipline AFL-style fuzzers need to stay readable at
 // campaign scale.  Each unique crash carries its representative Divergence,
@@ -67,10 +69,12 @@ struct RunConfig {
 };
 [[nodiscard]] RunConfig resolve_config(const std::string& name);
 
-/// Triage one divergence: re-run the deviating configuration traced with a
-/// profiler folding its stream, symbolize the trap site and shadow stack,
-/// and derive the dedup key.  Deterministic: triaging the same divergence
-/// twice yields the same key (the dedup-idempotence property the tests lock).
+/// Triage one divergence: re-run the deviating configuration (config_b of a
+/// Defense pair, config_a of an Engine pair) traced with a profiler folding
+/// its stream, symbolize the trap site and shadow stack, and derive the
+/// dedup key "oracle|side|trap|stack", which names the side it re-ran.
+/// Deterministic: triaging the same divergence twice yields the same key
+/// (the dedup-idempotence property the tests lock).
 struct TriageResult {
     std::string key;
     std::vector<std::string> frames;

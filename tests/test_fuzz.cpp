@@ -582,6 +582,28 @@ TEST(Triage, UnrunnableConfigStillYieldsAStableKey) {
     EXPECT_EQ(t.key, fuzz::triage_divergence(d, 20'000'000).key);
 }
 
+// An engine pair's deviating side is the defense's own run, config_a
+// ("+tier2" / "+dcache"; config_b is the decode-cache-off reference):
+// triage re-runs that side, traced tier 2 as the oracle ran it, and its
+// key names it.
+TEST(Triage, EngineDivergenceKeyNamesTheFastSide) {
+    const std::vector<std::pair<std::string, std::string>> pairs = {
+        {"none+tier2", "none+tier1"},
+        {"sanitize+dcache", "sanitize-dcache"},
+    };
+    for (const auto& [fast, reference] : pairs) {
+        fuzz::Divergence d;
+        d.seed = 97;
+        d.oracle = fuzz::Oracle::Engine;
+        d.config_a = fast;
+        d.config_b = reference;
+        d.source = fuzz::generate_program(97).render();
+        const fuzz::TriageResult t = fuzz::triage_divergence(d, 20'000'000);
+        EXPECT_EQ(t.trap, "exit/none");
+        EXPECT_EQ(t.key.rfind("engine|" + fast + "|exit/none|", 0), 0u) << t.key;
+    }
+}
+
 // Triage re-runs the configuration check_program ran: an engine pair's
 // "+dcache"/"+tier2" side is the defense as it stands, its
 // "-dcache"/"+tier1" side the reference run with the decode cache off.
