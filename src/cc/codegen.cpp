@@ -164,6 +164,11 @@ public:
                 gen_func(fn);
             }
         }
+        if (opts_.pma_mode == PmaMode::SecureModule) {
+            // The end of the module's data, which the entry stubs' window
+            // check reads: pma::build_module links this unit's data last.
+            data_stmt(Kind::Label).str = put("__pma_data_end");
+        }
         AsmList list;
         list.strtab = std::move(strtab_);
         list.stmts = std::move(text_);
@@ -384,13 +389,20 @@ private:
         return put(fn.name);
     }
 
-    /// Emit the secure entry stub for an exported module function: save the
-    /// outside stack pointer, switch to the module's private stack, copy the
-    /// arguments across the protection boundary, run the implementation, and
-    /// on the way out scrub every scratch register so module secrets cannot
-    /// leak through the register file.
+    /// Emit the secure entry stub for an exported module function: check
+    /// that the caller's stack window (return address and arguments) lies
+    /// outside the module, save the outside stack pointer, switch to the
+    /// module's private stack, copy the arguments across the protection
+    /// boundary, run the implementation, and on the way out scrub every
+    /// scratch register so module secrets cannot leak through the register
+    /// file.  Without the check, a caller whose SP points into module data
+    /// hands the module its own secrets as arguments and a module word as
+    /// its return address.
     void gen_entry_stub(const FuncDef& fn) {
         const int n = static_cast<int>(fn.params.size());
+        const StrRef text_ok = fresh_label("window_text_ok");
+        const StrRef window_bad = fresh_label("window_bad");
+        const StrRef window_ok = fresh_label("window_ok");
         blank();
         comment("PMA entry stub for ", fn.name, " (secure compilation)");
         const StrRef name = put(fn.name);
@@ -398,7 +410,29 @@ private:
         directive(Kind::Func, name);
         directive(Kind::Entry, name);
         label(name);
+        comment("the caller's window [sp, sp + ", 4 + 4 * n, ") must lie outside the module");
         ins(Op::MovR, R5, SP); // outside stack pointer
+        ins(Op::MovR, R6, R5);
+        ins(Op::AddI, R6, imm(4 + 4 * n));
+        ins(Op::Cmp, R6, R5);
+        ins(Op::Jb, sym(window_bad)); // the window wraps around
+        ins(Op::MovI, R4, sym(put("__pma_text_end")));
+        ins(Op::Cmp, R5, R4);
+        ins(Op::Jae, sym(text_ok));
+        ins(Op::MovI, R4, sym(put("__pma_text_start")));
+        ins(Op::Cmp, R4, R6);
+        ins(Op::Jb, sym(window_bad));
+        label(text_ok);
+        ins(Op::MovI, R4, sym(put("__pma_data_end")));
+        ins(Op::Cmp, R5, R4);
+        ins(Op::Jae, sym(window_ok));
+        ins(Op::MovI, R4, sym(put("__pma_stack"))); // module data starts with its stack
+        ins(Op::Cmp, R4, R6);
+        ins(Op::Jae, sym(window_ok));
+        label(window_bad);
+        ins(Op::MovI, R0, imm(4)); // AbortReason::PmaGuard
+        ins(Op::Sys, imm(5));      // abort: caller stack inside the module
+        label(window_ok);
         ins(Op::MovI, R7, sym(put("__pma_out_sp")));
         ins(Op::Store, mem(R7, 0), R5);
         ins(Op::MovI, R7, sym(put("__pma_priv_sp")));
@@ -1028,7 +1062,9 @@ private:
     /// while its own out-call is the innermost one outstanding, and pops
     /// both: the frame the module resumes in is its own whatever BP the
     /// callee left, and a re-entry point is good for one return, so a
-    /// stale or foreign re-entry aborts with AbortReason::PmaGuard.
+    /// stale or foreign re-entry aborts with AbortReason::PmaGuard.  The jump
+    /// out leaves only SP and the target (r6) non-zero: the callee sees no
+    /// module temporary, frame pointer or data address.
     /// Target is in r0; `n` arguments sit on the private stack.
     void gen_secure_outcall(int n) {
         const StrRef ok = fresh_label("san_ok");
@@ -1061,6 +1097,10 @@ private:
         ins(Op::MovI, R7, sym(put("__pma_priv_sp")));
         ins(Op::Store, mem(R7, 0), SP);
         ins(Op::MovR, SP, R5);
+        comment("clear every register but sp and the target before leaving the module");
+        for (const AsmOperand r : {R0, R1, R2, R3, R4, R5, R7, BP}) {
+            ins(Op::MovI, r, imm(0));
+        }
         ins(Op::JmpR, R6);
         directive(Kind::Entry, reentry);
         directive(Kind::Func, reentry);

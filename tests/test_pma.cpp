@@ -381,4 +381,50 @@ TEST(Pma, StaleReentryAbortsWithoutTouchingTheModule) {
     EXPECT_EQ(f.tries_left(), 3u) << "the stale re-entry decremented the counter";
 }
 
+TEST(Pma, EntryWithTheCallerStackInsideTheModuleAborts) {
+    // With one try left, host code points SP four bytes below the PIN and
+    // jumps to the entry stub.  If the stub read its window there, the
+    // module would take its own PIN as the argument, reset tries_left to 3
+    // and compute 666 in R0, which the kernel sees at the fault that the
+    // stub's return through module data then raises.
+    Fixture f(kSecretModule, ModuleSecurity::Secure, "int main() { return 0; }", false);
+    swsec::vm::Machine& m = f.process.machine();
+    run_to(m, f.process.addr_of("main"));
+    m.memory().raw_write32(f.module.addr_of("tries_left$secret"), 1);
+    m.set_reg(Reg::Sp, f.module.addr_of("PIN$secret") - 4);
+    m.set_ip(f.module.addr_of("get_secret"));
+    const auto r = m.run(100000);
+    EXPECT_EQ(r.trap.kind, TrapKind::Abort) << r.trap.to_string();
+    EXPECT_EQ(r.trap.origin, swsec::trace::CheckOrigin::Pma) << r.trap.to_string();
+    EXPECT_NE(m.reg(Reg::R0), 666u);
+    EXPECT_EQ(f.tries_left(), 1u) << "the module ran on a window inside itself";
+}
+
+TEST(Pma, OutCallLeavesOnlySpAndTheTargetInRegisters) {
+    // At the host callback the register file holds nothing of the module:
+    // not its last temporary (tries_left in Fig. 4, 3 * secret in the
+    // second module), its frame pointer or a data address.
+    const char* kTemporaryModule = R"(
+        static int secret = 666;
+        int get_secret(int get_pin()) {
+          int s = secret * 3;
+          return get_pin() + s;
+        }
+    )";
+    for (const auto& [module_src, exit_code] :
+         {std::pair{kSecretModuleFnPtr, 666}, std::pair{kTemporaryModule, 1234 + 1998}}) {
+        Fixture f(module_src, ModuleSecurity::Secure, kPinHost, true);
+        swsec::vm::Machine& m = f.process.machine();
+        run_to(m, f.process.addr_of("my_get_pin"));
+        ASSERT_FALSE(m.trap().is_set()) << m.trap().to_string();
+        for (const Reg r : {Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5, Reg::R7,
+                            Reg::Bp}) {
+            EXPECT_EQ(m.reg(r), 0u) << swsec::isa::reg_name(r);
+        }
+        EXPECT_EQ(m.reg(Reg::R6), m.ip()); // the jump target
+        const auto r = m.run(100000);
+        EXPECT_TRUE(r.exited(exit_code)) << r.trap.to_string();
+    }
+}
+
 } // namespace
