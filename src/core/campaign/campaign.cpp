@@ -96,45 +96,8 @@ std::string run_fault_cell(const Spec& spec, std::uint64_t cell) {
     fso.windows_per_class = spec.windows_per_class;
     fso.include_statecont = false;
     fso.jobs = 1; // parallelism lives in the campaign scheduler, not the cell
-    const core::FaultCellSweep cs =
-        core::sweep_fault_cell(fso, cell / defenses.size(), cell % defenses.size());
-    std::string out = "{\"baseline\":";
-    out += core::matrix_cell_json(cs.record);
-    out += cs.baseline_success ? ",\"baseline_success\":true" : ",\"baseline_success\":false";
-    out += ",\"tallies\":[";
-    for (std::size_t i = 0; i < cs.tallies.size(); ++i) {
-        const core::ClassTally& t = cs.tallies[i];
-        if (i != 0) {
-            out += ",";
-        }
-        out += "{\"class\":\"";
-        out += fault::fault_class_name(t.cls);
-        out += "\",\"windows\":" + std::to_string(t.windows);
-        out += ",\"power_cut\":" + std::to_string(t.power_cut);
-        out += ",\"still_blocked\":" + std::to_string(t.still_blocked);
-        out += ",\"fail_open\":" + std::to_string(t.fail_open);
-        out += ",\"glitched_check\":" + std::to_string(t.glitched_check) + "}";
-    }
-    out += "],\"violations\":[";
-    for (std::size_t i = 0; i < cs.violations.size(); ++i) {
-        if (i != 0) {
-            out += ",";
-        }
-        out += "\"";
-        out += trace::json_escape(cs.violations[i].to_string());
-        out += "\"";
-    }
-    out += "],\"glitched\":[";
-    for (std::size_t i = 0; i < cs.glitched.size(); ++i) {
-        if (i != 0) {
-            out += ",";
-        }
-        out += "\"";
-        out += trace::json_escape(cs.glitched[i].to_string());
-        out += "\"";
-    }
-    out += "]}";
-    return out;
+    return core::fault_cell_json(
+        core::sweep_fault_cell(fso, cell / defenses.size(), cell % defenses.size()));
 }
 
 std::string run_fuzz_cell(const Spec& spec, std::uint64_t cell) {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/escape.hpp"
 #include "common/rng.hpp"
 #include "core/parallel.hpp"
 #include "os/layout.hpp"
@@ -346,12 +347,15 @@ FaultCellSweep sweep_cell(const FaultSweepOptions& opts, std::size_t ai, std::si
                 out.note = std::string("attacker interaction aborted: ") + e.what();
             }
             ++tally.windows;
+            FaultWindow& window = cell.windows.emplace_back(FaultWindow{event});
             if (out.succeeded) {
                 if (compiled_check(baseline.trap.origin)) {
                     ++tally.glitched_check;
+                    window.outcome = WindowOutcome::GlitchedCheck;
                     cell.glitched.push_back({attack_name(kind), defense.name, event, out.note});
                 } else {
                     ++tally.fail_open;
+                    window.outcome = WindowOutcome::FailOpen;
                     cell.violations.push_back(
                         {attack_name(kind), defense.name, event, out.note});
                 }
@@ -359,6 +363,7 @@ FaultCellSweep sweep_cell(const FaultSweepOptions& opts, std::size_t ai, std::si
                 ++tally.still_blocked;
                 if (out.trap.kind == vm::TrapKind::PowerCut) {
                     ++tally.power_cut;
+                    window.outcome = WindowOutcome::PowerCut;
                 }
             }
         }
@@ -410,10 +415,8 @@ FaultSweepReport run_fault_sweep(const FaultSweepOptions& opts) {
 
     // Deterministic merge: fold cells in index order, which is exactly the
     // order the old serial loops visited them.
-    rep.baseline_cells.reserve(cells.size());
-    for (auto& cell : cells) {
+    for (const auto& cell : cells) {
         ++rep.cells;
-        rep.baseline_cells.push_back(std::move(cell.record));
         if (cell.baseline_success) {
             ++rep.baseline_success;
             continue;
@@ -428,18 +431,65 @@ FaultSweepReport run_fault_sweep(const FaultSweepOptions& opts) {
             t.fail_open += c.fail_open;
             t.glitched_check += c.glitched_check;
         }
-        rep.violations.insert(rep.violations.end(),
-                              std::make_move_iterator(cell.violations.begin()),
-                              std::make_move_iterator(cell.violations.end()));
-        rep.glitched.insert(rep.glitched.end(),
-                            std::make_move_iterator(cell.glitched.begin()),
-                            std::make_move_iterator(cell.glitched.end()));
+        rep.violations.insert(rep.violations.end(), cell.violations.begin(),
+                              cell.violations.end());
+        rep.glitched.insert(rep.glitched.end(), cell.glitched.begin(), cell.glitched.end());
     }
+    rep.per_cell = std::move(cells);
 
     if (opts.include_statecont) {
         rep.statecont = merge_statecont_windows(statecont_parts);
     }
     return rep;
+}
+
+std::string fault_cell_json(const FaultCellSweep& cell) {
+    static constexpr const char* kOutcomeNames[] = {"blocked", "power-cut", "fail-open",
+                                                    "glitched-check"};
+    const auto text_list = [](const std::vector<FailOpenViolation>& vs) {
+        std::string out;
+        for (const FailOpenViolation& v : vs) {
+            out += (out.empty() ? "\"" : ",\"") + json_escape(v.to_string()) + "\"";
+        }
+        return out;
+    };
+    std::string out = "{\"baseline\":" + matrix_cell_json(cell.record);
+    out += cell.baseline_success ? ",\"baseline_success\":true" : ",\"baseline_success\":false";
+    out += ",\"tallies\":[";
+    for (std::size_t i = 0; i < cell.tallies.size(); ++i) {
+        const ClassTally& t = cell.tallies[i];
+        out += i == 0 ? "{\"class\":\"" : ",{\"class\":\"";
+        out += fault::fault_class_name(t.cls);
+        out += "\",\"windows\":" + std::to_string(t.windows);
+        out += ",\"power_cut\":" + std::to_string(t.power_cut);
+        out += ",\"still_blocked\":" + std::to_string(t.still_blocked);
+        out += ",\"fail_open\":" + std::to_string(t.fail_open);
+        out += ",\"glitched_check\":" + std::to_string(t.glitched_check) + "}";
+    }
+    out += "],\"windows\":[";
+    for (std::size_t i = 0; i < cell.windows.size(); ++i) {
+        const FaultWindow& w = cell.windows[i];
+        out += i == 0 ? "{\"class\":\"" : ",{\"class\":\"";
+        out += fault::fault_class_name(w.event.cls);
+        out += "\",\"at\":" + std::to_string(w.event.at);
+        out += ",\"a\":" + std::to_string(w.event.a);
+        out += ",\"b\":" + std::to_string(w.event.b);
+        out += ",\"outcome\":\"";
+        out += kOutcomeNames[static_cast<std::size_t>(w.outcome)];
+        out += "\"}";
+    }
+    out += "],\"violations\":[" + text_list(cell.violations);
+    out += "],\"glitched\":[" + text_list(cell.glitched) + "]}";
+    return out;
+}
+
+std::string FaultSweepReport::cells_jsonl() const {
+    std::string out;
+    for (const FaultCellSweep& cell : per_cell) {
+        out += fault_cell_json(cell);
+        out += '\n';
+    }
+    return out;
 }
 
 std::string FaultSweepReport::summary() const {
@@ -503,8 +553,13 @@ profile::Registry fault_sweep_metrics(const FaultSweepReport& report) {
     reg.counter_add("statecont_violations_total", base, report.statecont.violations.size());
     // The baseline cells carry the same per-victim platform tallies the
     // matrix aggregates; fold them in under this harness's label.
-    add_victim_metrics(reg, base, report.baseline_cells);
-    for (const MatrixCell& c : report.baseline_cells) {
+    std::vector<MatrixCell> baseline_cells;
+    baseline_cells.reserve(report.per_cell.size());
+    for (const FaultCellSweep& cell : report.per_cell) {
+        baseline_cells.push_back(cell.record);
+    }
+    add_victim_metrics(reg, base, baseline_cells);
+    for (const MatrixCell& c : baseline_cells) {
         // Trap latency over the healthy-platform baseline: same definition
         // as the matrix harness, under this harness's label so the two
         // exports stay independently diffable.

@@ -79,6 +79,21 @@ struct FailOpenViolation {
     [[nodiscard]] std::string to_string() const;
 };
 
+/// How an attack ended under one fault window.
+enum class WindowOutcome : std::uint8_t {
+    StillBlocked,  // blocked by a trap other than the injected power cut
+    PowerCut,      // ended by the injected power cut itself (still blocked)
+    FailOpen,      // succeeded past a platform block: a violation
+    GlitchedCheck, // succeeded past a compiled-in check: the residual
+};
+
+/// One fault window of a cell: the event it injected (class, step or
+/// ordinal, register or address, bit) and how the attack ended under it.
+struct FaultWindow {
+    fault::FaultEvent event;
+    WindowOutcome outcome = WindowOutcome::StillBlocked;
+};
+
 /// Per-fault-class tallies of the exploit-mitigation half.
 struct ClassTally {
     fault::FaultClass cls = fault::FaultClass::PowerCut;
@@ -96,6 +111,20 @@ struct StatecontSweep {
     std::vector<std::string> violations; // liveness/rollback breaks (empty = pass)
 };
 
+/// Everything one (attack, defense) cell contributes to the report.  The
+/// campaign driver runs cells one at a time (checkpointing each into its
+/// write-ahead log); run_fault_sweep fans them out over workers.  Either
+/// way the merge folds them in cell-index order, so the report is
+/// byte-identical no matter who scheduled the work.
+struct FaultCellSweep {
+    bool baseline_success = false;
+    MatrixCell record;                // baseline outcome with trap provenance
+    std::vector<ClassTally> tallies;  // one per opts.classes entry
+    std::vector<FaultWindow> windows; // class-major, window order
+    std::vector<FailOpenViolation> violations;  // class-major, window order
+    std::vector<FailOpenViolation> glitched;    // compiled-check bypasses (residual)
+};
+
 struct FaultSweepReport {
     std::uint64_t cells = 0;            // attack x defense cells visited
     std::uint64_t baseline_blocked = 0; // cells blocked on the healthy platform
@@ -109,11 +138,10 @@ struct FaultSweepReport {
     /// reported for the record, but not a fail-closed violation.
     std::vector<FailOpenViolation> glitched;
     StatecontSweep statecont;
-    /// Per-cell baseline outcomes with full trap provenance (which check
-    /// fired, module, kernel/user, ip/addr) in cell-index order — the *why*
-    /// behind baseline_blocked/baseline_success.  Serialise with
-    /// matrix_cells_jsonl(); identical for any jobs value.
-    std::vector<MatrixCell> baseline_cells;
+    /// Every cell in cell-index order: its baseline outcome with full trap
+    /// provenance (the *why* behind baseline_blocked/baseline_success) and
+    /// each fault window's event and outcome.  Identical for any jobs value.
+    std::vector<FaultCellSweep> per_cell;
 
     [[nodiscard]] std::uint64_t total_windows() const noexcept;
     /// The invariant the harness enforces: no fail-open flips and no
@@ -122,20 +150,17 @@ struct FaultSweepReport {
         return violations.empty() && statecont.violations.empty();
     }
     [[nodiscard]] std::string summary() const;
+    /// One fault_cell_json() line per cell, in cell order: what `swsec
+    /// fault-sweep --trace-out` writes.
+    [[nodiscard]] std::string cells_jsonl() const;
 };
 
-/// Everything one (attack, defense) cell contributes to the report.  The
-/// campaign driver runs cells one at a time (checkpointing each into its
-/// write-ahead log); run_fault_sweep fans them out over workers.  Either
-/// way the merge folds them in cell-index order, so the report is
-/// byte-identical no matter who scheduled the work.
-struct FaultCellSweep {
-    bool baseline_success = false;
-    MatrixCell record;                // baseline outcome with trap provenance
-    std::vector<ClassTally> tallies;  // one per opts.classes entry
-    std::vector<FailOpenViolation> violations;  // class-major, window order
-    std::vector<FailOpenViolation> glitched;    // compiled-check bypasses (residual)
-};
+/// One cell as one JSON object, fixed key order: the baseline
+/// (matrix_cell_json), baseline_success, the per-class tallies, every
+/// window's event and outcome, and the violations and glitched checks as
+/// text.  The campaign's fault-sweep cell payload and each line of `swsec
+/// fault-sweep --trace-out`, so the goldens pin every window's draw.
+[[nodiscard]] std::string fault_cell_json(const FaultCellSweep& cell);
 
 /// Run one (attack, defense) cell of the exploit-mitigation half.  `ai` and
 /// `di` index into opts.attacks / opts.defenses (or the standard lists when

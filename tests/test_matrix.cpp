@@ -405,7 +405,7 @@ TEST(FaultSweepGolden, SummaryTraceMetricsAndPromMatchCommitted) {
     const swsec::core::FaultSweepReport report = swsec::core::run_fault_sweep(opts);
     const swsec::profile::Registry reg = swsec::core::fault_sweep_metrics(report);
     check_goldens({{"summary.txt", report.summary()},
-                   {"trace.jsonl", swsec::core::matrix_cells_jsonl(report.baseline_cells)},
+                   {"trace.jsonl", report.cells_jsonl()},
                    {"metrics.json", reg.to_json()},
                    {"metrics.prom", reg.to_prometheus()}},
                   SWSEC_FAULT_SWEEP_GOLDEN_DIR, "SWSEC_FAULT_SWEEP_GOLDEN_OUT");

@@ -696,7 +696,7 @@ int cmd_fault_sweep(int argc, char** argv) {
     const auto report = core::run_fault_sweep(opts);
     std::fputs(report.summary().c_str(), stdout);
     if (!trace_out.empty()) {
-        write_out(trace_out, core::matrix_cells_jsonl(report.baseline_cells));
+        write_out(trace_out, report.cells_jsonl());
     }
     write_metrics(metrics_out, prom_out, [&] { return core::fault_sweep_metrics(report); });
     return report.fail_closed() ? 0 : 1;
