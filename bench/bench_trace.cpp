@@ -65,15 +65,14 @@ void BM_VmExecuteProfiled(benchmark::State& state) {
     state.SetLabel(profiled ? "profiler=attached" : "profiler=detached");
     const auto img = cc::compile_program({src}, {});
     os::SecurityProfile profile;
-    profile::Profiler prof;
     trace::Tracer tracer(1);
-    tracer.set_fold(&prof);
     if (profiled) {
         profile.tracer = &tracer;
     }
     std::uint64_t steps = 0;
     for (auto _ : state) {
-        prof.reset();
+        profile::Profiler prof; // a fresh profile per run
+        tracer.set_fold(&prof);
         os::Process p(img, profile, 99);
         const auto r = p.run(200'000'000);
         steps += r.steps;

@@ -1,8 +1,7 @@
 // The observed scenarios of `swsec trace` (core/trace_scenarios.hpp) and
 // `swsec profile` (core/profile_scenarios.hpp): one table of attack-vs-
-// defense pairings and one traced run of them, which both verbs make (a
-// profile attaches its fold to the tracer), plus the two platform
-// scenarios (pma, sfi) that only the tracer runs.
+// defense pairings and one traced run of them, which both verbs make, plus
+// the two platform scenarios (pma, sfi) that only the tracer runs.
 #include "core/profile_scenarios.hpp"
 #include "core/trace_scenarios.hpp"
 

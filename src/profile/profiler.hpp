@@ -1,11 +1,10 @@
 // Exact PC / basic-block / edge profiler.
 //
-// The Profiler is a fold over the retired stream (trace::RetireFold),
-// attached to the tracer a vm::Machine already feeds from both engine
-// loops (trace::Tracer::set_fold): a profiled run executes traced tier 2
-// wherever a traced run does, and its counts are exact, not sampled, and
-// identical across decode-cache on/off and `--jobs N`.  A profile alone
-// rides on a one-slot tracer, trace::Tracer(1), whose ring nobody reads.
+// The Profiler is a fold over the retired stream (trace::RetireFold)
+// attached to a tracer (trace::Tracer::set_fold), which both engine loops
+// feed: a profiled run executes traced tier 2 wherever a traced run does,
+// and its counts are exact, not sampled, and identical across decode-cache
+// on/off and `--jobs N`.  A profile alone rides on a trace::Tracer(1).
 //
 // The shadow call stack mirrors the machine's call/ret pairing (it is an
 // observer, not the security mechanism — that one lives in vm::Machine as
@@ -16,16 +15,17 @@
 // deterministic as the run itself.
 //
 // It serves `swsec profile`, fuzz triage's shadow stack and
-// BM_VmExecuteProfiled.  The fuzzers' edge coverage does not come from
-// here: the tracer folds it from the traced baseline run the engine oracle
-// already makes (trace::Tracer::set_coverage), and tests/test_profile.cpp
-// checks that fold against this profiler's edge_counts().  Symbolization
-// and report rendering live in symbolize.hpp / report.hpp.
+// BM_VmExecuteProfiled.  The fuzzers' edge coverage is the tracer's own
+// fold (trace::Tracer::set_coverage); tests/test_profile.cpp checks it
+// against this profiler's edge_counts().  Symbolization and report
+// rendering live in symbolize.hpp / report.hpp.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -39,11 +39,19 @@ using StackSample = std::vector<std::uint32_t>;
 
 class Profiler final : public trace::RetireFold {
 public:
+    Profiler() = default;
+    Profiler(Profiler&&) = default; // no copies: memo_ points into pc_counts_,
+    Profiler& operator=(Profiler&&) = default; // whose nodes a move keeps
+
     // ---- the fold (called by trace::Tracer) --------------------------------
     void retire(std::uint32_t pc, std::uint8_t opcode) override {
         ++retired_;
-        ++pc_counts_[pc];
-        const bool due = sample_interval_ != 0 && retired_ % sample_interval_ == 0;
+        ++pc_count(pc);
+        // A countdown, not a division per retirement; interval 0 never fires.
+        const bool due = --until_sample_ == 0;
+        if (due) {
+            until_sample_ = sample_interval_;
+        }
         if (opcode == static_cast<std::uint8_t>(isa::Op::Call) ||
             opcode == static_cast<std::uint8_t>(isa::Op::CallR)) {
             // The push needs the target, which the call's edge brings next.
@@ -76,15 +84,9 @@ public:
     // ---- configuration ----------------------------------------------------
     /// Sample the shadow stack every `n` retired instructions (0 disables the
     /// sampler).  97 is prime so loops do not alias the sample grid.
-    void set_sample_interval(std::uint64_t n) noexcept { sample_interval_ = n; }
-
-    void reset() noexcept {
-        retired_ = 0;
-        pc_counts_.clear();
-        edge_counts_.clear();
-        shadow_stack_.clear();
-        samples_.clear();
-        call_pending_ = false;
+    void set_sample_interval(std::uint64_t n) noexcept {
+        sample_interval_ = n;
+        until_sample_ = n;
     }
 
     // ---- results ----------------------------------------------------------
@@ -116,6 +118,17 @@ public:
     }
 
 private:
+    /// pc_counts_[pc] through a direct-mapped memo of its entries, which
+    /// never move: the map's own lookup was the fold's largest cost.
+    std::uint64_t& pc_count(std::uint32_t pc) {
+        auto& [memo_pc, count] = memo_[pc % memo_.size()];
+        if (count == nullptr || memo_pc != pc) {
+            memo_pc = pc;
+            count = &pc_counts_[pc];
+        }
+        return *count;
+    }
+
     void take_sample(std::uint32_t pc) {
         StackSample s = shadow_stack_;
         s.push_back(pc);
@@ -124,8 +137,10 @@ private:
 
     std::uint64_t retired_ = 0;
     std::uint64_t sample_interval_ = 97;
+    std::uint64_t until_sample_ = 97; // retirements left until the next sample
     bool call_pending_ = false;    // a call retired; its edge pushes the target
     bool call_sample_due_ = false; // ... and then takes that retirement's sample
+    std::array<std::pair<std::uint32_t, std::uint64_t*>, 1024> memo_{};
     std::unordered_map<std::uint32_t, std::uint64_t> pc_counts_;
     std::unordered_map<std::uint64_t, std::uint64_t> edge_counts_;
     std::vector<std::uint32_t> shadow_stack_;

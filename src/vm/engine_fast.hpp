@@ -17,10 +17,9 @@
 //    writes the insn event the observed loop would write for every
 //    retirement, one per component of a fused pair (the head's between
 //    the two components), so its trace equals the observed loop's.  It
-//    also hands every retired control transfer to the tracer, after its
-//    retirement, the jcc of a fused cmp+jcc included, so the folds
-//    attached to the tracer (edge coverage, a source-level profile) see
-//    the stream the observed loop reports, in the same order.
+//    hands every retired control transfer to the tracer after its
+//    retirement, the jcc of a fused cmp+jcc included, so the tracer's folds
+//    (coverage, a profile) see the observed loop's stream, in its order.
 //  * run<Policy::Observed>, the observed loop ("tier 1"), runs everywhere
 //    else, and is what Machine::step() runs for one instruction.  It adds
 //    the per-instruction fault probe, the PMA fetch and data checks,

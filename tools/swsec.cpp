@@ -438,9 +438,8 @@ int cmd_profile(int argc, char** argv) {
         prof.set_sample_interval(sopts.sample_interval);
         trace::Tracer tracer(1); // the fold's carrier: its ring is never read
         tracer.set_fold(&prof);
-        os::SecurityProfile p = opt.profile;
-        p.tracer = &tracer;
-        os::Process proc(img, p, opt.seed.value_or(1));
+        opt.profile.tracer = &tracer;
+        os::Process proc(img, opt.profile, opt.seed.value_or(1));
         if (!opt.input.empty()) {
             proc.feed_input(opt.input);
         }
