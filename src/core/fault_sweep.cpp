@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -446,6 +447,8 @@ FaultSweepReport run_fault_sweep(const FaultSweepOptions& opts) {
 std::string fault_cell_json(const FaultCellSweep& cell) {
     static constexpr const char* kOutcomeNames[] = {"blocked", "power-cut", "fail-open",
                                                     "glitched-check"};
+    static_assert(std::size(kOutcomeNames) ==
+                  static_cast<std::size_t>(WindowOutcome::GlitchedCheck) + 1);
     const auto text_list = [](const std::vector<FailOpenViolation>& vs) {
         std::string out;
         for (const FailOpenViolation& v : vs) {

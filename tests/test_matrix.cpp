@@ -395,7 +395,8 @@ TEST(MatrixGolden, TableTraceMetricsAndPromMatchCommitted) {
 }
 
 // The same four outputs of CI's `swsec fault-sweep --windows 2` (summary,
-// baseline-cell JSONL, metrics JSON and Prometheus text) pinned against
+// per-cell JSONL with every window's event, metrics JSON and Prometheus
+// text) pinned against
 // tests/golden/fault-sweep/; regenerate with
 //   SWSEC_FAULT_SWEEP_GOLDEN_OUT=<dir> ./build/tests/test_matrix --gtest_filter='FaultSweepGolden.*'
 TEST(FaultSweepGolden, SummaryTraceMetricsAndPromMatchCommitted) {
