@@ -266,6 +266,8 @@ TEST(TierSelection, TracerStaysOnTier2) {
     EXPECT_GT(traced.stats.superinsns_retired, 0u);
 }
 
+// A profile no longer forces tier 1 (TierSelection.ProfiledRunStaysOnTier2);
+// a fault plan and the options tier 2 cannot run still do.
 TEST(TierSelection, ProfilerFaultsAndOptionsForceTier1) {
     const Encoder e = mixed_program();
     const auto tier2_entries_with = [&](auto&& configure) {
